@@ -1,15 +1,17 @@
 """Hot numerical loops shared by the analysis modules.
 
-Three kernels live here: Horner evaluation of a polynomial over an array of
+Four kernels live here: Horner evaluation of a polynomial over an array of
 points, the Aberth-Ehrlich simultaneous root iteration, grid classification
 by the sign of Im(N/D), and the predictor-corrector stepper used to follow
 level curves of Im(N/D).
 
-Every kernel has a pure-numpy/python implementation.  When numba is
-importable the jit-compiled versions are used instead, unless the
-environment variable RSMIRNOV_NO_NUMBA is set to a non-empty value, which
-forces the fallback path (useful for debugging and for benchmarking the
-speedup; see benchmarks/bench_kernels.py).
+horner_many and classify_grid are numpy code with a single implementation
+on every build.  aberth_iterate and trace_arc (and the scalar Horner step)
+also have a pure-python implementation; when numba is importable the
+jit-compiled versions of those are used instead, unless the environment
+variable RSMIRNOV_NO_NUMBA is set to a non-empty value, which forces the
+fallback path (useful for debugging and for benchmarking the speedup; see
+benchmarks/bench_kernels.py).
 """
 
 import os
@@ -100,38 +102,6 @@ def _aberth_py(coeffs, roots, tol, max_iter):
         if delta < tol or worst_resid < 1e-14:
             return roots, it + 1, True
     return roots, max_iter, False
-
-
-def _classify_grid_py(ncoef, dcoef, wcoef, res, margin, band, tiny):
-    """Classify cell centers of a res x res grid over [-1,1]^2.
-
-    Codes: 0 outside the working disk, +1 where Im(N/D) > 0, -1 where < 0,
-    2 where |Im(N/D)| < band * |(N/D)'| + tiny (the near-zero band).  The
-    test is done on |Im(N conj D)| vs band*|W| where W = N'D - ND', so no
-    division happens anywhere.
-    """
-    cls = np.zeros((res, res), dtype=np.int8)
-    h = 2.0 / res
-    rlim2 = (1.0 - margin) ** 2
-    for iy in range(res):
-        y = -1.0 + (iy + 0.5) * h
-        for ix in range(res):
-            x = -1.0 + (ix + 0.5) * h
-            if x * x + y * y >= rlim2:
-                continue
-            z = complex(x, y)
-            nv = _horner_scalar_py(ncoef, z)
-            dv = _horner_scalar_py(dcoef, z)
-            wv = _horner_scalar_py(wcoef, z)
-            imnd = (nv * dv.conjugate()).imag
-            d2 = (dv * dv.conjugate()).real
-            if abs(imnd) < band * abs(wv) + tiny * d2:
-                cls[iy, ix] = 2
-            elif imnd > 0:
-                cls[iy, ix] = 1
-            else:
-                cls[iy, ix] = -1
-    return cls
 
 
 def _trace_arc_py(
@@ -285,16 +255,6 @@ if USE_NUMBA:
     _horner_scalar = numba.njit(cache=True)(_horner_scalar_py)
 
     @numba.njit(cache=True)
-    def _horner_many_nb(coeffs, z):
-        out = np.empty(z.shape[0], dtype=np.complex128)
-        for i in range(z.shape[0]):
-            acc = coeffs[len(coeffs) - 1]
-            for k in range(len(coeffs) - 2, -1, -1):
-                acc = acc * z[i] + coeffs[k]
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
     def _aberth_nb(coeffs, roots, tol, max_iter):
         n = roots.shape[0]
         nc = coeffs.shape[0]
@@ -345,37 +305,6 @@ if USE_NUMBA:
                 converged = True
                 break
         return roots, it_done, converged
-
-    @numba.njit(cache=True)
-    def _classify_grid_nb(ncoef, dcoef, wcoef, res, margin, band, tiny):
-        cls = np.zeros((res, res), dtype=np.int8)
-        h = 2.0 / res
-        rlim2 = (1.0 - margin) ** 2
-        for iy in range(res):
-            y = -1.0 + (iy + 0.5) * h
-            for ix in range(res):
-                x = -1.0 + (ix + 0.5) * h
-                if x * x + y * y >= rlim2:
-                    continue
-                z = complex(x, y)
-                nv = ncoef[len(ncoef) - 1]
-                for k in range(len(ncoef) - 2, -1, -1):
-                    nv = nv * z + ncoef[k]
-                dv = dcoef[len(dcoef) - 1]
-                for k in range(len(dcoef) - 2, -1, -1):
-                    dv = dv * z + dcoef[k]
-                wv = wcoef[len(wcoef) - 1]
-                for k in range(len(wcoef) - 2, -1, -1):
-                    wv = wv * z + wcoef[k]
-                imnd = (nv * np.conj(dv)).imag
-                d2 = (dv * np.conj(dv)).real
-                if abs(imnd) < band * abs(wv) + tiny * d2:
-                    cls[iy, ix] = 2
-                elif imnd > 0:
-                    cls[iy, ix] = 1
-                else:
-                    cls[iy, ix] = -1
-        return cls
 
 else:
     _horner_scalar = _horner_scalar_py
@@ -541,11 +470,7 @@ def horner_many(coeffs, z):
     """Evaluate the polynomial (coefficients ascending) at an array of points."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     zf = np.ascontiguousarray(z, dtype=np.complex128).ravel()
-    if USE_NUMBA:
-        out = _horner_many_nb(coeffs, zf)
-    else:
-        out = _horner_many_py(coeffs, zf)
-    return out.reshape(np.shape(z))
+    return _horner_many_py(coeffs, zf).reshape(np.shape(z))
 
 
 def horner_scalar(coeffs, z):
@@ -563,12 +488,38 @@ def aberth_iterate(coeffs, initial, tol=1e-14, max_iter=400):
 
 
 def classify_grid(ncoef, dcoef, wcoef, res, margin, band, tiny=1e-14):
+    """Classify cell centers of a res x res grid over [-1,1]^2.
+
+    Codes: 0 outside the working disk, +1 where Im(N/D) > 0, -1 where < 0,
+    2 where |Im(N/D)| < band * |(N/D)'| + tiny (the near-zero band).  The
+    test is done on |Im(N conj D)| vs band*|W| where W = N'D - ND', so no
+    division happens anywhere.
+    """
     ncoef = np.ascontiguousarray(ncoef, dtype=np.complex128)
     dcoef = np.ascontiguousarray(dcoef, dtype=np.complex128)
     wcoef = np.ascontiguousarray(wcoef, dtype=np.complex128)
-    if USE_NUMBA:
-        return _classify_grid_nb(ncoef, dcoef, wcoef, res, margin, band, tiny)
-    return _classify_grid_py(ncoef, dcoef, wcoef, res, margin, band, tiny)
+    cls = np.zeros((res, res), dtype=np.int8)
+    h = 2.0 / res
+    rlim2 = (1.0 - margin) ** 2
+    centers = -1.0 + (np.arange(res) + 0.5) * h
+    # whole rows of about 16k cells per block keep the temporaries at a
+    # few MB at any resolution
+    rows = max(1, 16384 // res)
+    for y0 in range(0, res, rows):
+        y = centers[y0:y0 + rows, None]
+        inside = centers * centers + y * y < rlim2
+        z = (centers + 1j * y)[inside]
+        nv = _horner_many_py(ncoef, z)
+        dv = _horner_many_py(dcoef, z)
+        wv = _horner_many_py(wcoef, z)
+        imnd = (nv * dv.conj()).imag
+        d2 = (dv * dv.conj()).real
+        cls[y0:y0 + rows][inside] = np.where(
+            np.abs(imnd) < band * np.abs(wv) + tiny * d2,
+            2,
+            np.where(imnd > 0, 1, -1),
+        )
+    return cls
 
 
 def trace_arc(

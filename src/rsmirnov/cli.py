@@ -27,7 +27,6 @@ from .blaschke_smirnov import (
     NotRelativelyPrime,
     QuadratureUnstable,
     RealSmirnov,
-    deficiency_indices,
     integral_means,
 )
 from .complex_poly import NonConvergence
@@ -146,7 +145,6 @@ def cmd_analyze(args):
         return EXIT_INVALID
 
     try:
-        v_plus, v_minus = deficiency_indices(phi, seed=args.seed)
         ext = extract_full(phi, resolution=args.resolution, seed=args.seed)
         report = crosscheck(phi, ext.tree, n_samples=args.samples,
                             seed=args.seed + 1)
@@ -155,6 +153,8 @@ def cmd_analyze(args):
               file=sys.stderr)
         return EXIT_NUMERICAL
 
+    # for rational phi the deficiency indices are the half-plane valences
+    v_plus, v_minus = ext.halfplane
     prof = profile(ext.tree)
     means = _means_rows(phi, prof.sup_real)
 

@@ -49,7 +49,12 @@ from ._kernels import (
     horner_scalar,
     trace_arc,
 )
-from .blaschke_smirnov import InconsistentValence, halfplane_valences, is_infinite
+from .blaschke_smirnov import (
+    BoundaryNotReal,
+    InconsistentValence,
+    halfplane_valences,
+    is_infinite,
+)
 from .complex_poly import Poly, find_roots
 from .valence_tree import Interval, Node, Tree, profile, validate
 
@@ -445,7 +450,10 @@ def _make_end(phi, bps: list[BranchPoint], z: complex, status: int, bp_hit: int)
         return End("pole", math.inf if positive else -math.inf)
     # TRACE_HIT_CIRCLE
     t = math.atan2(z.imag, z.real)
-    return End("circle", float(phi.boundary_value(t)))
+    try:
+        return End("circle", float(phi.boundary_value(t)))
+    except BoundaryNotReal as exc:
+        raise TraceStalled(f"arc ended where phi is not real: {exc}") from exc
 
 
 def _flank_regions(phi, gp: GridPartition, pts: np.ndarray,

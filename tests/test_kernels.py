@@ -1,0 +1,90 @@
+"""The vectorised kernels against scalar references.
+
+classify_grid evaluates whole rows of cells with numpy.  It must classify
+every cell exactly as the per-cell loop below does: the arithmetic is the
+same, so no tolerance is allowed.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rsmirnov._kernels import classify_grid, horner_many, horner_scalar
+from rsmirnov.blaschke_smirnov import random_helson
+from rsmirnov.fixtures import all_fixtures
+
+
+def classify_grid_loop(ncoef, dcoef, wcoef, res, margin, band, tiny=1e-14):
+    """Scalar reference: one cell at a time, Horner by horner_scalar."""
+    cls = np.zeros((res, res), dtype=np.int8)
+    h = 2.0 / res
+    rlim2 = (1.0 - margin) ** 2
+    for iy in range(res):
+        y = -1.0 + (iy + 0.5) * h
+        for ix in range(res):
+            x = -1.0 + (ix + 0.5) * h
+            if x * x + y * y >= rlim2:
+                continue
+            z = complex(x, y)
+            nv = horner_scalar(ncoef, z)
+            dv = horner_scalar(dcoef, z)
+            wv = horner_scalar(wcoef, z)
+            imnd = (nv * dv.conjugate()).imag
+            d2 = (dv * dv.conjugate()).real
+            if abs(imnd) < band * abs(wv) + tiny * d2:
+                cls[iy, ix] = 2
+            elif imnd > 0:
+                cls[iy, ix] = 1
+            else:
+                cls[iy, ix] = -1
+    return cls
+
+
+def assert_same_cells(phi, res):
+    # the margin and band partition() uses at this resolution
+    args = (phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs,
+            res, 1.0 / res, 2.5 / res)
+    got = classify_grid(*args)
+    want = classify_grid_loop(*args)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert int((got != want).sum()) == 0
+
+
+@pytest.mark.parametrize("name", sorted(all_fixtures()))
+# 200 takes three row blocks, the last one short
+@pytest.mark.parametrize("res", [64, 97, 128, 200])
+def test_classify_grid_fixtures_match_loop(name, res):
+    assert_same_cells(all_fixtures()[name], res)
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    deg1=st.integers(1, 4),
+    deg2=st.integers(1, 3),
+    rmax=st.sampled_from([0.9, 0.999]),
+    res=st.integers(64, 128),
+)
+@settings(max_examples=20, deadline=None)
+def test_classify_grid_random_helson_match_loop(seed, deg1, deg2, rmax, res):
+    phi = random_helson(np.random.default_rng(seed), deg1, deg2, rmax=rmax,
+                        max_tries=20000)
+    assert_same_cells(phi, res)
+
+
+@given(seed=st.integers(0, 10 ** 6), deg=st.integers(0, 8))
+@settings(max_examples=30, deadline=None)
+def test_horner_many_matches_horner_scalar(seed, deg):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    z = (rng.uniform(-1.2, 1.2, size=(7, 5))
+         + 1j * rng.uniform(-1.2, 1.2, size=(7, 5)))
+    got = horner_many(coeffs, z)
+    assert got.shape == z.shape
+    # numpy's array loop for complex products may fuse multiply-adds where
+    # the scalar path does not, so the two agree to within Horner's
+    # rounding bound, not bit for bit
+    eps = np.finfo(np.float64).eps
+    for idx in np.ndindex(z.shape):
+        scale = horner_scalar(np.abs(coeffs), abs(z[idx])).real
+        bound = 4 * (deg + 1) * eps * scale
+        assert abs(got[idx] - horner_scalar(coeffs, z[idx])) <= bound

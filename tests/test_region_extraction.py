@@ -1,6 +1,7 @@
 """Tests for disk partitioning, interface tracing, and tree extraction."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from rsmirnov.blaschke_smirnov import (
     random_helson,
     real_affine,
 )
+from rsmirnov.cli import EXIT_NUMERICAL, EXIT_OK, main
 from rsmirnov.complex_poly import Poly
 from rsmirnov.fixtures import (
     double_slit,
@@ -27,6 +29,7 @@ from rsmirnov.fixtures import (
 from rsmirnov.region_extraction import (
     BoundaryArc,
     End,
+    ExtractionError,
     ExtractionMismatch,
     crosscheck,
     extract_full,
@@ -577,6 +580,43 @@ def test_valence_two_three_shapes_realized():
         assert crosscheck(phi, ex.tree, n_samples=200).ok, name
         realized.add(code)
     assert realized == expected
+
+
+# A (3, 3) Helson pair (zeros up to radius 0.95) on which a traced arc ends
+# at a circle point where Im phi is about 2e-8, beyond boundary_value's
+# tolerance.  The BoundaryNotReal that raised used to escape extract_full.
+BOUNDARY_NOT_REAL_PAIR = (
+    [-0.3843697303658148 - 0.5420972852192687j,
+     0.10903241198590101 + 0.8949722201624828j,
+     -0.5263017535828629 - 0.1692762644307573j],
+    0.9364227209162194 + 0.3508738915221029j,
+    [-0.8522408585237731 + 0.23826020036251994j,
+     0.7696701213193031 + 0.2516128781569439j,
+     0.8361674839041603 + 0.3802936651643403j],
+    -0.12576145892229024 - 0.9920605099739316j,
+)
+BOUNDARY_NOT_REAL_SEED = 1994830132
+
+
+def test_boundary_not_real_at_arc_end_is_typed(tmp_path, capsys):
+    """Extraction returns a right tree or raises an ExtractionError, and
+    the CLI reports a numerical failure rather than a traceback."""
+    z1, c1, z2, c2 = BOUNDARY_NOT_REAL_PAIR
+    b1, b2 = Blaschke(z1, c1), Blaschke(z2, c2)
+    phi = from_blaschke(b1, b2)
+    try:
+        ex = extract_full(phi, resolution=256, max_resolution=1024,
+                          seed=BOUNDARY_NOT_REAL_SEED)
+    except ExtractionError:
+        pass
+    else:
+        assert crosscheck(phi, ex.tree, n_samples=200).ok
+
+    inp = tmp_path / "pair.json"
+    inp.write_text(json.dumps({"b1": b1.to_json(), "b2": b2.to_json()}))
+    code = main(["analyze", str(inp), "--resolution", "256",
+                 "--seed", str(BOUNDARY_NOT_REAL_SEED)])
+    assert code in (EXIT_OK, EXIT_NUMERICAL)
 
 
 # ---------------------------------------------------------------------------
