@@ -13,6 +13,12 @@ shown for them.  Compilation happens during warmup, so the numbers are
 steady-state.  Workload sizes match what one disk extraction at
 resolution 512 actually pushes through the kernels; classify_grid is also
 timed at 1024, with the peak of its temporary allocations (tracemalloc).
+
+The real valence count rows time the two ways of counting valences at
+real points on a fixed (2, 1) edge candidate: valence_at finds the roots
+of N - xD once per point; real_valence counts on the boundary pieces,
+built once per five points as the synthesis loss builds them once per
+candidate.  A closing line gives both per call and the fallback rate.
 """
 
 import argparse
@@ -26,6 +32,13 @@ import tracemalloc
 import numpy as np
 
 from rsmirnov import _kernels
+from rsmirnov.blaschke_smirnov import (
+    Blaschke,
+    BoundaryPieces,
+    from_blaschke,
+    real_valence,
+    valence_at,
+)
 from rsmirnov.fixtures import double_slit, fourth_power_map
 
 # kernels with one implementation, the same on both builds
@@ -50,6 +63,31 @@ def _peak_alloc(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# real points of the valence rows, spread over the line as arctan spreads
+# the synthesis loss's midpoints
+REAL_POINTS = np.tan(np.linspace(-1.5, 1.5, 200)).tolist()
+# points counted per boundary-pieces build, about the loss's per candidate
+POINTS_PER_BUILD = 5
+VALENCE_ROWS = ("valence_at (200 real points)",
+                "real_valence (200 real points)")
+
+
+def two_one_candidate():
+    """A (2, 1) edge on (-1, 1) found by synthesize_search (seed 1)."""
+    b1 = Blaschke([-0.007488567352077657 + 0.6451247547799099j],
+                  -0.4503363464855821 + 0.8928589894457118j)
+    b2 = Blaschke([0.10428559539904765 - 0.5454708266753667j,
+                   0.6220089046466197 + 0.037617227319359854j],
+                  -0.8250967098521353 + 0.5649915215215013j)
+    return from_blaschke(b1, b2)
+
+
+def real_fallbacks(phi):
+    """Points of REAL_POINTS whose count falls back to valence_at."""
+    pieces = BoundaryPieces(phi)
+    return sum(1 for x in REAL_POINTS if pieces.count(x) is None)
 
 
 def run_benchmarks():
@@ -84,12 +122,26 @@ def run_benchmarks():
             _kernels.trace_arc(*ds_args, 0.05 + 0.0j, 1.0)
             _kernels.trace_arc(*ds_args, 0.05 + 0.0j, -1.0)
 
+    cand = two_one_candidate()
+
+    def bench_valence_at():
+        for x in REAL_POINTS:
+            valence_at(cand, x)
+
+    def bench_real_valence():
+        for k in range(0, len(REAL_POINTS), POINTS_PER_BUILD):
+            pieces = BoundaryPieces(cand)
+            for x in REAL_POINTS[k:k + POINTS_PER_BUILD]:
+                real_valence(cand, x, pieces)
+
     timings = {
         "horner_many (262k pts, deg 4)": _time(bench_horner),
         "aberth_iterate (512 solves, deg 8)": _time(bench_aberth),
         "classify_grid (res 512)": _time(bench_classify(512)),
         "classify_grid (res 1024)": _time(bench_classify(1024)),
         "trace_arc (60 arcs)": _time(bench_trace),
+        VALENCE_ROWS[0]: _time(bench_valence_at),
+        VALENCE_ROWS[1]: _time(bench_real_valence),
     }
     peaks = {
         "classify_grid (res 512)": _peak_alloc(bench_classify(512)),
@@ -102,6 +154,14 @@ def _peak_column(peaks, name):
     if name not in peaks:
         return ""
     return "%8.1f MB" % (peaks[name] / 2**20)
+
+
+def _valence_summary(timings):
+    per_call = [1e6 * timings[name] / len(REAL_POINTS) for name in VALENCE_ROWS]
+    return ("real valence count, per call: valence_at %.0f us, real_valence "
+            "%.0f us; fallback %d of %d points"
+            % (*per_call, real_fallbacks(two_one_candidate()),
+               len(REAL_POINTS)))
 
 
 def main(argv=None):
@@ -123,6 +183,7 @@ def main(argv=None):
         for name, t in timings.items():
             print(("  %-36s %8.1f ms %s"
                    % (name, 1e3 * t, _peak_column(peaks, name))).rstrip())
+        print(_valence_summary(timings))
         return 0
 
     env = dict(os.environ, RSMIRNOV_NO_NUMBA="1")
@@ -143,6 +204,7 @@ def main(argv=None):
         print(("%-36s %8.1f ms %8.1f ms %13s %s"
                % (name, 1e3 * t, 1e3 * tf, ratio,
                   _peak_column(peaks, name))).rstrip())
+    print(_valence_summary(timings))
     return 0
 
 

@@ -8,7 +8,8 @@ almost everywhere can be written as
 for relatively prime finite Blaschke products B1, B2 such that B1 - B2 has
 no zeros in the disk (the denominator is outer).  This module builds such
 functions either from a Blaschke pair or from a reduced rational pair N/D,
-evaluates them, computes valences (preimage counts) by root counting, and
+evaluates them, computes valences (preimage counts) by root counting or,
+at real points, from the monotone pieces of the boundary function, and
 estimates integral means.
 
 Convention: (phi - i)/(phi + i) = B2/B1, so the valence on the upper half
@@ -138,6 +139,13 @@ class Blaschke:
         return "Blaschke(deg=%d)" % self.degree
 
 
+def circle_band(mult):
+    """Half-width of the band around the unit circle inside which a
+    computed root of multiplicity mult counts as lying on it: an m-fold
+    root is only located to about eps^(1/m)."""
+    return max(1e-6, 50.0 * 2.2e-16 ** (1.0 / mult))
+
+
 def _min_pairwise_distance(za, zb):
     if len(za) == 0 or len(zb) == 0:
         return math.inf
@@ -202,16 +210,21 @@ class RealSmirnov:
                        - self.num * self.den.derivative())
         return self._w
 
-    def circle_poles(self):
-        """Angles t of the denominator zeros on the unit circle."""
+    def circle_poles(self, den_roots=None):
+        """Angles t of the denominator zeros on the unit circle.
+
+        den_roots is a find_roots report of the denominator that the
+        caller already holds; without one the roots are found here.
+        """
         if self._circle_poles is None:
             if self.den.degree == 0:
                 self._circle_poles = []
             else:
-                rep = find_roots(self.den)
+                rep = den_roots if den_roots is not None \
+                    else find_roots(self.den)
                 ts = []
                 for r, m in rep.clusters():
-                    if abs(abs(r) - 1.0) < 1e-6:
+                    if abs(abs(r) - 1.0) <= circle_band(m):
                         ts.append(math.atan2(r.imag, r.real) % (2 * math.pi))
                 self._circle_poles = sorted(ts)
         return self._circle_poles
@@ -230,7 +243,9 @@ class RealSmirnov:
 
         Returns +-inf at circle poles (the sign is the one-sided limit when
         both sides agree, +inf by convention when they disagree).  Raises
-        BoundaryNotReal if the imaginary residual survives escalation.
+        BoundaryNotReal if the imaginary residual survives escalation; the
+        tolerance is relative to |Re| above 1, since the rounding noise of
+        N/D grows with |phi| near a circle pole.
         """
         re, im, is_pole = self._boundary_eval(t)
         if is_pole:
@@ -239,7 +254,7 @@ class RealSmirnov:
             if s1 < 0 and s2 < 0:
                 return -math.inf
             return math.inf
-        if abs(im) > im_tol:
+        if abs(im) > im_tol * max(1.0, abs(re)):
             raise BoundaryNotReal(abs(im), t)
         return re
 
@@ -415,6 +430,117 @@ def valence_at(phi, lam, tol=BOUNDARY_TOL):
     return count_roots_in_disk(p, 1.0, tol)
 
 
+#: within this distance (relative) of a circle critical value, N - xD has
+#: two circle roots close together; valence_at may merge them into one
+#: double root off the circle, so the pieces and root counting can
+#: disagree there, and the count is left to valence_at
+EVENT_VALUE_TOL = 1e-6
+
+
+class BoundaryPieces:
+    """The monotone pieces of t -> phi(e^{it}), for counting real valences.
+
+    For real x, N - xD is self-inversive (phi is real on the circle), so
+    its zeros pair across the circle and
+
+        valence(x) = (n - #{t : phi(e^{it}) = x}) / 2,  n = max(deg N, deg D).
+
+    The boundary function is monotone between consecutive events: circle
+    critical points (circle roots of W, at their boundary values) and
+    circle poles (at -+inf, by the direction of the piece).  Each piece
+    meets x once when x lies strictly inside its value range, so one root
+    find of W replaces one root find per real point.
+
+    ``ranges`` is None when the pieces cannot be trusted (no events, a
+    critical point whose boundary value is not real, a piece whose end
+    values disagree with its direction); ``count`` then returns None, as
+    it does for an odd or negative n - c and for x within EVENT_VALUE_TOL
+    of a circle critical value.
+    ``interior`` holds the roots of W strictly inside the disk.
+    den_roots is a find_roots report of phi.den the caller already holds.
+    """
+
+    def __init__(self, phi, den_roots=None):
+        self.n = max(phi.num.degree, phi.den.degree)
+        self.interior = []
+        self.critical = []
+        self.ranges = None
+        w = phi.w_poly()
+        if w.degree >= 1:
+            for root, mult in find_roots(w).clusters():
+                band = circle_band(mult)
+                if abs(root) > 1.0 + band:
+                    continue
+                if abs(root) < 1.0 - band:
+                    self.interior.append(root)
+                    continue
+                t = math.atan2(root.imag, root.real)
+                try:
+                    v = phi.boundary_value(t)
+                except BoundaryNotReal:
+                    v = None
+                # a root of W at a circle pole is the pole's own event
+                if v is None or math.isfinite(v):
+                    self.critical.append((t % (2.0 * math.pi), v))
+        events = sorted(self.critical
+                        + [(t, math.inf) for t in phi.circle_poles(den_roots)])
+        if events and all(v is not None for _, v in events):
+            self.ranges = _piece_ranges(phi, events)
+
+    def count(self, x):
+        """Valence at real x from the pieces, or None when it must come
+        from the oracle."""
+        if self.ranges is None:
+            return None
+        tol = EVENT_VALUE_TOL * max(1.0, abs(x))
+        if any(v is not None and abs(x - v) <= tol for _, v in self.critical):
+            return None
+        c = sum(1 for lo, hi in self.ranges if lo < x < hi)
+        if c > self.n or (self.n - c) % 2:
+            return None
+        return (self.n - c) // 2
+
+
+def _piece_ranges(phi, events):
+    """(lo, hi) of each piece between consecutive events, or None when a
+    piece's end values disagree with its direction.
+
+    The direction is the sign of d/dt phi(e^{it}) = Re(i z W(z)/D(z)^2),
+    taken as the sign of Re(i z W(z) conj(D(z))^2) at the middle of the
+    piece; a pole end takes the infinity the piece runs into.
+    """
+    w = phi.w_poly()
+    ranges = []
+    for k, (t0, v0) in enumerate(events):
+        t1, v1 = events[(k + 1) % len(events)]
+        if k + 1 == len(events):
+            t1 += 2.0 * math.pi
+        z = cmath.exp(0.5j * (t0 + t1))
+        slope = (1j * z * w(z) * phi.den(z).conjugate() ** 2).real
+        if not math.isfinite(slope) or slope == 0.0:
+            return None
+        s = 1.0 if slope > 0.0 else -1.0
+        a = -s * math.inf if math.isinf(v0) else v0
+        b = s * math.inf if math.isinf(v1) else v1
+        if s * (b - a) < 0.0:
+            return None
+        ranges.append((min(a, b), max(a, b)))
+    return ranges
+
+
+def real_valence(phi, x, pieces):
+    """Number of solutions of phi(w) = x in the open disk, for real x.
+
+    Fast path: the circle crossings of x counted on the monotone boundary
+    pieces of phi, built once per function by the caller.  Fallback: root
+    counting by valence_at wherever the pieces return None.
+    """
+    v = pieces.count(x)
+    if v is None:
+        v = valence_at(phi, x)[0]
+    return v
+
+
 def halfplane_valences(phi, seed=0, n_check=8):
     """(v on C+, v on C-).
 
@@ -474,16 +600,23 @@ def integral_means(phi, p, r, n0=2048, rel_tol=1e-5, n_max=1 << 21):
         raise ValueError("exponent must be positive")
     if r == 0.0:
         return abs(phi.eval(0.0))
+
+    def power_sum(t):
+        vals = np.abs(np.asarray(phi.eval(r * np.exp(1j * t))))
+        return float(np.sum(vals ** p))
+
+    # each doubling keeps the n samples taken so far and adds the n
+    # midpoints between them
     n = n0
+    total = power_sum(2.0 * np.pi / n * np.arange(n))
     prev = None
     while n <= n_max:
-        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        z = r * np.exp(1j * t)
-        vals = np.abs(np.asarray(phi.eval(z)))
-        est = float(np.mean(vals ** p)) ** (1.0 / p)
+        est = (total / n) ** (1.0 / p)
         if prev is not None and abs(est - prev) <= rel_tol * abs(est):
             return est
         prev = est
+        if n < n_max:
+            total += power_sum(2.0 * np.pi / n * (np.arange(n) + 0.5))
         n *= 2
     raise QuadratureUnstable(
         "integral mean did not settle by n = %d (r = %g)" % (n_max, r)

@@ -32,15 +32,15 @@ from scipy.optimize import minimize
 from .complex_poly import CircleTooClose, Poly, find_roots, winding_count
 from .blaschke_smirnov import (
     Blaschke,
+    BoundaryPieces,
     RealSmirnov,
-    BoundaryNotReal,
     DenominatorVanishesInDisk,
     NotRelativelyPrime,
     from_blaschke,
     from_rational,
     is_infinite,
     real_affine,
-    valence_at,
+    real_valence,
 )
 from .valence_tree import (
     Node,
@@ -479,37 +479,23 @@ def _params_to_blaschke(x, deg1: int, deg2: int):
             Blaschke(z2, cmath.exp(1j * x[-1])))
 
 
-def _real_critical_values(phi: RealSmirnov) -> list[float]:
+def _real_critical_values(phi: RealSmirnov,
+                          pieces: BoundaryPieces) -> list[float]:
     """Real values of phi at the critical points in the closed disk.
 
     These are exactly the points where the real preimage count can step:
     interior critical points with real value, and circle critical points
-    where level arcs end.  Values are deduplicated to 1e-8.
+    where level arcs end.  Both come from the roots of W that the pieces
+    already sorted.  Values are deduplicated to 1e-8.
     """
-    w = phi.w_poly()
-    if w.degree < 1:
-        return []
     vals = []
-    for root, mult in find_roots(w).clusters():
-        r = abs(root)
-        # an m-fold root is only located to about eps^(1/m), so widen the
-        # circle band accordingly before trusting "strictly inside"
-        guard = max(1e-6, 50.0 * 2.2e-16 ** (1.0 / mult))
-        if r > 1.0 + guard:
+    for root in pieces.interior:
+        v = phi.eval(root)
+        if is_infinite(v):
             continue
-        if r < 1.0 - guard:
-            v = phi.eval(root)
-            if is_infinite(v):
-                continue
-            if abs(v.imag) <= 1e-6 * max(1.0, abs(v)):
-                vals.append(v.real)
-        else:
-            try:
-                v = phi.boundary_value(math.atan2(root.imag, root.real))
-            except BoundaryNotReal:
-                continue
-            if math.isfinite(v):
-                vals.append(v)
+        if abs(v.imag) <= 1e-6 * max(1.0, abs(v)):
+            vals.append(v.real)
+    vals.extend(v for _, v in pieces.critical if v is not None)
     vals.sort()
     out: list[float] = []
     for v in vals:
@@ -518,12 +504,17 @@ def _real_critical_values(phi: RealSmirnov) -> list[float]:
     return out
 
 
-def _surrogate_loss(phi: RealSmirnov, tprof, tarcs) -> float:
+def _surrogate_loss(phi: RealSmirnov, tprof, tarcs, den_roots) -> float:
     """Extraction-free loss: exact interval integral from root counts,
     plus a smooth pull parking a candidate breakpoint on every target
     breakpoint (the integral alone is flat once heights agree almost
-    everywhere, which is what lets simplex descent polish endpoints)."""
-    bps = _real_critical_values(phi)
+    everywhere, which is what lets simplex descent polish endpoints).
+
+    den_roots is the find_roots report of phi.den (None for a constant
+    denominator); the counts come from the boundary pieces, so outside
+    their fallbacks W is the only polynomial whose roots are found here."""
+    pieces = BoundaryPieces(phi, den_roots=den_roots)
+    bps = _real_critical_values(phi, pieces)
     cuts = sorted({_arc(b) for b in bps}
                   | {_arc(b) for b in tprof.breakpoints})
     grid = [-HALF_PI, *cuts, HALF_PI]
@@ -533,8 +524,8 @@ def _surrogate_loss(phi: RealSmirnov, tprof, tarcs) -> float:
             if u1 - u0 < 1e-14:
                 continue
             x = math.tan(0.5 * (u0 + u1))
-            loss += (abs(valence_at(phi, x)[0] - tprof.multiplicity_at(x))
-                     * (u1 - u0))
+            loss += (abs(real_valence(phi, x, pieces)
+                         - tprof.multiplicity_at(x)) * (u1 - u0))
     except ValueError:
         return 1e6
     barcs = [_arc(b) for b in bps]
@@ -581,15 +572,17 @@ def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
         if den.is_zero():
             return 1e7
         penalty = 0.0
+        den_roots = None
         if den.degree >= 1:
-            for r0 in find_roots(den).roots:
+            den_roots = find_roots(den)
+            for r0 in den_roots.roots:
                 rr = abs(r0)
                 if rr < 1.0 - 1e-6:
                     penalty += 1.0 + (1.0 - rr)
         if penalty > 0.0:
             return CONSTRAINT_WEIGHT * penalty
         phi = RealSmirnov((aa + bb).scale(1j), den)
-        return _surrogate_loss(phi, tprof, tarcs)
+        return _surrogate_loss(phi, tprof, tarcs, den_roots)
 
     for restart in range(max(1, int(problem.restarts))):
         if evals >= budget:

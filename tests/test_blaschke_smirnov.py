@@ -17,6 +17,7 @@ from rsmirnov.blaschke_smirnov import (
     BoundaryNotReal,
     DenominatorVanishesInDisk,
     NotRelativelyPrime,
+    QuadratureUnstable,
     RealSmirnov,
     deficiency_indices,
     from_blaschke,
@@ -255,6 +256,38 @@ class TestIntegralMeans:
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
             integral_means(fixtures.koebe(), 0.5, 1.0)
+
+    @pytest.mark.parametrize("name", ["koebe", "fourth_power_map"])
+    @pytest.mark.parametrize("p", [0.375, 0.75])
+    @pytest.mark.parametrize("r", [0.9, 0.999])
+    def test_refinement_reusing_samples_matches_full_resampling(
+            self, name, p, r):
+        """Doubling keeps the samples taken so far; the estimates must be
+        those of resampling all n points at every step."""
+        phi = fixtures.all_fixtures()[name]
+        n0, n_max, rel_tol = 64, 1 << 14, 1e-7
+
+        def resampled():
+            n, prev = n0, None
+            while n <= n_max:
+                t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+                vals = np.abs(phi.eval(r * np.exp(1j * t)))
+                est = float(np.mean(vals ** p)) ** (1.0 / p)
+                if prev is not None and abs(est - prev) <= rel_tol * abs(est):
+                    return est
+                prev, n = est, 2 * n
+            return None
+
+        want = resampled()
+        try:
+            got = integral_means(phi, p, r, n0=n0, rel_tol=rel_tol,
+                                 n_max=n_max)
+        except QuadratureUnstable:
+            got = None
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestClosureOps:

@@ -1,0 +1,198 @@
+"""Real valences from the boundary pieces against direct root counting.
+
+BoundaryPieces counts the valence at a real x from how often the boundary
+function t -> phi(e^{it}) takes the value x; valence_at counts the roots
+of N - xD inside the disk.  The two are independent, so every count the
+fast path gives is compared with the oracle.  Where they disagree, the
+count of N - xD at 50 digits decides, and it must side with the fast
+path: the oracle's multiplicity clustering can merge two distinct circle
+roots near a circle critical point into one double root just inside the
+circle.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rsmirnov import complex_poly
+from rsmirnov.blaschke_smirnov import (
+    Blaschke,
+    BoundaryNotReal,
+    BoundaryPieces,
+    from_blaschke,
+    random_helson,
+    real_valence,
+    valence_at,
+)
+from rsmirnov.complex_poly import BOUNDARY_TOL
+from rsmirnov.fixtures import all_fixtures, double_slit, koebe
+from rsmirnov.region_extraction import crosscheck, extract_full
+
+
+def exact_valence(phi, x):
+    """Roots of N - xD inside the disk, found at 50 digits."""
+    p = phi.num - phi.den.scale(x)
+    coeffs = [mpmath.mpc(c.real, c.imag) for c in p.coeffs[::-1]]
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=500)
+        return sum(1 for r in roots if abs(r) < 1 - BOUNDARY_TOL)
+
+
+def probe_points(pieces):
+    """Midpoints between consecutive circle critical values, and points
+    beyond both ends; fixed points when there are no critical values."""
+    vals = sorted({v for _, v in pieces.critical if v is not None})
+    if not vals:
+        return [-2.0, 0.3, 1.7]
+    xs = [vals[0] - max(1.0, abs(vals[0])), vals[-1] + max(1.0, abs(vals[-1]))]
+    xs += [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
+    return xs
+
+
+def assert_agrees(phi, pieces, x):
+    fast = pieces.count(x)
+    want = valence_at(phi, x)[0]
+    assert real_valence(phi, x, pieces) == (want if fast is None else fast)
+    if fast is not None and fast != want:
+        assert fast == exact_valence(phi, x), (x, fast, want)
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    deg1=st.integers(1, 4),
+    deg2=st.integers(1, 3),
+    rmax=st.sampled_from([0.9, 0.999]),
+)
+@settings(max_examples=60, deadline=None)
+def test_pieces_agree_with_root_counts_random_helson(seed, deg1, deg2, rmax):
+    phi = random_helson(np.random.default_rng(seed), deg1, deg2, rmax=rmax,
+                        max_tries=20000)
+    pieces = BoundaryPieces(phi)
+    for x in probe_points(pieces):
+        assert_agrees(phi, pieces, x)
+
+
+@pytest.mark.parametrize("name", sorted(all_fixtures()))
+def test_pieces_take_the_fast_path_on_fixtures(name):
+    phi = all_fixtures()[name]
+    pieces = BoundaryPieces(phi)
+    assert pieces.ranges is not None
+    for x in [*probe_points(pieces), -7.5, -0.3, 0.05, 0.6, 12.0]:
+        fast = pieces.count(x)
+        assert fast is not None
+        assert fast == valence_at(phi, x)[0]
+
+
+def test_double_slit_counts():
+    # univalent onto the plane minus (-inf, -1/2] and [1/2, inf)
+    pieces = BoundaryPieces(double_slit())
+    assert [pieces.count(x) for x in (-3.0, -0.2, 0.0, 0.4, 9.0)] \
+        == [0, 1, 1, 1, 0]
+
+
+def test_pieces_right_where_clustering_misleads_the_oracle():
+    # a (3, 2) pair with circle poles 0.015 apart on either side of a
+    # circle critical point of value -17279.79; one below that value all
+    # five roots of N - xD lie on the circle, but valence_at merges the two
+    # near the critical point into a double root 1.7e-9 inside and
+    # counts 2
+    b1 = Blaschke([0.7564551179952949 - 0.5318841971101056j,
+                   0.22314179229004222 - 0.533621832503816j,
+                   -0.10689726691617898 + 0.9819082676580152j],
+                  -0.42560438512567494 - 0.9049093365425047j)
+    b2 = Blaschke([0.7104821401217002 + 0.2685283497868504j,
+                   0.8301778120120067 + 0.021812147728971977j],
+                  -0.35157263482557544 - 0.9361606071832987j)
+    phi = from_blaschke(b1, b2)
+    pieces = BoundaryPieces(phi)
+    x = min(v for _, v in pieces.critical) - 1.0
+    assert x == pytest.approx(-17280.79, abs=0.01)
+    assert pieces.count(x) == exact_valence(phi, x) == 0
+
+
+def test_shared_denominator_roots_give_the_same_pieces():
+    phi = koebe()
+    shared = BoundaryPieces(phi, den_roots=complex_poly.find_roots(phi.den))
+    own = BoundaryPieces(koebe())
+    assert shared.ranges == own.ranges
+    assert shared.critical == own.critical
+
+
+def pair_with_bounded_piece():
+    """A Helson pair whose boundary function has a piece between two
+    circle critical points (both ends finite)."""
+    rng = np.random.default_rng(7)
+    while True:
+        phi = random_helson(rng, 2, 2)
+        ranges = BoundaryPieces(phi).ranges or []
+        if any(math.isfinite(lo) and math.isfinite(hi) for lo, hi in ranges):
+            return phi
+
+
+def test_inconsistent_piece_falls_back(monkeypatch):
+    phi = pair_with_bounded_piece()
+    # negated boundary values run against the direction of a bounded piece
+    true_value = type(phi).boundary_value
+    monkeypatch.setattr(phi, "boundary_value",
+                        lambda t: -true_value(phi, t))
+    pieces = BoundaryPieces(phi)
+    assert pieces.ranges is None
+    for x in (-3.0, 0.0, 0.4):
+        assert pieces.count(x) is None
+        assert real_valence(phi, x, pieces) == valence_at(phi, x)[0]
+
+
+def test_no_events_falls_back(monkeypatch):
+    phi = all_fixtures()["upper_halfplane_map"]
+    # W is constant, so the circle pole is the only event
+    assert BoundaryPieces(phi).count(0.0) == 0
+    monkeypatch.setattr(phi, "circle_poles", lambda den_roots=None: [])
+    pieces = BoundaryPieces(phi)
+    assert pieces.ranges is None
+    assert real_valence(phi, 0.0, pieces) == 0
+
+
+def test_non_real_critical_value_falls_back(monkeypatch):
+    phi = double_slit()
+
+    def not_real(t):
+        raise BoundaryNotReal(1.0, t)
+
+    monkeypatch.setattr(phi, "boundary_value", not_real)
+    pieces = BoundaryPieces(phi)
+    assert pieces.ranges is None
+    assert pieces.critical and all(v is None for _, v in pieces.critical)
+    assert real_valence(phi, 0.0, pieces) == 1
+
+
+def test_critical_value_and_odd_count_fall_back():
+    phi = double_slit()
+    pieces = BoundaryPieces(phi)
+    # x at a circle critical value is a double circle root of N - xD
+    assert pieces.count(0.5) is None
+    assert real_valence(phi, 0.5, pieces) == valence_at(phi, 0.5)[0]
+    # a piece that is not there makes n - c odd
+    pieces.ranges = pieces.ranges + [(-1.0, 1.0)]
+    assert pieces.count(0.0) is None
+    assert real_valence(phi, 0.0, pieces) == 1
+
+
+def test_crosscheck_finds_roots_once_per_sample(monkeypatch):
+    phi = double_slit()
+    tree = extract_full(phi, resolution=128).tree
+    calls = []
+    original = complex_poly.find_roots
+
+    def counting(p, *args, **kwargs):
+        calls.append(p.degree)
+        return original(p, *args, **kwargs)
+
+    monkeypatch.setattr(complex_poly, "find_roots", counting)
+    monkeypatch.setattr(BoundaryPieces, "count",
+                        lambda self, x: pytest.fail("fast path in crosscheck"))
+    report = crosscheck(phi, tree, n_samples=40)
+    assert report.ok
+    assert len(calls) == report.samples == 40

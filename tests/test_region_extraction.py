@@ -619,6 +619,27 @@ def test_boundary_not_real_at_arc_end_is_typed(tmp_path, capsys):
     assert code in (EXIT_OK, EXIT_NUMERICAL)
 
 
+def test_boundary_value_near_a_circle_pole_extracts(tmp_path):
+    """The arc end of the pair above is 0.009 from a circle pole, where
+    phi = 29877.1 - 2.26e-8 i: rounding noise, 8e-13 relative to |phi|.
+    A tolerance relative to |phi| accepts it, so the pair extracts at the
+    first resolution and the CLI exits 0."""
+    z1, c1, z2, c2 = BOUNDARY_NOT_REAL_PAIR
+    b1, b2 = Blaschke(z1, c1), Blaschke(z2, c2)
+    phi = from_blaschke(b1, b2)
+    ex = extract_full(phi, resolution=256, max_resolution=1024,
+                      seed=BOUNDARY_NOT_REAL_SEED)
+    assert ex.resolution == 256
+    assert canonical_code(ex.tree) == "(+1|(-3|(+2|)))"
+    assert crosscheck(phi, ex.tree, n_samples=200).ok
+
+    inp = tmp_path / "pair.json"
+    inp.write_text(json.dumps({"b1": b1.to_json(), "b2": b2.to_json()}))
+    code = main(["analyze", str(inp), "--resolution", "256",
+                 "--seed", str(BOUNDARY_NOT_REAL_SEED)])
+    assert code == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -357,6 +357,41 @@ def test_search_is_deterministic():
     assert first.candidate.den.coeffs == pytest.approx(second.candidate.den.coeffs)
 
 
+# Results of synthesize_search on the (2, 1) edge on (-1, 1) with a budget
+# of 500 evaluations, measured with valence_at counting every real sample
+# point of the loss: seed -> (status, evaluations, B1 zeros, B1 constant,
+# B2 zeros, B2 constant).  A change to how the loss counts must not move
+# the search.
+PINNED_SEARCHES = {
+    1: ("exact", 500,
+        [-0.007488567352077657 + 0.6451247547799099j],
+        -0.4503363464855821 + 0.8928589894457118j,
+        [0.10428559539904765 - 0.5454708266753667j,
+         0.6220089046466197 + 0.037617227319359854j],
+        -0.8250967098521353 + 0.5649915215215013j),
+    3: ("exact", 500,
+        [0.4621346607270498 - 0.6992229956243075j],
+        -0.9438150278083792 - 0.33047419457964994j,
+        [0.06340036202733348 - 0.058118204868291626j,
+         -0.3043273338759323 - 0.08254999283170009j],
+        0.6536305629220007 + 0.7568137731399108j),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SEARCHES))
+def test_search_budget_500_is_pinned(seed):
+    status, evals, z1, c1, z2, c2 = PINNED_SEARCHES[seed]
+    res = synthesize_search(SynthesisProblem(two_one_edge(), budget=500,
+                                             seed=seed))
+    assert res.status == status
+    assert res.evaluations == evals
+    b1, b2 = res.candidate.b1, res.candidate.b2
+    assert list(b1.zeros) == pytest.approx(z1, abs=1e-12)
+    assert b1.constant == pytest.approx(c1, abs=1e-12)
+    assert list(b2.zeros) == pytest.approx(z2, abs=1e-12)
+    assert b2.constant == pytest.approx(c2, abs=1e-12)
+
+
 def test_search_budget_exhaustion_reports_best():
     with pytest.raises(BudgetExhausted) as exc:
         synthesize_search(SynthesisProblem(two_one_edge(), restarts=1, budget=10))
