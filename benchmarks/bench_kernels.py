@@ -1,16 +1,11 @@
-"""Timing comparison for the hot kernels: jitted build versus numpy fallback.
+"""Timings of the hot kernels and of real valence counting.
 
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py
 
-The script times the four kernels in the current process (jitted when
-numba is importable), then re-runs itself in a subprocess with
-RSMIRNOV_NO_NUMBA=1 to time the pure-numpy path, and prints the two
-columns side by side.  horner_many and classify_grid have a single numpy
-implementation, so both columns time the same code and no speedup is
-shown for them.  Compilation happens during warmup, so the numbers are
-steady-state.  Workload sizes match what one disk extraction at
+The script times the four kernels of rsmirnov._kernels, best of five
+runs after one warmup.  Workload sizes match what one disk extraction at
 resolution 512 actually pushes through the kernels; classify_grid is also
 timed at 1024, with the peak of its temporary allocations (tracemalloc).
 
@@ -22,9 +17,6 @@ candidate.  A closing line gives both per call and the fallback rate.
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -41,12 +33,9 @@ from rsmirnov.blaschke_smirnov import (
 )
 from rsmirnov.fixtures import double_slit, fourth_power_map
 
-# kernels with one implementation, the same on both builds
-SINGLE_SOURCE = ("horner_many", "classify_grid")
-
 
 def _time(fn, repeats=5):
-    fn()  # warmup; compiles on the jitted path
+    fn()  # warmup
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -166,44 +155,13 @@ def _valence_summary(timings):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print raw timings as JSON (used by the subprocess re-run)",
-    )
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
 
     timings, peaks = run_benchmarks()
-    if args.json:
-        json.dump(timings, sys.stdout)
-        return 0
-
-    if not _kernels.USE_NUMBA:
-        print("numba not active in this process; single column:")
-        print("  %-36s %11s %11s" % ("kernel", "numpy", "peak alloc"))
-        for name, t in timings.items():
-            print(("  %-36s %8.1f ms %s"
-                   % (name, 1e3 * t, _peak_column(peaks, name))).rstrip())
-        print(_valence_summary(timings))
-        return 0
-
-    env = dict(os.environ, RSMIRNOV_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--json"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    fallback = json.loads(out.stdout)
-
-    print("%-36s %10s %10s %13s %11s"
-          % ("kernel", "numba", "numpy", "speedup", "peak alloc"))
+    print("%-36s %11s %11s" % ("kernel", "time", "peak alloc"))
     for name, t in timings.items():
-        tf = fallback[name]
-        if name.split()[0] in SINGLE_SOURCE:
-            ratio = "single source"
-        else:
-            ratio = "%12.1fx" % (tf / t)
-        print(("%-36s %8.1f ms %8.1f ms %13s %s"
-               % (name, 1e3 * t, 1e3 * tf, ratio,
-                  _peak_column(peaks, name))).rstrip())
+        print(("%-36s %8.1f ms %s"
+               % (name, 1e3 * t, _peak_column(peaks, name))).rstrip())
     print(_valence_summary(timings))
     return 0
 

@@ -548,6 +548,11 @@ def halfplane_valences(phi, seed=0, n_check=8):
     sampling; otherwise both half planes are sampled and constancy is
     asserted.  Raises InconsistentValence when samples disagree (numerical
     failure: the valence is constant on each half plane).
+
+    These are also the deficiency indices, the codimensions of the ranges
+    of the Toeplitz operator T_phi - lambda over each half plane: for
+    rational phi the inner factor at every lambda is a finite Blaschke
+    product, so the indices coincide with the half-plane valences.
     """
     rng = np.random.default_rng(seed)
 
@@ -576,15 +581,6 @@ def halfplane_valences(phi, seed=0, n_check=8):
             "sampled valences not constant: C+ %s, C- %s" % (up, lo)
         )
     return up[0], lo[0]
-
-
-def deficiency_indices(phi, seed=0):
-    """Codimensions of the ranges of T_phi - lambda over each half plane.
-
-    For rational phi the inner factor at every lambda is a finite Blaschke
-    product, so the indices coincide with the half-plane valences.
-    """
-    return halfplane_valences(phi, seed=seed)
 
 
 def integral_means(phi, p, r, n0=2048, rel_tol=1e-5, n_max=1 << 21):

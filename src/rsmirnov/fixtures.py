@@ -3,6 +3,8 @@
 Each is a small rational real Smirnov function with known range, boundary
 values, and valence structure:
 
+- halfplane_node:       i(1+z^m)/(1-z^m), covering one half plane m times;
+  the seed of the synthesis catalog's single nodes.
 - upper_halfplane_map:  i(1+z)/(1-z), a bijection of the disk onto the
   upper half plane; boundary values -cot(t/2).
 - lower_halfplane_map:  its negative, covering the lower half plane.
@@ -12,26 +14,50 @@ values, and valence structure:
   (-inf, -1/4]; boundary values -(1/2)/(1-cos t).
 - double_slit:          iz/(1-z^2), univalent onto C minus the two slits
   (-inf, -1/2] and [1/2, inf); boundary values -(1/2)csc t.
+
+koebe and halfplane_node also seed synthesis.catalog_realize.  The
+synthesis module builds its own double slit map, from a Blaschke pair,
+because its coefficients differ from this rational form by a real
+factor.
 """
 
-from .blaschke_smirnov import Blaschke, from_blaschke, from_rational
+from .blaschke_smirnov import (
+    Blaschke,
+    RealSmirnov,
+    from_blaschke,
+    from_rational,
+)
 from .complex_poly import Poly
 
 
+def halfplane_node(sign: int, m: int) -> RealSmirnov:
+    """i(1 + z^m)/(1 - z^m): the disk covers one half plane m times.
+
+    The Helson pair is simply (1, z^m); negating (swapping the pair)
+    covers the lower half plane instead.
+    """
+    if m < 1:
+        raise ValueError("valence must be >= 1")
+    if sign > 0:
+        return from_blaschke(Blaschke(), Blaschke([0.0] * m))
+    return from_blaschke(Blaschke([0.0] * m), Blaschke())
+
+
 def upper_halfplane_map():
-    return from_blaschke(Blaschke(), Blaschke([0.0]))
+    return halfplane_node(1, 1)
 
 
 def lower_halfplane_map():
-    return from_blaschke(Blaschke([0.0]), Blaschke())
+    return halfplane_node(-1, 1)
 
 
 def fourth_power_map():
     return from_rational(Poly([1, 4, 6, 4, 1]), Poly([1, -4, 6, -4, 1]))
 
 
-def koebe():
-    return from_rational(Poly([0, 1]), Poly([1, -2, 1]))
+def koebe() -> RealSmirnov:
+    """z/(1 - z)^2: slit plane, single edge with interval (-1/4, inf)."""
+    return from_rational(Poly([0.0, 1.0]), Poly([1.0, -2.0, 1.0]))
 
 
 def double_slit():

@@ -50,6 +50,7 @@ from .valence_tree import (
     profile,
     validate,
 )
+from .fixtures import halfplane_node, koebe
 from .region_extraction import ExtractionError, crosscheck, extract_full
 
 INF = math.inf
@@ -101,19 +102,6 @@ class BudgetExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def halfplane_node(sign: int, m: int) -> RealSmirnov:
-    """i(1 + z^m)/(1 - z^m): the disk covers one half plane m times.
-
-    The Helson pair is simply (1, z^m); negating (swapping the pair)
-    covers the lower half plane instead.
-    """
-    if m < 1:
-        raise ValueError("valence must be >= 1")
-    if sign > 0:
-        return from_blaschke(Blaschke(), Blaschke([0.0] * m))
-    return from_blaschke(Blaschke([0.0] * m), Blaschke())
-
-
 def double_slit() -> RealSmirnov:
     """iz/(1 - z^2): two slits, one bounded real interval (-1/2, 1/2).
 
@@ -122,11 +110,6 @@ def double_slit() -> RealSmirnov:
     """
     a = (math.sqrt(5.0) - 1.0) / 2.0
     return from_blaschke(Blaschke([-a]), Blaschke([a]))
-
-
-def koebe() -> RealSmirnov:
-    """z/(1 - z)^2: slit plane, single edge with interval (-1/4, inf)."""
-    return from_rational(Poly([0.0, 1.0]), Poly([1.0, -2.0, 1.0]))
 
 
 def power_chain(n: int) -> RealSmirnov:

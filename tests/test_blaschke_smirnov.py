@@ -19,7 +19,6 @@ from rsmirnov.blaschke_smirnov import (
     NotRelativelyPrime,
     QuadratureUnstable,
     RealSmirnov,
-    deficiency_indices,
     from_blaschke,
     from_rational,
     halfplane_valences,
@@ -218,11 +217,6 @@ class TestValence:
         assert halfplane_valences(fixtures.upper_halfplane_map()) == (1, 0)
         assert halfplane_valences(fixtures.double_slit()) == (1, 1)
         assert halfplane_valences(fixtures.fourth_power_map()) == (2, 2)
-
-    def test_deficiency_equals_valence(self):
-        assert deficiency_indices(fixtures.upper_halfplane_map()) == (1, 0)
-        assert deficiency_indices(fixtures.double_slit()) == (1, 1)
-        assert deficiency_indices(fixtures.fourth_power_map()) == (2, 2)
 
     def test_degree_law_sampled(self):
         rng = np.random.default_rng(23)

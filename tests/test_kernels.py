@@ -1,17 +1,25 @@
-"""The vectorised kernels against scalar references.
+"""The kernels against scalar references and known answers.
 
 classify_grid evaluates whole rows of cells with numpy.  It must classify
 every cell exactly as the per-cell loop below does: the arithmetic is the
-same, so no tolerance is allowed.
+same, so no tolerance is allowed.  aberth_iterate and trace_arc are
+checked on inputs whose roots and level curve are known in closed form.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsmirnov._kernels import classify_grid, horner_many, horner_scalar
+from rsmirnov._kernels import (
+    TRACE_HIT_CIRCLE,
+    aberth_iterate,
+    classify_grid,
+    horner_many,
+    horner_scalar,
+    trace_arc,
+)
 from rsmirnov.blaschke_smirnov import random_helson
-from rsmirnov.fixtures import all_fixtures
+from rsmirnov.fixtures import all_fixtures, double_slit
 
 
 def classify_grid_loop(ncoef, dcoef, wcoef, res, margin, band, tiny=1e-14):
@@ -88,3 +96,42 @@ def test_horner_many_matches_horner_scalar(seed, deg):
         scale = horner_scalar(np.abs(coeffs), abs(z[idx])).real
         bound = 4 * (deg + 1) * eps * scale
         assert abs(got[idx] - horner_scalar(coeffs, z[idx])) <= bound
+
+
+def monic_ascending(roots):
+    """Coefficients, constant term first, of prod (z - r) over roots."""
+    return np.poly(roots)[::-1]
+
+
+@pytest.mark.parametrize("roots, tol", [
+    ([0.5, -0.3 + 0.4j, 1.2j, -1.0], 1e-12),
+    # a double root: the iterates near it close in only linearly, so the
+    # residual stop ends the run, and the root is good to about sqrt(eps)
+    ([0.5, 0.5, -0.7, 0.2j], 1e-7),
+])
+def test_aberth_iterate_finds_known_roots(roots, tol):
+    n = len(roots)
+    guesses = 0.9 * np.exp(2j * np.pi * (np.arange(n) + 0.25) / n)
+    found, iterations, converged = aberth_iterate(monic_ascending(roots),
+                                                  guesses)
+    assert converged and iterations < 400
+    # every root has an iterate near it, counted with multiplicity
+    unmatched = list(found)
+    for r in roots:
+        k = int(np.argmin([abs(z - r) for z in unmatched]))
+        assert abs(unmatched.pop(k) - r) < tol
+
+
+@pytest.mark.parametrize("direction, end", [(1.0, -1j), (-1.0, 1j)])
+def test_trace_arc_follows_the_double_slit_axis(direction, end):
+    # Im phi = 0 on the imaginary axis, where phi(iy) = -y / (1 + y^2):
+    # walking with Re phi increasing runs down to -i, decreasing up to +i
+    phi = double_slit()
+    pts, status, bp_hit = trace_arc(phi.num.coeffs, phi.den.coeffs,
+                                     phi.w_poly().coeffs, 0.05j, direction)
+    assert status == TRACE_HIT_CIRCLE and bp_hit == -1
+    assert pts[0] == 0.05j and abs(pts[-1] - end) < 1e-6
+    assert np.abs(pts.real).max() < 1e-9
+    values = phi.eval(pts)
+    assert np.abs(values.imag).max() < 1e-9
+    assert np.all(np.diff(direction * values.real) > 0)
