@@ -14,6 +14,10 @@ real points on a fixed (2, 1) edge candidate: valence_at finds the roots
 of N - xD once per point; real_valence counts on the boundary pieces,
 built once per five points as the synthesis loss builds them once per
 candidate.  A closing line gives both per call and the fallback rate.
+
+The region_valence row times the valence stage of extraction on the five
+fixtures at resolution 512, from a partition, traced segments and
+boundary pieces prepared beforehand.
 """
 
 import argparse
@@ -31,7 +35,8 @@ from rsmirnov.blaschke_smirnov import (
     real_valence,
     valence_at,
 )
-from rsmirnov.fixtures import double_slit, fourth_power_map
+from rsmirnov.fixtures import all_fixtures, double_slit, fourth_power_map
+from rsmirnov.region_extraction import partition, region_valence, trace_segments
 
 
 def _time(fn, repeats=5):
@@ -123,6 +128,16 @@ def run_benchmarks():
             for x in REAL_POINTS[k:k + POINTS_PER_BUILD]:
                 real_valence(cand, x, pieces)
 
+    prepared = []
+    for phi in all_fixtures().values():
+        gp = partition(phi, res)
+        phi.boundary_pieces()
+        prepared.append((phi, gp, trace_segments(phi, gp)))
+
+    def bench_region_valence():
+        for phi, gp, segments in prepared:
+            region_valence(phi, gp, segments)
+
     timings = {
         "horner_many (262k pts, deg 4)": _time(bench_horner),
         "aberth_iterate (512 solves, deg 8)": _time(bench_aberth),
@@ -131,6 +146,7 @@ def run_benchmarks():
         "trace_arc (60 arcs)": _time(bench_trace),
         VALENCE_ROWS[0]: _time(bench_valence_at),
         VALENCE_ROWS[1]: _time(bench_real_valence),
+        "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
     }
     peaks = {
         "classify_grid (res 512)": _peak_alloc(bench_classify(512)),

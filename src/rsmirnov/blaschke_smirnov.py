@@ -181,6 +181,7 @@ class RealSmirnov:
         self.v_minus_nominal = v_minus
         self._w = None
         self._circle_poles = None
+        self._pieces = None
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -229,11 +230,12 @@ class RealSmirnov:
                 self._circle_poles = sorted(ts)
         return self._circle_poles
 
-    def derivative_value(self, z):
-        dv = self.den(complex(z))
-        if abs(dv) < 1e-300:
-            return INFINITY
-        return self.w_poly()(complex(z)) / (dv * dv)
+    def boundary_pieces(self, den_roots=None):
+        """The BoundaryPieces of phi, built on the first call (den_roots
+        as for circle_poles)."""
+        if self._pieces is None:
+            self._pieces = BoundaryPieces(self, den_roots)
+        return self._pieces
 
     # -- boundary -----------------------------------------------------------
 
@@ -451,11 +453,14 @@ class BoundaryPieces:
     meets x once when x lies strictly inside its value range, so one root
     find of W replaces one root find per real point.
 
-    ``ranges`` is None when the pieces cannot be trusted (no events, a
-    critical point whose boundary value is not real, a piece whose end
-    values disagree with its direction); ``count`` then returns None, as
-    it does for an odd or negative n - c and for x within EVENT_VALUE_TOL
-    of a circle critical value.
+    ``ranges`` holds the value range (lo, hi) of each piece, and ``spans``
+    its (t0, t1, direction): the events it runs between (t1 passes 2 pi on
+    the piece that wraps) and +1 where phi increases along it, -1 where it
+    decreases.  Both are None when the pieces cannot be trusted (no
+    events, a critical point whose boundary value is not real, a piece
+    whose end values disagree with its direction); ``count`` then returns
+    None, as it does for an odd or negative n - c and for x within
+    EVENT_VALUE_TOL of a circle critical value.
     ``interior`` holds the roots of W strictly inside the disk.
     den_roots is a find_roots report of phi.den the caller already holds.
     """
@@ -465,6 +470,7 @@ class BoundaryPieces:
         self.interior = []
         self.critical = []
         self.ranges = None
+        self.spans = None
         w = phi.w_poly()
         if w.degree >= 1:
             for root, mult in find_roots(w).clusters():
@@ -485,7 +491,10 @@ class BoundaryPieces:
         events = sorted(self.critical
                         + [(t, math.inf) for t in phi.circle_poles(den_roots)])
         if events and all(v is not None for _, v in events):
-            self.ranges = _piece_ranges(phi, events)
+            pieces = _monotone_pieces(phi, events)
+            if pieces is not None:
+                self.spans = [(t0, t1, s) for t0, t1, s, _, _ in pieces]
+                self.ranges = [(lo, hi) for _, _, _, lo, hi in pieces]
 
     def count(self, x):
         """Valence at real x from the pieces, or None when it must come
@@ -501,16 +510,16 @@ class BoundaryPieces:
         return (self.n - c) // 2
 
 
-def _piece_ranges(phi, events):
-    """(lo, hi) of each piece between consecutive events, or None when a
-    piece's end values disagree with its direction.
+def _monotone_pieces(phi, events):
+    """(t0, t1, direction, lo, hi) of each piece between consecutive
+    events, or None when a piece's end values disagree with its direction.
 
     The direction is the sign of d/dt phi(e^{it}) = Re(i z W(z)/D(z)^2),
     taken as the sign of Re(i z W(z) conj(D(z))^2) at the middle of the
     piece; a pole end takes the infinity the piece runs into.
     """
     w = phi.w_poly()
-    ranges = []
+    pieces = []
     for k, (t0, v0) in enumerate(events):
         t1, v1 = events[(k + 1) % len(events)]
         if k + 1 == len(events):
@@ -524,8 +533,8 @@ def _piece_ranges(phi, events):
         b = s * math.inf if math.isinf(v1) else v1
         if s * (b - a) < 0.0:
             return None
-        ranges.append((min(a, b), max(a, b)))
-    return ranges
+        pieces.append((t0, t1, s, min(a, b), max(a, b)))
+    return pieces
 
 
 def real_valence(phi, x, pieces):
@@ -588,7 +597,8 @@ def integral_means(phi, p, r, n0=2048, rel_tol=1e-5, n_max=1 << 21):
 
     The integrand is smooth for r < 1, but circle poles make it sharply
     peaked as r -> 1; refinement doubles the sampling until the estimate
-    settles or the cap is hit (QuadratureUnstable).
+    settles or the cap is hit (QuadratureUnstable).  A sum that is not
+    finite (a sample at a pole) never settles, so it raises at once.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must lie in [0, 1)")
@@ -607,6 +617,9 @@ def integral_means(phi, p, r, n0=2048, rel_tol=1e-5, n_max=1 << 21):
     total = power_sum(2.0 * np.pi / n * np.arange(n))
     prev = None
     while n <= n_max:
+        if not math.isfinite(total):
+            raise QuadratureUnstable(
+                "integral mean sum is not finite at n = %d (r = %g)" % (n, r))
         est = (total / n) ** (1.0 / p)
         if prev is not None and abs(est - prev) <= rel_tol * abs(est):
             return est

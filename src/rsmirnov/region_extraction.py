@@ -11,13 +11,15 @@ The pipeline here:
 
 1. ``partition``    -- classify a grid of the disk by the sign of Im phi and
                        label the connected sign regions.
-2. ``region_valence`` -- count, per region, the roots of ``phi = lambda`` for
-                       several generic ``lambda`` in the matching half plane.
-3. ``find_branch_points`` -- interior critical points with real critical
+2. ``find_branch_points`` -- interior critical points with real critical
                        value (the only places level arcs can cross).
-4. ``trace_segments`` -- follow every level arc with a predictor/corrector
+3. ``trace_segments`` -- follow every level arc with a predictor/corrector
                        walk, identify the two flanking regions, and record
                        the (monotone) image interval and both endpoints.
+4. ``region_valence`` -- the valence of each region as the degree of phi on
+                       its boundary: the traced arcs and the monotone
+                       circle pieces of phi run over the real line once per
+                       sheet.
 5. ``extract_tree`` / ``extract_full`` -- weld regions into collections,
                        tile arc pieces into whole interfaces, and assemble
                        the tree, retrying at doubled resolution whenever a
@@ -31,6 +33,7 @@ exceptions rather than wrong trees.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -51,11 +54,11 @@ from ._kernels import (
 )
 from .blaschke_smirnov import (
     BoundaryNotReal,
+    BoundaryPieces,
     InconsistentValence,
     halfplane_valences,
     is_infinite,
 )
-from .complex_poly import Poly, find_roots
 from .valence_tree import Interval, Node, Tree, profile, validate
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
     "MAX_RESOLUTION",
     "ExtractionError",
     "ResolutionTooCoarse",
-    "RootNearInterface",
     "TraceStalled",
     "NonMonotone",
     "ExtractionMismatch",
@@ -79,8 +81,6 @@ __all__ = [
     "region_valence",
     "find_branch_points",
     "trace_segments",
-    "trace_interface",
-    "merge_collections",
     "extract_tree",
     "extract_full",
     "crosscheck",
@@ -92,6 +92,10 @@ MAX_RESOLUTION = 4096
 POLE_CUTOFF = 1e8
 BP_RADIUS = 1e-3
 LEVEL_IM_TOL = 1e-6
+#: how far a region's boundary turn may sit from a multiple of pi
+TURN_TOL = 1e-3
+#: distance from its circle end at which an arc's direction is read
+ARC_PROBE = 0.02
 
 _STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 
@@ -102,10 +106,6 @@ class ExtractionError(RuntimeError):
 
 class ResolutionTooCoarse(ExtractionError):
     """The grid cannot separate the sign regions at this resolution."""
-
-
-class RootNearInterface(ExtractionError):
-    """Sampled roots keep landing too close to region boundaries."""
 
 
 class TraceStalled(ExtractionError):
@@ -122,7 +122,6 @@ class ExtractionMismatch(ExtractionError):
 
 _RETRYABLE = (
     ResolutionTooCoarse,
-    RootNearInterface,
     TraceStalled,
     NonMonotone,
     ExtractionMismatch,
@@ -191,9 +190,6 @@ class GridPartition:
             return 0
         return int(self.cls[cell[1], cell[0]])
 
-    def mask(self, region_id: int) -> np.ndarray:
-        return self.labels == region_id
-
     def ids(self, sign: int = 0) -> list[int]:
         return sorted(
             rid for rid, r in self.regions.items() if sign == 0 or r.sign == sign
@@ -256,60 +252,6 @@ def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> GridPartition:
 
 
 # ---------------------------------------------------------------------------
-# per-region valence
-
-
-def region_valence(
-    phi, gp: GridPartition, region_id: int, k_samples: int = 4, seed: int = 0,
-    max_tries: int = 48,
-) -> int:
-    """Valence of one region: roots of phi = lambda that land in it.
-
-    lambda is drawn from the half plane matching the region's sign.  A draw
-    is discarded whenever any root of N - lambda*D sits too close to the
-    circle or to a region boundary to be attributed with confidence; the
-    counts of the surviving draws must all agree.
-    """
-    region = gp.regions[region_id]
-    sign = region.sign
-    rng = np.random.default_rng((seed, region_id))
-    res = gp.resolution
-    rim = 5.0 / res
-    counts: list[int] = []
-    for _ in range(max_tries):
-        if len(counts) >= k_samples:
-            break
-        lam = complex(rng.uniform(-2.5, 2.5), sign * rng.uniform(0.3, 2.5))
-        rep = find_roots(phi.num - phi.den * lam)
-        count = 0
-        clean = True
-        for root, mult in zip(rep.roots, rep.multiplicities):
-            ar = abs(root)
-            if abs(ar - 1.0) < rim:
-                clean = False
-                break
-            if ar > 1.0:
-                continue
-            if gp.class_at(root) != sign:
-                clean = False  # in the uncertain band, or a mislabelled cell
-                break
-            if gp.label_at(root) == region_id:
-                count += int(mult)
-        if clean:
-            counts.append(count)
-    if len(counts) < k_samples:
-        raise RootNearInterface(
-            f"could not place {k_samples} clean samples in region {region_id} "
-            f"after {max_tries} draws"
-        )
-    if len(set(counts)) != 1:
-        raise InconsistentValence(
-            f"region {region_id} valence samples disagree: {sorted(set(counts))}"
-        )
-    return counts[0]
-
-
-# ---------------------------------------------------------------------------
 # branch points
 
 
@@ -326,19 +268,11 @@ def find_branch_points(phi) -> list[BranchPoint]:
     """Interior zeros of W = N'D - ND' that lie on the level set Im phi = 0.
 
     These are the only points where level arcs may meet; everywhere else the
-    level set is a disjoint union of smooth arcs.
+    level set is a disjoint union of smooth arcs.  The zeros are those the
+    boundary pieces of phi sorted as interior.
     """
-    w = phi.w_poly()
-    if w.degree < 1:
-        return []
-    rep = find_roots(w)
     kept: list[complex] = []
-    for root, mult in rep.clusters():
-        # an m-fold root is located to ~eps^(1/m), so the exclusion zone
-        # around the circle must widen with multiplicity
-        guard = max(1e-6, 50.0 * 2.2e-16 ** (1.0 / mult))
-        if abs(root) > 1.0 - guard:
-            continue
+    for root in phi.boundary_pieces().interior:
         val = phi.eval(root)
         if is_infinite(val):
             continue
@@ -644,19 +578,101 @@ def _tile(group: list[BoundaryArc]) -> tuple[list[BoundaryArc], Interval]:
     return group, interval
 
 
-def trace_interface(phi, gp: GridPartition, upper_id: int, lower_id: int,
-                    segments: list[BoundaryArc] | None = None) -> BoundaryArc:
-    """The full interface between two adjacent regions, as one arc."""
-    if segments is None:
-        segments = trace_segments(phi, gp)
-    group = [s for s in segments if s.upper == upper_id and s.lower == lower_id]
-    if not group:
-        raise ExtractionMismatch(
-            f"regions {upper_id} and {lower_id} share no traced interface"
-        )
-    ordered, _ = _tile(group)
-    pts = np.concatenate([s.points for s in ordered])
-    return BoundaryArc(pts, upper_id, lower_id, ordered[0].lo, ordered[-1].hi)
+# ---------------------------------------------------------------------------
+# region valences
+
+
+def region_valence(phi, gp: GridPartition,
+                   segments: list[BoundaryArc]) -> dict[int, int]:
+    """Valence of every region: the degree of phi on the region's boundary.
+
+    phi maps a region properly onto its half plane, so along the boundary
+    it runs monotonically over the extended real line once per sheet.  The
+    boundary is made of traced arcs and monotone circle pieces of phi: each
+    arc adds |arctan hi - arctan lo| to both its flanks, each circle piece
+    its own to the region it bounds (``_circle_regions``).  A total that is
+    not pi times a positive integer raises ExtractionMismatch.
+    """
+    pieces = phi.boundary_pieces()
+    if pieces.spans is None:
+        raise ExtractionMismatch("phi has no trusted monotone boundary pieces")
+    turn = dict.fromkeys(gp.regions, 0.0)
+    for arc in segments:
+        delta = abs(math.atan(arc.hi.value) - math.atan(arc.lo.value))
+        turn[arc.upper] += delta
+        turn[arc.lower] += delta
+    for rid, (lo, hi) in zip(_circle_regions(gp, segments, pieces), pieces.ranges):
+        turn[rid] += math.atan(hi) - math.atan(lo)
+    valences = {}
+    for rid, angle in turn.items():
+        v = round(angle / math.pi)
+        if v < 1 or abs(angle - v * math.pi) > TURN_TOL:
+            raise ExtractionMismatch(
+                f"the boundary of region {rid} turns through "
+                f"{angle / math.pi:.6f} pi, not a positive multiple of pi"
+            )
+        valences[rid] = v
+    return valences
+
+
+def _circle_regions(gp: GridPartition, segments: list[BoundaryArc],
+                    pieces: BoundaryPieces) -> list[int]:
+    """The region each circle piece of phi bounds.
+
+    Level arcs meet the circle only at events (circle critical points and
+    multiple poles), so a piece bounds one region: a positive one where phi
+    increases along it, a negative one where it decreases.  That region is
+    the flank, of the piece's sign, of the arc nearest the counterclockwise
+    tangent at the last event before the piece with arc ends; the arc
+    nearest the clockwise tangent at the next such event must agree.
+    """
+    starts = np.exp(1j * np.array([t0 for t0, _, _ in pieces.spans]))
+    n = len(starts)
+    at_event: list[list[tuple[float, BoundaryArc]]] = [[] for _ in range(n)]
+    for arc in segments:
+        for end, pts in ((arc.lo, arc.points), (arc.hi, arc.points[::-1])):
+            if end.kind != "branch":
+                k = int(np.argmin(np.abs(starts - pts[0])))
+                at_event[k].append((_angle_from_tangent(pts, starts[k]), arc))
+    if not any(at_event):
+        # no level arc reaches the circle: Im phi keeps one sign on the disk
+        signs = {s for _, _, s in pieces.spans}
+        if len(gp.regions) != 1 or len(signs) != 1:
+            raise ExtractionMismatch("sign regions without traced arcs between them")
+        return list(gp.regions) * n
+
+    def ends_from(k: int, step: int) -> list[tuple[float, BoundaryArc]]:
+        # the arc ends at the first event from k on, stepping by step, with any
+        return next(e for j in range(n) if (e := at_event[(k + step * j) % n]))
+
+    def flank(arc: BoundaryArc, sign: float) -> int:
+        return arc.upper if sign > 0 else arc.lower
+
+    regions = []
+    for k, (_, _, sign) in enumerate(pieces.spans):
+        before = ends_from(k, -1)
+        after = ends_from(k + 1, +1)
+        rid = flank(min(before, key=lambda e: e[0])[1], sign)
+        if flank(max(after, key=lambda e: e[0])[1], sign) != rid:
+            raise ExtractionMismatch(
+                f"the circle piece from t = {pieces.spans[k][0]:.6f} bounds "
+                "different regions at its two ends"
+            )
+        regions.append(rid)
+    return regions
+
+
+def _angle_from_tangent(pts: np.ndarray, zeta: complex) -> float:
+    """Angle from the counterclockwise tangent at the circle point zeta to
+    the traced arc ``pts`` that leaves it: in (0, pi) for an arc inside.
+
+    It is measured at the first point ARC_PROBE away from zeta (the far end
+    of a shorter arc): arcs that do not cross leave a small disk around
+    their common end in the order they leave the end itself.
+    """
+    far = np.nonzero(np.abs(pts - zeta) >= ARC_PROBE)[0]
+    p = pts[far[0]] if far.size else pts[-1]
+    return cmath.phase((p - zeta) / (1j * zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -671,45 +687,6 @@ class Collection:
     sign: int
     members: tuple[int, ...]
     valence: int
-
-
-def merge_collections(regions, branch_regions) -> list[Collection]:
-    """Weld same-sign regions that share a branch point, transitively.
-
-    ``regions`` maps region id -> (sign, valence); ``branch_regions`` is an
-    iterable of sets of region ids incident to one branch point.  Welding
-    never joins regions of opposite sign.  Returns the collections sorted
-    with positive ones first, named c1, c2, ...
-    """
-    parent = {rid: rid for rid in regions}
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    for group in branch_regions:
-        by_sign: dict[int, list] = {}
-        for rid in group:
-            by_sign.setdefault(regions[rid][0], []).append(rid)
-        for same in by_sign.values():
-            for rid in same[1:]:
-                parent[find(rid)] = find(same[0])
-
-    clusters: dict = {}
-    for rid in regions:
-        clusters.setdefault(find(rid), []).append(rid)
-    rows = []
-    for members in clusters.values():
-        members = tuple(sorted(members))
-        sign = regions[members[0]][0]
-        rows.append((-sign, members, sum(regions[r][1] for r in members)))
-    rows.sort()
-    return [
-        Collection(f"c{i + 1}", -negsign, members, val)
-        for i, (negsign, members, val) in enumerate(rows)
-    ]
 
 
 def _assemble(gp: GridPartition, valences: dict[int, int],
@@ -952,12 +929,9 @@ class Extraction:
 
 def _attempt(phi, res: int, seed: int) -> Extraction:
     gp = partition(phi, res)
-    valences = {rid: region_valence(phi, gp, rid, seed=seed) for rid in gp.ids()}
-    for rid, val in valences.items():
-        if val == 0:
-            raise ResolutionTooCoarse(
-                f"region {rid} captured no roots; likely a grid artifact"
-            )
+    bps = find_branch_points(phi)
+    segments = trace_segments(phi, gp, bps)
+    valences = region_valence(phi, gp, segments)
     v_plus, v_minus = halfplane_valences(phi, seed=seed)
     got_plus = sum(v for r, v in valences.items() if gp.regions[r].sign > 0)
     got_minus = sum(v for r, v in valences.items() if gp.regions[r].sign < 0)
@@ -966,8 +940,6 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
             f"region valences sum to ({got_plus}, {got_minus}) but the "
             f"half-plane counts are ({v_plus}, {v_minus})"
         )
-    bps = find_branch_points(phi)
-    segments = trace_segments(phi, gp, bps)
     tree, collections, node_of_region = _assemble(gp, valences, segments, bps)
     violations = validate(tree)
     if violations:

@@ -496,7 +496,7 @@ def _surrogate_loss(phi: RealSmirnov, tprof, tarcs, den_roots) -> float:
     den_roots is the find_roots report of phi.den (None for a constant
     denominator); the counts come from the boundary pieces, so outside
     their fallbacks W is the only polynomial whose roots are found here."""
-    pieces = BoundaryPieces(phi, den_roots=den_roots)
+    pieces = phi.boundary_pieces(den_roots)
     bps = _real_critical_values(phi, pieces)
     cuts = sorted({_arc(b) for b in bps}
                   | {_arc(b) for b in tprof.breakpoints})

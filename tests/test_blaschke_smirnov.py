@@ -283,6 +283,23 @@ class TestIntegralMeans:
         else:
             assert got == pytest.approx(want, rel=1e-14)
 
+    def test_sum_that_is_not_finite_raises_at_once(self):
+        # at r = 0.9999 the monomial denominator of the fourth power map
+        # evaluates under the pole tolerance at t = 0, so the first n0
+        # samples already sum to infinity
+        phi = fixtures.fourth_power_map()
+        evaluate = phi.eval
+        points = []
+
+        def counting_eval(z):
+            points.append(np.size(z))
+            return evaluate(z)
+
+        phi.eval = counting_eval
+        with pytest.raises(QuadratureUnstable):
+            integral_means(phi, 0.25, 0.9999)
+        assert sum(points) == 2048
+
 
 class TestClosureOps:
     def test_affine_identity(self):

@@ -35,11 +35,9 @@ from rsmirnov.region_extraction import (
     extract_full,
     extract_tree,
     find_branch_points,
-    merge_collections,
     partition,
     region_valence,
     render_svg,
-    trace_interface,
     trace_segments,
     _assemble,
     _tile,
@@ -155,8 +153,9 @@ def test_partition_double_slit_sides():
 def test_region_valence_fixture_regions_are_simple(make):
     phi = make()
     gp = partition(phi, 256)
+    valences = region_valence(phi, gp, trace_segments(phi, gp))
     for rid in gp.ids():
-        assert region_valence(phi, gp, rid) == 1
+        assert valences[rid] == 1
 
 
 @pytest.mark.parametrize(
@@ -167,8 +166,9 @@ def test_region_valences_sum_to_halfplane_counts(make):
     phi = make()
     gp = partition(phi, 256)
     v_plus, v_minus = halfplane_valences(phi)
-    got_plus = sum(region_valence(phi, gp, rid) for rid in gp.ids(1))
-    got_minus = sum(region_valence(phi, gp, rid) for rid in gp.ids(-1))
+    valences = region_valence(phi, gp, trace_segments(phi, gp))
+    got_plus = sum(valences[rid] for rid in gp.ids(1))
+    got_minus = sum(valences[rid] for rid in gp.ids(-1))
     assert (got_plus, got_minus) == (v_plus, v_minus)
 
 
@@ -258,16 +258,6 @@ def test_traced_arcs_are_monotone_and_inside(make):
         assert np.all(np.diff(re) > -1e-6 * (1.0 + np.abs(re[1:])))
 
 
-def test_trace_interface_koebe():
-    phi = koebe()
-    gp = partition(phi, 256)
-    arc = trace_interface(phi, gp, 1, 2)
-    assert abs(arc.interval.lo - (-0.25)) < 1e-6
-    assert arc.interval.hi == math.inf
-    with pytest.raises(ExtractionMismatch):
-        trace_interface(phi, gp, 2, 1)  # flanks given in the wrong order
-
-
 def test_tile_joins_pieces_at_branch_points():
     pts = np.array([0.0 + 0.0j, 0.1 + 0.0j])
     a = BoundaryArc(pts, 1, 3, End("circle", -1.0), End("branch", 0.0, 0))
@@ -290,33 +280,6 @@ def test_tile_rejects_gaps_and_dangling_branch_ends():
 
 # ---------------------------------------------------------------------------
 # collections
-
-
-def test_merge_collections_chain():
-    # four positive regions chained through branch points, with negative
-    # bystanders; welding joins same-sign regions only, but does so at
-    # every shared branch point
-    regions = {
-        "A": (1, 2), "B": (1, 1), "C": (1, 1), "D": (1, 1),
-        "E": (-1, 1), "F": (-1, 1), "G": (-1, 2),
-    }
-    branch_regions = [{"A", "B", "E"}, {"B", "C", "F"}, {"C", "D", "E", "G"}]
-    colls = merge_collections(regions, branch_regions)
-    by_members = {c.members: c for c in colls}
-    assert ("A", "B", "C", "D") in by_members
-    welded = by_members[("A", "B", "C", "D")]
-    assert welded.sign == 1
-    assert welded.valence == 5
-    # E and G meet at the last branch point and weld; F stays alone
-    assert {c.members for c in colls if c.sign < 0} == {("E", "G"), ("F",)}
-    assert by_members[("E", "G")].valence == 3
-
-
-def test_merge_collections_no_branch_points():
-    regions = {1: (1, 1), 2: (-1, 2)}
-    colls = merge_collections(regions, [])
-    assert {c.members for c in colls} == {(1,), (2,)}
-    assert all(len(c.members) == 1 for c in colls)
 
 
 def test_assemble_welds_across_branch_point():
