@@ -15,9 +15,10 @@ of N - xD once per point; real_valence counts on the boundary pieces,
 built once per five points as the synthesis loss builds them once per
 candidate.  A closing line gives both per call and the fallback rate.
 
-The region_valence row times the valence stage of extraction on the five
-fixtures at resolution 512, from a partition, traced segments and
-boundary pieces prepared beforehand.
+The trace_segments and region_valence rows time the tracing and the
+valence stages of extraction on the five fixtures at resolution 512, from
+partitions, branch points, boundary pieces and (for region_valence)
+traced segments prepared beforehand.
 """
 
 import argparse
@@ -36,7 +37,12 @@ from rsmirnov.blaschke_smirnov import (
     valence_at,
 )
 from rsmirnov.fixtures import all_fixtures, double_slit, fourth_power_map
-from rsmirnov.region_extraction import partition, region_valence, trace_segments
+from rsmirnov.region_extraction import (
+    find_branch_points,
+    partition,
+    region_valence,
+    trace_segments,
+)
 
 
 def _time(fn, repeats=5):
@@ -131,11 +137,15 @@ def run_benchmarks():
     prepared = []
     for phi in all_fixtures().values():
         gp = partition(phi, res)
-        phi.boundary_pieces()
-        prepared.append((phi, gp, trace_segments(phi, gp)))
+        bps = find_branch_points(phi)
+        prepared.append((phi, gp, bps, trace_segments(phi, gp, bps)))
+
+    def bench_trace_segments():
+        for phi, gp, bps, _ in prepared:
+            trace_segments(phi, gp, bps)
 
     def bench_region_valence():
-        for phi, gp, segments in prepared:
+        for phi, gp, _, segments in prepared:
             region_valence(phi, gp, segments)
 
     timings = {
@@ -146,6 +156,7 @@ def run_benchmarks():
         "trace_arc (60 arcs)": _time(bench_trace),
         VALENCE_ROWS[0]: _time(bench_valence_at),
         VALENCE_ROWS[1]: _time(bench_real_valence),
+        "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
     }
     peaks = {

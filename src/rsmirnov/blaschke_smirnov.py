@@ -432,6 +432,10 @@ def valence_at(phi, lam, tol=BOUNDARY_TOL):
     return count_roots_in_disk(p, 1.0, tol)
 
 
+#: an interior critical point is a branch point of the level set when
+#: |Im phi| there is at most this, relative to max(1, |phi|)
+LEVEL_IM_TOL = 1e-6
+
 #: within this distance (relative) of a circle critical value, N - xD has
 #: two circle roots close together; valence_at may merge them into one
 #: double root off the circle, so the pieces and root counting can
@@ -453,6 +457,11 @@ class BoundaryPieces:
     meets x once when x lies strictly inside its value range, so one root
     find of W replaces one root find per real point.
 
+    ``events`` lists the events in order as (t, value), t in [0, 2 pi),
+    with the value inf at a circle pole (None at a critical point whose
+    boundary value is not real); ``critical`` holds the critical points
+    among them, and piece k starts at events[k].  The level set Im phi = 0
+    meets the circle only at events, so a traced level arc ends at one.
     ``ranges`` holds the value range (lo, hi) of each piece, and ``spans``
     its (t0, t1, direction): the events it runs between (t1 passes 2 pi on
     the piece that wraps) and +1 where phi increases along it, -1 where it
@@ -461,13 +470,15 @@ class BoundaryPieces:
     whose end values disagree with its direction); ``count`` then returns
     None, as it does for an odd or negative n - c and for x within
     EVENT_VALUE_TOL of a circle critical value.
-    ``interior`` holds the roots of W strictly inside the disk.
+    ``interior_real`` holds (z, Re phi(z)) for the roots z of W strictly
+    inside the disk where phi is real (to LEVEL_IM_TOL): the branch points
+    of the level set.
     den_roots is a find_roots report of phi.den the caller already holds.
     """
 
     def __init__(self, phi, den_roots=None):
         self.n = max(phi.num.degree, phi.den.degree)
-        self.interior = []
+        self.interior_real = []
         self.critical = []
         self.ranges = None
         self.spans = None
@@ -478,20 +489,23 @@ class BoundaryPieces:
                 if abs(root) > 1.0 + band:
                     continue
                 if abs(root) < 1.0 - band:
-                    self.interior.append(root)
+                    v = phi.eval(root)
+                    if (not is_infinite(v)
+                            and abs(v.imag) <= LEVEL_IM_TOL * max(1.0, abs(v))):
+                        self.interior_real.append((complex(root), float(v.real)))
                     continue
                 t = math.atan2(root.imag, root.real)
                 try:
-                    v = phi.boundary_value(t)
+                    v = float(phi.boundary_value(t))
                 except BoundaryNotReal:
                     v = None
                 # a root of W at a circle pole is the pole's own event
                 if v is None or math.isfinite(v):
                     self.critical.append((t % (2.0 * math.pi), v))
-        events = sorted(self.critical
-                        + [(t, math.inf) for t in phi.circle_poles(den_roots)])
-        if events and all(v is not None for _, v in events):
-            pieces = _monotone_pieces(phi, events)
+        self.events = sorted(
+            self.critical + [(t, math.inf) for t in phi.circle_poles(den_roots)])
+        if self.events and all(v is not None for _, v in self.events):
+            pieces = _monotone_pieces(phi, self.events)
             if pieces is not None:
                 self.spans = [(t0, t1, s) for t0, t1, s, _, _ in pieces]
                 self.ranges = [(lo, hi) for _, _, _, lo, hi in pieces]

@@ -15,7 +15,9 @@ The pipeline here:
                        value (the only places level arcs can cross).
 3. ``trace_segments`` -- follow every level arc with a predictor/corrector
                        walk, identify the two flanking regions, and record
-                       the (monotone) image interval and both endpoints.
+                       the (monotone) image interval: an arc ends at a
+                       branch point or at an event of the boundary pieces
+                       of phi, and takes its exact value.
 4. ``region_valence`` -- the valence of each region as the degree of phi on
                        its boundary: the traced arcs and the monotone
                        circle pieces of phi run over the real line once per
@@ -43,8 +45,6 @@ import scipy.ndimage as ndi
 
 from ._kernels import (
     TRACE_HIT_BRANCH,
-    TRACE_HIT_CIRCLE,
-    TRACE_HIT_POLE,
     TRACE_MAX_STEPS,
     TRACE_NON_MONOTONE,
     TRACE_STALLED,
@@ -53,7 +53,6 @@ from ._kernels import (
     trace_arc,
 )
 from .blaschke_smirnov import (
-    BoundaryNotReal,
     BoundaryPieces,
     InconsistentValence,
     halfplane_valences,
@@ -91,7 +90,9 @@ DEFAULT_RESOLUTION = 512
 MAX_RESOLUTION = 4096
 POLE_CUTOFF = 1e8
 BP_RADIUS = 1e-3
-LEVEL_IM_TOL = 1e-6
+#: width, in grid steps 1/resolution, of the rim along the circle where
+#: Im phi is cancellation noise: no level point found there seeds a trace
+RIM = 3.0
 #: how far a region's boundary turn may sit from a multiple of pi
 TURN_TOL = 1e-3
 #: distance from its circle end at which an arc's direction is read
@@ -268,22 +269,12 @@ def find_branch_points(phi) -> list[BranchPoint]:
     """Interior zeros of W = N'D - ND' that lie on the level set Im phi = 0.
 
     These are the only points where level arcs may meet; everywhere else the
-    level set is a disjoint union of smooth arcs.  The zeros are those the
-    boundary pieces of phi sorted as interior.
+    level set is a disjoint union of smooth arcs.  They are the interior
+    roots of W with a real value that the boundary pieces of phi keep.
     """
-    kept: list[complex] = []
-    for root in phi.boundary_pieces().interior:
-        val = phi.eval(root)
-        if is_infinite(val):
-            continue
-        if abs(val.imag) > LEVEL_IM_TOL * max(1.0, abs(val)):
-            continue
-        kept.append(complex(root))
-    kept.sort(key=lambda z: (z.real, z.imag))
-    return [
-        BranchPoint(index=i, z=z, value=float(phi.eval(z).real))
-        for i, z in enumerate(kept)
-    ]
+    kept = sorted(phi.boundary_pieces().interior_real,
+                  key=lambda zv: (zv[0].real, zv[0].imag))
+    return [BranchPoint(index=i, z=z, value=v) for i, (z, v) in enumerate(kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +283,21 @@ def find_branch_points(phi) -> list[BranchPoint]:
 
 @dataclass(frozen=True)
 class End:
-    """Where a traced arc terminates and the boundary value of Re phi there.
+    """Where a traced arc terminates and the value of Re phi there.
 
-    kind is "circle" (the arc reached the unit circle), "pole" (|phi| blew
-    up at a circle pole; value is +-inf), or "branch" (the arc ran into an
-    interior branch point; value is its exact critical value).
+    kind is "branch" when the arc ran into the interior branch point
+    ``branch``; value is its critical value.  Otherwise the arc reached the
+    circle, where the level set meets it only at the events of phi's
+    BoundaryPieces, and ``event`` indexes the nearest one.  The end takes
+    its value: kind "circle" with the critical value at a circle critical
+    point, kind "pole" with -inf at an arc's lo end and +inf at its hi end
+    at a circle pole.
     """
 
     kind: str
     value: float
     branch: int | None = None
+    event: int | None = None
 
 
 @dataclass(frozen=True)
@@ -347,21 +343,27 @@ def _newton_to_level(phi, z0: complex) -> complex | None:
     return None
 
 
+def _inside_rim(z: complex, res: int) -> bool:
+    return abs(z) <= 1.0 - RIM / res
+
+
 def _seed_candidates(gp: GridPartition):
-    """Seed points for tracing: near-zero cells, then sign-change midpoints."""
+    """Seed points for tracing: near-zero cells, then sign-change midpoints,
+    leaving out those in the rim along the circle."""
     cls = gp.cls
     h = gp.h
     iy, ix = np.nonzero(cls == 2)
-    for y, x in zip(iy.tolist(), ix.tolist()):
-        yield gp.cell_center(x, y), ((y, x),)
-    horiz = cls[:, :-1] * cls[:, 1:]
-    iy, ix = np.nonzero(horiz == -1)
-    for y, x in zip(iy.tolist(), ix.tolist()):
-        yield complex(-1.0 + (x + 1.0) * h, -1.0 + (y + 0.5) * h), ((y, x), (y, x + 1))
-    vert = cls[:-1, :] * cls[1:, :]
-    iy, ix = np.nonzero(vert == -1)
-    for y, x in zip(iy.tolist(), ix.tolist()):
-        yield complex(-1.0 + (x + 0.5) * h, -1.0 + (y + 1.0) * h), ((y, x), (y + 1, x))
+    near_zero = [(gp.cell_center(x, y), ((y, x),))
+                 for y, x in zip(iy.tolist(), ix.tolist())]
+    iy, ix = np.nonzero(cls[:, :-1] * cls[:, 1:] == -1)
+    across_x = [(complex(-1.0 + (x + 1.0) * h, -1.0 + (y + 0.5) * h), ((y, x), (y, x + 1)))
+                for y, x in zip(iy.tolist(), ix.tolist())]
+    iy, ix = np.nonzero(cls[:-1, :] * cls[1:, :] == -1)
+    across_y = [(complex(-1.0 + (x + 0.5) * h, -1.0 + (y + 1.0) * h), ((y, x), (y + 1, x)))
+                for y, x in zip(iy.tolist(), ix.tolist())]
+    for z, cells in near_zero + across_x + across_y:
+        if _inside_rim(z, gp.resolution):
+            yield z, cells
 
 
 def _mark_covered(covered: np.ndarray, pts: np.ndarray, h: float, res: int) -> None:
@@ -373,21 +375,19 @@ def _mark_covered(covered: np.ndarray, pts: np.ndarray, h: float, res: int) -> N
             covered[yy, np.clip(ix + dx, 0, res - 1)] = True
 
 
-def _make_end(phi, bps: list[BranchPoint], z: complex, status: int, bp_hit: int) -> End:
+def _make_end(pieces: BoundaryPieces, zetas: np.ndarray, bps: list[BranchPoint],
+              z: complex, status: int, bp_hit: int, side: float) -> End:
+    """The end at z of a traced arc: the branch point it ran into, or else
+    the event nearest z (zetas are the events on the circle); side is -1
+    at the arc's lo end and +1 at its hi end."""
     if status == TRACE_HIT_BRANCH:
         bp = bps[bp_hit]
         return End("branch", bp.value, bp.index)
-    if status == TRACE_HIT_POLE:
-        nv = horner_scalar(phi.num.coeffs, z)
-        dv = horner_scalar(phi.den.coeffs, z)
-        positive = (nv * dv.conjugate()).real > 0
-        return End("pole", math.inf if positive else -math.inf)
-    # TRACE_HIT_CIRCLE
-    t = math.atan2(z.imag, z.real)
-    try:
-        return End("circle", float(phi.boundary_value(t)))
-    except BoundaryNotReal as exc:
-        raise TraceStalled(f"arc ended where phi is not real: {exc}") from exc
+    k = int(np.argmin(np.abs(zetas - z)))
+    value = pieces.events[k][1]
+    if math.isinf(value):
+        return End("pole", side * math.inf, event=k)
+    return End("circle", value, event=k)
 
 
 def _flank_regions(phi, gp: GridPartition, pts: np.ndarray,
@@ -435,7 +435,14 @@ def trace_segments(phi, gp: GridPartition,
     branch point), carries its flanking region labels, and has strictly
     increasing Re phi along its points.  Arcs traced twice from different
     seeds are deduplicated by their flank pair and overlapping images.
+    Circle and pole ends take the values of the events of phi's boundary
+    pieces (see End), so phi without trusted pieces raises
+    ExtractionMismatch.
     """
+    pieces = phi.boundary_pieces()
+    if pieces.spans is None:
+        raise ExtractionMismatch("phi has no trusted monotone boundary pieces")
+    zetas = np.exp(1j * np.array([t for t, _ in pieces.events]))
     bps = find_branch_points(phi) if branch_points is None else list(branch_points)
     bp_z = np.array([bp.z for bp in bps], dtype=np.complex128)
     ncoef = phi.num.coeffs
@@ -471,8 +478,8 @@ def trace_segments(phi, gp: GridPartition,
         z = _newton_to_level(phi, seed)
         if z is None:
             continue
-        if abs(z) > 1.0 - 3.0 / res:
-            continue  # cancellation band along the circle, not an interior arc
+        if not _inside_rim(z, res):
+            continue  # cancellation noise along the circle, not an interior arc
         if bps and min(abs(z - bp.z) for bp in bps) < 1.5 * BP_RADIUS:
             continue
         cell = gp.cell_of(z)
@@ -481,8 +488,8 @@ def trace_segments(phi, gp: GridPartition,
         fwd, st_f, bp_f = run(z, +1.0)
         bwd, st_b, bp_b = run(z, -1.0)
         pts = np.concatenate([bwd[::-1], fwd[1:]]) if len(fwd) > 1 else bwd[::-1]
-        lo = _make_end(phi, bps, complex(pts[0]), st_b, bp_b)
-        hi = _make_end(phi, bps, complex(pts[-1]), st_f, bp_f)
+        lo = _make_end(pieces, zetas, bps, complex(pts[0]), st_b, bp_b, -1.0)
+        hi = _make_end(pieces, zetas, bps, complex(pts[-1]), st_f, bp_f, +1.0)
         if not lo.value < hi.value:
             raise NonMonotone(
                 f"arc through {z:.6f} has a degenerate image "
@@ -496,64 +503,8 @@ def trace_segments(phi, gp: GridPartition,
         images.setdefault(key, []).append((lo.value, hi.value))
         segments.append(BoundaryArc(pts, upper, lower, lo, hi))
 
-    segments = _reconcile_circle_ends(segments)
     segments.sort(key=lambda s: (s.lo.value, s.hi.value, s.upper, s.lower))
     return segments
-
-
-def _reconcile_circle_ends(segments: list[BoundaryArc]) -> list[BoundaryArc]:
-    """Give arcs that end at the same circle point one shared endpoint value.
-
-    Several arcs can terminate at a single boundary point (a critical point
-    of the boundary values); each trace then measures the common value with
-    its own rounding noise, and the mismatch would read as a spurious overlap
-    of edge intervals.  Endpoints within one resolution scale of each other
-    are clustered and assigned the median of their measured values.
-    """
-    ends = []  # (segment index, end attribute, endpoint location, value)
-    for i, seg in enumerate(segments):
-        for attr, z in (("lo", seg.points[0]), ("hi", seg.points[-1])):
-            end: End = getattr(seg, attr)
-            if end.kind == "circle" and math.isfinite(end.value):
-                ends.append((i, attr, complex(z), end.value))
-    if len(ends) < 2:
-        return segments
-
-    parent = list(range(len(ends)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            if abs(ends[i][2] - ends[j][2]) < 3e-3:
-                parent[find(i)] = find(j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(ends)):
-        clusters.setdefault(find(i), []).append(i)
-    replacements: dict[tuple[int, str], float] = {}
-    for group in clusters.values():
-        if len(group) < 2:
-            continue
-        value = float(np.median([ends[i][3] for i in group]))
-        for i in group:
-            replacements[(ends[i][0], ends[i][1])] = value
-    if not replacements:
-        return segments
-
-    out = []
-    for i, seg in enumerate(segments):
-        lo, hi = seg.lo, seg.hi
-        if (i, "lo") in replacements:
-            lo = End("circle", replacements[(i, "lo")])
-        if (i, "hi") in replacements:
-            hi = End("circle", replacements[(i, "hi")])
-        out.append(BoundaryArc(seg.points, seg.upper, seg.lower, lo, hi))
-    return out
 
 
 def _tile(group: list[BoundaryArc]) -> tuple[list[BoundaryArc], Interval]:
@@ -594,8 +545,6 @@ def region_valence(phi, gp: GridPartition,
     not pi times a positive integer raises ExtractionMismatch.
     """
     pieces = phi.boundary_pieces()
-    if pieces.spans is None:
-        raise ExtractionMismatch("phi has no trusted monotone boundary pieces")
     turn = dict.fromkeys(gp.regions, 0.0)
     for arc in segments:
         delta = abs(math.atan(arc.hi.value) - math.atan(arc.lo.value))
@@ -632,7 +581,7 @@ def _circle_regions(gp: GridPartition, segments: list[BoundaryArc],
     for arc in segments:
         for end, pts in ((arc.lo, arc.points), (arc.hi, arc.points[::-1])):
             if end.kind != "branch":
-                k = int(np.argmin(np.abs(starts - pts[0])))
+                k = end.event
                 at_event[k].append((_angle_from_tangent(pts, starts[k]), arc))
     if not any(at_event):
         # no level arc reaches the circle: Im phi keeps one sign on the disk

@@ -38,7 +38,6 @@ from .blaschke_smirnov import (
     NotRelativelyPrime,
     from_blaschke,
     from_rational,
-    is_infinite,
     real_affine,
     real_valence,
 )
@@ -462,8 +461,7 @@ def _params_to_blaschke(x, deg1: int, deg2: int):
             Blaschke(z2, cmath.exp(1j * x[-1])))
 
 
-def _real_critical_values(phi: RealSmirnov,
-                          pieces: BoundaryPieces) -> list[float]:
+def _real_critical_values(pieces: BoundaryPieces) -> list[float]:
     """Real values of phi at the critical points in the closed disk.
 
     These are exactly the points where the real preimage count can step:
@@ -471,13 +469,7 @@ def _real_critical_values(phi: RealSmirnov,
     where level arcs end.  Both come from the roots of W that the pieces
     already sorted.  Values are deduplicated to 1e-8.
     """
-    vals = []
-    for root in pieces.interior:
-        v = phi.eval(root)
-        if is_infinite(v):
-            continue
-        if abs(v.imag) <= 1e-6 * max(1.0, abs(v)):
-            vals.append(v.real)
+    vals = [v for _, v in pieces.interior_real]
     vals.extend(v for _, v in pieces.critical if v is not None)
     vals.sort()
     out: list[float] = []
@@ -497,7 +489,7 @@ def _surrogate_loss(phi: RealSmirnov, tprof, tarcs, den_roots) -> float:
     denominator); the counts come from the boundary pieces, so outside
     their fallbacks W is the only polynomial whose roots are found here."""
     pieces = phi.boundary_pieces(den_roots)
-    bps = _real_critical_values(phi, pieces)
+    bps = _real_critical_values(pieces)
     cuts = sorted({_arc(b) for b in bps}
                   | {_arc(b) for b in tprof.breakpoints})
     grid = [-HALF_PI, *cuts, HALF_PI]

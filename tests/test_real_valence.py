@@ -93,6 +93,17 @@ def test_double_slit_counts():
         == [0, 1, 1, 1, 0]
 
 
+def test_events_are_the_circle_critical_points_and_poles_in_order():
+    # double_slit = iz/(1 - z^2): circle poles at +-1, critical points at +-i
+    pieces = BoundaryPieces(double_slit())
+    ts = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+    assert [t for t, _ in pieces.events] == pytest.approx(ts, abs=1e-12)
+    assert [v for _, v in pieces.events] == pytest.approx(
+        [math.inf, -0.5, math.inf, 0.5], abs=1e-12)
+    assert [t0 for t0, _, _ in pieces.spans] == [t for t, _ in pieces.events]
+    assert pieces.interior_real == []
+
+
 def test_pieces_right_where_clustering_misleads_the_oracle():
     # a (3, 2) pair with circle poles 0.015 apart on either side of a
     # circle critical point of value -17279.79; one below that value all
