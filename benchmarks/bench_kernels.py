@@ -15,6 +15,14 @@ of N - xD once per point; real_valence counts on the boundary pieces,
 built once per five points as the synthesis loss builds them once per
 candidate.  A closing line gives both per call and the fallback rate.
 
+The find_roots row finds the roots of a fixed corpus: the denominators
+and W polynomials of 250 random (2, 1) edge candidates, as the synthesis
+loss finds them once per candidate.  The denominators have degree 3; W
+has degree 4, or 5 with a leading coefficient at rounding level that
+find_roots trims.  A closing line gives the time per call and the share
+of the corpus whose Aberth iteration starts from the companion
+eigenvalues.
+
 The trace_segments and region_valence rows time the tracing and the
 valence stages of extraction on the five fixtures at resolution 512, from
 partitions, branch points, boundary pieces and (for region_valence)
@@ -28,11 +36,13 @@ import tracemalloc
 
 import numpy as np
 
-from rsmirnov import _kernels
+from rsmirnov import _kernels, complex_poly
 from rsmirnov.blaschke_smirnov import (
     Blaschke,
     BoundaryPieces,
+    RealSmirnov,
     from_blaschke,
+    random_blaschke,
     real_valence,
     valence_at,
 )
@@ -82,6 +92,31 @@ def two_one_candidate():
                    0.6220089046466197 + 0.037617227319359854j],
                   -0.8250967098521353 + 0.5649915215215013j)
     return from_blaschke(b1, b2)
+
+
+FIND_ROOTS_ROW = "find_roots (500 polys, deg 3-5)"
+
+
+def find_roots_corpus():
+    """Denominators and W polynomials of random (2, 1) edge candidates:
+    deg B1 = 1 and deg B2 = 2, zeros in the disk of radius 0.95."""
+    rng = np.random.default_rng(21)
+    polys = []
+    for _ in range(250):
+        p1, q1 = random_blaschke(rng, 1, 0.95).as_rational()
+        p2, q2 = random_blaschke(rng, 2, 0.95).as_rational()
+        a, b = p1 * q2, p2 * q1
+        phi = RealSmirnov((a + b).scale(1j), a - b)
+        polys += [phi.den, phi.w_poly()]
+    return polys
+
+
+def eigenvalue_start_share(polys):
+    """Share of polys whose Aberth iteration starts from the companion
+    eigenvalues."""
+    return np.mean([
+        complex_poly._eigenvalue_start(complex_poly._trimmed(p.coeffs)[0])
+        is not None for p in polys])
 
 
 def real_fallbacks(phi):
@@ -134,6 +169,12 @@ def run_benchmarks():
             for x in REAL_POINTS[k:k + POINTS_PER_BUILD]:
                 real_valence(cand, x, pieces)
 
+    corpus = find_roots_corpus()
+
+    def bench_find_roots():
+        for p in corpus:
+            complex_poly.find_roots(p)
+
     prepared = []
     for phi in all_fixtures().values():
         gp = partition(phi, res)
@@ -156,6 +197,7 @@ def run_benchmarks():
         "trace_arc (60 arcs)": _time(bench_trace),
         VALENCE_ROWS[0]: _time(bench_valence_at),
         VALENCE_ROWS[1]: _time(bench_real_valence),
+        FIND_ROOTS_ROW: _time(bench_find_roots),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
     }
@@ -180,6 +222,14 @@ def _valence_summary(timings):
                len(REAL_POINTS)))
 
 
+def _find_roots_summary(timings):
+    corpus = find_roots_corpus()
+    return ("find_roots, per call: %.0f us; eigenvalue start for %.1f%% of "
+            "%d polynomials"
+            % (1e6 * timings[FIND_ROOTS_ROW] / len(corpus),
+               100.0 * eigenvalue_start_share(corpus), len(corpus)))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
@@ -190,6 +240,7 @@ def main(argv=None):
         print(("%-36s %8.1f ms %s"
                % (name, 1e3 * t, _peak_column(peaks, name))).rstrip())
     print(_valence_summary(timings))
+    print(_find_roots_summary(timings))
     return 0
 
 

@@ -437,9 +437,10 @@ def valence_at(phi, lam, tol=BOUNDARY_TOL):
 LEVEL_IM_TOL = 1e-6
 
 #: within this distance (relative) of a circle critical value, N - xD has
-#: two circle roots close together; valence_at may merge them into one
-#: double root off the circle, so the pieces and root counting can
-#: disagree there, and the count is left to valence_at
+#: two circle roots close together; valence_at merges them into one double
+#: root off the circle when rounding could explain their distance, so the
+#: pieces and root counting can disagree there, and the count is left to
+#: valence_at
 EVENT_VALUE_TOL = 1e-6
 
 

@@ -1,12 +1,21 @@
 """Complex polynomial arithmetic, root finding, and disk root counting.
 
 Polynomials are stored with ascending coefficients (c[0] + c[1] z + ...).
-The root finder is a simultaneous Aberth-Ehrlich iteration with random
-perturbation restarts, followed by a Newton polish and multiplicity
-clustering.  Root counts inside a circle are the basic primitive behind
-every valence computation; an argument-principle winding count is provided
-as an independent cross-check.
+The root finder is a simultaneous Aberth-Ehrlich iteration (Aberth 1973),
+followed by a Newton polish and multiplicity clustering.  Aberth starts
+from the eigenvalues of the companion matrix (Edelman & Murakami 1995) when
+every two of them are at least EIG_START_SEPARATION * (1 + max |e|) apart;
+the iteration then only confirms them, usually in one sweep.  A closer
+pair suggests a multiple or clustered root, whose computed eigenvalues
+scatter further than Aberth's iterates do, so the iteration starts instead
+from points on a circle, with random perturbation restarts.  Clustering is
+skipped when no two polished roots are close enough to merge.  Root counts
+inside a circle are the basic primitive behind every valence computation;
+an argument-principle winding count is provided as an independent
+cross-check.
 """
+
+import math
 
 import numpy as np
 
@@ -19,6 +28,14 @@ CLUSTER_TOL = 1e-6
 #: default distance from the unit circle at which a root is flagged as
 #: sitting on the boundary
 BOUNDARY_TOL = 1e-9
+
+#: companion eigenvalues start the Aberth iteration only when every two of
+#: them are at least this far apart, relative to 1 + max |e|
+EIG_START_SEPARATION = 1e-2
+
+#: _cluster's second pass merges two groups only when they lie within this
+#: multiple of the radius that rounding can scatter the merged root to
+RING_FACTOR = 100.0
 
 
 class NonConvergence(Exception):
@@ -199,8 +216,48 @@ def _initial_guesses(coeffs, rng):
     return (0.5 + 0.5 * radius) * np.exp(1j * (ang + jitter))
 
 
+def _eigenvalue_start(coeffs):
+    """Eigenvalues of the companion matrix of coeffs when every two are at
+    least EIG_START_SEPARATION * (1 + max |e|) apart, else None."""
+    n = len(coeffs) - 1
+    comp = np.zeros((n, n), dtype=np.complex128)
+    comp[1:, :-1] = np.eye(n - 1)
+    comp[:, -1] = -coeffs[:-1] / coeffs[-1]
+    if not np.isfinite(comp).all():
+        return None
+    eigs = np.linalg.eigvals(comp)
+    gaps = np.abs(eigs[:, None] - eigs[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    # written so that a nan eigenvalue fails the test
+    if not gaps.min() >= EIG_START_SEPARATION * (1.0 + np.abs(eigs).max()):
+        return None
+    return eigs
+
+
+def _aberth_roots(coeffs, tol, max_iter):
+    """Aberth from the companion eigenvalues when they are well separated,
+    otherwise from a circle with up to three random perturbation restarts.
+    Raises NonConvergence when every start exhausts the budget."""
+    start = _eigenvalue_start(coeffs)
+    if start is not None:
+        roots, _, ok = _kernels.aberth_iterate(coeffs, start, tol, max_iter)
+        if ok:
+            return roots
+    rng = None
+    for attempt in range(4):
+        guesses = _initial_guesses(coeffs, rng)
+        roots, _, ok = _kernels.aberth_iterate(coeffs, guesses, tol, max_iter)
+        if ok:
+            return roots
+        rng = np.random.default_rng(0xC0FFEE + attempt)
+    raise NonConvergence(
+        "Aberth iteration failed after restarts (degree %d)"
+        % (len(coeffs) - 1)
+    )
+
+
 def _newton_polish(coeffs, roots, steps=3):
-    dcoeffs = (Poly(coeffs)).derivative().coeffs
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     for _ in range(steps):
         p = _kernels.horner_many(coeffs, roots)
         dp = _kernels.horner_many(dcoeffs, roots)
@@ -213,6 +270,20 @@ def _newton_polish(coeffs, roots, steps=3):
     return roots
 
 
+def _amplified_tol(base_tol):
+    """Distance within which _cluster's second pass may merge two groups."""
+    return max(200.0 * base_tol, 1e-4)
+
+
+def _rounding_ring(coeffs, center, dm, m):
+    """Radius to which rounding scatters an m-fold root at center: the
+    distance at which |p^(m)(center) / m!| r^m reaches the rounding noise
+    of evaluating p there; dm is |p^(m)(center)|."""
+    noise = np.abs(coeffs) @ (abs(center) ** np.arange(len(coeffs)))
+    lead = max(dm / math.factorial(m), 1e-300)
+    return (np.finfo(np.float64).eps * noise / lead) ** (1.0 / m)
+
+
 def _cluster(roots, coeffs, base_tol):
     """Group computed roots into multiplicity clusters.
 
@@ -220,7 +291,10 @@ def _cluster(roots, coeffs, base_tol):
     groups whose centers are within an amplified tolerance when the low
     derivatives of p at the joint centroid all vanish numerically (the ring
     of iterates around a root of multiplicity m has radius ~ eps^(1/m),
-    which a fixed tolerance misses for m >= 3).
+    which a fixed tolerance misses for m >= 3), unless the two groups lie
+    more than RING_FACTOR times that radius apart: then they are distinct
+    roots, such as the two circle roots of N - xD near a circle critical
+    value, which the derivative test alone passes.
     """
     n = len(roots)
     parent = list(range(n))
@@ -248,7 +322,7 @@ def _cluster(roots, coeffs, base_tol):
         return list(g.values())
 
     # second pass: derivative-verified merging of suspicious near-groups
-    amp_tol = max(200.0 * base_tol, 1e-4)
+    amp_tol = _amplified_tol(base_tol)
     scale = np.abs(coeffs).max()
     p = Poly(coeffs)
     changed = True
@@ -269,7 +343,8 @@ def _cluster(roots, coeffs, base_tol):
                         ok = False
                         break
                     d = d.derivative()
-                if ok:
+                if ok and abs(centers[a] - centers[b]) <= RING_FACTOR * (
+                        _rounding_ring(coeffs, c, abs(d(c)), m)):
                     union(gs[a][0], gs[b][0])
                     changed = True
             if changed:
@@ -277,20 +352,13 @@ def _cluster(roots, coeffs, base_tol):
     return groups()
 
 
-def find_roots(p, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL,
-               boundary_tol=BOUNDARY_TOL):
-    """All complex roots of p with multiplicities.
-
-    Aberth-Ehrlich simultaneous iteration with up to three random
-    perturbation restarts, Newton polish, then multiplicity clustering.
-    Raises NonConvergence when the budget is exhausted.
-    """
-    p = _as_poly(p)
-    c = p.coeffs.copy()
-    # relative trim of vanishing leading coefficients
-    scale = np.abs(c).max()
+def _trimmed(coeffs):
+    """(c, n_zero): coeffs without vanishing leading coefficients (relative
+    to the largest) and without its n_zero exact zero roots."""
+    scale = np.abs(coeffs).max()
     if scale == 0:
         raise ValueError("cannot take roots of the zero polynomial")
+    c = coeffs
     while len(c) > 1 and abs(c[-1]) < 1e-14 * scale:
         c = c[:-1]
     if len(c) - 1 < 1:
@@ -300,36 +368,42 @@ def find_roots(p, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL,
     while c[0] == 0:
         c = c[1:]
         n_zero += 1
-    all_roots = [0.0 + 0.0j] * n_zero
-    deg = len(c) - 1
-    if deg > 0:
-        roots = None
-        rng = None
-        for attempt in range(4):
-            guesses = _initial_guesses(c, rng)
-            cand, _, ok = _kernels.aberth_iterate(c, guesses, tol, max_iter)
-            if ok:
-                roots = cand
-                break
-            rng = np.random.default_rng(0xC0FFEE + attempt)
-        if roots is None:
-            raise NonConvergence(
-                "Aberth iteration failed after restarts (degree %d)" % deg
-            )
-        roots = _newton_polish(c, roots)
-        all_roots.extend(roots.tolist())
+    return c, n_zero
 
-    arr = np.array(all_roots, dtype=np.complex128)
-    groups = _cluster(arr, p.coeffs, cluster_tol)
-    out = []
-    mult = []
-    for g in groups:
-        center = np.mean(arr[list(g)])
-        if abs(center) < 1e-300:
-            center = 0.0 + 0.0j
-        for _ in g:
-            out.append(center)
-            mult.append(len(g))
+
+def find_roots(p, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL,
+               boundary_tol=BOUNDARY_TOL):
+    """All complex roots of p with multiplicities.
+
+    Aberth-Ehrlich simultaneous iteration (from the companion eigenvalues
+    when they are well separated, else from a circle with up to three
+    random perturbation restarts), Newton polish, then multiplicity
+    clustering.  Raises NonConvergence when the budget is exhausted.
+    """
+    p = _as_poly(p)
+    scale = np.abs(p.coeffs).max()
+    c, n_zero = _trimmed(p.coeffs)
+    arr = np.zeros(n_zero, dtype=np.complex128)
+    if len(c) > 1:
+        roots = _newton_polish(c, _aberth_roots(c, tol, max_iter))
+        arr = np.concatenate([arr, roots])
+
+    gaps = np.abs(arr[:, None] - arr[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min() >= _amplified_tol(cluster_tol):
+        # no two roots close enough for either pass of _cluster to merge
+        out = np.where(np.abs(arr) < 1e-300, 0.0, arr)
+        mult = np.ones(len(arr), dtype=np.int64)
+    else:
+        out = []
+        mult = []
+        for g in _cluster(arr, p.coeffs, cluster_tol):
+            center = np.mean(arr[list(g)])
+            if abs(center) < 1e-300:
+                center = 0.0 + 0.0j
+            for _ in g:
+                out.append(center)
+                mult.append(len(g))
     out = np.array(out, dtype=np.complex128)
     mult = np.array(mult, dtype=np.int64)
     order = np.lexsort((out.imag, out.real))

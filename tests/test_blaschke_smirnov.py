@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rsmirnov.blaschke_smirnov import (
     Blaschke,
@@ -358,9 +358,12 @@ class TestClosureOps:
 
 
 @given(st.integers(0, 10 ** 6))
+@example(21060)  # phi = -16333.4 - 1.95e-8 i, 0.0013 from a circle pole
 @settings(max_examples=30, deadline=None)
 def test_boundary_realness_random_helson(seed):
     rng = np.random.default_rng(seed)
     phi = random_helson(rng, int(rng.integers(0, 3)), int(rng.integers(1, 3)))
-    _, ims = phi.boundary_im_samples(128, delta=1e-3)
-    assert ims.max() < 1e-8
+    ts, ims = phi.boundary_im_samples(128, delta=1e-3)
+    # boundary_value's rule: rounding noise in Im grows with |phi|
+    re_phi = np.abs(phi(np.exp(1j * ts)).real)
+    assert np.all(ims <= 1e-8 * np.maximum(1.0, re_phi))

@@ -1,16 +1,23 @@
 """Tests for polynomial arithmetic, the Aberth root finder, and root counting.
 
 Root-count oracles use numpy's companion-matrix eigenvalue solver, which
-shares no code with the Aberth iteration under test.
+shares no code with the Aberth iteration under test.  find_roots starts
+Aberth from those eigenvalues when they are well separated; it is compared
+with circle_start_find_roots below, which always starts from a circle.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rsmirnov import _kernels, complex_poly
 from rsmirnov.complex_poly import (
+    BOUNDARY_TOL,
+    CLUSTER_TOL,
     CircleTooClose,
+    NonConvergence,
     Poly,
+    RootReport,
     compose_mobius,
     compose_rational,
     count_roots_in_disk,
@@ -215,3 +222,161 @@ def test_count_invariant_under_scaling(pts, const):
     c1, _ = count_roots_in_disk(p, 1.0)
     c2, _ = count_roots_in_disk(p.scale(const), 1.0)
     assert c1 == c2
+
+
+# -- the eigenvalue start against the circle start ---------------------------
+
+
+def circle_start_find_roots(p, tol=1e-13, max_iter=400):
+    """find_roots with Aberth always started from a circle (with up to three
+    random perturbation restarts), and always clustered, with the report
+    built group by group.  It shares the polish and _cluster with
+    find_roots, so a comparison isolates the start and the skipped
+    clustering."""
+    c = p.coeffs.copy()
+    scale = np.abs(c).max()
+    while len(c) > 1 and abs(c[-1]) < 1e-14 * scale:
+        c = c[:-1]
+    n_zero = 0
+    while c[0] == 0:
+        c = c[1:]
+        n_zero += 1
+    all_roots = [0.0 + 0.0j] * n_zero
+    if len(c) > 1:
+        roots = None
+        rng = None
+        for attempt in range(4):
+            guesses = complex_poly._initial_guesses(c, rng)
+            cand, _, ok = _kernels.aberth_iterate(c, guesses, tol, max_iter)
+            if ok:
+                roots = cand
+                break
+            rng = np.random.default_rng(0xC0FFEE + attempt)
+        if roots is None:
+            raise NonConvergence("no convergence")
+        all_roots.extend(complex_poly._newton_polish(c, roots).tolist())
+    arr = np.array(all_roots, dtype=np.complex128)
+    out = []
+    mult = []
+    for g in complex_poly._cluster(arr, p.coeffs, CLUSTER_TOL):
+        center = np.mean(arr[list(g)])
+        if abs(center) < 1e-300:
+            center = 0.0 + 0.0j
+        for _ in g:
+            out.append(center)
+            mult.append(len(g))
+    out = np.array(out, dtype=np.complex128)
+    mult = np.array(mult, dtype=np.int64)
+    order = np.lexsort((out.imag, out.real))
+    out, mult = out[order], mult[order]
+    residual = float(np.abs(p(out)).max() / scale)
+    boundary = np.abs(np.abs(out) - 1.0) < BOUNDARY_TOL
+    return RootReport(out, mult, residual, boundary)
+
+
+def assert_same_report(p):
+    got = find_roots(p)
+    want = circle_start_find_roots(p)
+    assert len(got.roots) == len(want.roots)
+    # match roots by distance: two roots that tie in real part may come
+    # out of the lexicographic sort in either order
+    tol = 1e-12 * max(1.0, np.abs(want.roots).max())
+    unmatched = list(range(len(want.roots)))
+    for k, r in enumerate(got.roots):
+        j = min(unmatched, key=lambda i: abs(want.roots[i] - r))
+        assert abs(want.roots[j] - r) <= tol, (r, want.roots[j])
+        assert got.multiplicities[k] == want.multiplicities[j]
+        assert got.boundary[k] == want.boundary[j]
+        unmatched.remove(j)
+
+
+def _point(r_max):
+    return st.complex_numbers(max_magnitude=r_max, allow_nan=False,
+                              allow_infinity=False)
+
+
+def _apart(pts, gap):
+    return all(abs(a - b) > gap for i, a in enumerate(pts) for b in pts[i + 1:])
+
+
+# simple roots at least 0.3 apart in |z| <= 2
+separated_roots = st.lists(_point(2.0), min_size=1, max_size=6).filter(
+    lambda pts: _apart(pts, 0.3))
+# a base set plus a pair 1e-7 to 1e-3 apart
+close_pair_roots = st.builds(
+    lambda base, r, d, theta: base + [r, r + d * np.exp(1j * theta)],
+    st.lists(_point(2.0), max_size=3),
+    _point(2.0),
+    st.floats(-7, -3).map(lambda e: 10.0 ** e),
+    st.floats(0, 2 * np.pi),
+).filter(lambda pts: _apart(pts[:-1], 0.3))
+# an m-fold root on the circle or off it, plus simple roots
+multiple_roots = st.builds(
+    lambda base, r, m: base + [r] * m,
+    st.lists(_point(2.0), max_size=2),
+    st.one_of(st.floats(0, 2 * np.pi).map(lambda t: complex(np.exp(1j * t))),
+              _point(2.0)),
+    st.integers(2, 4),
+).filter(lambda pts: _apart(sorted(set(pts), key=lambda z: (z.real, z.imag)),
+                            0.3))
+# simple roots within 1e-9 of the circle (clear of BOUNDARY_TOL itself,
+# where the last bit decides the flag), plus simple roots
+near_circle_roots = st.builds(
+    lambda base, rim: base + rim,
+    st.lists(_point(2.0), max_size=2),
+    st.lists(st.builds(lambda t, d: complex((1.0 + d) * np.exp(1j * t)),
+                       st.floats(0, 2 * np.pi),
+                       st.floats(-0.99e-9, 0.99e-9)),
+             min_size=1, max_size=3),
+).filter(lambda pts: _apart(pts, 0.3))
+
+
+@pytest.mark.parametrize("roots", [separated_roots, close_pair_roots,
+                                   multiple_roots, near_circle_roots],
+                         ids=["separated", "close_pair", "multiple",
+                              "near_circle"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_eigenvalue_start_matches_circle_start(roots, data):
+    pts = data.draw(roots)
+    lead = data.draw(_point(3.0).filter(lambda a: abs(a) > 0.1))
+    assert_same_report(poly_from_roots(pts, lead=lead))
+
+
+def _recording_aberth(monkeypatch):
+    calls = []
+    original = _kernels.aberth_iterate
+
+    def recording(coeffs, initial, *args):
+        out = original(coeffs, initial, *args)
+        calls.append((np.array(initial), out[1]))
+        return out
+
+    monkeypatch.setattr(_kernels, "aberth_iterate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("p, m", [(Poly([1, -1]) ** 4, 4),
+                                  (Poly([-1, 1]) ** 3, 3)])
+def test_multiple_root_takes_the_circle_start(monkeypatch, p, m):
+    calls = _recording_aberth(monkeypatch)
+    rep = find_roots(p)
+    assert complex_poly._eigenvalue_start(p.coeffs) is None
+    circle = complex_poly._initial_guesses(p.coeffs, None)
+    assert len(calls) == 1 and np.array_equal(calls[0][0], circle)
+    assert rep.multiplicities.tolist() == [m] * m
+    assert np.abs(rep.roots - 1.0).max() < 1e-3
+
+
+def test_separated_cubic_takes_the_eigenvalue_start(monkeypatch):
+    p = poly_from_roots([0.5, -0.4 + 0.7j, 1.5 - 0.2j], lead=2.0)
+    calls = _recording_aberth(monkeypatch)
+    rep = find_roots(p)
+    eigs = np.roots(p.coeffs[::-1])
+    assert len(calls) == 1
+    start, sweeps = calls[0]
+    assert np.abs(np.sort_complex(start) - np.sort_complex(eigs)).max() < 1e-14
+    assert sweeps == 1
+    assert rep.roots == pytest.approx(
+        sorted([0.5, -0.4 + 0.7j, 1.5 - 0.2j], key=lambda z: z.real),
+        abs=1e-14)

@@ -5,9 +5,9 @@ function t -> phi(e^{it}) takes the value x; valence_at counts the roots
 of N - xD inside the disk.  The two are independent, so every count the
 fast path gives is compared with the oracle.  Where they disagree, the
 count of N - xD at 50 digits decides, and it must side with the fast
-path: the oracle's multiplicity clustering can merge two distinct circle
-roots near a circle critical point into one double root just inside the
-circle.
+path: near a circle critical point N - xD has two circle roots close
+together, and the oracle's multiplicity clustering may merge them into
+one double root just off the circle.
 """
 
 import math
@@ -107,9 +107,11 @@ def test_events_are_the_circle_critical_points_and_poles_in_order():
 def test_pieces_right_where_clustering_misleads_the_oracle():
     # a (3, 2) pair with circle poles 0.015 apart on either side of a
     # circle critical point of value -17279.79; one below that value all
-    # five roots of N - xD lie on the circle, but valence_at merges the two
-    # near the critical point into a double root 1.7e-9 inside and
-    # counts 2
+    # five roots of N - xD lie on the circle, two of them 1.2e-4 apart near
+    # the critical point.  The derivative test of the clustering passes on
+    # them, and merged they make a double root 1.7e-9 inside (a count of
+    # 2), but they lie thousands of rounding radii apart, so valence_at
+    # keeps them apart
     b1 = Blaschke([0.7564551179952949 - 0.5318841971101056j,
                    0.22314179229004222 - 0.533621832503816j,
                    -0.10689726691617898 + 0.9819082676580152j],
@@ -122,6 +124,7 @@ def test_pieces_right_where_clustering_misleads_the_oracle():
     x = min(v for _, v in pieces.critical) - 1.0
     assert x == pytest.approx(-17280.79, abs=0.01)
     assert pieces.count(x) == exact_valence(phi, x) == 0
+    assert valence_at(phi, x)[0] == 0
 
 
 def test_shared_denominator_roots_give_the_same_pieces():
