@@ -15,6 +15,12 @@ of N - xD once per point; real_valence counts on the boundary pieces,
 built once per five points as the synthesis loss builds them once per
 candidate.  A closing line gives both per call and the fallback rate.
 
+The valence count rows count the disk roots of N - lambda D at the same
+200 points on each of the five fixtures (50 in each half plane and 100 on
+the real line, drawn as crosscheck draws them): valence_at once per point,
+valence_counts once per fixture for all 200.  A closing line gives both
+per point and the share of points valence_counts leaves to its fallback.
+
 The find_roots row finds the roots of a fixed corpus: the denominators
 and W polynomials of 250 random (2, 1) edge candidates, as the synthesis
 loss finds them once per candidate.  The denominators have degree 3; W
@@ -45,6 +51,7 @@ from rsmirnov.blaschke_smirnov import (
     random_blaschke,
     real_valence,
     valence_at,
+    valence_counts,
 )
 from rsmirnov.fixtures import all_fixtures, double_slit, fourth_power_map
 from rsmirnov.region_extraction import (
@@ -94,6 +101,32 @@ def two_one_candidate():
     return from_blaschke(b1, b2)
 
 
+COUNTS_ROWS = ("valence_at (200 λ, 5 fixtures)",
+               "valence_counts (200 λ, 5 fixtures)")
+
+
+def crosscheck_points():
+    """50 points in each half plane and 100 on the real line."""
+    rng = np.random.default_rng(8)
+    half = [complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
+            for sign in (1, -1) for _ in range(50)]
+    return half + rng.uniform(-3.0, 3.0, 100).tolist()
+
+
+def counts_fallback_share(points):
+    """Share of the fixtures' N - lambda D that leave the fast path of
+    valence_counts."""
+    left = []
+    for phi in all_fixtures().values():
+        polys = [phi.num - phi.den.scale(complex(lam)) for lam in points]
+        rows = np.zeros((len(polys), max(len(p.coeffs) for p in polys)),
+                        dtype=np.complex128)
+        for row, p in zip(rows, polys):
+            row[:len(p.coeffs)] = p.coeffs
+        left += (~complex_poly._row_roots(rows)[1]).tolist()
+    return np.mean(left)
+
+
 FIND_ROOTS_ROW = "find_roots (500 polys, deg 3-5)"
 
 
@@ -115,8 +148,8 @@ def eigenvalue_start_share(polys):
     """Share of polys whose Aberth iteration starts from the companion
     eigenvalues."""
     return np.mean([
-        complex_poly._eigenvalue_start(complex_poly._trimmed(p.coeffs)[0])
-        is not None for p in polys])
+        complex_poly._eigenvalue_start(
+            complex_poly._trimmed(p.coeffs)[0][None])[1][0] for p in polys])
 
 
 def real_fallbacks(phi):
@@ -169,6 +202,18 @@ def run_benchmarks():
             for x in REAL_POINTS[k:k + POINTS_PER_BUILD]:
                 real_valence(cand, x, pieces)
 
+    fixtures = list(all_fixtures().values())
+    points = crosscheck_points()
+
+    def bench_counts_valence_at():
+        for phi in fixtures:
+            for lam in points:
+                valence_at(phi, lam)
+
+    def bench_valence_counts():
+        for phi in fixtures:
+            valence_counts(phi, points)
+
     corpus = find_roots_corpus()
 
     def bench_find_roots():
@@ -197,6 +242,8 @@ def run_benchmarks():
         "trace_arc (60 arcs)": _time(bench_trace),
         VALENCE_ROWS[0]: _time(bench_valence_at),
         VALENCE_ROWS[1]: _time(bench_real_valence),
+        COUNTS_ROWS[0]: _time(bench_counts_valence_at),
+        COUNTS_ROWS[1]: _time(bench_valence_counts),
         FIND_ROOTS_ROW: _time(bench_find_roots),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
@@ -222,6 +269,16 @@ def _valence_summary(timings):
                len(REAL_POINTS)))
 
 
+def _counts_summary(timings):
+    points = crosscheck_points()
+    n = len(points) * len(all_fixtures())
+    per_point = [1e6 * timings[name] / n for name in COUNTS_ROWS]
+    return ("valence count at %d points on 5 fixtures, per point: valence_at "
+            "%.0f us, valence_counts %.0f us; fallback for %.1f%% of points"
+            % (len(points), *per_point,
+               100.0 * counts_fallback_share(points)))
+
+
 def _find_roots_summary(timings):
     corpus = find_roots_corpus()
     return ("find_roots, per call: %.0f us; eigenvalue start for %.1f%% of "
@@ -240,6 +297,7 @@ def main(argv=None):
         print(("%-36s %8.1f ms %s"
                % (name, 1e3 * t, _peak_column(peaks, name))).rstrip())
     print(_valence_summary(timings))
+    print(_counts_summary(timings))
     print(_find_roots_summary(timings))
     return 0
 

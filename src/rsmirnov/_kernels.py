@@ -1,9 +1,10 @@
 """Hot numerical loops shared by the analysis modules.
 
-Four kernels live here: Horner evaluation of a polynomial over an array of
-points, the Aberth-Ehrlich simultaneous root iteration, grid classification
-by the sign of Im(N/D), and the predictor-corrector stepper used to follow
-level curves of Im(N/D).  Each has one numpy/Python implementation.
+Four kernels live here: Horner evaluation of a polynomial (or of a stack of
+coefficient rows) over an array of points, the Aberth-Ehrlich simultaneous
+root iteration, grid classification by the sign of Im(N/D), and the
+predictor-corrector stepper used to follow level curves of Im(N/D).  Each
+has one numpy/Python implementation.
 """
 
 import numpy as np
@@ -37,10 +38,19 @@ def _horner_scalar(coeffs, z):
 
 
 def horner_many(coeffs, z):
-    """Evaluate the polynomial (coefficients ascending) at an array of points."""
+    """Evaluate the polynomial (coefficients ascending) at an array of points.
+
+    With coefficient rows of shape (k, m), row i is evaluated at the points
+    z[i], and z has a leading axis of length k.
+    """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    zf = np.ascontiguousarray(z, dtype=np.complex128).ravel()
-    return _horner_many(coeffs, zf).reshape(np.shape(z))
+    zf = np.ascontiguousarray(z, dtype=np.complex128)
+    if coeffs.ndim == 2:
+        # one coefficient column per Horner step, broadcast along each row
+        out = _horner_many(coeffs.T[:, :, None], zf.reshape(len(coeffs), -1))
+    else:
+        out = _horner_many(coeffs, zf.ravel())
+    return out.reshape(np.shape(z))
 
 
 def horner_scalar(coeffs, z):

@@ -28,6 +28,7 @@ from .complex_poly import (
     Poly,
     compose_rational,
     count_roots_in_disk,
+    disk_root_counts,
     find_roots,
 )
 
@@ -432,6 +433,29 @@ def valence_at(phi, lam, tol=BOUNDARY_TOL):
     return count_roots_in_disk(p, 1.0, tol)
 
 
+def valence_counts(phi, lams):
+    """valence_at(phi, lam)[0] for every lam of lams, as an integer array.
+
+    The polynomials N - lambda D are built as coefficient rows, with the
+    operations valence_at's Poly arithmetic performs, so every row is
+    bit for bit that polynomial's coefficients; disk_root_counts counts
+    them all in one call.  A lambda at which N - lambda D is constant goes
+    to valence_at.
+    """
+    lams = np.asarray(lams, dtype=np.complex128).ravel()
+    num, den = phi.num.coeffs, phi.den.coeffs
+    rows = np.zeros((len(lams), max(len(num), len(den))), dtype=np.complex128)
+    rows[:, :len(num)] += num
+    rows[:, :len(den)] += -(den * lams[:, None])
+    counts = np.zeros(len(lams), dtype=np.int64)
+    moving = (rows[:, 1:] != 0).any(axis=1)
+    for i in np.flatnonzero(~moving):
+        counts[i] = valence_at(phi, lams[i])[0]
+    if moving.any():
+        counts[moving] = disk_root_counts(rows[moving])
+    return counts
+
+
 #: an interior critical point is a branch point of the level set when
 #: |Im phi| there is at most this, relative to max(1, |phi|)
 LEVEL_IM_TOL = 1e-6
@@ -570,8 +594,10 @@ def halfplane_valences(phi, seed=0, n_check=8):
 
     With a Helson pair present this is (deg B2, deg B1), cross-checked by
     sampling; otherwise both half planes are sampled and constancy is
-    asserted.  Raises InconsistentValence when samples disagree (numerical
-    failure: the valence is constant on each half plane).
+    asserted.  The n_check points of each half plane are drawn first and
+    counted by one valence_counts call.  Raises InconsistentValence when
+    samples disagree (numerical failure: the valence is constant on each
+    half plane).
 
     These are also the deficiency indices, the codimensions of the ranges
     of the Toeplitz operator T_phi - lambda over each half plane: for
@@ -579,19 +605,10 @@ def halfplane_valences(phi, seed=0, n_check=8):
     product, so the indices coincide with the half-plane valences.
     """
     rng = np.random.default_rng(seed)
-
-    def sample(sign, n):
-        counts = []
-        for _ in range(n):
-            lam = complex(
-                rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0)
-            )
-            c, _ = valence_at(phi, lam)
-            counts.append(c)
-        return counts
-
-    up = sample(+1, n_check)
-    lo = sample(-1, n_check)
+    lams = [complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
+            for sign in (+1,) * n_check + (-1,) * n_check]
+    counts = valence_counts(phi, lams).tolist()
+    up, lo = counts[:n_check], counts[n_check:]
     if phi.b1 is not None and phi.b2 is not None:
         expect = (phi.b2.degree, phi.b1.degree)
         if any(c != expect[0] for c in up) or any(c != expect[1] for c in lo):

@@ -11,7 +11,10 @@ scatter further than Aberth's iterates do, so the iteration starts instead
 from points on a circle, with random perturbation restarts.  Clustering is
 skipped when no two polished roots are close enough to merge.  Root counts
 inside a circle are the basic primitive behind every valence computation;
-an argument-principle winding count is provided as an independent
+disk_root_counts takes many polynomials of one degree at once, as rows of
+coefficients, through the same eigenvalue start, Aberth iteration and
+polish, so that the fixed cost of a call is paid once per stack.  An
+argument-principle winding count is provided as an independent
 cross-check.
 """
 
@@ -113,9 +116,6 @@ class Poly:
         k = np.arange(1, len(self.coeffs))
         return Poly(self.coeffs[1:] * k)
 
-    def monic(self):
-        return Poly(self.coeffs / self.coeffs[-1])
-
     def __pow__(self, n):
         out = Poly([1])
         base = self
@@ -216,31 +216,42 @@ def _initial_guesses(coeffs, rng):
     return (0.5 + 0.5 * radius) * np.exp(1j * (ang + jitter))
 
 
-def _eigenvalue_start(coeffs):
-    """Eigenvalues of the companion matrix of coeffs when every two are at
-    least EIG_START_SEPARATION * (1 + max |e|) apart, else None."""
-    n = len(coeffs) - 1
-    comp = np.zeros((n, n), dtype=np.complex128)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -coeffs[:-1] / coeffs[-1]
-    if not np.isfinite(comp).all():
-        return None
+def _eigenvalue_start(rows):
+    """Companion eigenvalues of coefficient rows (k, n + 1), as (eigs, ok):
+    eigs (k, n), and ok (k,) where the companion matrix of the row is
+    finite and every two of its eigenvalues are at least
+    EIG_START_SEPARATION * (1 + max |e|) apart."""
+    k, n = rows.shape[0], rows.shape[1] - 1
+    last = -rows[:, :-1] / rows[:, -1:]
+    finite = np.isfinite(last).all(axis=1)
+    if not finite.all():
+        last[~finite] = 0.0
+    comp = np.zeros((k, n, n), dtype=np.complex128)
+    comp.reshape(k, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
+    comp[:, :, -1] = last
     eigs = np.linalg.eigvals(comp)
-    gaps = np.abs(eigs[:, None] - eigs[None, :])
-    np.fill_diagonal(gaps, np.inf)
     # written so that a nan eigenvalue fails the test
-    if not gaps.min() >= EIG_START_SEPARATION * (1.0 + np.abs(eigs).max()):
-        return None
-    return eigs
+    ok = finite & (_min_gaps(eigs)
+                   >= EIG_START_SEPARATION * (1.0 + np.abs(eigs).max(axis=1)))
+    return eigs, ok
+
+
+def _min_gaps(roots):
+    """Smallest distance between two entries of each row of roots (k, n);
+    inf for n = 1."""
+    k, n = roots.shape
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :]).reshape(k, n * n)
+    gaps[:, ::n + 1] = np.inf
+    return gaps.min(axis=1)
 
 
 def _aberth_roots(coeffs, tol, max_iter):
     """Aberth from the companion eigenvalues when they are well separated,
     otherwise from a circle with up to three random perturbation restarts.
     Raises NonConvergence when every start exhausts the budget."""
-    start = _eigenvalue_start(coeffs)
-    if start is not None:
-        roots, _, ok = _kernels.aberth_iterate(coeffs, start, tol, max_iter)
+    eigs, separated = _eigenvalue_start(coeffs[None])
+    if separated[0]:
+        roots, _, ok = _kernels.aberth_iterate(coeffs, eigs[0], tol, max_iter)
         if ok:
             return roots
     rng = None
@@ -256,11 +267,20 @@ def _aberth_roots(coeffs, tol, max_iter):
     )
 
 
-def _newton_polish(coeffs, roots, steps=3):
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+def _newton_polish(rows, roots, steps=3):
+    """Newton steps on the roots (k, n) of the coefficient rows (k, n + 1).
+
+    p and p' are evaluated as one stack of 2k rows.  The rows of p' are
+    padded with a zero leading coefficient, so Horner's first step gives
+    exactly their own leading coefficient at any finite root.
+    """
+    k, m = rows.shape
+    both = np.zeros((2 * k, m), dtype=np.complex128)
+    both[:k] = rows
+    both[k:, :-1] = rows[:, 1:] * np.arange(1, m)
     for _ in range(steps):
-        p = _kernels.horner_many(coeffs, roots)
-        dp = _kernels.horner_many(dcoeffs, roots)
+        pv = _kernels.horner_many(both, np.concatenate([roots, roots]))
+        p, dp = pv[:k], pv[k:]
         mask = np.abs(dp) > 1e-280
         upd = np.where(mask, p / np.where(mask, dp, 1.0), 0.0)
         # do not let a polish step fling a root far away (multiple roots)
@@ -385,12 +405,10 @@ def find_roots(p, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL,
     c, n_zero = _trimmed(p.coeffs)
     arr = np.zeros(n_zero, dtype=np.complex128)
     if len(c) > 1:
-        roots = _newton_polish(c, _aberth_roots(c, tol, max_iter))
-        arr = np.concatenate([arr, roots])
+        roots = _newton_polish(c[None], _aberth_roots(c, tol, max_iter)[None])
+        arr = np.concatenate([arr, roots[0]])
 
-    gaps = np.abs(arr[:, None] - arr[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() >= _amplified_tol(cluster_tol):
+    if _min_gaps(arr[None])[0] >= _amplified_tol(cluster_tol):
         # no two roots close enough for either pass of _cluster to merge
         out = np.where(np.abs(arr) < 1e-300, 0.0, arr)
         mult = np.ones(len(arr), dtype=np.int64)
@@ -404,8 +422,8 @@ def find_roots(p, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL,
             for _ in g:
                 out.append(center)
                 mult.append(len(g))
-    out = np.array(out, dtype=np.complex128)
-    mult = np.array(mult, dtype=np.int64)
+        out = np.array(out, dtype=np.complex128)
+        mult = np.array(mult, dtype=np.int64)
     order = np.lexsort((out.imag, out.real))
     out, mult = out[order], mult[order]
     pv = _kernels.horner_many(p.coeffs, out)
@@ -420,7 +438,9 @@ def count_roots_in_disk(p, radius=1.0, tol=BOUNDARY_TOL):
     Roots within tol of the circle |z| = radius are *not* counted; they are
     reported in the warnings list as (root, distance) pairs, since a root
     numerically on the circle is outside the open disk for valence
-    purposes.
+    purposes.  disk_root_counts gives the same counts for many polynomials
+    at once, and calls this for every polynomial it cannot take through
+    its fast path.
     """
     rep = find_roots(p)
     count = 0
@@ -432,6 +452,53 @@ def count_roots_in_disk(p, radius=1.0, tol=BOUNDARY_TOL):
         elif abs(r) < radius:
             count += 1
     return count, warnings
+
+
+def _row_roots(rows, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL):
+    """(roots, fast): the roots (k, n) that find_roots gives every
+    coefficient row of rows (k, n + 1), n >= 1, where fast (k,) is True.
+
+    A row is fast when find_roots would neither trim it nor strip an exact
+    zero root, its companion eigenvalues pass the separation test, Aberth
+    converges from them, and no two polished roots lie close enough for
+    _cluster to merge.  Its roots are then exactly find_roots' (before the
+    sort); the roots of the other rows are meaningless.
+    """
+    k, n = rows.shape[0], rows.shape[1] - 1
+    fast = ((np.abs(rows[:, -1]) >= 1e-14 * np.abs(rows).max(axis=1))
+            & (rows[:, 0] != 0))
+    roots = np.full((k, n), np.nan, dtype=np.complex128)
+    eigs, ok = _eigenvalue_start(rows[fast])
+    for i, e, eig_ok in zip(np.flatnonzero(fast), eigs, ok):
+        conv = False
+        if eig_ok:
+            roots[i], _, conv = _kernels.aberth_iterate(rows[i], e, tol,
+                                                        max_iter)
+        fast[i] = conv
+    if fast.any():
+        roots[fast] = _newton_polish(rows[fast], roots[fast])
+        fast &= _min_gaps(roots) >= _amplified_tol(cluster_tol)
+    return roots, fast
+
+
+def disk_root_counts(rows, tol=BOUNDARY_TOL):
+    """count_roots_in_disk's counts for every coefficient row of rows
+    (k, n + 1), n >= 1, as an integer array (k,).
+
+    Fast path (_row_roots): one companion eigenvalue call over the whole
+    stack, one Aberth run per row from its eigenvalues, one Newton polish
+    over every row, and the count of the roots inside the unit disk and
+    not within tol of the circle.  Fallback: count_roots_in_disk of the
+    row's polynomial, with find_roots' circle start, restarts and
+    multiplicity clustering, for every row the fast path leaves.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    roots, fast = _row_roots(rows)
+    mod = np.abs(roots)
+    counts = ((np.abs(mod - 1.0) >= tol) & (mod < 1.0)).sum(axis=1)
+    for i in np.flatnonzero(~fast):
+        counts[i] = count_roots_in_disk(Poly(rows[i]), 1.0, tol)[0]
+    return counts
 
 
 def winding_count(p, q, radius, n_samples=4096):

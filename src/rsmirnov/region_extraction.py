@@ -810,31 +810,24 @@ def crosscheck(phi, tree: Tree, n_samples: int = 200, seed: int = 0,
     valences) and on the real axis away from breakpoints (expected count:
     the profile's local multiplicity).  At real sample points only interior
     roots are counted; the circle preimages that a real value always has are
-    not part of the count.
+    not part of the count.  Every point is drawn first, and valence_counts
+    counts the roots of N - lambda D at all of them in one call, with the
+    counts valence_at gives one point at a time.
     """
-    from .blaschke_smirnov import valence_at
+    from .blaschke_smirnov import valence_counts
 
     prof = profile(tree)
     rng = np.random.default_rng(seed)
     n_half = n_samples // 4
     n_real = n_samples - 2 * n_half
-    mismatches: list[dict] = []
-    total = 0
+    # (kind, point, expected) per sample, in drawing order
+    samples: list[tuple[str, complex, int]] = []
 
     for sign, expected in ((1, prof.v_plus), (-1, prof.v_minus)):
+        kind = "upper" if sign > 0 else "lower"
         for _ in range(n_half):
             lam = complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
-            got = valence_at(phi, lam)[0]
-            total += 1
-            if got != expected:
-                mismatches.append(
-                    {
-                        "kind": "upper" if sign > 0 else "lower",
-                        "point": [lam.real, lam.imag],
-                        "expected": expected,
-                        "got": got,
-                    }
-                )
+            samples.append((kind, lam, expected))
 
     finite = [b for b in prof.breakpoints if math.isfinite(b)]
     lo = (min(finite) - 2.0) if finite else -3.0
@@ -847,14 +840,18 @@ def crosscheck(phi, tree: Tree, n_samples: int = 200, seed: int = 0,
         if finite and min(abs(x - b) for b in finite) < delta:
             continue
         drawn += 1
-        total += 1
-        expected = prof.multiplicity_at(x)
-        got = valence_at(phi, x)[0]
+        samples.append(("real", x, prof.multiplicity_at(x)))
+
+    counts = valence_counts(phi, [lam for _, lam, _ in samples])
+    mismatches: list[dict] = []
+    for (kind, lam, expected), got in zip(samples, counts.tolist()):
         if got != expected:
+            point = lam if kind == "real" else [lam.real, lam.imag]
             mismatches.append(
-                {"kind": "real", "point": x, "expected": expected, "got": got}
+                {"kind": kind, "point": point, "expected": expected,
+                 "got": got}
             )
-    return CrosscheckReport(total, mismatches)
+    return CrosscheckReport(len(samples), mismatches)
 
 
 # ---------------------------------------------------------------------------

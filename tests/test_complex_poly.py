@@ -254,7 +254,8 @@ def circle_start_find_roots(p, tol=1e-13, max_iter=400):
             rng = np.random.default_rng(0xC0FFEE + attempt)
         if roots is None:
             raise NonConvergence("no convergence")
-        all_roots.extend(complex_poly._newton_polish(c, roots).tolist())
+        all_roots.extend(
+            complex_poly._newton_polish(c[None], roots[None])[0].tolist())
     arr = np.array(all_roots, dtype=np.complex128)
     out = []
     mult = []
@@ -361,7 +362,7 @@ def _recording_aberth(monkeypatch):
 def test_multiple_root_takes_the_circle_start(monkeypatch, p, m):
     calls = _recording_aberth(monkeypatch)
     rep = find_roots(p)
-    assert complex_poly._eigenvalue_start(p.coeffs) is None
+    assert not complex_poly._eigenvalue_start(p.coeffs[None])[1][0]
     circle = complex_poly._initial_guesses(p.coeffs, None)
     assert len(calls) == 1 and np.array_equal(calls[0][0], circle)
     assert rep.multiplicities.tolist() == [m] * m

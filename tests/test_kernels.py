@@ -4,6 +4,8 @@ classify_grid evaluates whole rows of cells with numpy.  It must classify
 every cell exactly as the per-cell loop below does: the arithmetic is the
 same, so no tolerance is allowed.  aberth_iterate and trace_arc are
 checked on inputs whose roots and level curve are known in closed form.
+horner_many over coefficient rows must match it one row at a time, bit for
+bit.
 """
 
 import numpy as np
@@ -96,6 +98,21 @@ def test_horner_many_matches_horner_scalar(seed, deg):
         scale = horner_scalar(np.abs(coeffs), abs(z[idx])).real
         bound = 4 * (deg + 1) * eps * scale
         assert abs(got[idx] - horner_scalar(coeffs, z[idx])) <= bound
+
+
+@given(seed=st.integers(0, 10 ** 6), deg=st.integers(0, 8),
+       k=st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_horner_many_rows_match_one_row_at_a_time(seed, deg, k):
+    # coefficient rows take the same array arithmetic as a single row, so
+    # the root finder's stacked polish matches its one-row polish exactly
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(k, deg + 1)) + 1j * rng.normal(size=(k, deg + 1))
+    z = rng.normal(size=(k, 5)) + 1j * rng.normal(size=(k, 5))
+    got = horner_many(coeffs, z)
+    assert got.shape == z.shape
+    for row, zi, g in zip(coeffs, z, got):
+        assert np.array_equal(g, horner_many(row, zi))
 
 
 def monic_ascending(roots):

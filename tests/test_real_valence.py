@@ -8,6 +8,10 @@ count of N - xD at 50 digits decides, and it must side with the fast
 path: near a circle critical point N - xD has two circle roots close
 together, and the oracle's multiplicity clustering may merge them into
 one double root just off the circle.
+
+valence_counts counts the roots of N - lambda D at many points at once, as
+coefficient rows; it must give valence_at's count at every point, real or
+not, and its fast path find_roots' roots bit for bit.
 """
 
 import math
@@ -17,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsmirnov import complex_poly
+from rsmirnov import blaschke_smirnov, complex_poly
 from rsmirnov.blaschke_smirnov import (
     Blaschke,
     BoundaryNotReal,
@@ -26,10 +30,19 @@ from rsmirnov.blaschke_smirnov import (
     random_helson,
     real_valence,
     valence_at,
+    valence_counts,
 )
-from rsmirnov.complex_poly import BOUNDARY_TOL
-from rsmirnov.fixtures import all_fixtures, double_slit, koebe
+from rsmirnov.complex_poly import BOUNDARY_TOL, Poly, find_roots
+from rsmirnov.fixtures import (
+    all_fixtures,
+    double_slit,
+    fourth_power_map,
+    koebe,
+    lower_halfplane_map,
+    upper_halfplane_map,
+)
 from rsmirnov.region_extraction import crosscheck, extract_full
+from rsmirnov.synthesis import power_chain
 
 
 def exact_valence(phi, x):
@@ -194,19 +207,126 @@ def test_critical_value_and_odd_count_fall_back():
     assert real_valence(phi, 0.0, pieces) == 1
 
 
-def test_crosscheck_finds_roots_once_per_sample(monkeypatch):
+def test_crosscheck_counts_every_sample_from_roots(monkeypatch):
     phi = double_slit()
     tree = extract_full(phi, resolution=128).tree
-    calls = []
-    original = complex_poly.find_roots
+    rows = []
+    per_lambda = []
+    original_rows = blaschke_smirnov.disk_root_counts
+    original_at = blaschke_smirnov.valence_at
 
-    def counting(p, *args, **kwargs):
-        calls.append(p.degree)
-        return original(p, *args, **kwargs)
+    def counting_rows(r, *args, **kwargs):
+        rows.append(len(r))
+        return original_rows(r, *args, **kwargs)
 
-    monkeypatch.setattr(complex_poly, "find_roots", counting)
+    def counting_at(phi, lam, *args, **kwargs):
+        per_lambda.append(lam)
+        return original_at(phi, lam, *args, **kwargs)
+
+    monkeypatch.setattr(blaschke_smirnov, "disk_root_counts", counting_rows)
+    monkeypatch.setattr(blaschke_smirnov, "valence_at", counting_at)
     monkeypatch.setattr(BoundaryPieces, "count",
                         lambda self, x: pytest.fail("fast path in crosscheck"))
     report = crosscheck(phi, tree, n_samples=40)
     assert report.ok
-    assert len(calls) == report.samples == 40
+    assert sum(rows) + len(per_lambda) == report.samples == 40
+
+
+# -- valence_counts against valence_at ---------------------------------------
+
+
+def lambda_rows(phi, lams):
+    """N - lambda D by Poly arithmetic, zero-padded to a common width."""
+    width = max(len(phi.num.coeffs), len(phi.den.coeffs))
+    rows = np.zeros((len(lams), width), dtype=np.complex128)
+    for row, lam in zip(rows, lams):
+        c = (phi.num - phi.den.scale(complex(lam))).coeffs
+        row[:len(c)] = c
+    return rows
+
+
+def lambda_probes(phi, rng):
+    """Points in both half planes and on the real line, points within 1e-9
+    (relative) of every circle critical value, and the point at which
+    N - lambda D loses its leading coefficient."""
+    lams = [complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
+            for sign in (1, -1) for _ in range(6)]
+    lams += rng.uniform(-5.0, 5.0, 6).tolist()
+    for _, v in BoundaryPieces(phi).critical:
+        if v is not None:
+            lams += [v, v * (1.0 + 1e-9), v * (1.0 - 1e-9)]
+    num, den = phi.num.coeffs, phi.den.coeffs
+    if len(num) == len(den):
+        lams.append(num[-1] / den[-1])
+    return lams
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    deg1=st.integers(1, 4),
+    deg2=st.integers(1, 3),
+    rmax=st.sampled_from([0.9, 0.999]),
+)
+@settings(max_examples=40, deadline=None)
+def test_valence_counts_equal_valence_at_random_helson(seed, deg1, deg2, rmax):
+    phi = random_helson(np.random.default_rng(seed), deg1, deg2, rmax=rmax,
+                        max_tries=20000)
+    lams = lambda_probes(phi, np.random.default_rng(seed))
+    assert valence_counts(phi, lams).tolist() == [valence_at(phi, lam)[0]
+                                                  for lam in lams]
+    # fast-path roots are find_roots' roots, bit for bit
+    rows = lambda_rows(phi, lams)
+    roots, fast = complex_poly._row_roots(rows)
+    for row, r in zip(rows[fast], roots[fast]):
+        assert np.array_equal(np.sort_complex(r), find_roots(Poly(row)).roots)
+
+
+def test_valence_counts_builds_the_polynomials_of_valence_at(monkeypatch):
+    phi = random_helson(np.random.default_rng(3), 3, 2, rmax=0.999)
+    lams = lambda_probes(phi, np.random.default_rng(3))
+    seen = []
+    original = blaschke_smirnov.disk_root_counts
+    monkeypatch.setattr(blaschke_smirnov, "disk_root_counts",
+                        lambda rows: seen.append(rows) or original(rows))
+    valence_counts(phi, lams)
+    (rows,) = seen
+    assert np.array_equal(rows, lambda_rows(phi, lams))
+
+
+def leading_cancelled():
+    """A (1, 1) pair at the ratio of its leading coefficients, where the
+    leading coefficient of N - lambda D drops to rounding level."""
+    phi = random_helson(np.random.default_rng(0), 1, 1, rmax=0.999)
+    return phi, phi.num.coeffs[-1] / phi.den.coeffs[-1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (koebe(), 0.0),             # N - 0 D = z: an exact zero root
+    lambda: (fourth_power_map(), 0.0),  # (1 + z)^4: a four-fold root
+    lambda: (power_chain(4), 0.0),
+    lambda: (double_slit(), 0.5),       # a double circle root at i
+    leading_cancelled,
+], ids=["koebe_zero_root", "fourth_power_ring", "power_chain_ring",
+        "critical_value", "degree_drop"])
+def test_rows_the_fast_path_leaves_are_counted_by_the_fallback(
+        monkeypatch, make):
+    phi, lam = make()
+    _, fast = complex_poly._row_roots(lambda_rows(phi, [lam]))
+    assert not fast[0]
+    fallbacks = []
+    original = complex_poly.count_roots_in_disk
+    monkeypatch.setattr(
+        complex_poly, "count_roots_in_disk",
+        lambda p, *args: fallbacks.append(p) or original(p, *args))
+    assert valence_counts(phi, [lam]).tolist() == [valence_at(phi, lam)[0]]
+    assert len(fallbacks) == 1
+
+
+@pytest.mark.parametrize("make", [upper_halfplane_map, lower_halfplane_map])
+def test_constant_polynomial_is_counted_per_lambda(monkeypatch, make):
+    phi = make()
+    # N - lambda D is a nonzero constant at the ratio of leading coefficients
+    lam = phi.num.coeffs[-1] / phi.den.coeffs[-1]
+    monkeypatch.setattr(blaschke_smirnov, "disk_root_counts",
+                        lambda rows: pytest.fail("no row to count"))
+    assert valence_counts(phi, [lam]).tolist() == [0]

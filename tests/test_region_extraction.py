@@ -17,6 +17,7 @@ from rsmirnov.blaschke_smirnov import (
     precompose_inner,
     random_helson,
     real_affine,
+    valence_at,
 )
 from rsmirnov.cli import EXIT_NUMERICAL, EXIT_OK, main
 from rsmirnov.complex_poly import Poly
@@ -416,11 +417,17 @@ def test_crosscheck_confirms_extracted_trees(make):
     assert js["ok"] is True and js["mismatches"] == []
 
 
-def test_crosscheck_flags_corrupted_tree():
+def corrupted_koebe():
+    """koebe with its edge interval (-1/4, inf) cut to (0, inf)."""
     phi = koebe()
     tree = extract_tree(phi)
     ((a, b, _),) = tree.edges
-    wrong = Tree(list(tree.nodes.values()), [(a, b, Interval(0.0, math.inf))])
+    return phi, Tree(list(tree.nodes.values()),
+                     [(a, b, Interval(0.0, math.inf))])
+
+
+def test_crosscheck_flags_corrupted_tree():
+    phi, wrong = corrupted_koebe()
     report = crosscheck(phi, wrong, n_samples=200, seed=0)
     assert not report.ok
     assert all(m["kind"] == "real" for m in report.mismatches)
@@ -432,6 +439,71 @@ def test_crosscheck_flags_corrupted_tree():
 def test_crosscheck_real_axis_against_composed_profile(ex_slit_squared):
     report = crosscheck(slit_squared(), ex_slit_squared.tree, n_samples=200, seed=9)
     assert report.ok
+
+
+def per_lambda_crosscheck(phi, tree, n_samples=200, seed=0, delta=1e-3):
+    """crosscheck as it was before it counted all its points at once: one
+    valence_at call per sample point, in drawing order."""
+    prof = profile(tree)
+    rng = np.random.default_rng(seed)
+    n_half = n_samples // 4
+    n_real = n_samples - 2 * n_half
+    mismatches = []
+    total = 0
+    for sign, expected in ((1, prof.v_plus), (-1, prof.v_minus)):
+        for _ in range(n_half):
+            lam = complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
+            got = valence_at(phi, lam)[0]
+            total += 1
+            if got != expected:
+                mismatches.append({
+                    "kind": "upper" if sign > 0 else "lower",
+                    "point": [lam.real, lam.imag],
+                    "expected": expected,
+                    "got": got,
+                })
+    finite = [b for b in prof.breakpoints if math.isfinite(b)]
+    lo = (min(finite) - 2.0) if finite else -3.0
+    hi = (max(finite) + 2.0) if finite else 3.0
+    drawn = 0
+    attempts = 0
+    while drawn < n_real and attempts < 100 * n_real:
+        attempts += 1
+        x = rng.uniform(lo, hi)
+        if finite and min(abs(x - b) for b in finite) < delta:
+            continue
+        drawn += 1
+        total += 1
+        expected = prof.multiplicity_at(x)
+        got = valence_at(phi, x)[0]
+        if got != expected:
+            mismatches.append(
+                {"kind": "real", "point": x, "expected": expected, "got": got})
+    return total, mismatches
+
+
+@pytest.mark.parametrize("make", [
+    upper_halfplane_map, lower_halfplane_map, fourth_power_map, koebe,
+    double_slit, slit_squared,
+])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_crosscheck_matches_per_lambda_reference(make, seed):
+    phi = make()
+    tree = extract_tree(phi)
+    report = crosscheck(phi, tree, n_samples=200, seed=seed)
+    want = per_lambda_crosscheck(phi, tree, n_samples=200, seed=seed)
+    assert (report.samples, report.mismatches) == want
+    assert json.dumps(report.to_json())
+
+
+def test_crosscheck_mismatches_match_per_lambda_reference():
+    phi, wrong = corrupted_koebe()
+    report = crosscheck(phi, wrong, n_samples=200, seed=0)
+    assert report.mismatches
+    assert (report.samples, report.mismatches) == per_lambda_crosscheck(
+        phi, wrong, n_samples=200, seed=0)
+    # counts are plain ints, as valence_at gives them, so --json can dump them
+    assert all(type(m["got"]) is int for m in report.mismatches)
 
 
 # ---------------------------------------------------------------------------
