@@ -47,6 +47,7 @@ from rsmirnov.blaschke_smirnov import (
     Blaschke,
     BoundaryPieces,
     RealSmirnov,
+    _lambda_rows,
     from_blaschke,
     random_blaschke,
     real_valence,
@@ -115,16 +116,11 @@ def crosscheck_points():
 
 def counts_fallback_share(points):
     """Share of the fixtures' N - lambda D that leave the fast path of
-    valence_counts."""
-    left = []
-    for phi in all_fixtures().values():
-        polys = [phi.num - phi.den.scale(complex(lam)) for lam in points]
-        rows = np.zeros((len(polys), max(len(p.coeffs) for p in polys)),
-                        dtype=np.complex128)
-        for row, p in zip(rows, polys):
-            row[:len(p.coeffs)] = p.coeffs
-        left += (~complex_poly._row_roots(rows)[1]).tolist()
-    return np.mean(left)
+    valence_counts (a constant row has a vanishing leading coefficient,
+    so it leaves the fast path too)."""
+    lams = np.asarray(points, dtype=np.complex128)
+    return np.mean([~complex_poly._row_roots(_lambda_rows(phi, lams))[1]
+                    for phi in all_fixtures().values()])
 
 
 FIND_ROOTS_ROW = "find_roots (500 polys, deg 3-5)"

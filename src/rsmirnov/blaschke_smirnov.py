@@ -433,20 +433,27 @@ def valence_at(phi, lam, tol=BOUNDARY_TOL):
     return count_roots_in_disk(p, 1.0, tol)
 
 
-def valence_counts(phi, lams):
-    """valence_at(phi, lam)[0] for every lam of lams, as an integer array.
-
-    The polynomials N - lambda D are built as coefficient rows, with the
-    operations valence_at's Poly arithmetic performs, so every row is
-    bit for bit that polynomial's coefficients; disk_root_counts counts
-    them all in one call.  A lambda at which N - lambda D is constant goes
-    to valence_at.
-    """
-    lams = np.asarray(lams, dtype=np.complex128).ravel()
+def _lambda_rows(phi, lams):
+    """The coefficients of N - lambda D for every lambda of lams (k,), as
+    rows (k, max(len N, len D)), built with the operations valence_at's
+    Poly arithmetic performs, so every row is bit for bit that polynomial's
+    coefficients (before Poly trims its vanishing leading ones)."""
     num, den = phi.num.coeffs, phi.den.coeffs
     rows = np.zeros((len(lams), max(len(num), len(den))), dtype=np.complex128)
     rows[:, :len(num)] += num
     rows[:, :len(den)] += -(den * lams[:, None])
+    return rows
+
+
+def valence_counts(phi, lams):
+    """valence_at(phi, lam)[0] for every lam of lams, as an integer array.
+
+    disk_root_counts counts the rows of every N - lambda D (_lambda_rows)
+    in one call.  A lambda at which N - lambda D is constant goes to
+    valence_at.
+    """
+    lams = np.asarray(lams, dtype=np.complex128).ravel()
+    rows = _lambda_rows(phi, lams)
     counts = np.zeros(len(lams), dtype=np.int64)
     moving = (rows[:, 1:] != 0).any(axis=1)
     for i in np.flatnonzero(~moving):

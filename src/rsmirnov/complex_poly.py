@@ -36,6 +36,14 @@ BOUNDARY_TOL = 1e-9
 #: them are at least this far apart, relative to 1 + max |e|
 EIG_START_SEPARATION = 1e-2
 
+#: find_roots' Aberth tolerance and iteration budget
+ABERTH_TOL = 1e-13
+ABERTH_MAX_ITER = 400
+
+#: find_roots drops leading coefficients smaller than this, relative to
+#: the largest coefficient
+LEAD_TOL = 1e-14
+
 #: _cluster's second pass merges two groups only when they lie within this
 #: multiple of the radius that rounding can scatter the merged root to
 RING_FACTOR = 100.0
@@ -245,15 +253,26 @@ def _min_gaps(roots):
     return gaps.min(axis=1)
 
 
+def _eigenvalue_aberth(rows, tol, max_iter):
+    """(roots, ok): Aberth run on every coefficient row of rows (k, n + 1)
+    from its companion eigenvalues, roots (k, n), where ok (k,) marks the
+    rows whose eigenvalues pass the separation test and whose run
+    converges; the roots of the other rows are meaningless."""
+    roots, ok = _eigenvalue_start(rows)
+    for i in range(len(rows)):
+        if ok[i]:
+            roots[i], _, ok[i] = _kernels.aberth_iterate(rows[i], roots[i],
+                                                         tol, max_iter)
+    return roots, ok
+
+
 def _aberth_roots(coeffs, tol, max_iter):
     """Aberth from the companion eigenvalues when they are well separated,
     otherwise from a circle with up to three random perturbation restarts.
     Raises NonConvergence when every start exhausts the budget."""
-    eigs, separated = _eigenvalue_start(coeffs[None])
-    if separated[0]:
-        roots, _, ok = _kernels.aberth_iterate(coeffs, eigs[0], tol, max_iter)
-        if ok:
-            return roots
+    roots, ok = _eigenvalue_aberth(coeffs[None], tol, max_iter)
+    if ok[0]:
+        return roots[0]
     rng = None
     for attempt in range(4):
         guesses = _initial_guesses(coeffs, rng)
@@ -293,6 +312,12 @@ def _newton_polish(rows, roots, steps=3):
 def _amplified_tol(base_tol):
     """Distance within which _cluster's second pass may merge two groups."""
     return max(200.0 * base_tol, 1e-4)
+
+
+def _unclustered(roots, cluster_tol):
+    """(k,) True for the rows of roots (k, n) in which no two roots lie
+    close enough for either pass of _cluster to merge them."""
+    return _min_gaps(roots) >= _amplified_tol(cluster_tol)
 
 
 def _rounding_ring(coeffs, center, dm, m):
@@ -379,7 +404,7 @@ def _trimmed(coeffs):
     if scale == 0:
         raise ValueError("cannot take roots of the zero polynomial")
     c = coeffs
-    while len(c) > 1 and abs(c[-1]) < 1e-14 * scale:
+    while len(c) > 1 and abs(c[-1]) < LEAD_TOL * scale:
         c = c[:-1]
     if len(c) - 1 < 1:
         raise ValueError("find_roots requires degree >= 1")
@@ -391,8 +416,8 @@ def _trimmed(coeffs):
     return c, n_zero
 
 
-def find_roots(p, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL,
-               boundary_tol=BOUNDARY_TOL):
+def find_roots(p, tol=ABERTH_TOL, max_iter=ABERTH_MAX_ITER,
+               cluster_tol=CLUSTER_TOL, boundary_tol=BOUNDARY_TOL):
     """All complex roots of p with multiplicities.
 
     Aberth-Ehrlich simultaneous iteration (from the companion eigenvalues
@@ -408,8 +433,7 @@ def find_roots(p, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL,
         roots = _newton_polish(c[None], _aberth_roots(c, tol, max_iter)[None])
         arr = np.concatenate([arr, roots[0]])
 
-    if _min_gaps(arr[None])[0] >= _amplified_tol(cluster_tol):
-        # no two roots close enough for either pass of _cluster to merge
+    if _unclustered(arr[None], cluster_tol)[0]:
         out = np.where(np.abs(arr) < 1e-300, 0.0, arr)
         mult = np.ones(len(arr), dtype=np.int64)
     else:
@@ -454,30 +478,29 @@ def count_roots_in_disk(p, radius=1.0, tol=BOUNDARY_TOL):
     return count, warnings
 
 
-def _row_roots(rows, tol=1e-13, max_iter=400, cluster_tol=CLUSTER_TOL):
-    """(roots, fast): the roots (k, n) that find_roots gives every
-    coefficient row of rows (k, n + 1), n >= 1, where fast (k,) is True.
+def _row_roots(rows):
+    """(roots, fast): the roots (k, n) that find_roots, with its default
+    tolerances, gives every coefficient row of rows (k, n + 1), n >= 1,
+    where fast (k,) is True.
 
-    A row is fast when find_roots would neither trim it nor strip an exact
-    zero root, its companion eigenvalues pass the separation test, Aberth
-    converges from them, and no two polished roots lie close enough for
-    _cluster to merge.  Its roots are then exactly find_roots' (before the
-    sort); the roots of the other rows are meaningless.
+    A row is fast when _trimmed keeps it whole (no leading coefficient
+    below LEAD_TOL of the largest, no exact zero root), its companion
+    eigenvalues pass the separation test, Aberth converges from them, and
+    no two polished roots lie close enough for _cluster to merge.  Its
+    roots are then exactly find_roots' (before the sort); the roots of the
+    other rows are meaningless.
     """
     k, n = rows.shape[0], rows.shape[1] - 1
-    fast = ((np.abs(rows[:, -1]) >= 1e-14 * np.abs(rows).max(axis=1))
-            & (rows[:, 0] != 0))
     roots = np.full((k, n), np.nan, dtype=np.complex128)
-    eigs, ok = _eigenvalue_start(rows[fast])
-    for i, e, eig_ok in zip(np.flatnonzero(fast), eigs, ok):
-        conv = False
-        if eig_ok:
-            roots[i], _, conv = _kernels.aberth_iterate(rows[i], e, tol,
-                                                        max_iter)
-        fast[i] = conv
+    whole = ((np.abs(rows[:, -1]) >= LEAD_TOL * np.abs(rows).max(axis=1))
+             & (rows[:, 0] != 0))
+    fast = np.zeros(k, dtype=bool)
+    if whole.any():
+        roots[whole], fast[whole] = _eigenvalue_aberth(
+            rows[whole], ABERTH_TOL, ABERTH_MAX_ITER)
     if fast.any():
         roots[fast] = _newton_polish(rows[fast], roots[fast])
-        fast &= _min_gaps(roots) >= _amplified_tol(cluster_tol)
+        fast &= _unclustered(roots, CLUSTER_TOL)
     return roots, fast
 
 
