@@ -115,12 +115,19 @@ def crosscheck_points():
 
 
 def counts_fallback_share(points):
-    """Share of the fixtures' N - lambda D that leave the fast path of
-    valence_counts (a constant row has a vanishing leading coefficient,
-    so it leaves the fast path too)."""
+    """Share of the fixtures' N - lambda D that valence_counts leaves to
+    count_roots_in_disk: rows that _trimmed does not keep whole (a
+    constant row has a vanishing leading coefficient, so it leaves too),
+    and rows whose roots from the row driver lie close enough to merge."""
     lams = np.asarray(points, dtype=np.complex128)
-    return np.mean([~complex_poly._row_roots(_lambda_rows(phi, lams))[1]
-                    for phi in all_fixtures().values()])
+    left = []
+    for phi in all_fixtures().values():
+        rows = _lambda_rows(phi, lams)
+        fast = complex_poly._whole(rows)
+        fast[fast] = complex_poly._unclustered(
+            complex_poly._aberth_rows(rows[fast]))
+        left.append(~fast)
+    return np.mean(left)
 
 
 FIND_ROOTS_ROW = "find_roots (500 polys, deg 3-5)"

@@ -27,6 +27,7 @@ from .complex_poly import (
     BOUNDARY_TOL,
     Poly,
     compose_rational,
+    count_inside,
     count_roots_in_disk,
     disk_root_counts,
     find_roots,
@@ -168,19 +169,19 @@ def _mp_horner(coeffs_mp, z):
 class RealSmirnov:
     """Rational real Smirnov function in reduced form N/D.
 
-    The Blaschke pair is kept when the function was built from one;
-    v_plus_nominal(= deg B2) and v_minus_nominal (= deg B1) are the
-    half-plane valences.  Instances are treated as immutable.
+    The Blaschke pair is kept when the function was built from one.  The
+    roots of D are found once (den_roots): the constructors' check that D
+    does not vanish in the disk and the circle poles both read them.
+    Instances are treated as immutable.
     """
 
-    def __init__(self, num, den, b1=None, b2=None, v_plus=None, v_minus=None):
+    def __init__(self, num, den, b1=None, b2=None):
         self.num = num
         self.den = den
         self.b1 = b1
         self.b2 = b2
-        self.v_plus_nominal = v_plus
-        self.v_minus_nominal = v_minus
         self._w = None
+        self._den_roots = None
         self._circle_poles = None
         self._pieces = None
 
@@ -212,30 +213,28 @@ class RealSmirnov:
                        - self.num * self.den.derivative())
         return self._w
 
-    def circle_poles(self, den_roots=None):
-        """Angles t of the denominator zeros on the unit circle.
+    def den_roots(self):
+        """The find_roots report of the denominator, found on the first
+        call (find_roots raises ValueError for a constant denominator)."""
+        if self._den_roots is None:
+            self._den_roots = find_roots(self.den)
+        return self._den_roots
 
-        den_roots is a find_roots report of the denominator that the
-        caller already holds; without one the roots are found here.
-        """
+    def circle_poles(self):
+        """Angles t of the denominator zeros on the unit circle."""
         if self._circle_poles is None:
-            if self.den.degree == 0:
-                self._circle_poles = []
-            else:
-                rep = den_roots if den_roots is not None \
-                    else find_roots(self.den)
-                ts = []
-                for r, m in rep.clusters():
+            ts = []
+            if self.den.degree >= 1:
+                for r, m in self.den_roots().clusters():
                     if abs(abs(r) - 1.0) <= circle_band(m):
                         ts.append(math.atan2(r.imag, r.real) % (2 * math.pi))
-                self._circle_poles = sorted(ts)
+            self._circle_poles = sorted(ts)
         return self._circle_poles
 
-    def boundary_pieces(self, den_roots=None):
-        """The BoundaryPieces of phi, built on the first call (den_roots
-        as for circle_poles)."""
+    def boundary_pieces(self):
+        """The BoundaryPieces of phi, built on the first call."""
         if self._pieces is None:
-            self._pieces = BoundaryPieces(self, den_roots)
+            self._pieces = BoundaryPieces(self)
         return self._pieces
 
     # -- boundary -----------------------------------------------------------
@@ -319,12 +318,8 @@ class RealSmirnov:
         return from_rational(dec(obj["num"]), dec(obj["den"]))
 
     def __repr__(self):
-        return "RealSmirnov(deg N=%d, deg D=%d, v=(%s, %s))" % (
-            self.num.degree,
-            self.den.degree,
-            self.v_plus_nominal,
-            self.v_minus_nominal,
-        )
+        return "RealSmirnov(deg N=%d, deg D=%d)" % (
+            self.num.degree, self.den.degree)
 
 
 # -- constructors -----------------------------------------------------------
@@ -341,20 +336,19 @@ def from_blaschke(b1, b2):
     den = a - b
     if den.is_zero():
         raise NotRelativelyPrime("B1 - B2 is identically zero")
-    n_inside, _ = count_roots_in_disk(den, 1.0, BOUNDARY_TOL)
+    phi = RealSmirnov(num, den, b1=b1, b2=b2)
+    n_inside = count_inside(phi.den_roots().roots)
     if n_inside > 0:
         raise DenominatorVanishesInDisk(
             "B1 - B2 has %d zero(s) in the open disk" % n_inside
         )
-    return RealSmirnov(num, den, b1=b1, b2=b2,
-                       v_plus=b2.degree, v_minus=b1.degree)
+    return phi
 
 
 def from_rational(num, den, check_boundary=True, n_boundary=512,
                   circle_tol=BOUNDARY_TOL):
     """Reduced rational phi = N/D with outer denominator and real boundary
-    values.  The nominal half-plane valences are sampled at lambda = +-i
-    (with a deterministic perturbation).
+    values.
 
     circle_tol is the width of the band around the unit circle inside
     which a denominator root counts as a legal boundary pole rather than
@@ -366,8 +360,10 @@ def from_rational(num, den, check_boundary=True, n_boundary=512,
     den = den if isinstance(den, Poly) else Poly(den)
     if den.is_zero():
         raise ValueError("denominator is identically zero")
+    phi = RealSmirnov(num, den)
     if den.degree >= 1:
-        n_inside, _ = count_roots_in_disk(den, 1.0, circle_tol)
+        rd = phi.den_roots()
+        n_inside = count_inside(rd.roots, circle_tol)
         if n_inside > 0:
             raise DenominatorVanishesInDisk(
                 "denominator has %d zero(s) in the open disk" % n_inside
@@ -375,21 +371,15 @@ def from_rational(num, den, check_boundary=True, n_boundary=512,
         # reduced form: no shared zeros
         if num.degree >= 1:
             rn = find_roots(num)
-            rd = find_roots(den)
             if _min_pairwise_distance(rn.roots, rd.roots) < 1e-8:
                 raise ValueError("numerator and denominator share a zero; "
                                  "reduce the fraction first")
-    phi = RealSmirnov(num, den)
     if check_boundary and num.degree + den.degree > 0:
         ts, ims = phi.boundary_im_samples(n_boundary, delta=1e-3)
         if ims.size:
             worst = int(np.argmax(ims))
             if ims[worst] > 1e-8:
                 raise BoundaryNotReal(float(ims[worst]), float(ts[worst]))
-    vp, _ = valence_at(phi, 1j * 1.0371)
-    vm, _ = valence_at(phi, -1j * 0.9643)
-    phi.v_plus_nominal = vp
-    phi.v_minus_nominal = vm
     return phi
 
 
@@ -418,19 +408,19 @@ def random_helson(rng, deg1, deg2, rmax=0.85, max_tries=100):
 
 # -- valence and related counts ----------------------------------------------
 
-def valence_at(phi, lam, tol=BOUNDARY_TOL):
+def valence_at(phi, lam):
     """Number of solutions of phi(w) = lambda in the open unit disk.
 
-    Counts roots of N - lambda D inside the disk; roots within tol of the
-    circle are excluded and reported as warnings (they occur legitimately
-    when lambda is real and touches the boundary range).
+    Counts roots of N - lambda D inside the disk; roots within
+    BOUNDARY_TOL of the circle are excluded (they occur legitimately when
+    lambda is real and touches the boundary range).
     """
     p = phi.num - phi.den.scale(complex(lam))
     if p.is_zero():
         raise ValueError("phi is constant and equal to lambda")
     if p.degree == 0:
-        return 0, []
-    return count_roots_in_disk(p, 1.0, tol)
+        return 0
+    return count_roots_in_disk(p)
 
 
 def _lambda_rows(phi, lams):
@@ -446,7 +436,7 @@ def _lambda_rows(phi, lams):
 
 
 def valence_counts(phi, lams):
-    """valence_at(phi, lam)[0] for every lam of lams, as an integer array.
+    """valence_at(phi, lam) for every lam of lams, as an integer array.
 
     disk_root_counts counts the rows of every N - lambda D (_lambda_rows)
     in one call.  A lambda at which N - lambda D is constant goes to
@@ -457,7 +447,7 @@ def valence_counts(phi, lams):
     counts = np.zeros(len(lams), dtype=np.int64)
     moving = (rows[:, 1:] != 0).any(axis=1)
     for i in np.flatnonzero(~moving):
-        counts[i] = valence_at(phi, lams[i])[0]
+        counts[i] = valence_at(phi, lams[i])
     if moving.any():
         counts[moving] = disk_root_counts(rows[moving])
     return counts
@@ -505,10 +495,9 @@ class BoundaryPieces:
     ``interior_real`` holds (z, Re phi(z)) for the roots z of W strictly
     inside the disk where phi is real (to LEVEL_IM_TOL): the branch points
     of the level set.
-    den_roots is a find_roots report of phi.den the caller already holds.
     """
 
-    def __init__(self, phi, den_roots=None):
+    def __init__(self, phi):
         self.n = max(phi.num.degree, phi.den.degree)
         self.interior_real = []
         self.critical = []
@@ -535,7 +524,7 @@ class BoundaryPieces:
                 if v is None or math.isfinite(v):
                     self.critical.append((t % (2.0 * math.pi), v))
         self.events = sorted(
-            self.critical + [(t, math.inf) for t in phi.circle_poles(den_roots)])
+            self.critical + [(t, math.inf) for t in phi.circle_poles()])
         if self.events and all(v is not None for _, v in self.events):
             pieces = _monotone_pieces(phi, self.events)
             if pieces is not None:
@@ -592,7 +581,7 @@ def real_valence(phi, x, pieces):
     """
     v = pieces.count(x)
     if v is None:
-        v = valence_at(phi, x)[0]
+        v = valence_at(phi, x)
     return v
 
 
@@ -680,10 +669,7 @@ def real_affine(phi, a, b):
     if a == 0:
         raise ValueError("a must be nonzero")
     num = phi.num.scale(a) + phi.den.scale(b)
-    vp, vm = phi.v_plus_nominal, phi.v_minus_nominal
-    if a < 0:
-        vp, vm = vm, vp
-    return RealSmirnov(num, phi.den, v_plus=vp, v_minus=vm)
+    return RealSmirnov(num, phi.den)
 
 
 def precompose_inner(phi, c):
@@ -695,11 +681,9 @@ def precompose_inner(phi, c):
     m = max(phi.num.degree, phi.den.degree)
     num = compose_rational(phi.num, pc, qc, m)
     den = compose_rational(phi.den, pc, qc, m)
-    n_inside, _ = count_roots_in_disk(den, 1.0, BOUNDARY_TOL)
-    if n_inside > 0:
+    psi = RealSmirnov(num, den)
+    if count_inside(psi.den_roots().roots) > 0:
         raise DenominatorVanishesInDisk(
             "composed denominator vanishes in the disk (numerical)"
         )
-    vp = None if phi.v_plus_nominal is None else phi.v_plus_nominal * c.degree
-    vm = None if phi.v_minus_nominal is None else phi.v_minus_nominal * c.degree
-    return RealSmirnov(num, den, v_plus=vp, v_minus=vm)
+    return psi

@@ -1,21 +1,22 @@
 """Complex polynomial arithmetic, root finding, and disk root counting.
 
 Polynomials are stored with ascending coefficients (c[0] + c[1] z + ...).
-The root finder is a simultaneous Aberth-Ehrlich iteration (Aberth 1973),
-followed by a Newton polish and multiplicity clustering.  Aberth starts
-from the eigenvalues of the companion matrix (Edelman & Murakami 1995) when
-every two of them are at least EIG_START_SEPARATION * (1 + max |e|) apart;
-the iteration then only confirms them, usually in one sweep.  A closer
-pair suggests a multiple or clustered root, whose computed eigenvalues
-scatter further than Aberth's iterates do, so the iteration starts instead
-from points on a circle, with random perturbation restarts.  Clustering is
-skipped when no two polished roots are close enough to merge.  Root counts
-inside a circle are the basic primitive behind every valence computation;
-disk_root_counts takes many polynomials of one degree at once, as rows of
-coefficients, through the same eigenvalue start, Aberth iteration and
-polish, so that the fixed cost of a call is paid once per stack.  An
-argument-principle winding count is provided as an independent
-cross-check.
+One driver, _aberth_rows, finds the roots of a stack of coefficient rows
+of one degree: a simultaneous Aberth-Ehrlich iteration (Aberth 1973) per
+row, then one Newton polish over the stack.  A row's Aberth run starts
+from the eigenvalues of its companion matrix (Edelman & Murakami 1995),
+all taken in one call, when every two of them are at least
+EIG_START_SEPARATION * (1 + max |e|) apart; the iteration then only
+confirms them, usually in one sweep.  A closer pair suggests a multiple or
+clustered root, whose computed eigenvalues scatter further than Aberth's
+iterates do, so that row starts instead from points on a circle, with
+random perturbation restarts.  find_roots takes one polynomial through the
+driver as a one-row stack and clusters multiple roots, which it skips when
+no two polished roots are close enough to merge.  Root counts inside the
+unit circle (count_inside) are the basic primitive behind every valence
+computation; disk_root_counts counts many polynomials at once, so that the
+fixed cost of a call is paid once per stack.  An argument-principle
+winding count is provided as an independent cross-check.
 """
 
 import math
@@ -24,24 +25,24 @@ import numpy as np
 
 from . import _kernels
 
-#: default distance below which two computed roots are treated as one
-#: multiple root
+#: distance below which two computed roots are treated as one multiple
+#: root
 CLUSTER_TOL = 1e-6
 
-#: default distance from the unit circle at which a root is flagged as
-#: sitting on the boundary
+#: distance from the unit circle at which a root is flagged as sitting on
+#: the boundary, and the default band that disk counts leave out
 BOUNDARY_TOL = 1e-9
 
 #: companion eigenvalues start the Aberth iteration only when every two of
 #: them are at least this far apart, relative to 1 + max |e|
 EIG_START_SEPARATION = 1e-2
 
-#: find_roots' Aberth tolerance and iteration budget
+#: the Aberth tolerance and iteration budget of _aberth_rows
 ABERTH_TOL = 1e-13
 ABERTH_MAX_ITER = 400
 
-#: find_roots drops leading coefficients smaller than this, relative to
-#: the largest coefficient
+#: _trimmed drops leading coefficients smaller than this, relative to the
+#: largest coefficient
 LEAD_TOL = 1e-14
 
 #: _cluster's second pass merges two groups only when they lie within this
@@ -176,18 +177,6 @@ def compose_rational(p, rnum, rden, power=None):
     return out
 
 
-def compose_mobius(p, mnum, mden):
-    """Compose p with the fractional-linear map mnum/mden.
-
-    Returns the rational pair (numerator, denominator); for example z**2
-    composed with (1+z)/(1-z) gives ((1+z)**2, (1-z)**2).
-    """
-    mnum = _as_poly(mnum)
-    mden = _as_poly(mden)
-    num = compose_rational(p, mnum, mden)
-    return num, mden ** p.degree
-
-
 class RootReport:
     """All roots of a polynomial, with multiplicities.
 
@@ -253,37 +242,35 @@ def _min_gaps(roots):
     return gaps.min(axis=1)
 
 
-def _eigenvalue_aberth(rows, tol, max_iter):
-    """(roots, ok): Aberth run on every coefficient row of rows (k, n + 1)
-    from its companion eigenvalues, roots (k, n), where ok (k,) marks the
-    rows whose eigenvalues pass the separation test and whose run
-    converges; the roots of the other rows are meaningless."""
+def _aberth_rows(rows):
+    """Polished roots (k, n) of every coefficient row of rows (k, n + 1),
+    n >= 1, each kept whole by _trimmed.
+
+    A row starts Aberth from its companion eigenvalues where they pass the
+    separation test of _eigenvalue_start and the run converges from them;
+    every other row starts from the circle of _initial_guesses, with up to
+    three random perturbation restarts, and NonConvergence is raised when
+    every start exhausts the budget.  One Newton polish then runs over the
+    whole stack.  A row's roots do not depend on the other rows.
+    """
     roots, ok = _eigenvalue_start(rows)
-    for i in range(len(rows)):
-        if ok[i]:
-            roots[i], _, ok[i] = _kernels.aberth_iterate(rows[i], roots[i],
-                                                         tol, max_iter)
-    return roots, ok
-
-
-def _aberth_roots(coeffs, tol, max_iter):
-    """Aberth from the companion eigenvalues when they are well separated,
-    otherwise from a circle with up to three random perturbation restarts.
-    Raises NonConvergence when every start exhausts the budget."""
-    roots, ok = _eigenvalue_aberth(coeffs[None], tol, max_iter)
-    if ok[0]:
-        return roots[0]
-    rng = None
-    for attempt in range(4):
-        guesses = _initial_guesses(coeffs, rng)
-        roots, _, ok = _kernels.aberth_iterate(coeffs, guesses, tol, max_iter)
-        if ok:
-            return roots
-        rng = np.random.default_rng(0xC0FFEE + attempt)
-    raise NonConvergence(
-        "Aberth iteration failed after restarts (degree %d)"
-        % (len(coeffs) - 1)
-    )
+    for i in np.flatnonzero(ok):
+        roots[i], _, ok[i] = _kernels.aberth_iterate(
+            rows[i], roots[i], ABERTH_TOL, ABERTH_MAX_ITER)
+    for i in np.flatnonzero(~ok):
+        rng = None
+        for attempt in range(4):
+            roots[i], _, done = _kernels.aberth_iterate(
+                rows[i], _initial_guesses(rows[i], rng), ABERTH_TOL,
+                ABERTH_MAX_ITER)
+            if done:
+                break
+            rng = np.random.default_rng(0xC0FFEE + attempt)
+        else:
+            raise NonConvergence(
+                "Aberth iteration failed after restarts (degree %d)"
+                % (rows.shape[1] - 1))
+    return _newton_polish(rows, roots)
 
 
 def _newton_polish(rows, roots, steps=3):
@@ -314,10 +301,10 @@ def _amplified_tol(base_tol):
     return max(200.0 * base_tol, 1e-4)
 
 
-def _unclustered(roots, cluster_tol):
+def _unclustered(roots):
     """(k,) True for the rows of roots (k, n) in which no two roots lie
     close enough for either pass of _cluster to merge them."""
-    return _min_gaps(roots) >= _amplified_tol(cluster_tol)
+    return _min_gaps(roots) >= _amplified_tol(CLUSTER_TOL)
 
 
 def _rounding_ring(coeffs, center, dm, m):
@@ -416,13 +403,21 @@ def _trimmed(coeffs):
     return c, n_zero
 
 
-def find_roots(p, tol=ABERTH_TOL, max_iter=ABERTH_MAX_ITER,
-               cluster_tol=CLUSTER_TOL, boundary_tol=BOUNDARY_TOL):
+def _whole(rows):
+    """(k,) True for the coefficient rows (k, n + 1) that _trimmed keeps
+    whole: no leading coefficient below LEAD_TOL of the largest, and no
+    exact zero root."""
+    return ((np.abs(rows[:, -1]) >= LEAD_TOL * np.abs(rows).max(axis=1))
+            & (rows[:, 0] != 0))
+
+
+def find_roots(p):
     """All complex roots of p with multiplicities.
 
-    Aberth-Ehrlich simultaneous iteration (from the companion eigenvalues
-    when they are well separated, else from a circle with up to three
-    random perturbation restarts), Newton polish, then multiplicity
+    _aberth_rows on the one row that _trimmed leaves (Aberth-Ehrlich
+    simultaneous iteration from the companion eigenvalues when they are
+    well separated, else from a circle with up to three random
+    perturbation restarts, then a Newton polish), then multiplicity
     clustering.  Raises NonConvergence when the budget is exhausted.
     """
     p = _as_poly(p)
@@ -430,16 +425,15 @@ def find_roots(p, tol=ABERTH_TOL, max_iter=ABERTH_MAX_ITER,
     c, n_zero = _trimmed(p.coeffs)
     arr = np.zeros(n_zero, dtype=np.complex128)
     if len(c) > 1:
-        roots = _newton_polish(c[None], _aberth_roots(c, tol, max_iter)[None])
-        arr = np.concatenate([arr, roots[0]])
+        arr = np.concatenate([arr, _aberth_rows(c[None])[0]])
 
-    if _unclustered(arr[None], cluster_tol)[0]:
+    if _unclustered(arr[None])[0]:
         out = np.where(np.abs(arr) < 1e-300, 0.0, arr)
         mult = np.ones(len(arr), dtype=np.int64)
     else:
         out = []
         mult = []
-        for g in _cluster(arr, p.coeffs, cluster_tol):
+        for g in _cluster(arr, p.coeffs, CLUSTER_TOL):
             center = np.mean(arr[list(g)])
             if abs(center) < 1e-300:
                 center = 0.0 + 0.0j
@@ -452,75 +446,53 @@ def find_roots(p, tol=ABERTH_TOL, max_iter=ABERTH_MAX_ITER,
     out, mult = out[order], mult[order]
     pv = _kernels.horner_many(p.coeffs, out)
     residual = float(np.abs(pv).max() / scale)
-    boundary = np.abs(np.abs(out) - 1.0) < boundary_tol
+    boundary = np.abs(np.abs(out) - 1.0) < BOUNDARY_TOL
     return RootReport(out, mult, residual, boundary)
 
 
-def count_roots_in_disk(p, radius=1.0, tol=BOUNDARY_TOL):
-    """Number of roots with |root| < radius, plus near-circle warnings.
+def count_inside(roots, tol=BOUNDARY_TOL):
+    """Number of roots inside the open unit disk, along the last axis of
+    roots.
 
-    Roots within tol of the circle |z| = radius are *not* counted; they are
-    reported in the warnings list as (root, distance) pairs, since a root
+    Roots within tol of the unit circle are *not* counted: a root
     numerically on the circle is outside the open disk for valence
-    purposes.  disk_root_counts gives the same counts for many polynomials
-    at once, and calls this for every polynomial it cannot take through
-    its fast path.
+    purposes.
     """
-    rep = find_roots(p)
-    count = 0
-    warnings = []
-    for r in rep.roots:
-        d = abs(abs(r) - radius)
-        if d < tol:
-            warnings.append((r, d))
-        elif abs(r) < radius:
-            count += 1
-    return count, warnings
+    mod = np.abs(roots)
+    return ((np.abs(mod - 1.0) >= tol) & (mod < 1.0)).sum(axis=-1)
 
 
-def _row_roots(rows):
-    """(roots, fast): the roots (k, n) that find_roots, with its default
-    tolerances, gives every coefficient row of rows (k, n + 1), n >= 1,
-    where fast (k,) is True.
-
-    A row is fast when _trimmed keeps it whole (no leading coefficient
-    below LEAD_TOL of the largest, no exact zero root), its companion
-    eigenvalues pass the separation test, Aberth converges from them, and
-    no two polished roots lie close enough for _cluster to merge.  Its
-    roots are then exactly find_roots' (before the sort); the roots of the
-    other rows are meaningless.
+def count_roots_in_disk(p, tol=BOUNDARY_TOL):
+    """Number of roots of p inside the open unit disk and not within tol
+    of the circle (count_inside of find_roots' roots).  disk_root_counts
+    gives the same counts for many polynomials at once, and calls this
+    for every polynomial it cannot count from its own roots.
     """
-    k, n = rows.shape[0], rows.shape[1] - 1
-    roots = np.full((k, n), np.nan, dtype=np.complex128)
-    whole = ((np.abs(rows[:, -1]) >= LEAD_TOL * np.abs(rows).max(axis=1))
-             & (rows[:, 0] != 0))
-    fast = np.zeros(k, dtype=bool)
-    if whole.any():
-        roots[whole], fast[whole] = _eigenvalue_aberth(
-            rows[whole], ABERTH_TOL, ABERTH_MAX_ITER)
-    if fast.any():
-        roots[fast] = _newton_polish(rows[fast], roots[fast])
-        fast &= _unclustered(roots, CLUSTER_TOL)
-    return roots, fast
+    return int(count_inside(find_roots(p).roots, tol))
 
 
-def disk_root_counts(rows, tol=BOUNDARY_TOL):
+def disk_root_counts(rows):
     """count_roots_in_disk's counts for every coefficient row of rows
     (k, n + 1), n >= 1, as an integer array (k,).
 
-    Fast path (_row_roots): one companion eigenvalue call over the whole
-    stack, one Aberth run per row from its eigenvalues, one Newton polish
-    over every row, and the count of the roots inside the unit disk and
-    not within tol of the circle.  Fallback: count_roots_in_disk of the
-    row's polynomial, with find_roots' circle start, restarts and
-    multiplicity clustering, for every row the fast path leaves.
+    Every row that _trimmed keeps whole (_whole) goes through one
+    _aberth_rows call over the stack: one companion eigenvalue call, one
+    Aberth run per row and one Newton polish.  Its roots are then exactly
+    find_roots' (before the sort), and a row in which no two of them lie
+    close enough for _cluster to merge is counted by count_inside.  A
+    trimmed or clustered row falls back to count_roots_in_disk of its
+    polynomial.
     """
     rows = np.asarray(rows, dtype=np.complex128)
-    roots, fast = _row_roots(rows)
-    mod = np.abs(roots)
-    counts = ((np.abs(mod - 1.0) >= tol) & (mod < 1.0)).sum(axis=1)
+    counts = np.zeros(len(rows), dtype=np.int64)
+    whole = _whole(rows)
+    fast = whole.copy()
+    if whole.any():
+        roots = _aberth_rows(rows[whole])
+        counts[whole] = count_inside(roots)
+        fast[whole] = _unclustered(roots)
     for i in np.flatnonzero(~fast):
-        counts[i] = count_roots_in_disk(Poly(rows[i]), 1.0, tol)[0]
+        counts[i] = count_roots_in_disk(Poly(rows[i]))
     return counts
 
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .complex_poly import CircleTooClose, Poly, find_roots, winding_count
+from .complex_poly import CircleTooClose, Poly, winding_count
 from .blaschke_smirnov import (
     Blaschke,
     BoundaryPieces,
@@ -479,16 +479,16 @@ def _real_critical_values(pieces: BoundaryPieces) -> list[float]:
     return out
 
 
-def _surrogate_loss(phi: RealSmirnov, tprof, tarcs, den_roots) -> float:
+def _surrogate_loss(phi: RealSmirnov, tprof, tarcs) -> float:
     """Extraction-free loss: exact interval integral from root counts,
     plus a smooth pull parking a candidate breakpoint on every target
     breakpoint (the integral alone is flat once heights agree almost
     everywhere, which is what lets simplex descent polish endpoints).
 
-    den_roots is the find_roots report of phi.den (None for a constant
-    denominator); the counts come from the boundary pieces, so outside
+    The counts come from the boundary pieces, which read the roots of D
+    that the objective's constraint found (phi.den_roots), so outside
     their fallbacks W is the only polynomial whose roots are found here."""
-    pieces = phi.boundary_pieces(den_roots)
+    pieces = phi.boundary_pieces()
     bps = _real_critical_values(pieces)
     cuts = sorted({_arc(b) for b in bps}
                   | {_arc(b) for b in tprof.breakpoints})
@@ -546,18 +546,16 @@ def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
         den = aa - bb
         if den.is_zero():
             return 1e7
+        phi = RealSmirnov((aa + bb).scale(1j), den)
         penalty = 0.0
-        den_roots = None
         if den.degree >= 1:
-            den_roots = find_roots(den)
-            for r0 in den_roots.roots:
+            for r0 in phi.den_roots().roots:
                 rr = abs(r0)
                 if rr < 1.0 - 1e-6:
                     penalty += 1.0 + (1.0 - rr)
         if penalty > 0.0:
             return CONSTRAINT_WEIGHT * penalty
-        phi = RealSmirnov((aa + bb).scale(1j), den)
-        return _surrogate_loss(phi, tprof, tarcs, den_roots)
+        return _surrogate_loss(phi, tprof, tarcs)
 
     for restart in range(max(1, int(problem.restarts))):
         if evals >= budget:
@@ -681,7 +679,7 @@ def verify(result: SynthesisResult, n_samples: int = 200, seed: int = 0,
 
     den_min_radius = INF
     if phi.den.degree >= 1:
-        radii = np.abs(find_roots(phi.den).roots)
+        radii = np.abs(phi.den_roots().roots)
         den_min_radius = float(radii.min())
         # the verdict comes from a winding count on a slightly smaller
         # circle rather than from the root radii: an m-fold boundary pole

@@ -69,10 +69,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
 
-    @property
-    def is_real_line(self) -> bool:
-        return self.lo == NEG_INF and self.hi == POS_INF
-
     def transformed(self, a: float, b: float) -> "Interval":
         """Image under x -> a*x + b (endpoints swap when a < 0)."""
         if a == 0:

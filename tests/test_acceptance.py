@@ -87,18 +87,18 @@ def _real_count_is(phi, regions, rng, n=200, delta=1e-3):
         a = max(lo, -10.0) + delta
         b = min(hi, 10.0) - delta
         for x in rng.uniform(a, b, n):
-            got, _ = valence_at(phi, float(x))
+            got = valence_at(phi, float(x))
             assert got == want, "valence %d != %d at x=%r" % (got, want, x)
 
 
 def _valence_jump(phi, lo, hi, tol=1e-6):
     """Bisect for the real point where the root count changes."""
-    v_lo, _ = valence_at(phi, lo)
-    v_hi, _ = valence_at(phi, hi)
+    v_lo = valence_at(phi, lo)
+    v_hi = valence_at(phi, hi)
     assert v_lo != v_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        v, _ = valence_at(phi, mid)
+        v = valence_at(phi, mid)
         if v == v_lo:
             lo = mid
         else:
@@ -182,8 +182,8 @@ def test_criterion_05_blaschke_pair_degree_law():
         phi = random_helson(rng, d1, d2, rmax=0.95, max_tries=20000)
         for _ in range(50):
             lam = complex(rng.uniform(-3, 3), rng.uniform(0.05, 2.5))
-            assert valence_at(phi, lam)[0] == d2
-            assert valence_at(phi, lam.conjugate())[0] == d1
+            assert valence_at(phi, lam) == d2
+            assert valence_at(phi, lam.conjugate()) == d1
 
 
 def test_criterion_06_precomposition_multiplies_valence():
@@ -199,7 +199,7 @@ def test_criterion_06_precomposition_multiplies_valence():
         for _ in range(50):
             lam = complex(rng.uniform(-2, 2),
                           rng.uniform(0.1, 2) * rng.choice([-1.0, 1.0]))
-            assert valence_at(psi, lam)[0] == len(c.zeros) * valence_at(phi, lam)[0]
+            assert valence_at(psi, lam) == len(c.zeros) * valence_at(phi, lam)
         done += 1
 
 

@@ -29,8 +29,9 @@ from rsmirnov.blaschke_smirnov import (
     real_affine,
     valence_at,
 )
-from rsmirnov.complex_poly import Poly
-from rsmirnov import fixtures
+from rsmirnov.complex_poly import BOUNDARY_TOL, Poly, find_roots
+from rsmirnov import blaschke_smirnov, complex_poly, fixtures
+from rsmirnov.region_extraction import extract_full
 
 
 def quartic_preimage_count(lam):
@@ -190,14 +191,14 @@ class TestEval:
 class TestValence:
     def test_halfplane_bijection(self):
         phi = fixtures.upper_halfplane_map()
-        assert valence_at(phi, 2j)[0] == 1
-        assert valence_at(phi, -1j)[0] == 0
+        assert valence_at(phi, 2j) == 1
+        assert valence_at(phi, -1j) == 0
 
     def test_quartic_samples(self):
         phi = fixtures.fourth_power_map()
-        assert valence_at(phi, 1j)[0] == 2
-        assert valence_at(phi, 0.5)[0] == 1
-        assert valence_at(phi, -0.5)[0] == 2
+        assert valence_at(phi, 1j) == 2
+        assert valence_at(phi, 0.5) == 1
+        assert valence_at(phi, -0.5) == 2
 
     def test_quartic_against_sector_oracle(self):
         phi = fixtures.fourth_power_map()
@@ -206,12 +207,14 @@ class TestValence:
             lam = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if abs(lam.imag) < 1e-3 or abs(lam) < 1e-2:
                 continue
-            assert valence_at(phi, lam)[0] == quartic_preimage_count(lam)
+            assert valence_at(phi, lam) == quartic_preimage_count(lam)
 
     def test_omitted_real_ray(self):
-        count, warnings = valence_at(fixtures.double_slit(), 0.75)
-        assert count == 0
-        assert len(warnings) == 2  # the preimages sit on the circle
+        phi = fixtures.double_slit()
+        assert valence_at(phi, 0.75) == 0
+        # the preimages sit on the circle, and are not counted
+        roots = find_roots(phi.num - phi.den.scale(0.75)).roots
+        assert (np.abs(np.abs(roots) - 1.0) < BOUNDARY_TOL).sum() == 2
 
     def test_halfplane_valences(self):
         assert halfplane_valences(fixtures.upper_halfplane_map()) == (1, 0)
@@ -314,7 +317,7 @@ class TestClosureOps:
         neg = real_affine(phi1, -1.0, 0.0)
         for z in [0.0, 0.2 + 0.1j, -0.5j]:
             assert neg.eval(z) == pytest.approx(phi2.eval(z), abs=1e-12)
-        assert (neg.v_plus_nominal, neg.v_minus_nominal) == (0, 1)
+        assert halfplane_valences(neg) == (0, 1)
 
     def test_affine_valence_transport(self):
         phi = fixtures.double_slit()
@@ -325,7 +328,7 @@ class TestClosureOps:
             lam = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
             psi = real_affine(phi, a, b)
             assert (
-                valence_at(psi, a * lam + b)[0] == valence_at(phi, lam)[0]
+                valence_at(psi, a * lam + b) == valence_at(phi, lam)
             )
 
     def test_precompose_square_doubles(self):
@@ -343,7 +346,7 @@ class TestClosureOps:
         phi = fixtures.double_slit()
         psi = precompose_inner(phi, Blaschke([0.0, 0.0, 0.0]))
         lam = 0.1j
-        assert valence_at(psi, lam)[0] == 3 * valence_at(phi, lam)[0]
+        assert valence_at(psi, lam) == 3 * valence_at(phi, lam)
 
     def test_precompose_law_random(self):
         rng = np.random.default_rng(31)
@@ -354,7 +357,7 @@ class TestClosureOps:
             lam = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2))
             if rng.random() < 0.5:
                 lam = lam.conjugate()
-            assert valence_at(psi, lam)[0] == 2 * valence_at(phi, lam)[0]
+            assert valence_at(psi, lam) == 2 * valence_at(phi, lam)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -367,3 +370,22 @@ def test_boundary_realness_random_helson(seed):
     # boundary_value's rule: rounding noise in Im grows with |phi|
     re_phi = np.abs(phi(np.exp(1j * ts)).real)
     assert np.all(ims <= 1e-8 * np.maximum(1.0, re_phi))
+
+
+def test_denominator_roots_are_found_once(monkeypatch):
+    """Constructing koebe from JSON and extracting its tree finds the
+    roots of D once: the outer check, the shared-zero check and the
+    circle poles all read RealSmirnov.den_roots."""
+    phi = fixtures.koebe()
+    inputs = []
+    original = complex_poly.find_roots
+
+    def recording(p):
+        inputs.append(p.coeffs)
+        return original(p)
+
+    monkeypatch.setattr(complex_poly, "find_roots", recording)
+    monkeypatch.setattr(blaschke_smirnov, "find_roots", recording)
+    psi = RealSmirnov.from_json(phi.to_json())
+    extract_full(psi, resolution=256)
+    assert sum(np.array_equal(c, psi.den.coeffs) for c in inputs) == 1

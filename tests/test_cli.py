@@ -110,6 +110,15 @@ def test_analyze_rejects_inner_pole(tmp_path, capsys):
     assert "invalid function" in capsys.readouterr().err
 
 
+def test_analyze_rejects_two_constant_products(tmp_path, capsys):
+    # B1 - B2 is a nonzero constant, which has no roots to check
+    const = write_json(tmp_path / "const.json",
+                       {"b1": {"zeros": [], "constant": [1.0, 0.0]},
+                        "b2": {"zeros": [], "constant": [-1.0, 0.0]}})
+    assert main(["analyze", const]) == 1
+    assert "invalid function" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------

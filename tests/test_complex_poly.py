@@ -18,7 +18,6 @@ from rsmirnov.complex_poly import (
     NonConvergence,
     Poly,
     RootReport,
-    compose_mobius,
     compose_rational,
     count_roots_in_disk,
     find_roots,
@@ -44,11 +43,6 @@ class TestArithmetic:
         z = p + (-p)
         assert z.is_zero()
         assert z.degree == 0
-
-    def test_compose_square_with_mobius(self):
-        n, d = compose_mobius(Poly([0, 0, 1]), Poly([1, 1]), Poly([1, -1]))
-        assert np.allclose(n.coeffs, [1, 2, 1])   # (1+z)^2
-        assert np.allclose(d.coeffs, [1, -2, 1])  # (1-z)^2
 
     def test_compose_rational_padding(self):
         # p(w) = w with power 3 gives rnum*rden^2
@@ -118,28 +112,27 @@ class TestFindRoots:
 
 class TestCountRootsInDisk:
     def test_quadratic_one_inside(self):
-        count, warnings = count_roots_in_disk(Poly([-1, 1, 1]), 1.0)
-        assert count == 1
-        assert warnings == []
+        p = Poly([-1, 1, 1])
+        assert count_roots_in_disk(p) == 1
+        assert not find_roots(p).boundary.any()
 
     def test_root_outside(self):
-        count, _ = count_roots_in_disk(Poly([-2, 1]), 1.0)
-        assert count == 0
+        assert count_roots_in_disk(Poly([-2, 1])) == 0
 
     def test_quartic_interior_count(self):
         # numerator of ((1+z)/(1-z))^4 - i; two of the four roots are inside
         n = Poly([1, 4, 6, 4, 1])
         d = Poly([1, -4, 6, -4, 1])
         p = n - d.scale(1j)
-        count, _ = count_roots_in_disk(p, 1.0)
+        count = count_roots_in_disk(p)
         assert count == np_roots_in_disk(p)
         assert count == 2
 
-    def test_circle_root_warned_not_counted(self):
+    def test_circle_root_not_counted(self):
         p = poly_from_roots([1.0 + 0.0j, 0.2])
-        count, warnings = count_roots_in_disk(p, 1.0, tol=1e-9)
-        assert count == 1
-        assert len(warnings) == 1
+        assert count_roots_in_disk(p, tol=1e-9) == 1
+        roots = find_roots(p).roots
+        assert (np.abs(np.abs(roots) - 1.0) < 1e-9).sum() == 1
 
 
 class TestWinding:
@@ -201,9 +194,9 @@ def test_disk_count_matches_winding(pts):
     roots = [complex(*p) for p in pts]
     p = poly_from_roots(roots)
     tol = 1e-9
-    count, warnings = count_roots_in_disk(p, 1.0, tol)
-    if warnings:
-        return  # boundary warnings void the comparison by contract
+    count = count_roots_in_disk(p, tol)
+    if (np.abs(np.abs(find_roots(p).roots) - 1.0) < tol).any():
+        return  # a root on the circle voids the comparison by contract
     if any(abs(abs(r) - 1.0) < 0.05 for r in roots):
         return  # keep the winding contour honestly clear of roots
     w = winding_count(p, Poly([1]), 1.0 - 2 * tol)
@@ -219,8 +212,8 @@ def test_disk_count_matches_winding(pts):
 def test_count_invariant_under_scaling(pts, const):
     roots = [complex(*p) for p in pts]
     p = poly_from_roots(roots)
-    c1, _ = count_roots_in_disk(p, 1.0)
-    c2, _ = count_roots_in_disk(p.scale(const), 1.0)
+    c1 = count_roots_in_disk(p)
+    c2 = count_roots_in_disk(p.scale(const))
     assert c1 == c2
 
 
@@ -381,3 +374,18 @@ def test_separated_cubic_takes_the_eigenvalue_start(monkeypatch):
     assert rep.roots == pytest.approx(
         sorted([0.5, -0.4 + 0.7j, 1.5 - 0.2j], key=lambda z: z.real),
         abs=1e-14)
+
+
+def test_row_driver_roots_do_not_depend_on_the_stack():
+    # a four-fold root takes the circle start, a separated quartic the
+    # eigenvalue start; each row keeps the roots it has alone
+    ring = (Poly([1, -1]) ** 4).coeffs
+    simple = poly_from_roots([0.5, -0.4 + 0.7j, 1.5 - 0.2j, 0.3j],
+                             lead=2.0).coeffs
+    stack = np.array([ring, simple])
+    assert complex_poly._eigenvalue_start(stack)[1].tolist() == [False, True]
+    roots = complex_poly._aberth_rows(stack)
+    for row, r in zip(stack, roots):
+        assert np.array_equal(r, complex_poly._aberth_rows(row[None])[0])
+    assert np.array_equal(np.sort_complex(roots[1]),
+                          find_roots(Poly(simple)).roots)

@@ -453,7 +453,7 @@ def per_lambda_crosscheck(phi, tree, n_samples=200, seed=0, delta=1e-3):
     for sign, expected in ((1, prof.v_plus), (-1, prof.v_minus)):
         for _ in range(n_half):
             lam = complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
-            got = valence_at(phi, lam)[0]
+            got = valence_at(phi, lam)
             total += 1
             if got != expected:
                 mismatches.append({
@@ -475,7 +475,7 @@ def per_lambda_crosscheck(phi, tree, n_samples=200, seed=0, delta=1e-3):
         drawn += 1
         total += 1
         expected = prof.multiplicity_at(x)
-        got = valence_at(phi, x)[0]
+        got = valence_at(phi, x)
         if got != expected:
             mismatches.append(
                 {"kind": "real", "point": x, "expected": expected, "got": got})

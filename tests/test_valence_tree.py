@@ -99,7 +99,6 @@ def test_interval_contains_is_open():
     assert iv.contains(0.5)
     assert not iv.contains(0.0)
     assert not iv.contains(1.0)
-    assert Interval(-INF, INF).is_real_line
 
 
 def test_interval_transform_swaps_under_negation():
