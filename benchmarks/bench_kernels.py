@@ -29,10 +29,11 @@ find_roots trims.  A closing line gives the time per call and the share
 of the corpus whose Aberth iteration starts from the companion
 eigenvalues.
 
-The trace_segments and region_valence rows time the tracing and the
-valence stages of extraction on the five fixtures at resolution 512, from
-partitions, branch points, boundary pieces and (for region_valence)
-traced segments prepared beforehand.
+The partition, trace_segments and region_valence rows time the grid,
+the tracing and the valence stages of extraction on the five fixtures at
+resolution 512: partition from the function alone (its classify_grid
+call included), the other two from partitions, branch points, boundary
+pieces and (for region_valence) traced segments prepared beforehand.
 """
 
 import argparse
@@ -223,6 +224,10 @@ def run_benchmarks():
         for p in corpus:
             complex_poly.find_roots(p)
 
+    def bench_partition():
+        for phi in fixtures:
+            partition(phi, res)
+
     prepared = []
     for phi in all_fixtures().values():
         gp = partition(phi, res)
@@ -248,6 +253,7 @@ def run_benchmarks():
         COUNTS_ROWS[0]: _time(bench_counts_valence_at),
         COUNTS_ROWS[1]: _time(bench_valence_counts),
         FIND_ROOTS_ROW: _time(bench_find_roots),
+        "partition (5 fixtures, res 512)": _time(bench_partition),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
     }

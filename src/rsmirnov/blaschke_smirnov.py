@@ -668,8 +668,9 @@ def real_affine(phi, a, b):
     b = float(b)
     if a == 0:
         raise ValueError("a must be nonzero")
-    num = phi.num.scale(a) + phi.den.scale(b)
-    return RealSmirnov(num, phi.den)
+    psi = RealSmirnov(phi.num.scale(a) + phi.den.scale(b), phi.den)
+    psi._den_roots = phi._den_roots  # D is unchanged
+    return psi
 
 
 def precompose_inner(phi, c):

@@ -87,10 +87,6 @@ def _fmt_x(x):
     return "%g" % x
 
 
-def _fmt_interval(iv):
-    return "(%s, %s)" % (_fmt_x(iv.lo), _fmt_x(iv.hi))
-
-
 def _describe(phi):
     if phi.b1 is not None and phi.b2 is not None:
         return "Blaschke pair, deg B1 = %d, deg B2 = %d" % (
@@ -168,7 +164,7 @@ def cmd_analyze(args):
         print("  %s [%s:%d] -- %s [%s:%d]  %s" % (
             a, "C+" if na.sign > 0 else "C-", na.valence,
             b, "C+" if nb.sign > 0 else "C-", nb.valence,
-            _fmt_interval(iv)))
+            iv))
     print("real profile:")
     for lo, hi, mult in prof.pieces():
         print("  (%s, %s): %d" % (_fmt_x(lo), _fmt_x(hi), mult))

@@ -136,14 +136,13 @@ _RETRYABLE = (
 
 @dataclass(frozen=True)
 class Region:
-    """One connected component of {Im phi > 0} or {Im phi < 0} on the grid."""
+    """One connected component of {Im phi > 0} or {Im phi < 0} on the grid:
+    its n_cells cells (area n_cells * h**2) and the mean of their centres."""
 
     id: int
     sign: int
     n_cells: int
-    area: float
     centroid: complex
-    anchor: complex  # cell centre deepest inside the region
 
 
 @dataclass
@@ -152,16 +151,14 @@ class GridPartition:
 
     ``cls[iy, ix]`` is +1 / -1 by the sign of Im phi, 2 where the value is
     too close to zero to call, and 0 outside the disk.  ``labels`` numbers
-    the positive regions 1..n_plus and the negative ones
-    n_plus+1..n_plus+n_minus.
+    the P positive regions 1..P and the M negative ones P+1..P+M (0 is no
+    region); ``ids(sign)`` lists the regions of one sign.
     """
 
     resolution: int
     cls: np.ndarray
     labels: np.ndarray
     regions: dict[int, Region]
-    n_plus: int
-    n_minus: int
 
     @property
     def h(self) -> float:
@@ -202,7 +199,9 @@ def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> GridPartition:
 
     Raises ResolutionTooCoarse when a region is only a few cells wide or
     when a region encloses cells of the opposite sign (a sign pocket the
-    grid cannot be trusted to have resolved correctly).
+    grid cannot be trusted to have resolved correctly).  Its holes are, as
+    for ``ndi.binary_fill_holes``, the 4-connected pieces of its complement
+    that do not reach the grid's edge.
     """
     res = int(resolution)
     if res < 64:
@@ -212,44 +211,36 @@ def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> GridPartition:
     cls = classify_grid(
         phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs, res, margin, band
     )
-    labels = np.zeros((res, res), dtype=np.int32)
     lab_p, n_plus = ndi.label(cls == 1, structure=_STRUCTURE_4)
-    lab_m, n_minus = ndi.label(cls == -1, structure=_STRUCTURE_4)
-    pm = cls == 1
-    labels[pm] = lab_p[pm]
-    mm = cls == -1
-    labels[mm] = lab_m[mm] + n_plus
+    lab_m, _ = ndi.label(cls == -1, structure=_STRUCTURE_4)
+    labels = np.where(lab_m > 0, lab_m + n_plus, lab_p)
 
     h = 2.0 / res
     regions: dict[int, Region] = {}
-    for rid in range(1, n_plus + n_minus + 1):
-        mask = labels == rid
+    for rid, box in enumerate(ndi.find_objects(labels), start=1):
+        mask = labels[box] == rid
         n_cells = int(mask.sum())
         if n_cells < 4:
             raise ResolutionTooCoarse(
                 f"region {rid} occupies only {n_cells} cells at resolution {res}"
             )
-        filled = ndi.binary_fill_holes(mask)
-        holes = filled & ~mask
-        if holes.any() and np.any(np.abs(cls[holes]) == 1):
+        # the ring padding the bounding box stands for the rest of the grid
+        rest, _ = ndi.label(np.pad(~mask, 1, constant_values=True), _STRUCTURE_4)
+        holes = ~mask & (rest[1:-1, 1:-1] != rest[0, 0])
+        if np.any(np.abs(cls[box][holes]) == 1):
             raise ResolutionTooCoarse(
                 f"region {rid} encloses cells of another sign at resolution {res}"
             )
         iy, ix = np.nonzero(mask)
-        xs = -1.0 + (ix + 0.5) * h
-        ys = -1.0 + (iy + 0.5) * h
-        dist = ndi.distance_transform_cdt(mask)
-        kbest = int(np.argmax(dist))
-        ay, ax = np.unravel_index(kbest, dist.shape)
+        xs = -1.0 + (ix + box[1].start + 0.5) * h
+        ys = -1.0 + (iy + box[0].start + 0.5) * h
         regions[rid] = Region(
             id=rid,
             sign=1 if rid <= n_plus else -1,
             n_cells=n_cells,
-            area=n_cells * h * h,
             centroid=complex(xs.mean(), ys.mean()),
-            anchor=complex(-1.0 + (ax + 0.5) * h, -1.0 + (ay + 0.5) * h),
         )
-    return GridPartition(res, cls, labels, regions, n_plus, n_minus)
+    return GridPartition(res, cls, labels, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +693,7 @@ def _assemble(gp: GridPartition, valences: dict[int, int],
 
     plus_regions = [r for r in regions.values() if r.sign > 0]
     pool = plus_regions or list(regions.values())
-    pool.sort(key=lambda r: (-r.area, r.centroid.imag, r.centroid.real, r.id))
+    pool.sort(key=lambda r: (-r.n_cells, r.centroid.imag, r.centroid.real, r.id))
     root_rid = pool[0].id
     root_sign = regions[root_rid].sign
 
@@ -936,6 +927,13 @@ def extract_tree(phi, resolution: int = DEFAULT_RESOLUTION,
 _SVG_COLORS = {1: "#aecbfa", -1: "#f6b09a", 2: "#e8e8e8"}
 
 
+def _label_cell(gp: GridPartition, rid: int) -> complex:
+    """Centre of the cell deepest inside region rid, where its label goes."""
+    depth = ndi.distance_transform_cdt(gp.labels == rid)
+    iy, ix = np.unravel_index(int(np.argmax(depth)), depth.shape)
+    return gp.cell_center(int(ix), int(iy))
+
+
 def render_svg(gp: GridPartition, segments=(), collections=(), size: int = 640) -> str:
     """Plain SVG picture of the partition, traced arcs, and node labels."""
     res = gp.resolution
@@ -987,7 +985,7 @@ def render_svg(gp: GridPartition, segments=(), collections=(), size: int = 640) 
         )
     for coll in collections:
         biggest = max(coll.members, key=lambda rid: gp.regions[rid].n_cells)
-        anchor = gp.regions[biggest].anchor
+        anchor = _label_cell(gp, biggest)
         parts.append(
             f'<text x="{sx(anchor.real):.1f}" y="{sy(anchor.imag):.1f}" '
             'font-family="sans-serif" font-size="16" text-anchor="middle">'

@@ -389,3 +389,23 @@ def test_denominator_roots_are_found_once(monkeypatch):
     psi = RealSmirnov.from_json(phi.to_json())
     extract_full(psi, resolution=256)
     assert sum(np.array_equal(c, psi.den.coeffs) for c in inputs) == 1
+
+
+def test_real_affine_keeps_the_denominator_roots(monkeypatch):
+    """a*phi + b has phi's denominator, so it takes phi's den_roots report
+    and extracting it finds no roots of D again."""
+    phi = fixtures.koebe()
+    report = phi.den_roots()
+    inputs = []
+    original = complex_poly.find_roots
+
+    def recording(p):
+        inputs.append(p.coeffs)
+        return original(p)
+
+    monkeypatch.setattr(complex_poly, "find_roots", recording)
+    monkeypatch.setattr(blaschke_smirnov, "find_roots", recording)
+    psi = real_affine(phi, -1.0, 0.5)
+    assert psi.den_roots() is report
+    extract_full(psi, resolution=256)
+    assert not any(np.array_equal(c, psi.den.coeffs) for c in inputs)

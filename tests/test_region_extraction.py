@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
+from hypothesis import given, settings, strategies as st
 
 from rsmirnov.blaschke_smirnov import (
     Blaschke,
@@ -115,15 +117,17 @@ def ex_slit_squared():
 )
 def test_partition_component_counts(make, n_plus, n_minus):
     gp = partition(make(), 256)
-    assert gp.n_plus == n_plus
-    assert gp.n_minus == n_minus
+    signs = [region.sign for region in gp.regions.values()]
+    assert signs.count(1) == n_plus
+    assert signs.count(-1) == n_minus
     assert set(gp.regions) == set(range(1, n_plus + n_minus + 1))
     for rid, region in gp.regions.items():
         assert region.sign == (1 if rid <= n_plus else -1)
-        assert region.area > 0.01
-        assert abs(region.anchor) < 1.0
-        # the anchor cell really belongs to its region
-        assert gp.label_at(region.anchor) == rid
+        assert region.n_cells * gp.h**2 > 0.01
+        cell = rx._label_cell(gp, rid)
+        assert abs(cell) < 1.0
+        # the cell that carries the region's label really belongs to it
+        assert gp.label_at(cell) == rid
 
 
 def test_partition_rejects_tiny_resolution():
@@ -147,7 +151,126 @@ def test_partition_double_slit_sides():
     assert len(plus) == len(minus) == 1
     assert plus[0].centroid.real > 0.1
     assert minus[0].centroid.real < -0.1
-    assert abs(plus[0].area - minus[0].area) < 0.05
+    assert abs(plus[0].n_cells - minus[0].n_cells) * gp.h**2 < 0.05
+
+
+# hand-built class grids, fed to partition in place of classify_grid
+
+
+def _partition_grid(monkeypatch, cls):
+    monkeypatch.setattr(rx, "classify_grid", lambda *args: cls)
+    return partition(koebe(), cls.shape[0])
+
+
+def _blank(fill=2, res=64):
+    return np.full((res, res), fill, dtype=np.int8)
+
+
+def test_partition_rejects_a_region_of_three_cells(monkeypatch):
+    cls = _blank()
+    cls[10, 10:13] = 1
+    with pytest.raises(rx.ResolutionTooCoarse,
+                       match="region 1 occupies only 3 cells at resolution 64"):
+        _partition_grid(monkeypatch, cls)
+
+
+def test_partition_rejects_a_ring_around_the_other_sign(monkeypatch):
+    cls = _blank()
+    cls[20:25, 30:35] = 1
+    cls[21:24, 31:34] = -1
+    with pytest.raises(rx.ResolutionTooCoarse,
+                       match="region 1 encloses cells of another sign"):
+        _partition_grid(monkeypatch, cls)
+    # without a corner the centre meets the outside only diagonally, and
+    # holes are 4-connected: still enclosed
+    cls[24, 34] = 2
+    with pytest.raises(rx.ResolutionTooCoarse,
+                       match="region 1 encloses cells of another sign"):
+        _partition_grid(monkeypatch, cls)
+
+
+def test_partition_accepts_a_ring_around_undecided_cells(monkeypatch):
+    cls = _blank(fill=0)
+    cls[20:25, 30:35] = 1
+    cls[21:24, 31:34] = 2
+    gp = _partition_grid(monkeypatch, cls)
+    assert [(r.id, r.sign, r.n_cells) for r in gp.regions.values()] == [(1, 1, 16)]
+    assert gp.regions[1].centroid == gp.cell_center(32, 22)
+
+
+def test_partition_regions_touching_the_grid_edge(monkeypatch):
+    # a U open to the grid's edge holds a pocket of the other sign that
+    # reaches the edge: not enclosed
+    cls = _blank()
+    cls[0:6, 10:15] = 1
+    cls[0:5, 11:14] = -1
+    gp = _partition_grid(monkeypatch, cls)
+    assert [(r.sign, r.n_cells) for r in gp.regions.values()] == [(1, 15), (-1, 15)]
+    # the same U open inside the grid
+    cls = _blank()
+    cls[30:36, 10:15] = 1
+    cls[30:35, 11:14] = -1
+    gp = _partition_grid(monkeypatch, cls)
+    assert [(r.sign, r.n_cells) for r in gp.regions.values()] == [(1, 15), (-1, 15)]
+    # a ring drawn against the edge still encloses its centre, although
+    # the edge is not class 0
+    cls = _blank()
+    cls[0:5, 0:5] = 1
+    cls[1:4, 1:4] = -1
+    with pytest.raises(rx.ResolutionTooCoarse, match="region 1 encloses"):
+        _partition_grid(monkeypatch, cls)
+
+
+def _first_enclosing_region(cls):
+    """Id of the first region partition should reject as enclosing the
+    other sign, by ndi.binary_fill_holes, or None."""
+    four = ndi.generate_binary_structure(2, 1)
+    lab_p, n_plus = ndi.label(cls == 1, structure=four)
+    lab_m, n_minus = ndi.label(cls == -1, structure=four)
+    masks = [lab_p == k for k in range(1, n_plus + 1)]
+    masks += [lab_m == k for k in range(1, n_minus + 1)]
+    for rid, mask in enumerate(masks, start=1):
+        holes = ndi.binary_fill_holes(mask, structure=four) & ~mask
+        if np.any(np.abs(cls[holes]) == 1):
+            return rid
+    return None
+
+
+CLASSES = st.sampled_from([-1, 0, 1, 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.sampled_from([4, 8, 16]), data=st.data())
+def test_partition_rejects_exactly_the_enclosing_grids(blocks, data):
+    # rectangles with a rim of one class round another, painted on a
+    # coarse grid and blown up to 64 x 64 so that no region is under four
+    # cells: only the enclosure rule can reject the grid
+    n = 64 // blocks
+    coarse = np.full((n, n), data.draw(CLASSES), dtype=np.int8)
+    for _ in range(data.draw(st.integers(1, 4))):
+        y0, x0 = (data.draw(st.integers(0, n - 3)) for _ in range(2))
+        y1 = data.draw(st.integers(y0 + 3, n))
+        x1 = data.draw(st.integers(x0 + 3, n))
+        coarse[y0:y1, x0:x1] = data.draw(CLASSES)
+        coarse[y0 + 1:y1 - 1, x0 + 1:x1 - 1] = data.draw(CLASSES)
+        # a corner of the rim repainted leaves the inside touching the
+        # outside only diagonally: still enclosed, by 4-connectivity
+        cy, cx = data.draw(st.sampled_from([(y0, x0), (y0, x1 - 1),
+                                            (y1 - 1, x0), (y1 - 1, x1 - 1)]))
+        coarse[cy, cx] = data.draw(CLASSES)
+    cls = np.kron(coarse, np.ones((blocks, blocks), dtype=np.int8))
+    expected = _first_enclosing_region(cls)
+    with pytest.MonkeyPatch.context() as mp:
+        if expected is None:
+            gp = _partition_grid(mp, cls)
+            assert sum(r.n_cells for r in gp.regions.values()) == np.sum(
+                np.abs(cls) == 1)
+        else:
+            with pytest.raises(
+                rx.ResolutionTooCoarse,
+                match=f"region {expected} encloses cells of another sign",
+            ):
+                _partition_grid(mp, cls)
 
 
 # ---------------------------------------------------------------------------
