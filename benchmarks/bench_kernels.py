@@ -34,6 +34,11 @@ the tracing and the valence stages of extraction on the five fixtures at
 resolution 512: partition from the function alone (its classify_grid
 call included), the other two from partitions, branch points, boundary
 pieces and (for region_valence) traced segments prepared beforehand.
+
+The integral_means row makes the four integral means analyze probes on
+each of the five fixtures (cli._means_rows: two exponents, each at radii
+0.99 and 0.9999), with the roots of N and D found beforehand, as they
+are in an analysis by the time it probes the means.
 """
 
 import argparse
@@ -55,13 +60,16 @@ from rsmirnov.blaschke_smirnov import (
     valence_at,
     valence_counts,
 )
+from rsmirnov.cli import _means_rows
 from rsmirnov.fixtures import all_fixtures, double_slit, fourth_power_map
 from rsmirnov.region_extraction import (
+    extract_full,
     find_branch_points,
     partition,
     region_valence,
     trace_segments,
 )
+from rsmirnov.valence_tree import profile
 
 
 def _time(fn, repeats=5):
@@ -242,6 +250,14 @@ def run_benchmarks():
         for phi, gp, _, segments in prepared:
             region_valence(phi, gp, segments)
 
+    # each fixture with the m of its tree, as analyze passes it
+    means_inputs = [(phi, profile(extract_full(phi, resolution=res).tree)
+                     .sup_real) for phi in fixtures]
+
+    def bench_integral_means():
+        for phi, m in means_inputs:
+            _means_rows(phi, m)
+
     timings = {
         "horner_many (262k pts, deg 4)": _time(bench_horner),
         "aberth_iterate (512 solves, deg 8)": _time(bench_aberth),
@@ -256,6 +272,7 @@ def run_benchmarks():
         "partition (5 fixtures, res 512)": _time(bench_partition),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
+        "integral_means (5 fixtures, 4 rows)": _time(bench_integral_means),
     }
     peaks = {
         "classify_grid (res 512)": _peak_alloc(bench_classify(512)),

@@ -107,7 +107,7 @@ def _means_rows(phi, m):
             row["inner"] = integral_means(phi, p, MEANS_RADII[0])
             row["outer"] = integral_means(phi, p, MEANS_RADII[1])
             row["ratio"] = row["outer"] / row["inner"]
-        except (QuadratureUnstable, OverflowError):
+        except (QuadratureUnstable, OverflowError, NonConvergence):
             pass
         rows.append(row)
     return rows

@@ -3,14 +3,17 @@
 The quartic fixture has a closed-form preimage oracle: with w = (1+z)/(1-z)
 the equation w^4 = lambda has a disk solution per fourth root of lambda
 with positive real part.  That oracle is independent of all root finding.
+Integral means are checked against a 30-digit mpmath quadrature
+(mp_integral_mean).
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rsmirnov.blaschke_smirnov import (
     Blaschke,
@@ -29,9 +32,39 @@ from rsmirnov.blaschke_smirnov import (
     real_affine,
     valence_at,
 )
-from rsmirnov.complex_poly import BOUNDARY_TOL, Poly, find_roots
+from rsmirnov.complex_poly import (
+    BOUNDARY_TOL,
+    Poly,
+    find_roots,
+    poly_from_roots,
+)
 from rsmirnov import blaschke_smirnov, complex_poly, fixtures
 from rsmirnov.region_extraction import extract_full
+
+
+def mp_integral_mean(phi, p, r):
+    """Oracle for integral_means: M_p(r, phi) by mpmath's tanh-sinh
+    quadrature at 30 digits, with N/D in the monomial basis and
+    breakpoints at the angles of the roots of N and D (numpy.roots)."""
+    with mpmath.workdps(30):
+        def coeffs(poly):
+            return [mpmath.mpc(c.real, c.imag) for c in poly.coeffs[::-1]]
+
+        num, den = coeffs(phi.num), coeffs(phi.den)
+        rr, pp = mpmath.mpf(r), mpmath.mpf(p)
+
+        def integrand(t):
+            z = rr * mpmath.expj(t)
+            return abs(mpmath.polyval(num, z) / mpmath.polyval(den, z)) ** pp
+
+        angles = {0.0}
+        for poly in (phi.num, phi.den):
+            if poly.degree >= 1:
+                for z in np.roots(poly.coeffs[::-1]):
+                    angles.add(math.atan2(z.imag, z.real) % (2.0 * math.pi))
+        points = [mpmath.mpf(t) for t in sorted(angles)] + [2 * mpmath.pi]
+        total = mpmath.quad(integrand, points)
+        return float((total / (2 * mpmath.pi)) ** (1 / pp))
 
 
 def quartic_preimage_count(lam):
@@ -254,54 +287,65 @@ class TestIntegralMeans:
         with pytest.raises(ValueError):
             integral_means(fixtures.koebe(), 0.5, 1.0)
 
-    @pytest.mark.parametrize("name", ["koebe", "fourth_power_map"])
-    @pytest.mark.parametrize("p", [0.375, 0.75])
-    @pytest.mark.parametrize("r", [0.9, 0.999])
-    def test_refinement_reusing_samples_matches_full_resampling(
-            self, name, p, r):
-        """Doubling keeps the samples taken so far; the estimates must be
-        those of resampling all n points at every step."""
-        phi = fixtures.all_fixtures()[name]
-        n0, n_max, rel_tol = 64, 1 << 14, 1e-7
+    @pytest.mark.parametrize("p, ratio", [(0.125, 1.32), (0.375, 542.0)])
+    def test_fourth_power_map_at_its_circle_poles_matches_the_oracle(
+            self, p, ratio):
+        """At r = 0.9999 the monomial denominator (1 - z)^4 is rounding
+        noise, (1 - r)^4 = 1e-16; |D| from its factors is not.  p = 1/8 is
+        below the H^p threshold 1/(2m) = 1/4 and p = 3/8 above it."""
+        phi = fixtures.fourth_power_map()
+        outer = integral_means(phi, p, 0.9999)
+        assert outer == pytest.approx(mp_integral_mean(phi, p, 0.9999),
+                                      rel=1e-6)
+        assert outer / integral_means(phi, p, 0.99) == pytest.approx(
+            ratio, rel=1e-2)
 
-        def resampled():
-            n, prev = n0, None
-            while n <= n_max:
-                t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-                vals = np.abs(phi.eval(r * np.exp(1j * t)))
-                est = float(np.mean(vals ** p)) ** (1.0 / p)
-                if prev is not None and abs(est - prev) <= rel_tol * abs(est):
-                    return est
-                prev, n = est, 2 * n
-            return None
+    def test_false_settle_is_caught(self):
+        """A doubling trapezoid rule settles here at 0.55555171, 2.6e-5
+        (relative) from the mean 0.55556589, above its 1e-5 tolerance."""
+        rng = np.random.default_rng(5)
+        for d1, d2 in [(2, 1), (3, 2), (3, 3), (1, 2), (4, 3), (2, 2)]:
+            phi = random_helson(rng, d1, d2, rmax=0.99)
+        got = integral_means(phi, 0.25, 0.9999)
+        assert got == pytest.approx(mp_integral_mean(phi, 0.25, 0.9999),
+                                    rel=1e-6)
 
-        want = resampled()
-        try:
-            got = integral_means(phi, p, r, n0=n0, rel_tol=rel_tol,
-                                 n_max=n_max)
-        except QuadratureUnstable:
-            got = None
-        if want is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(want, rel=1e-14)
+    def test_peaks_at_one_angle_match_the_oracle(self):
+        # three roots on the positive real axis, 0.2, 0.3 and 0.4 from
+        # the circle of radius 0.9: the middle centre has no gap to
+        # either neighbour
+        phi = RealSmirnov(poly_from_roots([0.7, 1.2]), poly_from_roots([1.3]))
+        assert integral_means(phi, 0.25, 0.9) == pytest.approx(
+            mp_integral_mean(phi, 0.25, 0.9), rel=1e-6)
 
     def test_sum_that_is_not_finite_raises_at_once(self):
-        # at r = 0.9999 the monomial denominator of the fourth power map
-        # evaluates under the pole tolerance at t = 0, so the first n0
-        # samples already sum to infinity
-        phi = fixtures.fourth_power_map()
-        evaluate = phi.eval
-        points = []
+        # |koebe| reaches 1e8 at r = 0.9999, and 1e8^400 overflows
+        with pytest.raises(QuadratureUnstable, match="not finite"):
+            integral_means(fixtures.koebe(), 400.0, 0.9999)
 
-        def counting_eval(z):
-            points.append(np.size(z))
-            return evaluate(z)
+    def test_pole_on_the_radius_does_not_settle(self):
+        # a pole at 1/2, on the circle of radius 1/2, makes |phi|^2 not
+        # integrable: each halving moves the nodes nearer the pole
+        phi = RealSmirnov(Poly([1.0]), Poly([-0.5, 1.0]))
+        with pytest.raises(QuadratureUnstable, match="did not settle"):
+            integral_means(phi, 2.0, 0.5)
 
-        phi.eval = counting_eval
-        with pytest.raises(QuadratureUnstable):
-            integral_means(phi, 0.25, 0.9999)
-        assert sum(points) == 2048
+
+@given(seed=st.integers(0, 10 ** 6),
+       degrees=st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(
+           lambda d: d != (0, 0)),
+       rmax=st.floats(0.85, 0.999),
+       r=st.sampled_from([0.9, 0.99, 0.9999]),
+       p=st.sampled_from([0.125, 0.25, 0.375, 0.75]))
+@settings(max_examples=8, deadline=None)
+def test_integral_means_match_the_oracle(seed, degrees, rmax, r, p):
+    try:
+        phi = random_helson(np.random.default_rng(seed), *degrees, rmax=rmax)
+    except RuntimeError:
+        # B1 - B2 rarely has no zero in the disk when deg B2 > deg B1
+        assume(False)
+    assert integral_means(phi, p, r) == pytest.approx(
+        mp_integral_mean(phi, p, r), rel=1e-6)
 
 
 class TestClosureOps:
@@ -370,6 +414,18 @@ def test_boundary_realness_random_helson(seed):
     # boundary_value's rule: rounding noise in Im grows with |phi|
     re_phi = np.abs(phi(np.exp(1j * ts)).real)
     assert np.all(ims <= 1e-8 * np.maximum(1.0, re_phi))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
+def test_boundary_im_samples_match_the_per_sample_loop(name):
+    """boundary_im_samples takes the double-precision fast path over all
+    samples at once; it must agree with _boundary_eval sample by sample,
+    which can differ only below the fast path's 1e-9 bar."""
+    phi = fixtures.all_fixtures()[name]
+    ts, ims = phi.boundary_im_samples(512, delta=1e-3)
+    loop = np.array([abs(phi._boundary_eval(float(t))[1]) for t in ts])
+    assert len(ts) >= 510
+    assert np.all(np.abs(ims - loop) < 1e-9)
 
 
 def test_denominator_roots_are_found_once(monkeypatch):

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from rsmirnov.cli import main
-from rsmirnov.fixtures import double_slit, koebe
+from rsmirnov.fixtures import double_slit, fourth_power_map, koebe
 from rsmirnov.synthesis import endpoint_error
 from rsmirnov.valence_tree import Interval, Node, Tree
 
@@ -82,6 +82,24 @@ def test_analyze_koebe(tmp_path, capsys):
     assert rows[1]["p"] == pytest.approx(0.75)
     assert rows[1]["ratio"] > 10.0
     assert svg.read_text().lstrip().startswith("<svg")
+
+
+def test_analyze_fourth_power_map_prints_four_means(tmp_path, capsys):
+    """Its 4-fold circle pole used to make the r = 0.9999 means raise, and
+    both rows printed "unstable quadrature"."""
+    inp = write_json(tmp_path / "f4.json", fourth_power_map().to_json())
+    out = tmp_path / "report.json"
+    assert main(["analyze", inp, "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "unstable quadrature" not in text
+    assert text.count(", ratio = ") == 2
+    rows = json.loads(out.read_text())["integral_means"]["rows"]
+    assert [row["p"] for row in rows] == [0.125, 0.375]
+    for row in rows:
+        assert all(isinstance(row[k], float) and math.isfinite(row[k])
+                   for k in ("inner", "outer", "ratio"))
+    assert rows[0]["ratio"] < 3.0
+    assert rows[1]["ratio"] > 10.0
 
 
 def test_analyze_double_slit_interval(tmp_path, capsys):
