@@ -8,6 +8,8 @@ The script times the four kernels of rsmirnov._kernels, best of five
 runs after one warmup.  Workload sizes match what one disk extraction at
 resolution 512 actually pushes through the kernels; classify_grid is also
 timed at 1024, with the peak of its temporary allocations (tracemalloc).
+aberth_iterate runs from fixed circle guesses to its one stopping rule,
+ABERTH_TOL, the tolerance every root find uses.
 
 The real valence count rows time the two ways of counting valences at
 real points on a fixed (2, 1) edge candidate: valence_at finds the roots

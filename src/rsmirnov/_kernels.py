@@ -13,6 +13,19 @@ import numpy as np
 # with it and refuses to compare results whose stamps differ
 USE_NUMBA = False
 
+#: aberth_iterate's relative step tolerance and sweep budget
+ABERTH_TOL = 1e-13
+ABERTH_MAX_ITER = 400
+#: floor of classify_grid's near-zero band, relative to |D|^2
+BAND_FLOOR = 1e-14
+#: where trace_arc stops: |N/D| at a pole, the distance to a branch point,
+#: |z| at the circle, the smallest step, the most points
+POLE_CUTOFF = 1e8
+BP_RADIUS = 1e-3
+TRACE_R_STOP = 1.0 - 1e-7
+TRACE_H_MIN = 1e-7
+TRACE_STEP_LIMIT = 200000
+
 # trace_arc status codes
 TRACE_HIT_CIRCLE = 1
 TRACE_HIT_POLE = 2
@@ -58,25 +71,22 @@ def horner_scalar(coeffs, z):
     return _horner_scalar(coeffs, complex(z))
 
 
-def aberth_iterate(coeffs, initial, tol=1e-14, max_iter=400):
+def aberth_iterate(coeffs, initial):
     """Run the Aberth-Ehrlich iteration from the supplied initial guesses.
 
     Gauss-Seidel updates; coeffs ascending, monic not required.  Returns
     (roots, iterations, converged).
 
-    Stops when the largest relative step drops below tol, or when every
-    residual |p(z_k)| is below machine noise for the evaluation itself
-    (sum |c_j||z|^j scaled by eps) -- the step criterion alone stalls on
-    multiple roots, whose iterate rings shrink only linearly.
+    Stops when the largest relative step drops below ABERTH_TOL, or when
+    every residual |p(z_k)| is below machine noise for the evaluation
+    itself (sum |c_j||z|^j scaled by eps) -- the step criterion alone stalls
+    on multiple roots, whose iterate rings shrink only linearly.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     roots = np.array(initial, dtype=np.complex128)
     n = roots.shape[0]
     acoeffs = np.abs(coeffs)
-    dcoeffs = np.array(
-        [coeffs[k] * k for k in range(1, len(coeffs))], dtype=np.complex128
-    )
-    for it in range(max_iter):
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    for it in range(ABERTH_MAX_ITER):
         delta = 0.0
         worst_resid = 0.0
         for k in range(n):
@@ -105,22 +115,19 @@ def aberth_iterate(coeffs, initial, tol=1e-14, max_iter=400):
             rel = abs(step) / (1.0 + abs(roots[k]))
             if rel > delta:
                 delta = rel
-        if delta < tol or worst_resid < 1e-14:
+        if delta < ABERTH_TOL or worst_resid < 1e-14:
             return roots, it + 1, True
-    return roots, max_iter, False
+    return roots, ABERTH_MAX_ITER, False
 
 
-def classify_grid(ncoef, dcoef, wcoef, res, margin, band, tiny=1e-14):
+def classify_grid(ncoef, dcoef, wcoef, res, margin, band):
     """Classify cell centers of a res x res grid over [-1,1]^2.
 
     Codes: 0 outside the working disk, +1 where Im(N/D) > 0, -1 where < 0,
-    2 where |Im(N/D)| < band * |(N/D)'| + tiny (the near-zero band).  The
-    test is done on |Im(N conj D)| vs band*|W| where W = N'D - ND', so no
-    division happens anywhere.
+    2 where |Im(N/D)| < band * |(N/D)'| + BAND_FLOOR (the near-zero band).
+    The test is done on |Im(N conj D)| vs band*|W| where W = N'D - ND', so
+    no division happens anywhere.
     """
-    ncoef = np.ascontiguousarray(ncoef, dtype=np.complex128)
-    dcoef = np.ascontiguousarray(dcoef, dtype=np.complex128)
-    wcoef = np.ascontiguousarray(wcoef, dtype=np.complex128)
     cls = np.zeros((res, res), dtype=np.int8)
     h = 2.0 / res
     rlim2 = (1.0 - margin) ** 2
@@ -138,51 +145,27 @@ def classify_grid(ncoef, dcoef, wcoef, res, margin, band, tiny=1e-14):
         imnd = (nv * dv.conj()).imag
         d2 = (dv * dv.conj()).real
         cls[y0:y0 + rows][inside] = np.where(
-            np.abs(imnd) < band * np.abs(wv) + tiny * d2,
+            np.abs(imnd) < band * np.abs(wv) + BAND_FLOOR * d2,
             2,
             np.where(imnd > 0, 1, -1),
         )
     return cls
 
 
-def trace_arc(
-    ncoef,
-    dcoef,
-    wcoef,
-    z0,
-    direction,
-    h0=2e-3,
-    h_min=1e-7,
-    h_max=8e-3,
-    r_stop=1.0 - 1e-7,
-    pole_cutoff=1e8,
-    branch_points=None,
-    bp_radius=1e-3,
-    max_steps=200000,
-):
+def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
+              branch_points=()):
     """Follow the level curve Im(N/D) = 0 from z0.
 
     direction=+1 walks with Re(N/D) increasing, -1 decreasing.  Stops at the
-    circle (|z| >= r_stop), at a pole (|N/D| >= pole_cutoff), near one of
-    branch_points (within bp_radius), when the corrector stalls, or when
+    circle (|z| >= TRACE_R_STOP), at a pole (|N/D| >= POLE_CUTOFF), near one
+    of branch_points (within BP_RADIUS), when the corrector stalls, or when
     monotonicity of Re(N/D) fails.  Returns (points, status, bp_index): the
     points of the walk, a TRACE_* code, and the index of the branch point
     hit (-1 if none).
     """
-    ncoef = np.ascontiguousarray(ncoef, dtype=np.complex128)
-    dcoef = np.ascontiguousarray(dcoef, dtype=np.complex128)
-    wcoef = np.ascontiguousarray(wcoef, dtype=np.complex128)
-    if branch_points is None or len(branch_points) == 0:
-        bps = np.empty(0, dtype=np.complex128)
-    else:
-        bps = np.ascontiguousarray(branch_points, dtype=np.complex128)
-    direction = float(direction)
-    h_min = float(h_min)
-    h_max = float(h_max)
-    r_stop = float(r_stop)
-    pole_cutoff = float(pole_cutoff)
-    bp_radius = float(bp_radius)
-    max_steps = int(max_steps)
+    # locals, so the step loop looks up no globals
+    pole_cutoff, bp_radius, r_stop = POLE_CUTOFF, BP_RADIUS, TRACE_R_STOP
+    h_min, max_steps = TRACE_H_MIN, TRACE_STEP_LIMIT
     pts = np.empty(max_steps, dtype=np.complex128)
 
     def phi(z):
@@ -206,7 +189,7 @@ def trace_arc(
     pts[n] = z
     n += 1
     re_prev = fz.real
-    h = float(h0)
+    h = h0
     status = TRACE_MAX_STEPS
     bp_hit = -1
     while n < max_steps:
@@ -286,8 +269,8 @@ def trace_arc(
             status = TRACE_HIT_POLE
             break
         hit = -1
-        for b in range(bps.shape[0]):
-            if abs(z - bps[b]) < bp_radius:
+        for b in range(len(branch_points)):
+            if abs(z - branch_points[b]) < bp_radius:
                 hit = b
                 break
         if hit >= 0:

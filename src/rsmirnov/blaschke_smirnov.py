@@ -44,6 +44,15 @@ ZERO_MARGIN = 1e-12
 #: as poles when validating realness
 POLE_EVAL_TOL = 1e-13
 
+#: a boundary value is real when |Im phi| is at most this: relative to
+#: |Re phi| above 1 in boundary_value, absolute in from_rational's check
+BOUNDARY_IM_TOL = 1e-8
+
+#: boundary_im_samples takes this many equispaced angles, leaving out those
+#: within POLE_GAP of a circle pole
+BOUNDARY_SAMPLES = 512
+POLE_GAP = 1e-3
+
 
 class NotRelativelyPrime(Exception):
     """The two Blaschke products share a zero."""
@@ -135,6 +144,9 @@ class Blaschke:
 
     @classmethod
     def from_json(cls, obj):
+        unknown = sorted(set(obj) - {"zeros", "constant"})
+        if unknown:
+            raise KeyError("unknown Blaschke key(s) %s" % ", ".join(unknown))
         zeros = [complex(re, im) for re, im in obj.get("zeros", [])]
         cre, cim = obj.get("constant", [1.0, 0.0])
         return cls(zeros, complex(cre, cim))
@@ -251,15 +263,15 @@ class RealSmirnov:
 
     # -- boundary -----------------------------------------------------------
 
-    def boundary_value(self, t, im_tol=1e-8):
+    def boundary_value(self, t):
         """Re phi(e^{it}), escalating to high precision when doubles cannot
         separate a real boundary value from cancellation noise near a pole.
 
         Returns +-inf at circle poles (the sign is the one-sided limit when
         both sides agree, +inf by convention when they disagree).  Raises
         BoundaryNotReal if the imaginary residual survives escalation; the
-        tolerance is relative to |Re| above 1, since the rounding noise of
-        N/D grows with |phi| near a circle pole.
+        tolerance BOUNDARY_IM_TOL is relative to |Re| above 1, since the
+        rounding noise of N/D grows with |phi| near a circle pole.
         """
         re, im, is_pole = self._boundary_eval(t)
         if is_pole:
@@ -268,7 +280,7 @@ class RealSmirnov:
             if s1 < 0 and s2 < 0:
                 return -math.inf
             return math.inf
-        if abs(im) > im_tol * max(1.0, abs(re)):
+        if abs(im) > BOUNDARY_IM_TOL * max(1.0, abs(re)):
             raise BoundaryNotReal(abs(im), t)
         return re
 
@@ -283,7 +295,7 @@ class RealSmirnov:
             w = nv / dv
             # double precision leaves |Im| ~ |w| * 1e-16 of cancellation
             # noise; trust the fast path only when the result is already an
-            # order under the 1e-8 realness tolerance
+            # order under BOUNDARY_IM_TOL
             if abs(w.imag) < 1e-9:
                 return w.real, w.imag, False
         with mpmath.workdps(40):
@@ -295,14 +307,15 @@ class RealSmirnov:
             wmp = nmp / dmp
             return float(wmp.real), float(wmp.imag), False
 
-    def boundary_im_samples(self, n, delta=1e-4):
-        """|Im phi| at n equispaced boundary samples, excluding arcs within
-        delta of circle poles.  Returns (t values, |Im| values)."""
-        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        keep = np.ones(n, dtype=bool)
+    def boundary_im_samples(self):
+        """|Im phi| at BOUNDARY_SAMPLES equispaced boundary samples,
+        excluding arcs within POLE_GAP of circle poles.  Returns (t values,
+        |Im| values)."""
+        t = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_SAMPLES, endpoint=False)
+        keep = np.ones(BOUNDARY_SAMPLES, dtype=bool)
         for tp in self.circle_poles():
             d = np.abs((t - tp + math.pi) % (2.0 * math.pi) - math.pi)
-            keep &= d > delta
+            keep &= d > POLE_GAP
         tk = t[keep]
         # _boundary_eval's double-precision fast path over every sample at
         # once; the samples it does not trust go to _boundary_eval itself
@@ -341,16 +354,20 @@ class RealSmirnov:
 
 # -- constructors -----------------------------------------------------------
 
-def from_blaschke(b1, b2):
-    """phi = i(B1+B2)/(B1-B2); rejects shared zeros and non-outer B1-B2."""
-    if _min_pairwise_distance(b1.zeros, b2.zeros) < 1e-8:
-        raise NotRelativelyPrime("B1 and B2 share a zero within 1e-8")
+def _helson_quotient(b1, b2):
+    """(N, D) = (i(P1 Q2 + P2 Q1), P1 Q2 - P2 Q1) for B1 = P1/Q1, B2 = P2/Q2."""
     p1, q1 = b1.as_rational()
     p2, q2 = b2.as_rational()
     a = p1 * q2
     b = p2 * q1
-    num = (a + b).scale(1j)
-    den = a - b
+    return (a + b).scale(1j), a - b
+
+
+def from_blaschke(b1, b2):
+    """phi = i(B1+B2)/(B1-B2); rejects shared zeros and non-outer B1-B2."""
+    if _min_pairwise_distance(b1.zeros, b2.zeros) < 1e-8:
+        raise NotRelativelyPrime("B1 and B2 share a zero within 1e-8")
+    num, den = _helson_quotient(b1, b2)
     if den.is_zero():
         raise NotRelativelyPrime("B1 - B2 is identically zero")
     phi = RealSmirnov(num, den, b1=b1, b2=b2)
@@ -362,10 +379,9 @@ def from_blaschke(b1, b2):
     return phi
 
 
-def from_rational(num, den, check_boundary=True, n_boundary=512,
-                  circle_tol=BOUNDARY_TOL):
+def from_rational(num, den, circle_tol=BOUNDARY_TOL):
     """Reduced rational phi = N/D with outer denominator and real boundary
-    values.
+    values (to BOUNDARY_IM_TOL at boundary_im_samples' angles).
 
     circle_tol is the width of the band around the unit circle inside
     which a denominator root counts as a legal boundary pole rather than
@@ -391,11 +407,11 @@ def from_rational(num, den, check_boundary=True, n_boundary=512,
             if _min_pairwise_distance(rn.roots, rd.roots) < 1e-8:
                 raise ValueError("numerator and denominator share a zero; "
                                  "reduce the fraction first")
-    if check_boundary and num.degree + den.degree > 0:
-        ts, ims = phi.boundary_im_samples(n_boundary, delta=1e-3)
+    if num.degree + den.degree > 0:
+        ts, ims = phi.boundary_im_samples()
         if ims.size:
             worst = int(np.argmax(ims))
-            if ims[worst] > 1e-8:
+            if ims[worst] > BOUNDARY_IM_TOL:
                 raise BoundaryNotReal(float(ims[worst]), float(ts[worst]))
     return phi
 
@@ -602,15 +618,19 @@ def real_valence(phi, x, pieces):
     return v
 
 
-def halfplane_valences(phi, seed=0, n_check=8):
+#: points halfplane_valences draws in each half plane
+HALFPLANE_SAMPLES = 8
+
+
+def halfplane_valences(phi, seed=0):
     """(v on C+, v on C-).
 
     With a Helson pair present this is (deg B2, deg B1), cross-checked by
     sampling; otherwise both half planes are sampled and constancy is
-    asserted.  The n_check points of each half plane are drawn first and
-    counted by one valence_counts call.  Raises InconsistentValence when
-    samples disagree (numerical failure: the valence is constant on each
-    half plane).
+    asserted.  The HALFPLANE_SAMPLES points of each half plane are drawn
+    first and counted by one valence_counts call.  Raises
+    InconsistentValence when samples disagree (numerical failure: the
+    valence is constant on each half plane).
 
     These are also the deficiency indices, the codimensions of the ranges
     of the Toeplitz operator T_phi - lambda over each half plane: for
@@ -618,10 +638,11 @@ def halfplane_valences(phi, seed=0, n_check=8):
     product, so the indices coincide with the half-plane valences.
     """
     rng = np.random.default_rng(seed)
+    n = HALFPLANE_SAMPLES
     lams = [complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
-            for sign in (+1,) * n_check + (-1,) * n_check]
+            for sign in (+1,) * n + (-1,) * n]
     counts = valence_counts(phi, lams).tolist()
-    up, lo = counts[:n_check], counts[n_check:]
+    up, lo = counts[:n], counts[n:]
     if phi.b1 is not None and phi.b2 is not None:
         expect = (phi.b2.degree, phi.b1.degree)
         if any(c != expect[0] for c in up) or any(c != expect[1] for c in lo):
@@ -648,6 +669,9 @@ MIN_PEAK_WIDTH = 1e-12
 
 #: times integral_means halves every panel before it gives up
 MAX_HALVINGS = 4
+
+#: integral_means' 16- and 32-point estimates must agree to this, relative
+MEANS_REL_TOL = 1e-5
 
 @functools.cache
 def _gauss_legendre():
@@ -724,7 +748,7 @@ def _graded_breakpoints(centres):
     return np.append(bp, bp[0] + two_pi)
 
 
-def integral_means(phi, p, r, rel_tol=1e-5):
+def integral_means(phi, p, r):
     """M_p(r, phi) = ((1/2 pi) int |phi(r e^{it})|^p dt)^(1/p), by composite
     Gauss-Legendre quadrature on panels graded toward the peaks of the
     integrand (Hale & Trefethen 2008, SIAM J. Numer. Anal. 46).
@@ -735,7 +759,7 @@ def integral_means(phi, p, r, rel_tol=1e-5):
     toward it (_graded_breakpoints), so a pole 1e-4 from the circle needs
     a few dozen panels where an equispaced rule needs 10^5 samples.  The
     16- and 32-point rules on every panel, evaluated on one node array,
-    give two estimates.  Until they agree to rel_tol, every panel is
+    give two estimates.  Until they agree to MEANS_REL_TOL, every panel is
     halved, up to MAX_HALVINGS times; then QuadratureUnstable is raised.
     A sum that is not finite raises it at once.  The 32-point estimate is
     returned.
@@ -781,7 +805,7 @@ def integral_means(phi, p, r, rel_tol=1e-5):
             raise QuadratureUnstable(
                 "integral mean sum is not finite (r = %g)" % r)
         coarse, fine = (float(s / (2.0 * math.pi)) ** (1.0 / p) for s in sums)
-        if abs(coarse - fine) <= rel_tol * abs(fine):
+        if abs(coarse - fine) <= MEANS_REL_TOL * abs(fine):
             return fine
         bp = np.sort(np.concatenate([bp, mid]))
     raise QuadratureUnstable(

@@ -40,7 +40,7 @@ from .synthesis import (
     catalog_realize,
     synthesize_search,
 )
-from .valence_tree import InvalidTree, Tree, profile, to_dot, validate
+from .valence_tree import InvalidTree, Interval, Tree, profile, to_dot, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -77,14 +77,6 @@ def _dump_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _fmt_x(x):
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return "%g" % x
 
 
 def _describe(phi):
@@ -167,7 +159,7 @@ def cmd_analyze(args):
             iv))
     print("real profile:")
     for lo, hi, mult in prof.pieces():
-        print("  (%s, %s): %d" % (_fmt_x(lo), _fmt_x(hi), mult))
+        print("  %s: %d" % (Interval(lo, hi), mult))
     print("crosscheck: %s (%d samples, %d mismatches)" % (
         "ok" if report.ok else "MISMATCH", report.samples,
         len(report.mismatches)))

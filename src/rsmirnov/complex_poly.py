@@ -37,9 +37,8 @@ BOUNDARY_TOL = 1e-9
 #: them are at least this far apart, relative to 1 + max |e|
 EIG_START_SEPARATION = 1e-2
 
-#: the Aberth tolerance and iteration budget of _aberth_rows
-ABERTH_TOL = 1e-13
-ABERTH_MAX_ITER = 400
+#: Newton steps of the polish after Aberth
+POLISH_STEPS = 3
 
 #: _trimmed drops leading coefficients smaller than this, relative to the
 #: largest coefficient
@@ -48,6 +47,9 @@ LEAD_TOL = 1e-14
 #: _cluster's second pass merges two groups only when they lie within this
 #: multiple of the radius that rounding can scatter the merged root to
 RING_FACTOR = 100.0
+
+#: winding_count's first sampling of the contour, doubled as needed
+WINDING_SAMPLES = 4096
 
 
 class NonConvergence(Exception):
@@ -255,14 +257,12 @@ def _aberth_rows(rows):
     """
     roots, ok = _eigenvalue_start(rows)
     for i in np.flatnonzero(ok):
-        roots[i], _, ok[i] = _kernels.aberth_iterate(
-            rows[i], roots[i], ABERTH_TOL, ABERTH_MAX_ITER)
+        roots[i], _, ok[i] = _kernels.aberth_iterate(rows[i], roots[i])
     for i in np.flatnonzero(~ok):
         rng = None
         for attempt in range(4):
             roots[i], _, done = _kernels.aberth_iterate(
-                rows[i], _initial_guesses(rows[i], rng), ABERTH_TOL,
-                ABERTH_MAX_ITER)
+                rows[i], _initial_guesses(rows[i], rng))
             if done:
                 break
             rng = np.random.default_rng(0xC0FFEE + attempt)
@@ -273,8 +273,9 @@ def _aberth_rows(rows):
     return _newton_polish(rows, roots)
 
 
-def _newton_polish(rows, roots, steps=3):
-    """Newton steps on the roots (k, n) of the coefficient rows (k, n + 1).
+def _newton_polish(rows, roots):
+    """POLISH_STEPS Newton steps on the roots (k, n) of the coefficient rows
+    (k, n + 1).
 
     p and p' are evaluated as one stack of 2k rows.  The rows of p' are
     padded with a zero leading coefficient, so Horner's first step gives
@@ -284,7 +285,7 @@ def _newton_polish(rows, roots, steps=3):
     both = np.zeros((2 * k, m), dtype=np.complex128)
     both[:k] = rows
     both[k:, :-1] = rows[:, 1:] * np.arange(1, m)
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         pv = _kernels.horner_many(both, np.concatenate([roots, roots]))
         p, dp = pv[:k], pv[k:]
         mask = np.abs(dp) > 1e-280
@@ -462,13 +463,13 @@ def count_inside(roots, tol=BOUNDARY_TOL):
     return ((np.abs(mod - 1.0) >= tol) & (mod < 1.0)).sum(axis=-1)
 
 
-def count_roots_in_disk(p, tol=BOUNDARY_TOL):
-    """Number of roots of p inside the open unit disk and not within tol
-    of the circle (count_inside of find_roots' roots).  disk_root_counts
-    gives the same counts for many polynomials at once, and calls this
-    for every polynomial it cannot count from its own roots.
+def count_roots_in_disk(p):
+    """Number of roots of p inside the open unit disk and not within
+    BOUNDARY_TOL of the circle (count_inside of find_roots' roots).
+    disk_root_counts gives the same counts for many polynomials at once,
+    and calls this for every polynomial it cannot count from its own roots.
     """
-    return int(count_inside(find_roots(p).roots, tol))
+    return int(count_inside(find_roots(p).roots))
 
 
 def disk_root_counts(rows):
@@ -496,13 +497,13 @@ def disk_root_counts(rows):
     return counts
 
 
-def winding_count(p, q, radius, n_samples=4096):
+def winding_count(p, q, radius):
     """Winding number of t -> p(r e^{it})/q(r e^{it}) around 0.
 
-    Computed as winding(p) - winding(q) from accumulated phase increments.
-    The sampling is doubled (up to 2^20 points) until every increment is
-    below pi/2; failure to get there, or a sample modulus collapsing to
-    zero, raises CircleTooClose.
+    Computed as winding(p) - winding(q) from accumulated phase increments
+    over WINDING_SAMPLES points.  The sampling is doubled (up to 2^20
+    points) until every increment is below pi/2; failure to get there, or a
+    sample modulus collapsing to zero, raises CircleTooClose.
     """
     p, q = _as_poly(p), _as_poly(q)
 
@@ -511,7 +512,7 @@ def winding_count(p, q, radius, n_samples=4096):
             if c.coeffs[0] == 0:
                 raise CircleTooClose("zero polynomial has no winding")
             return 0
-        n = max(64, n_samples)
+        n = WINDING_SAMPLES
         scale = np.abs(c.coeffs).max()
         while True:
             t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)

@@ -44,6 +44,8 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from ._kernels import (
+    BP_RADIUS,
+    POLE_CUTOFF,
     TRACE_HIT_BRANCH,
     TRACE_MAX_STEPS,
     TRACE_NON_MONOTONE,
@@ -57,6 +59,7 @@ from .blaschke_smirnov import (
     InconsistentValence,
     halfplane_valences,
     is_infinite,
+    valence_counts,
 )
 from .valence_tree import Interval, Node, Tree, profile, validate
 
@@ -88,8 +91,8 @@ __all__ = [
 
 DEFAULT_RESOLUTION = 512
 MAX_RESOLUTION = 4096
-POLE_CUTOFF = 1e8
-BP_RADIUS = 1e-3
+#: width and height of render_svg's picture, in pixels
+SVG_SIZE = 640
 #: width, in grid steps 1/resolution, of the rim along the circle where
 #: Im phi is cancellation noise: no level point found there seeds a trace
 RIM = 3.0
@@ -450,12 +453,12 @@ def trace_segments(phi, gp: GridPartition,
     def run(z0: complex, direction: float):
         pts, status, bp_hit = trace_arc(
             ncoef, dcoef, wcoef, z0, direction, h0=h0, h_max=h_max,
-            pole_cutoff=POLE_CUTOFF, branch_points=bp_z, bp_radius=BP_RADIUS,
+            branch_points=bp_z,
         )
         if status in (TRACE_STALLED, TRACE_NON_MONOTONE, TRACE_MAX_STEPS):
             pts, status, bp_hit = trace_arc(
                 ncoef, dcoef, wcoef, z0, direction, h0=h0 / 4, h_max=h_max / 2,
-                pole_cutoff=POLE_CUTOFF, branch_points=bp_z, bp_radius=BP_RADIUS,
+                branch_points=bp_z,
             )
         if status == TRACE_NON_MONOTONE:
             raise NonMonotone(f"Re phi not monotone along the arc through {z0:.6f}")
@@ -805,8 +808,6 @@ def crosscheck(phi, tree: Tree, n_samples: int = 200, seed: int = 0,
     counts the roots of N - lambda D at all of them in one call, with the
     counts valence_at gives one point at a time.
     """
-    from .blaschke_smirnov import valence_counts
-
     prof = profile(tree)
     rng = np.random.default_rng(seed)
     n_half = n_samples // 4
@@ -914,10 +915,9 @@ def extract_full(phi, resolution: int = DEFAULT_RESOLUTION,
             res *= 2
 
 
-def extract_tree(phi, resolution: int = DEFAULT_RESOLUTION,
-                 max_resolution: int = MAX_RESOLUTION, seed: int = 0) -> Tree:
+def extract_tree(phi, resolution: int = DEFAULT_RESOLUTION) -> Tree:
     """The plane valence tree of phi (see extract_full for the details)."""
-    return extract_full(phi, resolution, max_resolution, seed).tree
+    return extract_full(phi, resolution).tree
 
 
 # ---------------------------------------------------------------------------
@@ -934,11 +934,11 @@ def _label_cell(gp: GridPartition, rid: int) -> complex:
     return gp.cell_center(int(ix), int(iy))
 
 
-def render_svg(gp: GridPartition, segments=(), collections=(), size: int = 640) -> str:
+def render_svg(gp: GridPartition, segments=(), collections=()) -> str:
     """Plain SVG picture of the partition, traced arcs, and node labels."""
     res = gp.resolution
     stride = max(1, res // 256)
-    scale = size / 2.0
+    scale = SVG_SIZE / 2.0
     h = gp.h
 
     def sx(x: float) -> float:
@@ -949,9 +949,9 @@ def render_svg(gp: GridPartition, segments=(), collections=(), size: int = 640) 
 
     cell = stride * h * scale
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     cls = gp.cls
     for iy in range(0, res, stride):

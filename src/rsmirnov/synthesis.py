@@ -36,6 +36,7 @@ from .blaschke_smirnov import (
     RealSmirnov,
     DenominatorVanishesInDisk,
     NotRelativelyPrime,
+    _helson_quotient,
     from_blaschke,
     from_rational,
     real_affine,
@@ -143,9 +144,6 @@ class SeedCatalogEntry:
     params: dict
     tree: Tree
     build: Callable[[], RealSmirnov]
-
-    def construct(self) -> RealSmirnov:
-        return self.build()
 
 
 def _node_tree(sign: int, m: int) -> Tree:
@@ -298,22 +296,29 @@ def _arc(x: float) -> float:
     return math.atan(x)
 
 
-def _profile_distance(pa, pb) -> float:
-    """Integral of |difference| of two real profiles after x -> arctan x.
+def _arctan_integral(breakpoints, height) -> float:
+    """Integral over u in (-pi/2, pi/2) of height(tan u), for a step
+    function height that is constant between the breakpoints.
 
-    Both profiles are step functions, so the integral is computed exactly
-    piece by piece on the merged breakpoint grid.
+    Exact piece by piece: each piece between consecutive arctan images of
+    the breakpoints (one narrower than 1e-14 is skipped) adds height at its
+    midpoint times its width, from left to right.
     """
-    cuts = sorted({_arc(b) for b in pa.breakpoints}
-                  | {_arc(b) for b in pb.breakpoints})
+    cuts = sorted({_arc(b) for b in breakpoints})
     grid = [-HALF_PI, *cuts, HALF_PI]
     total = 0.0
     for u0, u1 in zip(grid, grid[1:]):
         if u1 - u0 < 1e-14:
             continue
-        x = math.tan(0.5 * (u0 + u1))
-        total += abs(pa.multiplicity_at(x) - pb.multiplicity_at(x)) * (u1 - u0)
+        total += height(math.tan(0.5 * (u0 + u1))) * (u1 - u0)
     return total
+
+
+def _profile_distance(pa, pb) -> float:
+    """Integral of |difference| of two real profiles after x -> arctan x."""
+    return _arctan_integral(
+        [*pa.breakpoints, *pb.breakpoints],
+        lambda x: abs(pa.multiplicity_at(x) - pb.multiplicity_at(x)))
 
 
 def tree_loss(extracted: Tree, target: Tree) -> float:
@@ -402,14 +407,14 @@ class SynthesisResult:
         return out
 
 
-def catalog_realize(target: Tree, resolution: int = 512) -> SynthesisResult:
+def catalog_realize(target: Tree) -> SynthesisResult:
     """Closed-form realization, confirmed by a full extraction."""
     violations = validate(target)
     if violations:
         raise InfeasibleTarget(violations)
     entry = _match_catalog(target)
-    phi = entry.construct()
-    ext = extract_full(phi, resolution=resolution)
+    phi = entry.build()
+    ext = extract_full(phi)
     loss = tree_loss(ext.tree, target)
     err = endpoint_error(ext.tree, target)
     status = "exact" if err < CATALOG_TOL else "approximate"
@@ -490,17 +495,11 @@ def _surrogate_loss(phi: RealSmirnov, tprof, tarcs) -> float:
     their fallbacks W is the only polynomial whose roots are found here."""
     pieces = phi.boundary_pieces()
     bps = _real_critical_values(pieces)
-    cuts = sorted({_arc(b) for b in bps}
-                  | {_arc(b) for b in tprof.breakpoints})
-    grid = [-HALF_PI, *cuts, HALF_PI]
-    loss = 0.0
     try:
-        for u0, u1 in zip(grid, grid[1:]):
-            if u1 - u0 < 1e-14:
-                continue
-            x = math.tan(0.5 * (u0 + u1))
-            loss += (abs(real_valence(phi, x, pieces)
-                         - tprof.multiplicity_at(x)) * (u1 - u0))
+        loss = _arctan_integral(
+            [*bps, *tprof.breakpoints],
+            lambda x: abs(real_valence(phi, x, pieces)
+                          - tprof.multiplicity_at(x)))
     except ValueError:
         return 1e6
     barcs = [_arc(b) for b in bps]
@@ -538,15 +537,10 @@ def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
     def objective(x):
         nonlocal evals
         evals += 1
-        b1, b2 = _params_to_blaschke(x, deg1, deg2)
-        p1, q1 = b1.as_rational()
-        p2, q2 = b2.as_rational()
-        aa = p1 * q2
-        bb = p2 * q1
-        den = aa - bb
+        num, den = _helson_quotient(*_params_to_blaschke(x, deg1, deg2))
         if den.is_zero():
             return 1e7
-        phi = RealSmirnov((aa + bb).scale(1j), den)
+        phi = RealSmirnov(num, den)
         penalty = 0.0
         if den.degree >= 1:
             for r0 in phi.den_roots().roots:
@@ -659,8 +653,7 @@ class VerifyReport:
         }
 
 
-def verify(result: SynthesisResult, n_samples: int = 200, seed: int = 0,
-           delta: float = 1e-3, resolution: int = 512) -> VerifyReport:
+def verify(result: SynthesisResult, resolution: int = 512) -> VerifyReport:
     """Re-derive everything the result claims, from the candidate alone."""
     if result.status == "failed" or result.candidate is None:
         raise ValueError("nothing to verify: the synthesis failed")
@@ -698,7 +691,7 @@ def verify(result: SynthesisResult, n_samples: int = 200, seed: int = 0,
 
     boundary_max_im = 0.0
     if phi.num.degree + phi.den.degree > 0:
-        _, ims = phi.boundary_im_samples(512, delta=1e-3)
+        _, ims = phi.boundary_im_samples()
         if ims.size:
             boundary_max_im = float(ims.max())
         if boundary_max_im > 1e-6:
@@ -712,13 +705,12 @@ def verify(result: SynthesisResult, n_samples: int = 200, seed: int = 0,
     matches = None
     if construction_ok:
         try:
-            ext = extract_full(phi, resolution=resolution, seed=seed)
+            ext = extract_full(phi, resolution=resolution)
             tree = ext.tree
         except ExtractionError as exc:
             extraction_error = "%s: %s" % (type(exc).__name__, exc)
         if tree is not None:
-            report = crosscheck(phi, tree, n_samples=n_samples,
-                                seed=seed + 1, delta=delta)
+            report = crosscheck(phi, tree, seed=1)
             if result.tree is not None:
                 matches = is_isomorphic(tree, result.tree, mode="shape")
 

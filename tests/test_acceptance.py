@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from rsmirnov import blaschke_smirnov
 from rsmirnov.blaschke_smirnov import (
     halfplane_valences,
     integral_means,
@@ -213,9 +214,12 @@ def test_criterion_07_integral_means_split_at_the_valence_exponent():
     assert time.monotonic() - t0 < 10.0
 
 
-def test_criterion_08_boundary_values_are_real():
+def test_criterion_08_boundary_values_are_real(monkeypatch):
+    # a finer sampling, closer to the poles, than the constructors check
+    monkeypatch.setattr(blaschke_smirnov, "BOUNDARY_SAMPLES", 10_000)
+    monkeypatch.setattr(blaschke_smirnov, "POLE_GAP", 1e-4)
     for phi in all_fixtures().values():
-        ts, ims = phi.boundary_im_samples(10_000, delta=1e-4)
+        ts, ims = phi.boundary_im_samples()
         assert ims.size > 9_000
         assert float(ims.max()) < 1e-8
 

@@ -410,7 +410,7 @@ class TestClosureOps:
 def test_boundary_realness_random_helson(seed):
     rng = np.random.default_rng(seed)
     phi = random_helson(rng, int(rng.integers(0, 3)), int(rng.integers(1, 3)))
-    ts, ims = phi.boundary_im_samples(128, delta=1e-3)
+    ts, ims = phi.boundary_im_samples()
     # boundary_value's rule: rounding noise in Im grows with |phi|
     re_phi = np.abs(phi(np.exp(1j * ts)).real)
     assert np.all(ims <= 1e-8 * np.maximum(1.0, re_phi))
@@ -422,7 +422,7 @@ def test_boundary_im_samples_match_the_per_sample_loop(name):
     samples at once; it must agree with _boundary_eval sample by sample,
     which can differ only below the fast path's 1e-9 bar."""
     phi = fixtures.all_fixtures()[name]
-    ts, ims = phi.boundary_im_samples(512, delta=1e-3)
+    ts, ims = phi.boundary_im_samples()
     loop = np.array([abs(phi._boundary_eval(float(t))[1]) for t in ts])
     assert len(ts) >= 510
     assert np.all(np.abs(ims - loop) < 1e-9)

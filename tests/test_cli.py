@@ -137,6 +137,16 @@ def test_analyze_rejects_two_constant_products(tmp_path, capsys):
     assert "invalid function" in capsys.readouterr().err
 
 
+def test_analyze_rejects_an_unknown_blaschke_key(tmp_path, capsys):
+    # the constant's key is "constant": reading "c" as absent would analyse
+    # the product with constant 1, a different function
+    bad = write_json(tmp_path / "c.json",
+                     {"b1": {"zeros": [[0.5, 0.0]], "c": [-1.0, 0.0]},
+                      "b2": {"zeros": [[-0.5, 0.0]]}})
+    assert main(["analyze", bad]) == 2
+    assert "unknown Blaschke key(s) c" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------

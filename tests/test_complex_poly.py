@@ -130,7 +130,7 @@ class TestCountRootsInDisk:
 
     def test_circle_root_not_counted(self):
         p = poly_from_roots([1.0 + 0.0j, 0.2])
-        assert count_roots_in_disk(p, tol=1e-9) == 1
+        assert count_roots_in_disk(p) == 1
         roots = find_roots(p).roots
         assert (np.abs(np.abs(roots) - 1.0) < 1e-9).sum() == 1
 
@@ -193,8 +193,8 @@ def test_roots_reconstruct_coefficients(pts):
 def test_disk_count_matches_winding(pts):
     roots = [complex(*p) for p in pts]
     p = poly_from_roots(roots)
-    tol = 1e-9
-    count = count_roots_in_disk(p, tol)
+    tol = BOUNDARY_TOL
+    count = count_roots_in_disk(p)
     if (np.abs(np.abs(find_roots(p).roots) - 1.0) < tol).any():
         return  # a root on the circle voids the comparison by contract
     if any(abs(abs(r) - 1.0) < 0.05 for r in roots):
@@ -220,7 +220,7 @@ def test_count_invariant_under_scaling(pts, const):
 # -- the eigenvalue start against the circle start ---------------------------
 
 
-def circle_start_find_roots(p, tol=1e-13, max_iter=400):
+def circle_start_find_roots(p):
     """find_roots with Aberth always started from a circle (with up to three
     random perturbation restarts), and always clustered, with the report
     built group by group.  It shares the polish and _cluster with
@@ -240,7 +240,7 @@ def circle_start_find_roots(p, tol=1e-13, max_iter=400):
         rng = None
         for attempt in range(4):
             guesses = complex_poly._initial_guesses(c, rng)
-            cand, _, ok = _kernels.aberth_iterate(c, guesses, tol, max_iter)
+            cand, _, ok = _kernels.aberth_iterate(c, guesses)
             if ok:
                 roots = cand
                 break

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsmirnov._kernels import (
+    BAND_FLOOR,
     TRACE_HIT_CIRCLE,
     aberth_iterate,
     classify_grid,
@@ -24,7 +25,7 @@ from rsmirnov.blaschke_smirnov import random_helson
 from rsmirnov.fixtures import all_fixtures, double_slit
 
 
-def classify_grid_loop(ncoef, dcoef, wcoef, res, margin, band, tiny=1e-14):
+def classify_grid_loop(ncoef, dcoef, wcoef, res, margin, band):
     """Scalar reference: one cell at a time, Horner by horner_scalar."""
     cls = np.zeros((res, res), dtype=np.int8)
     h = 2.0 / res
@@ -41,7 +42,7 @@ def classify_grid_loop(ncoef, dcoef, wcoef, res, margin, band, tiny=1e-14):
             wv = horner_scalar(wcoef, z)
             imnd = (nv * dv.conjugate()).imag
             d2 = (dv * dv.conjugate()).real
-            if abs(imnd) < band * abs(wv) + tiny * d2:
+            if abs(imnd) < band * abs(wv) + BAND_FLOOR * d2:
                 cls[iy, ix] = 2
             elif imnd > 0:
                 cls[iy, ix] = 1

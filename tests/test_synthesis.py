@@ -135,7 +135,7 @@ def test_seed_argument_errors():
     "entry", seed_catalog(), ids=lambda e: f"{e.name}-{sorted(e.params.items())}"
 )
 def test_seed_catalog_advertised_trees(entry):
-    ext = extract_full(entry.construct())
+    ext = extract_full(entry.build())
     assert endpoint_error(ext.tree, entry.tree) < 1e-6
 
 
@@ -327,7 +327,9 @@ def test_search_recovers_single_node():
 def test_search_two_one_edge_reaches_target(two_one_result):
     assert two_one_result.status == "exact"
     assert two_one_result.loss < 1e-2
-    assert two_one_result.evaluations < 100_000
+    # the uncapped seed-0 solve, pinned: a change that moves any loss value
+    # or root moves the simplex, and with it this count
+    assert two_one_result.evaluations == 5913
     assert endpoint_error(two_one_result.tree, two_one_edge()) < 1e-2
 
 
