@@ -126,10 +126,11 @@ def crosscheck_points():
 
 
 def counts_fallback_share(points):
-    """Share of the fixtures' N - lambda D that valence_counts leaves to
-    count_roots_in_disk: rows that _trimmed does not keep whole (a
-    constant row has a vanishing leading coefficient, so it leaves too),
-    and rows whose roots from the row driver lie close enough to merge."""
+    """Share of the fixtures' N - lambda D that valence_counts does not
+    count from the unmerged roots of its stack: rows that _trimmed does not
+    keep whole, which go to find_roots (a constant row has a vanishing
+    leading coefficient, so it leaves too), and rows whose roots from the
+    row driver lie close enough for _merge_clusters to merge."""
     lams = np.asarray(points, dtype=np.complex128)
     left = []
     for phi in all_fixtures().values():

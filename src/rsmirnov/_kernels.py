@@ -1,10 +1,10 @@
 """Hot numerical loops shared by the analysis modules.
 
-Four kernels live here: Horner evaluation of a polynomial (or of a stack of
-coefficient rows) over an array of points, the Aberth-Ehrlich simultaneous
-root iteration, grid classification by the sign of Im(N/D), and the
-predictor-corrector stepper used to follow level curves of Im(N/D).  Each
-has one numpy/Python implementation.
+Four kernels live here: Horner evaluation of a polynomial at one point or
+(also for a stack of coefficient rows) over an array of points, the
+Aberth-Ehrlich simultaneous root iteration, grid classification by the
+sign of Im(N/D), and the predictor-corrector stepper used to follow level
+curves of Im(N/D).  Each has one numpy/Python implementation.
 """
 
 import numpy as np
@@ -43,7 +43,8 @@ def _horner_many(coeffs, z):
     return acc
 
 
-def _horner_scalar(coeffs, z):
+def horner_scalar(coeffs, z):
+    """Evaluate the polynomial (coefficients ascending) at one point."""
     acc = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * z + coeffs[k]
@@ -56,19 +57,12 @@ def horner_many(coeffs, z):
     With coefficient rows of shape (k, m), row i is evaluated at the points
     z[i], and z has a leading axis of length k.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    zf = np.ascontiguousarray(z, dtype=np.complex128)
     if coeffs.ndim == 2:
         # one coefficient column per Horner step, broadcast along each row
-        out = _horner_many(coeffs.T[:, :, None], zf.reshape(len(coeffs), -1))
+        out = _horner_many(coeffs.T[:, :, None], z.reshape(len(coeffs), -1))
     else:
-        out = _horner_many(coeffs, zf.ravel())
-    return out.reshape(np.shape(z))
-
-
-def horner_scalar(coeffs, z):
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    return _horner_scalar(coeffs, complex(z))
+        out = _horner_many(coeffs, z.ravel())
+    return out.reshape(z.shape)
 
 
 def aberth_iterate(coeffs, initial):
@@ -91,9 +85,9 @@ def aberth_iterate(coeffs, initial):
         worst_resid = 0.0
         for k in range(n):
             zk = roots[k]
-            p = _horner_scalar(coeffs, zk)
-            dp = _horner_scalar(dcoeffs, zk)
-            noise = _horner_scalar(acoeffs, abs(zk)).real
+            p = horner_scalar(coeffs, zk)
+            dp = horner_scalar(dcoeffs, zk)
+            noise = horner_scalar(acoeffs, abs(zk)).real
             rr = abs(p) / (noise + 1e-150)
             if rr > worst_resid:
                 worst_resid = rr
@@ -169,11 +163,11 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
     pts = np.empty(max_steps, dtype=np.complex128)
 
     def phi(z):
-        return _horner_scalar(ncoef, z), _horner_scalar(dcoef, z)
+        return horner_scalar(ncoef, z), horner_scalar(dcoef, z)
 
     def dphi(z, dv):
         # (N/D)' = W / D^2 with W = N'D - ND'
-        wv = _horner_scalar(wcoef, z)
+        wv = horner_scalar(wcoef, z)
         d2 = dv * dv
         if abs(d2) < 1e-150:
             return 0.0 + 0.0j

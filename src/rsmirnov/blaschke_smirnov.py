@@ -29,7 +29,6 @@ from .complex_poly import (
     Poly,
     compose_rational,
     count_inside,
-    count_roots_in_disk,
     disk_root_counts,
     find_roots,
 )
@@ -453,7 +452,7 @@ def valence_at(phi, lam):
         raise ValueError("phi is constant and equal to lambda")
     if p.degree == 0:
         return 0
-    return count_roots_in_disk(p)
+    return int(count_inside(find_roots(p).roots))
 
 
 def _lambda_rows(phi, lams):

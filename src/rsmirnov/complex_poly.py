@@ -10,13 +10,14 @@ EIG_START_SEPARATION * (1 + max |e|) apart; the iteration then only
 confirms them, usually in one sweep.  A closer pair suggests a multiple or
 clustered root, whose computed eigenvalues scatter further than Aberth's
 iterates do, so that row starts instead from points on a circle, with
-random perturbation restarts.  find_roots takes one polynomial through the
-driver as a one-row stack and clusters multiple roots, which it skips when
-no two polished roots are close enough to merge.  Root counts inside the
-unit circle (count_inside) are the basic primitive behind every valence
-computation; disk_root_counts counts many polynomials at once, so that the
-fixed cost of a call is paid once per stack.  An argument-principle
-winding count is provided as an independent cross-check.
+random perturbation restarts.  _merge_clusters then merges multiple
+roots, row by row, skipping every row in which no two polished roots are
+close enough to merge.  find_roots takes one polynomial through both as a
+one-row stack.  Root counts inside the unit circle (count_inside) are the
+basic primitive behind every valence computation; disk_root_counts counts
+many polynomials at once, so that the fixed cost of a call is paid once
+per stack.  An argument-principle winding count is provided as an
+independent cross-check.
 """
 
 import math
@@ -412,6 +413,29 @@ def _whole(rows):
             & (rows[:, 0] != 0))
 
 
+def _merge_clusters(roots, rows):
+    """(out, mult), both (k, n): the roots (k, n) of the coefficient rows
+    (k, m) with each multiplicity cluster of _cluster replaced by its
+    centre, repeated once per member, and the cluster's size.
+
+    Only the rows that _unclustered rejects go through _cluster; in the
+    others every root is its own cluster.  A centre below 1e-300 in modulus is
+    set to exactly zero.
+    """
+    out = np.where(np.abs(roots) < 1e-300, 0.0, roots)
+    mult = np.ones(roots.shape, dtype=np.int64)
+    for i in (~_unclustered(roots)).nonzero()[0]:
+        j = 0
+        for g in _cluster(roots[i], rows[i], CLUSTER_TOL):
+            center = np.mean(roots[i][g])
+            if abs(center) < 1e-300:
+                center = 0.0 + 0.0j
+            out[i, j:j + len(g)] = center
+            mult[i, j:j + len(g)] = len(g)
+            j += len(g)
+    return out, mult
+
+
 def find_roots(p):
     """All complex roots of p with multiplicities.
 
@@ -419,7 +443,8 @@ def find_roots(p):
     simultaneous iteration from the companion eigenvalues when they are
     well separated, else from a circle with up to three random
     perturbation restarts, then a Newton polish), then multiplicity
-    clustering.  Raises NonConvergence when the budget is exhausted.
+    clustering (_merge_clusters).  Raises NonConvergence when the budget
+    is exhausted.
     """
     p = _as_poly(p)
     scale = np.abs(p.coeffs).max()
@@ -427,22 +452,7 @@ def find_roots(p):
     arr = np.zeros(n_zero, dtype=np.complex128)
     if len(c) > 1:
         arr = np.concatenate([arr, _aberth_rows(c[None])[0]])
-
-    if _unclustered(arr[None])[0]:
-        out = np.where(np.abs(arr) < 1e-300, 0.0, arr)
-        mult = np.ones(len(arr), dtype=np.int64)
-    else:
-        out = []
-        mult = []
-        for g in _cluster(arr, p.coeffs, CLUSTER_TOL):
-            center = np.mean(arr[list(g)])
-            if abs(center) < 1e-300:
-                center = 0.0 + 0.0j
-            for _ in g:
-                out.append(center)
-                mult.append(len(g))
-        out = np.array(out, dtype=np.complex128)
-        mult = np.array(mult, dtype=np.int64)
+    (out,), (mult,) = _merge_clusters(arr[None], p.coeffs[None])
     order = np.lexsort((out.imag, out.real))
     out, mult = out[order], mult[order]
     pv = _kernels.horner_many(p.coeffs, out)
@@ -463,37 +473,26 @@ def count_inside(roots, tol=BOUNDARY_TOL):
     return ((np.abs(mod - 1.0) >= tol) & (mod < 1.0)).sum(axis=-1)
 
 
-def count_roots_in_disk(p):
-    """Number of roots of p inside the open unit disk and not within
-    BOUNDARY_TOL of the circle (count_inside of find_roots' roots).
-    disk_root_counts gives the same counts for many polynomials at once,
-    and calls this for every polynomial it cannot count from its own roots.
-    """
-    return int(count_inside(find_roots(p).roots))
-
-
 def disk_root_counts(rows):
-    """count_roots_in_disk's counts for every coefficient row of rows
+    """count_inside of find_roots' roots for every coefficient row of rows
     (k, n + 1), n >= 1, as an integer array (k,).
 
     Every row that _trimmed keeps whole (_whole) goes through one
     _aberth_rows call over the stack: one companion eigenvalue call, one
     Aberth run per row and one Newton polish.  Its roots are then exactly
-    find_roots' (before the sort), and a row in which no two of them lie
-    close enough for _cluster to merge is counted by count_inside.  A
-    trimmed or clustered row falls back to count_roots_in_disk of its
-    polynomial.
+    find_roots' (before the sort), and _merge_clusters merges them as
+    find_roots does, with the row as the coefficients.  A trimmed row
+    falls back to find_roots of its polynomial.
     """
     rows = np.asarray(rows, dtype=np.complex128)
     counts = np.zeros(len(rows), dtype=np.int64)
     whole = _whole(rows)
-    fast = whole.copy()
     if whole.any():
-        roots = _aberth_rows(rows[whole])
-        counts[whole] = count_inside(roots)
-        fast[whole] = _unclustered(roots)
-    for i in np.flatnonzero(~fast):
-        counts[i] = count_roots_in_disk(Poly(rows[i]))
+        kept = rows[whole]
+        out, _ = _merge_clusters(_aberth_rows(kept), kept)
+        counts[whole] = count_inside(out)
+    for i in np.flatnonzero(~whole):
+        counts[i] = count_inside(find_roots(Poly(rows[i])).roots)
     return counts
 
 

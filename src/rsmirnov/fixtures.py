@@ -8,18 +8,23 @@ values, and valence structure:
 - upper_halfplane_map:  i(1+z)/(1-z), a bijection of the disk onto the
   upper half plane; boundary values -cot(t/2).
 - lower_halfplane_map:  its negative, covering the lower half plane.
-- fourth_power_map:     ((1+z)/(1-z))^4, covering C minus the origin;
+- power_chain:          ((1+z)/(1-z))^n for even n, an alternating chain
+  of n nodes; the seed of the synthesis catalog's chains.
+- fourth_power_map:     power_chain(4), covering C minus the origin;
   boundary values cot^4(t/2).
 - koebe:                z/(1-z)^2, univalent onto C minus the slit
   (-inf, -1/4]; boundary values -(1/2)/(1-cos t).
 - double_slit:          iz/(1-z^2), univalent onto C minus the two slits
   (-inf, -1/2] and [1/2, inf); boundary values -(1/2)csc t.
 
-koebe and halfplane_node also seed synthesis.catalog_realize.  The
-synthesis module builds its own double slit map, from a Blaschke pair,
-because its coefficients differ from this rational form by a real
-factor.
+koebe also seeds synthesis.catalog_realize.  The synthesis module builds
+its own double slit map, from a Blaschke pair, because its coefficients
+differ from this rational form by a real factor.
 """
+
+import math
+
+import numpy as np
 
 from .blaschke_smirnov import (
     Blaschke,
@@ -51,8 +56,32 @@ def lower_halfplane_map():
     return halfplane_node(-1, 1)
 
 
+def power_chain(n: int) -> RealSmirnov:
+    """((1 + z)/(1 - z))^n for even n: an alternating chain of n nodes.
+
+    The power map is real on the circle only for even n (the Cayley
+    transform sends the circle to the imaginary axis, whose even powers
+    are real).  Its interval pattern alternates around 0, with the two
+    end edges below 0 when n = 0 mod 4 and above 0 when n = 2 mod 4.
+
+    The expanded coefficients concentrate an n-fold zero at -1 and an
+    n-fold pole at +1, so the evaluation noise near those points grows
+    like eps^(1/n); the construction checks reject n >= 8 outright.
+    """
+    if n < 2 or n % 2:
+        raise ValueError("the power map is boundary-real only for even n >= 2")
+    num = Poly([float(math.comb(n, k)) for k in range(n + 1)])
+    den = Poly([float(math.comb(n, k)) * (-1.0) ** k for k in range(n + 1)])
+    # the denominator is exactly (1 - z)^n, an n-fold root on the circle;
+    # its computed roots scatter in a ring of radius ~ eps^(1/n), so the
+    # circle band must be widened accordingly or the root counter would
+    # misread part of the scatter as interior zeros
+    tol = max(1e-9, 10.0 * float(np.finfo(float).eps) ** (1.0 / n))
+    return from_rational(num, den, circle_tol=tol)
+
+
 def fourth_power_map():
-    return from_rational(Poly([1, 4, 6, 4, 1]), Poly([1, -4, 6, -4, 1]))
+    return power_chain(4)
 
 
 def koebe() -> RealSmirnov:

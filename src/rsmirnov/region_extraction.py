@@ -337,27 +337,23 @@ def _newton_to_level(phi, z0: complex) -> complex | None:
     return None
 
 
-def _inside_rim(z: complex, res: int) -> bool:
-    return abs(z) <= 1.0 - RIM / res
+def _inside_rim(x, y, res: int):
+    """Whether the points x + iy lie inside the rim along the circle."""
+    # np.hypot rounds as abs() of a Python complex does; the modulus np.abs
+    # gives a complex array can differ in the last bit
+    return np.hypot(x, y) <= 1.0 - RIM / res
 
 
-def _seed_candidates(gp: GridPartition):
-    """Seed points for tracing: near-zero cells, then sign-change midpoints,
-    leaving out those in the rim along the circle."""
-    cls = gp.cls
-    h = gp.h
-    iy, ix = np.nonzero(cls == 2)
-    near_zero = [(gp.cell_center(x, y), ((y, x),))
-                 for y, x in zip(iy.tolist(), ix.tolist())]
-    iy, ix = np.nonzero(cls[:, :-1] * cls[:, 1:] == -1)
-    across_x = [(complex(-1.0 + (x + 1.0) * h, -1.0 + (y + 0.5) * h), ((y, x), (y, x + 1)))
-                for y, x in zip(iy.tolist(), ix.tolist())]
-    iy, ix = np.nonzero(cls[:-1, :] * cls[1:, :] == -1)
-    across_y = [(complex(-1.0 + (x + 0.5) * h, -1.0 + (y + 1.0) * h), ((y, x), (y + 1, x)))
-                for y, x in zip(iy.tolist(), ix.tolist())]
-    for z, cells in near_zero + across_x + across_y:
-        if _inside_rim(z, gp.resolution):
-            yield z, cells
+def _seed_candidates(gp: GridPartition) -> list[tuple[complex, tuple[int, int]]]:
+    """Seed points for tracing, in row-major order: the centre and the
+    (iy, ix) index of every near-zero cell, leaving out those in the rim
+    along the circle."""
+    iy, ix = np.nonzero(gp.cls == 2)
+    z = np.empty(len(iy), dtype=np.complex128)
+    z.real = -1.0 + (ix + 0.5) * gp.h
+    z.imag = -1.0 + (iy + 0.5) * gp.h
+    keep = _inside_rim(z.real, z.imag, gp.resolution)
+    return list(zip(z[keep].tolist(), zip(iy[keep].tolist(), ix[keep].tolist())))
 
 
 def _mark_covered(covered: np.ndarray, pts: np.ndarray, h: float, res: int) -> None:
@@ -427,8 +423,11 @@ def trace_segments(phi, gp: GridPartition,
 
     Each returned arc is maximal between arc endpoints (circle, pole, or
     branch point), carries its flanking region labels, and has strictly
-    increasing Re phi along its points.  Arcs traced twice from different
-    seeds are deduplicated by their flank pair and overlapping images.
+    increasing Re phi along its points.  Every trace starts from a
+    near-zero cell of the grid (_seed_candidates); an arc that crosses none
+    is missed, and the valence and tree checks of the attempt then fail.
+    Arcs traced twice from different seeds are deduplicated by their flank
+    pair and overlapping images.
     Circle and pole ends take the values of the events of phi's boundary
     pieces (see End), so phi without trusted pieces raises
     ExtractionMismatch.
@@ -466,13 +465,13 @@ def trace_segments(phi, gp: GridPartition,
             raise TraceStalled(f"trace from {z0:.6f} stalled")
         return pts, status, bp_hit
 
-    for seed, cells in _seed_candidates(gp):
-        if any(covered[c] for c in cells):
+    for seed, cell in _seed_candidates(gp):
+        if covered[cell]:
             continue
         z = _newton_to_level(phi, seed)
         if z is None:
             continue
-        if not _inside_rim(z, res):
+        if not _inside_rim(z.real, z.imag, res):
             continue  # cancellation noise along the circle, not an interior arc
         if bps and min(abs(z - bp.z) for bp in bps) < 1.5 * BP_RADIUS:
             continue
@@ -633,8 +632,7 @@ class Collection:
 
 
 def _assemble(gp: GridPartition, valences: dict[int, int],
-              segments: list[BoundaryArc],
-              bps: list[BranchPoint]) -> tuple[Tree, list[Collection], dict[int, str]]:
+              segments: list[BoundaryArc]) -> tuple[Tree, list[Collection], dict[int, str]]:
     """Weld regions into collections and connect them into the valence tree.
 
     Welding is done while walking outward from a root collection: a branch
@@ -878,7 +876,7 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
             f"region valences sum to ({got_plus}, {got_minus}) but the "
             f"half-plane counts are ({v_plus}, {v_minus})"
         )
-    tree, collections, node_of_region = _assemble(gp, valences, segments, bps)
+    tree, collections, node_of_region = _assemble(gp, valences, segments)
     violations = validate(tree)
     if violations:
         raise ExtractionMismatch(

@@ -38,19 +38,17 @@ from .blaschke_smirnov import (
     NotRelativelyPrime,
     _helson_quotient,
     from_blaschke,
-    from_rational,
     real_affine,
     real_valence,
 )
 from .valence_tree import (
-    Node,
     Tree,
     canonical_code,
     is_isomorphic,
     profile,
     validate,
 )
-from .fixtures import halfplane_node, koebe
+from .fixtures import halfplane_node, koebe, power_chain
 from .region_extraction import ExtractionError, crosscheck, extract_full
 
 INF = math.inf
@@ -112,30 +110,6 @@ def double_slit() -> RealSmirnov:
     return from_blaschke(Blaschke([-a]), Blaschke([a]))
 
 
-def power_chain(n: int) -> RealSmirnov:
-    """((1 + z)/(1 - z))^n for even n: an alternating chain of n nodes.
-
-    The power map is real on the circle only for even n (the Cayley
-    transform sends the circle to the imaginary axis, whose even powers
-    are real).  Its interval pattern alternates around 0, with the two
-    end edges below 0 when n = 0 mod 4 and above 0 when n = 2 mod 4.
-
-    The expanded coefficients concentrate an n-fold zero at -1 and an
-    n-fold pole at +1, so the evaluation noise near those points grows
-    like eps^(1/n); the construction checks reject n >= 8 outright.
-    """
-    if n < 2 or n % 2:
-        raise ValueError("the power map is boundary-real only for even n >= 2")
-    num = Poly([float(math.comb(n, k)) for k in range(n + 1)])
-    den = Poly([float(math.comb(n, k)) * (-1.0) ** k for k in range(n + 1)])
-    # the denominator is exactly (1 - z)^n, an n-fold root on the circle;
-    # its computed roots scatter in a ring of radius ~ eps^(1/n), so the
-    # circle band must be widened accordingly or the root counter would
-    # misread part of the scatter as interior zeros
-    tol = max(1e-9, 10.0 * float(np.finfo(float).eps) ** (1.0 / n))
-    return from_rational(num, den, circle_tol=tol)
-
-
 @dataclass
 class SeedCatalogEntry:
     """One matched closed form: its name, parameters, and advertised tree."""
@@ -144,41 +118,6 @@ class SeedCatalogEntry:
     params: dict
     tree: Tree
     build: Callable[[], RealSmirnov]
-
-
-def _node_tree(sign: int, m: int) -> Tree:
-    return Tree([Node("p1" if sign > 0 else "m1", sign, m)], [])
-
-
-def _edge_tree(lo: float, hi: float) -> Tree:
-    return Tree(
-        [Node("p1", 1, 1), Node("m1", -1, 1)], [("p1", "m1", (lo, hi))]
-    )
-
-
-def seed_catalog() -> list[SeedCatalogEntry]:
-    """Representative entries, one (or two) per closed-form family."""
-    chain = Tree(
-        [Node("p1", 1, 1), Node("m1", -1, 1), Node("p2", 1, 1),
-         Node("m2", -1, 1)],
-        [("p1", "m1", (-INF, 0.0)), ("m1", "p2", (0.0, INF)),
-         ("p2", "m2", (-INF, 0.0))],
-    )
-    return [
-        SeedCatalogEntry("halfplane-node", {"sign": 1, "m": 1},
-                         _node_tree(1, 1), lambda: halfplane_node(1, 1)),
-        SeedCatalogEntry("halfplane-node", {"sign": -1, "m": 2},
-                         _node_tree(-1, 2), lambda: halfplane_node(-1, 2)),
-        SeedCatalogEntry("double-slit-edge", {"lo": -0.5, "hi": 0.5},
-                         _edge_tree(-0.5, 0.5), double_slit),
-        SeedCatalogEntry("koebe-ray", {"lo": -0.25, "hi": INF},
-                         _edge_tree(-0.25, INF), koebe),
-        SeedCatalogEntry("koebe-ray", {"lo": -INF, "hi": 0.25},
-                         _edge_tree(-INF, 0.25),
-                         lambda: real_affine(koebe(), -1.0, 0.0)),
-        SeedCatalogEntry("power-chain", {"n": 4, "shift": 0.0, "sign": 1},
-                         chain, lambda: power_chain(4)),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,10 @@ from rsmirnov.fixtures import (
     fourth_power_map,
     koebe,
     lower_halfplane_map,
+    power_chain,
     upper_halfplane_map,
 )
 from rsmirnov.region_extraction import crosscheck, extract_full
-from rsmirnov.synthesis import power_chain
 
 
 def exact_valence(phi, x):
@@ -260,12 +260,11 @@ def is_trimmed(row):
     return len(complex_poly._trimmed(row)[0]) < len(row)
 
 
-def leaves_fast_path(row):
-    """True when disk_root_counts counts the row by count_roots_in_disk:
-    the row is trimmed, or two of its driver roots lie close enough for
-    _cluster to merge."""
-    return is_trimmed(row) or not complex_poly._unclustered(
-        complex_poly._aberth_rows(row[None]))[0]
+def is_clustered(row):
+    """True when two of the row's driver roots lie close enough for
+    _cluster to merge, so that disk_root_counts counts the row from its
+    merged roots."""
+    return not complex_poly._unclustered(complex_poly._aberth_rows(row[None]))[0]
 
 
 @given(
@@ -310,25 +309,34 @@ def leading_cancelled():
     return phi, phi.num.coeffs[-1] / phi.den.coeffs[-1]
 
 
-@pytest.mark.parametrize("make", [
-    lambda: (koebe(), 0.0),             # N - 0 D = z: an exact zero root
-    lambda: (fourth_power_map(), 0.0),  # (1 + z)^4: a four-fold root
-    lambda: (power_chain(4), 0.0),
-    lambda: (double_slit(), 0.5),       # a double circle root at i
-    leading_cancelled,
+@pytest.mark.parametrize("make, trimmed", [
+    (lambda: (koebe(), 0.0), True),             # N - 0 D = z: an exact zero root
+    (lambda: (fourth_power_map(), 0.0), False),  # (1 + z)^4: a four-fold root
+    (lambda: (power_chain(4), 0.0), False),
+    (lambda: (double_slit(), 0.5), False),       # a double circle root at -i
+    (leading_cancelled, True),
 ], ids=["koebe_zero_root", "fourth_power_ring", "power_chain_ring",
         "critical_value", "degree_drop"])
 def test_rows_the_fast_path_leaves_are_counted_by_the_fallback(
-        monkeypatch, make):
+        monkeypatch, make, trimmed):
+    # a trimmed row goes to find_roots; a whole row with a multiple root is
+    # counted from its merged stack roots, without a second root find
     phi, lam = make()
-    assert leaves_fast_path(lambda_rows(phi, [lam])[0])
-    fallbacks = []
-    original = complex_poly.count_roots_in_disk
-    monkeypatch.setattr(
-        complex_poly, "count_roots_in_disk",
-        lambda p, *args: fallbacks.append(p) or original(p, *args))
-    assert valence_counts(phi, [lam]).tolist() == [valence_at(phi, lam)]
-    assert len(fallbacks) == 1
+    row = lambda_rows(phi, [lam])[0]
+    assert is_trimmed(row) == trimmed
+    assert trimmed or is_clustered(row)
+    expected = valence_at(phi, lam)
+    drives, finds = [], []
+    aberth_rows, find = complex_poly._aberth_rows, complex_poly.find_roots
+    monkeypatch.setattr(complex_poly, "_aberth_rows",
+                        lambda rows: drives.append(rows) or aberth_rows(rows))
+    monkeypatch.setattr(complex_poly, "find_roots",
+                        lambda p: finds.append(p) or find(p))
+    assert valence_counts(phi, [lam]).tolist() == [expected]
+    assert len(finds) == int(trimmed)
+    # the stack drives a whole row; find_roots drives what _trimmed leaves
+    # of a trimmed one, nothing when that is a constant
+    assert len(drives) == 1 or (trimmed and not drives)
 
 
 @pytest.mark.parametrize("make", [upper_halfplane_map, lower_halfplane_map])

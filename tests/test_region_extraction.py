@@ -424,7 +424,7 @@ def test_assemble_welds_across_branch_point():
     assert all(
         (s.lo.kind == "branch") != (s.hi.kind == "branch") for s in segs
     )
-    tree, colls, node_of = _assemble(gp, {rid: 1 for rid in gp.regions}, segs, bps)
+    tree, colls, node_of = _assemble(gp, {rid: 1 for rid in gp.regions}, segs)
     assert validate(tree) == []
     root = tree.nodes["p1"]
     assert root.valence == 2
@@ -877,6 +877,18 @@ def test_no_seed_starts_in_the_rim(monkeypatch):
             assert all(abs(z0) <= 1.0 - 3.0 / res for z0 in seeds)
             n_seeds += len(seeds)
     assert n_seeds > 0
+
+
+def test_seeds_come_only_from_band_cells_inside_the_rim():
+    res = 64
+    cls = np.ones((res, res), dtype=np.int8)
+    cls[:, res // 2:] = -1  # +1 cells touch -1 cells with no band between
+    gp = rx.GridPartition(res, cls, np.where(cls > 0, 1, 2), {})
+    assert list(rx._seed_candidates(gp)) == []
+    cls[40, 20] = cls[10, 50] = 2
+    cls[0, 0] = 2  # a corner cell, outside the circle
+    assert rx._seed_candidates(gp) == [(gp.cell_center(50, 10), (10, 50)),
+                                       (gp.cell_center(20, 40), (40, 20))]
 
 
 # A (3, 3) Helson pair (zeros up to radius 0.95) on which a traced arc ends

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from rsmirnov.blaschke_smirnov import Blaschke, RealSmirnov, real_affine
 from rsmirnov.complex_poly import Poly
-from rsmirnov.region_extraction import crosscheck, extract_full
+from rsmirnov.fixtures import power_chain
+from rsmirnov.region_extraction import crosscheck
 from rsmirnov.synthesis import (
     CATALOG_TOL,
     SHAPE_PENALTY,
@@ -32,8 +33,6 @@ from rsmirnov.synthesis import (
     endpoint_error,
     halfplane_node,
     koebe,
-    power_chain,
-    seed_catalog,
     synthesize_search,
     tree_loss,
     verify,
@@ -129,14 +128,6 @@ def test_seed_argument_errors():
         power_chain(0)
     with pytest.raises(ValueError):
         halfplane_node(1, 0)
-
-
-@pytest.mark.parametrize(
-    "entry", seed_catalog(), ids=lambda e: f"{e.name}-{sorted(e.params.items())}"
-)
-def test_seed_catalog_advertised_trees(entry):
-    ext = extract_full(entry.build())
-    assert endpoint_error(ext.tree, entry.tree) < 1e-6
 
 
 # ---------------------------------------------------------------------------
