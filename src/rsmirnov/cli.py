@@ -2,9 +2,10 @@
 
 Four commands tie the library together:
 
-- analyze:       construct a function from JSON, count its half-plane
-                 valences, extract its valence tree, cross-check the tree
-                 against direct root counts, and probe its integral means.
+- analyze:       construct a function from JSON, extract its valence tree
+                 (whose profile gives the half-plane valences), cross-check
+                 the tree against direct root counts, and probe its
+                 integral means.
 - enumerate:     list every admissible tree shape for given half-plane
                  valences, with the interval constraints each shape imposes.
 - validate-tree: check a tree file against the axioms and print violations.
@@ -23,7 +24,6 @@ from pathlib import Path
 from .blaschke_smirnov import (
     BoundaryNotReal,
     DenominatorVanishesInDisk,
-    InconsistentValence,
     NotRelativelyPrime,
     QuadratureUnstable,
     RealSmirnov,
@@ -136,14 +136,14 @@ def cmd_analyze(args):
         ext = extract_full(phi, resolution=args.resolution, seed=args.seed)
         report = crosscheck(phi, ext.tree, n_samples=args.samples,
                             seed=args.seed + 1)
-    except (InconsistentValence, ExtractionError, NonConvergence) as exc:
+    except (ExtractionError, NonConvergence) as exc:
         print("numerical failure: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return EXIT_NUMERICAL
 
-    # for rational phi the deficiency indices are the half-plane valences
-    v_plus, v_minus = ext.halfplane
     prof = profile(ext.tree)
+    # for rational phi the deficiency indices are the half-plane valences
+    v_plus, v_minus = prof.v_plus, prof.v_minus
     means = _means_rows(phi, prof.sup_real)
 
     print("input: %s" % _describe(phi))

@@ -30,8 +30,11 @@ from . import _kernels
 #: root
 CLUSTER_TOL = 1e-6
 
-#: distance from the unit circle at which a root is flagged as sitting on
-#: the boundary, and the default band that disk counts leave out
+#: distance within which _cluster's second pass may merge two groups
+AMPLIFIED_TOL = max(200.0 * CLUSTER_TOL, 1e-4)
+
+#: distance from the unit circle within which a root counts as sitting on
+#: the boundary: the default band that disk counts leave out
 BOUNDARY_TOL = 1e-9
 
 #: companion eigenvalues start the Aberth iteration only when every two of
@@ -183,17 +186,13 @@ def compose_rational(p, rnum, rden, power=None):
 class RootReport:
     """All roots of a polynomial, with multiplicities.
 
-    ``roots`` has length equal to the degree (each multiple root repeated),
-    ``multiplicities`` is aligned with it, ``residual`` is the largest
-    |p(root)| over the cluster centers relative to the coefficient scale,
-    and ``boundary`` flags roots within BOUNDARY_TOL of the unit circle.
+    ``roots`` has length equal to the degree (each multiple root repeated)
+    and ``multiplicities`` is aligned with it.
     """
 
-    def __init__(self, roots, multiplicities, residual, boundary):
+    def __init__(self, roots, multiplicities):
         self.roots = roots
         self.multiplicities = multiplicities
-        self.residual = residual
-        self.boundary = boundary
 
     def clusters(self):
         """Distinct roots as a list of (value, multiplicity) pairs."""
@@ -298,15 +297,10 @@ def _newton_polish(rows, roots):
     return roots
 
 
-def _amplified_tol(base_tol):
-    """Distance within which _cluster's second pass may merge two groups."""
-    return max(200.0 * base_tol, 1e-4)
-
-
 def _unclustered(roots):
     """(k,) True for the rows of roots (k, n) in which no two roots lie
     close enough for either pass of _cluster to merge them."""
-    return _min_gaps(roots) >= _amplified_tol(CLUSTER_TOL)
+    return _min_gaps(roots) >= AMPLIFIED_TOL
 
 
 def _rounding_ring(coeffs, center, dm, m):
@@ -318,11 +312,11 @@ def _rounding_ring(coeffs, center, dm, m):
     return (np.finfo(np.float64).eps * noise / lead) ** (1.0 / m)
 
 
-def _cluster(roots, coeffs, base_tol):
+def _cluster(roots, coeffs):
     """Group computed roots into multiplicity clusters.
 
-    A first pass merges everything within base_tol.  A second pass merges
-    groups whose centers are within an amplified tolerance when the low
+    A first pass merges everything within CLUSTER_TOL.  A second pass merges
+    groups whose centers are within AMPLIFIED_TOL when the low
     derivatives of p at the joint centroid all vanish numerically (the ring
     of iterates around a root of multiplicity m has radius ~ eps^(1/m),
     which a fixed tolerance misses for m >= 3), unless the two groups lie
@@ -346,7 +340,7 @@ def _cluster(roots, coeffs, base_tol):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < base_tol:
+            if abs(roots[i] - roots[j]) < CLUSTER_TOL:
                 union(i, j)
 
     def groups():
@@ -356,7 +350,6 @@ def _cluster(roots, coeffs, base_tol):
         return list(g.values())
 
     # second pass: derivative-verified merging of suspicious near-groups
-    amp_tol = _amplified_tol(base_tol)
     scale = np.abs(coeffs).max()
     p = Poly(coeffs)
     changed = True
@@ -366,7 +359,7 @@ def _cluster(roots, coeffs, base_tol):
         centers = [np.mean([roots[i] for i in g]) for g in gs]
         for a in range(len(gs)):
             for b in range(a + 1, len(gs)):
-                if abs(centers[a] - centers[b]) >= amp_tol:
+                if abs(centers[a] - centers[b]) >= AMPLIFIED_TOL:
                     continue
                 m = len(gs[a]) + len(gs[b])
                 c = (centers[a] * len(gs[a]) + centers[b] * len(gs[b])) / m
@@ -426,7 +419,7 @@ def _merge_clusters(roots, rows):
     mult = np.ones(roots.shape, dtype=np.int64)
     for i in (~_unclustered(roots)).nonzero()[0]:
         j = 0
-        for g in _cluster(roots[i], rows[i], CLUSTER_TOL):
+        for g in _cluster(roots[i], rows[i]):
             center = np.mean(roots[i][g])
             if abs(center) < 1e-300:
                 center = 0.0 + 0.0j
@@ -447,18 +440,13 @@ def find_roots(p):
     is exhausted.
     """
     p = _as_poly(p)
-    scale = np.abs(p.coeffs).max()
     c, n_zero = _trimmed(p.coeffs)
     arr = np.zeros(n_zero, dtype=np.complex128)
     if len(c) > 1:
         arr = np.concatenate([arr, _aberth_rows(c[None])[0]])
     (out,), (mult,) = _merge_clusters(arr[None], p.coeffs[None])
     order = np.lexsort((out.imag, out.real))
-    out, mult = out[order], mult[order]
-    pv = _kernels.horner_many(p.coeffs, out)
-    residual = float(np.abs(pv).max() / scale)
-    boundary = np.abs(np.abs(out) - 1.0) < BOUNDARY_TOL
-    return RootReport(out, mult, residual, boundary)
+    return RootReport(out[order], mult[order])
 
 
 def count_inside(roots, tol=BOUNDARY_TOL):

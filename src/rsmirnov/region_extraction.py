@@ -54,13 +54,7 @@ from ._kernels import (
     horner_scalar,
     trace_arc,
 )
-from .blaschke_smirnov import (
-    BoundaryPieces,
-    InconsistentValence,
-    halfplane_valences,
-    is_infinite,
-    valence_counts,
-)
+from .blaschke_smirnov import BoundaryPieces, is_infinite, valence_counts
 from .valence_tree import Interval, Node, Tree, profile, validate
 
 __all__ = [
@@ -122,15 +116,6 @@ class NonMonotone(ExtractionError):
 
 class ExtractionMismatch(ExtractionError):
     """The traced interfaces and regions do not fit together as a tree."""
-
-
-_RETRYABLE = (
-    ResolutionTooCoarse,
-    TraceStalled,
-    NonMonotone,
-    ExtractionMismatch,
-    InconsistentValence,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +293,6 @@ class BoundaryArc:
     lo: End
     hi: End
 
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.lo.value, self.hi.value)
-
 
 def _newton_to_level(phi, z0: complex) -> complex | None:
     """Pull a seed point onto the level set Im phi = 0 (or give up)."""
@@ -426,8 +407,9 @@ def trace_segments(phi, gp: GridPartition,
     increasing Re phi along its points.  Every trace starts from a
     near-zero cell of the grid (_seed_candidates); an arc that crosses none
     is missed, and the valence and tree checks of the attempt then fail.
-    Arcs traced twice from different seeds are deduplicated by their flank
-    pair and overlapping images.
+    No seed starts in a cell a traced arc already covers, so each arc is
+    traced once.  A walk that stalls, turns non-monotone or runs out of
+    steps raises TraceStalled or NonMonotone at once.
     Circle and pole ends take the values of the events of phi's boundary
     pieces (see End), so phi without trusted pieces raises
     ExtractionMismatch.
@@ -447,18 +429,12 @@ def trace_segments(phi, gp: GridPartition,
     h_max = min(8e-3, 4.0 / res)
     covered = np.zeros((res, res), dtype=bool)
     segments: list[BoundaryArc] = []
-    images: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
     def run(z0: complex, direction: float):
         pts, status, bp_hit = trace_arc(
             ncoef, dcoef, wcoef, z0, direction, h0=h0, h_max=h_max,
             branch_points=bp_z,
         )
-        if status in (TRACE_STALLED, TRACE_NON_MONOTONE, TRACE_MAX_STEPS):
-            pts, status, bp_hit = trace_arc(
-                ncoef, dcoef, wcoef, z0, direction, h0=h0 / 4, h_max=h_max / 2,
-                branch_points=bp_z,
-            )
         if status == TRACE_NON_MONOTONE:
             raise NonMonotone(f"Re phi not monotone along the arc through {z0:.6f}")
         if status in (TRACE_STALLED, TRACE_MAX_STEPS):
@@ -490,10 +466,6 @@ def trace_segments(phi, gp: GridPartition,
             )
         upper, lower = _flank_regions(phi, gp, pts, bps)
         _mark_covered(covered, pts, h, res)
-        key = (upper, lower)
-        if any(max(lo.value, a) < min(hi.value, b) for a, b in images.get(key, ())):
-            continue  # same arc reached from another seed
-        images.setdefault(key, []).append((lo.value, hi.value))
         segments.append(BoundaryArc(pts, upper, lower, lo, hi))
 
     segments.sort(key=lambda s: (s.lo.value, s.hi.value, s.upper, s.lower))
@@ -641,16 +613,6 @@ def _assemble(gp: GridPartition, valences: dict[int, int],
     each closure only follows branch points not consumed by an earlier one.
     """
     regions = gp.regions
-    if not segments:
-        if len(regions) != 1:
-            raise ExtractionMismatch(
-                "multiple sign regions but no traced interfaces between them"
-            )
-        ((rid, region),) = regions.items()
-        name = "p1" if region.sign > 0 else "m1"
-        tree = Tree([Node(name, region.sign, valences[rid])], [])
-        return tree, [Collection(name, region.sign, (rid,), valences[rid])], {rid: name}
-
     segs_own: dict[int, list[BoundaryArc]] = {rid: [] for rid in regions}
     for seg in segments:
         segs_own[seg.upper].append(seg)
@@ -860,7 +822,6 @@ class Extraction:
     segments: list[BoundaryArc]
     collections: list[Collection]
     node_of_region: dict[int, str]
-    halfplane: tuple[int, int]
 
 
 def _attempt(phi, res: int, seed: int) -> Extraction:
@@ -868,14 +829,6 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
     bps = find_branch_points(phi)
     segments = trace_segments(phi, gp, bps)
     valences = region_valence(phi, gp, segments)
-    v_plus, v_minus = halfplane_valences(phi, seed=seed)
-    got_plus = sum(v for r, v in valences.items() if gp.regions[r].sign > 0)
-    got_minus = sum(v for r, v in valences.items() if gp.regions[r].sign < 0)
-    if (got_plus, got_minus) != (v_plus, v_minus):
-        raise InconsistentValence(
-            f"region valences sum to ({got_plus}, {got_minus}) but the "
-            f"half-plane counts are ({v_plus}, {v_minus})"
-        )
     tree, collections, node_of_region = _assemble(gp, valences, segments)
     violations = validate(tree)
     if violations:
@@ -896,18 +849,25 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
         segments=segments,
         collections=collections,
         node_of_region=node_of_region,
-        halfplane=(v_plus, v_minus),
     )
 
 
 def extract_full(phi, resolution: int = DEFAULT_RESOLUTION,
                  max_resolution: int = MAX_RESOLUTION, seed: int = 0) -> Extraction:
-    """Extract the valence tree, doubling the grid resolution on failure."""
+    """Extract the valence tree, doubling the grid resolution on failure.
+
+    An attempt partitions the disk, traces the level arcs, reads the region
+    valences off their boundaries, assembles and validates the tree, and
+    checks it against root counts at 36 fresh points (crosscheck with seed
+    + 1), whose half-plane samples test the region valence sums.  Any
+    ExtractionError restarts at twice the resolution; past max_resolution
+    the last one is raised.
+    """
     res = int(resolution)
     while True:
         try:
             return _attempt(phi, res, seed)
-        except _RETRYABLE:
+        except ExtractionError:
             if 2 * res > max_resolution:
                 raise
             res *= 2

@@ -112,11 +112,10 @@ def double_slit() -> RealSmirnov:
 
 @dataclass
 class SeedCatalogEntry:
-    """One matched closed form: its name, parameters, and advertised tree."""
+    """One matched closed form: its name, its parameters, and how to build it."""
 
     name: str
     params: dict
-    tree: Tree
     build: Callable[[], RealSmirnov]
 
 
@@ -188,7 +187,6 @@ def _match_catalog(target: Tree) -> SeedCatalogEntry:
         node = nodes[0]
         return SeedCatalogEntry(
             "halfplane-node", {"sign": node.sign, "m": node.valence},
-            target,
             lambda s=node.sign, m=node.valence: halfplane_node(s, m),
         )
     if (len(nodes) == 2 and len(target.edges) == 1
@@ -197,25 +195,25 @@ def _match_catalog(target: Tree) -> SeedCatalogEntry:
         lo, hi = iv.lo, iv.hi
         if math.isfinite(lo) and math.isfinite(hi):
             return SeedCatalogEntry(
-                "double-slit-edge", {"lo": lo, "hi": hi}, target,
+                "double-slit-edge", {"lo": lo, "hi": hi},
                 lambda a=lo, b=hi: real_affine(
                     double_slit(), b - a, (a + b) / 2.0),
             )
         if math.isfinite(lo) and hi == INF:
             return SeedCatalogEntry(
-                "koebe-ray", {"lo": lo, "hi": INF}, target,
+                "koebe-ray", {"lo": lo, "hi": INF},
                 lambda c=lo: real_affine(koebe(), 1.0, c + 0.25),
             )
         if lo == -INF and math.isfinite(hi):
             return SeedCatalogEntry(
-                "koebe-ray", {"lo": -INF, "hi": hi}, target,
+                "koebe-ray", {"lo": -INF, "hi": hi},
                 lambda c=hi: real_affine(koebe(), -1.0, c - 0.25),
             )
     chain = _match_chain(target)
     if chain is not None:
         n, c, s = chain
         return SeedCatalogEntry(
-            "power-chain", {"n": n, "shift": c, "sign": s}, target,
+            "power-chain", {"n": n, "shift": c, "sign": s},
             lambda: real_affine(power_chain(n), float(s), c),
         )
     raise NotInCatalog("target matches no closed-form family")

@@ -724,17 +724,6 @@ def transform_profile(tree: Tree, a: float, b: float) -> Tree:
 # DOT rendering
 # ---------------------------------------------------------------------------
 
-def _dot_interval(iv: Interval) -> str:
-    def fmt(x):
-        if x == NEG_INF:
-            return "-∞"
-        if x == POS_INF:
-            return "∞"
-        return f"{x:g}"
-
-    return f"({fmt(iv.lo)}, {fmt(iv.hi)})"
-
-
 def to_dot(tree: Tree) -> str:
     """Graphviz source matching the usual figure style: boxed nodes labeled
     "ℂ₊: m" / "ℂ₋: m" and edges labeled with their open intervals."""
@@ -743,6 +732,7 @@ def to_dot(tree: Tree) -> str:
         half = "ℂ₊" if node.sign > 0 else "ℂ₋"
         lines.append(f'  "{node.id}" [label="{half}: {node.valence}"];')
     for a, b, iv in tree.edges:
-        lines.append(f'  "{a}" -- "{b}" [label="{_dot_interval(iv)}"];')
+        label = str(iv).replace("inf", "∞")
+        lines.append(f'  "{a}" -- "{b}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from rsmirnov.blaschke_smirnov import (
     Blaschke,
-    InconsistentValence,
     RealSmirnov,
     from_blaschke,
     halfplane_valences,
@@ -465,7 +464,8 @@ def test_extract_koebe(ex_koebe):
     assert {tree.nodes[a].sign, tree.nodes[b].sign} == {1, -1}
     assert abs(iv.lo - (-0.25)) < 1e-6
     assert iv.hi == math.inf
-    assert ex_koebe.halfplane == (1, 1)
+    prof = profile(tree)
+    assert (prof.v_plus, prof.v_minus) == (1, 1)
 
 
 def test_extract_double_slit(ex_slit):
@@ -492,7 +492,8 @@ def test_extract_composed_slit_welds_plus_regions(ex_slit_squared):
 
 
 def test_extract_region_sum_matches_halfplane(ex_phi3, ex_slit_squared):
-    for ex in (ex_phi3, ex_slit_squared):
+    for ex, phi in ((ex_phi3, fourth_power_map()),
+                    (ex_slit_squared, slit_squared())):
         got_plus = sum(
             v for rid, v in ex.region_valences.items()
             if ex.partition.regions[rid].sign > 0
@@ -501,7 +502,9 @@ def test_extract_region_sum_matches_halfplane(ex_phi3, ex_slit_squared):
             v for rid, v in ex.region_valences.items()
             if ex.partition.regions[rid].sign < 0
         )
-        assert (got_plus, got_minus) == ex.halfplane
+        prof = profile(ex.tree)
+        assert (got_plus, got_minus) == (prof.v_plus, prof.v_minus)
+        assert (got_plus, got_minus) == halfplane_valences(phi)
 
 
 def test_extraction_is_deterministic():
@@ -677,8 +680,7 @@ def test_random_helson_extraction_roundtrip(seed, deg):
     ex = extract_full(phi)
     assert validate(ex.tree) == []
     prof = profile(ex.tree)
-    assert (prof.v_plus, prof.v_minus) == ex.halfplane
-    assert ex.halfplane == halfplane_valences(phi)
+    assert (prof.v_plus, prof.v_minus) == halfplane_valences(phi)
     report = crosscheck(phi, ex.tree, n_samples=150, seed=seed + 1)
     assert report.ok
 

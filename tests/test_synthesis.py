@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from rsmirnov.blaschke_smirnov import Blaschke, RealSmirnov, real_affine
 from rsmirnov.complex_poly import Poly
 from rsmirnov.fixtures import power_chain
+from rsmirnov import region_extraction
 from rsmirnov.region_extraction import crosscheck
 from rsmirnov.synthesis import (
     CATALOG_TOL,
@@ -420,6 +421,24 @@ def test_verify_accepts_catalog_result():
     out = rep.to_json()
     assert out["ok"] is True
     assert out["notes"] == []
+
+
+def test_verify_reports_a_lasting_valence_mismatch(monkeypatch):
+    # read one region a sheet too high at every resolution: the attempts
+    # fail with a typed ExtractionError, which verify reports, not raises
+    res = catalog_realize(edge_tree(-1.0, 1.0))
+    honest = region_extraction.region_valence
+
+    def one_too_high(phi, gp, segments):
+        valences = honest(phi, gp, segments)
+        valences[min(valences)] += 1
+        return valences
+
+    monkeypatch.setattr(region_extraction, "region_valence", one_too_high)
+    rep = verify(res)
+    assert not rep.ok
+    assert rep.tree is None
+    assert rep.extraction_error.startswith("ExtractionMismatch")
 
 
 def test_verify_flags_interior_pole():
