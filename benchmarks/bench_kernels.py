@@ -31,6 +31,14 @@ find_roots trims.  A closing line gives the time per call and the share
 of the corpus whose Aberth iteration starts from the companion
 eigenvalues.
 
+The search objective row evaluates synthesize_search's objective at 500
+fixed parameter vectors of the (2, 1) edge on (-1, 1), scattered around a
+found optimum from simplex-step to restart distances (objective_inputs).
+A closing line gives the time per evaluation and the shares of it spent
+finding roots (of D for the disk constraint, of W for the boundary
+pieces, of N - xD where the pieces fall back) and building N and D from
+the Blaschke pair.
+
 The partition, trace_segments and region_valence rows time the grid,
 the tracing and the valence stages of extraction on the five fixtures at
 resolution 512: partition from the function alone (its classify_grid
@@ -44,17 +52,20 @@ are in an analysis by the time it probes the means.
 """
 
 import argparse
+import cmath
+import math
 import sys
 import time
 import tracemalloc
 
 import numpy as np
 
-from rsmirnov import _kernels, complex_poly
+from rsmirnov import _kernels, blaschke_smirnov, complex_poly, synthesis
 from rsmirnov.blaschke_smirnov import (
     Blaschke,
     BoundaryPieces,
     RealSmirnov,
+    _helson_quotient,
     _lambda_rows,
     from_blaschke,
     random_blaschke,
@@ -71,7 +82,7 @@ from rsmirnov.region_extraction import (
     region_valence,
     trace_segments,
 )
-from rsmirnov.valence_tree import profile
+from rsmirnov.valence_tree import Interval, Node, Tree, profile
 
 
 def _time(fn, repeats=5):
@@ -103,14 +114,18 @@ VALENCE_ROWS = ("valence_at (200 real points)",
                 "real_valence (200 real points)")
 
 
+# the zeros and constants of a (2, 1) edge on (-1, 1) found by
+# synthesize_search (seed 1)
+TWO_ONE_B1 = ([-0.007488567352077657 + 0.6451247547799099j],
+              -0.4503363464855821 + 0.8928589894457118j)
+TWO_ONE_B2 = ([0.10428559539904765 - 0.5454708266753667j,
+               0.6220089046466197 + 0.037617227319359854j],
+              -0.8250967098521353 + 0.5649915215215013j)
+
+
 def two_one_candidate():
-    """A (2, 1) edge on (-1, 1) found by synthesize_search (seed 1)."""
-    b1 = Blaschke([-0.007488567352077657 + 0.6451247547799099j],
-                  -0.4503363464855821 + 0.8928589894457118j)
-    b2 = Blaschke([0.10428559539904765 - 0.5454708266753667j,
-                   0.6220089046466197 + 0.037617227319359854j],
-                  -0.8250967098521353 + 0.5649915215215013j)
-    return from_blaschke(b1, b2)
+    """The (2, 1) edge candidate of TWO_ONE_B1 and TWO_ONE_B2."""
+    return from_blaschke(Blaschke(*TWO_ONE_B1), Blaschke(*TWO_ONE_B2))
 
 
 COUNTS_ROWS = ("valence_at (200 λ, 5 fixtures)",
@@ -151,10 +166,8 @@ def find_roots_corpus():
     rng = np.random.default_rng(21)
     polys = []
     for _ in range(250):
-        p1, q1 = random_blaschke(rng, 1, 0.95).as_rational()
-        p2, q2 = random_blaschke(rng, 2, 0.95).as_rational()
-        a, b = p1 * q2, p2 * q1
-        phi = RealSmirnov((a + b).scale(1j), a - b)
+        b1 = random_blaschke(rng, 1, 0.95)
+        phi = RealSmirnov(*_helson_quotient(b1, random_blaschke(rng, 2, 0.95)))
         polys += [phi.den, phi.w_poly()]
     return polys
 
@@ -165,6 +178,71 @@ def eigenvalue_start_share(polys):
     return np.mean([
         complex_poly._eigenvalue_start(
             complex_poly._trimmed(p.coeffs)[0][None])[1][0] for p in polys])
+
+
+OBJECTIVE_POINTS = 500
+OBJECTIVE_ROW = "search objective (%d params, (2, 1))" % OBJECTIVE_POINTS
+
+
+def objective_inputs():
+    """(params, tprof, tarcs): OBJECTIVE_POINTS parameter vectors of the
+    (2, 1) edge on (-1, 1), with the target's profile and breakpoint
+    arctangents as synthesize_search passes them to its objective.
+
+    The vectors scatter around the parameters of two_one_candidate (each
+    zero w as the point w / (1 - |w|) that _squash maps back to it, then
+    the phases of the two constants) by normal noise whose scale is drawn
+    log-uniformly from 1e-4 to 1: from the simplex steps near an optimum
+    to starts so far off that the disk constraint rejects them.
+    """
+    zeros = [*TWO_ONE_B1[0], *TWO_ONE_B2[0]]
+    x0 = np.array([c for w in zeros for c in (w.real / (1.0 - abs(w)),
+                                              w.imag / (1.0 - abs(w)))]
+                  + [cmath.phase(TWO_ONE_B1[1]), cmath.phase(TWO_ONE_B2[1])])
+    rng = np.random.default_rng(34)
+    params = [x0 + 10.0 ** rng.uniform(-4.0, 0.0) * rng.normal(size=len(x0))
+              for _ in range(OBJECTIVE_POINTS)]
+    tprof = profile(Tree([Node("p1", 1, 2), Node("m1", -1, 1)],
+                         [("p1", "m1", Interval(-1.0, 1.0))]))
+    tarcs = [synthesis._arc(b) for b in tprof.breakpoints if math.isfinite(b)]
+    return params, tprof, tarcs
+
+
+def objective_pass(params, tprof, tarcs):
+    """The search objective once at every parameter vector."""
+    for x in params:
+        synthesis._search_loss(x, 1, 2, tprof, tarcs)
+
+
+def objective_shares():
+    """Shares of one objective_pass spent in find_roots and in
+    _helson_quotient, timed by wrappers around the names the objective
+    looks them up by."""
+    spent = {"find_roots": 0.0, "_helson_quotient": 0.0}
+
+    def timed(name, fn):
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[name] += time.perf_counter() - t0
+        return wrapper
+
+    targets = [(blaschke_smirnov, "find_roots"),
+               (synthesis, "_helson_quotient")]
+    originals = [getattr(mod, name) for mod, name in targets]
+    inputs = objective_inputs()
+    try:
+        for (mod, name), fn in zip(targets, originals):
+            setattr(mod, name, timed(name, fn))
+        t0 = time.perf_counter()
+        objective_pass(*inputs)
+        total = time.perf_counter() - t0
+    finally:
+        for (mod, name), fn in zip(targets, originals):
+            setattr(mod, name, fn)
+    return {name: t / total for name, t in spent.items()}
 
 
 def real_fallbacks(phi):
@@ -230,6 +308,7 @@ def run_benchmarks():
             valence_counts(phi, points)
 
     corpus = find_roots_corpus()
+    objective = objective_inputs()
 
     def bench_find_roots():
         for p in corpus:
@@ -272,6 +351,7 @@ def run_benchmarks():
         COUNTS_ROWS[0]: _time(bench_counts_valence_at),
         COUNTS_ROWS[1]: _time(bench_valence_counts),
         FIND_ROOTS_ROW: _time(bench_find_roots),
+        OBJECTIVE_ROW: _time(lambda: objective_pass(*objective)),
         "partition (5 fixtures, res 512)": _time(bench_partition),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
@@ -316,6 +396,15 @@ def _find_roots_summary(timings):
                100.0 * eigenvalue_start_share(corpus), len(corpus)))
 
 
+def _objective_summary(timings):
+    shares = objective_shares()
+    return ("search objective, per evaluation: %.0f us; find_roots %.0f%%, "
+            "_helson_quotient %.0f%%"
+            % (1e6 * timings[OBJECTIVE_ROW] / OBJECTIVE_POINTS,
+               100.0 * shares["find_roots"],
+               100.0 * shares["_helson_quotient"]))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
@@ -328,6 +417,7 @@ def main(argv=None):
     print(_valence_summary(timings))
     print(_counts_summary(timings))
     print(_find_roots_summary(timings))
+    print(_objective_summary(timings))
     return 0
 
 

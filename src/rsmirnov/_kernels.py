@@ -36,8 +36,16 @@ TRACE_MAX_STEPS = 6
 
 
 def _horner_many(coeffs, z):
-    """Evaluate sum_k coeffs[k] * z**k for every entry of z (ascending order)."""
-    acc = np.full_like(z, coeffs[-1], dtype=np.complex128)
+    """Evaluate sum_k coeffs[k] * z**k for every entry of z (ascending order).
+
+    Every product is one of two arrays of z's shape: the leading
+    coefficient is spread over z's shape first, because numpy multiplies a
+    broadcast operand by another loop, which rounds differently on long
+    arrays.  Coefficients that already have z's shape start as they are.
+    """
+    acc = coeffs[-1]
+    if np.shape(acc) != z.shape:
+        acc = np.full_like(z, acc, dtype=np.complex128)
     for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * z + coeffs[k]
     return acc
@@ -79,7 +87,8 @@ def aberth_iterate(coeffs, initial):
     roots = np.array(initial, dtype=np.complex128)
     n = roots.shape[0]
     acoeffs = np.abs(coeffs)
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    # complex factors: the product with the integer ones, without the cast
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs), dtype=np.complex128)
     for it in range(ABERTH_MAX_ITER):
         delta = 0.0
         worst_resid = 0.0

@@ -27,6 +27,10 @@ from . import _kernels
 from .complex_poly import (
     BOUNDARY_TOL,
     Poly,
+    _add,
+    _derivative,
+    _mul,
+    _strip,
     compose_rational,
     count_inside,
     disk_root_counts,
@@ -93,9 +97,9 @@ class Blaschke:
     __slots__ = ("zeros", "constant")
 
     def __init__(self, zeros=(), constant=1.0):
-        z = np.atleast_1d(np.asarray(zeros, dtype=np.complex128)) if len(zeros) \
+        z = np.asarray(zeros, dtype=np.complex128) if len(zeros) \
             else np.empty(0, dtype=np.complex128)
-        if z.size and np.abs(z).max() >= 1.0 - ZERO_MARGIN:
+        if z.size and np.maximum.reduce(np.abs(z)) >= 1.0 - ZERO_MARGIN:
             raise ValueError("Blaschke zeros must satisfy |a| < 1 - 1e-12")
         c = complex(constant)
         if abs(abs(c) - 1.0) > 1e-12:
@@ -120,20 +124,21 @@ class Blaschke:
         return out
 
     def as_rational(self):
-        """The pair (P, Q) of polynomials with B = P/Q."""
+        """The coefficients (ascending, without trailing zeros) of the pair
+        of polynomials (P, Q) with B = P/Q."""
         p = np.array([self.constant], dtype=np.complex128)
         q = np.array([1.0], dtype=np.complex128)
         n_origin = 0
-        for a in self.zeros:
+        for a in self.zeros.tolist():
             if a == 0:
                 n_origin += 1
             else:
                 p = np.convolve(p, np.array([a, -1.0], dtype=np.complex128))
-                q = np.convolve(q, np.array([1.0, -np.conj(a)],
+                q = np.convolve(q, np.array([1.0, -a.conjugate()],
                                             dtype=np.complex128))
         if n_origin:
             p = np.concatenate([np.zeros(n_origin, dtype=np.complex128), p])
-        return Poly(p), Poly(q)
+        return _strip(p), _strip(q)
 
     def to_json(self):
         return {
@@ -186,8 +191,9 @@ class RealSmirnov:
     roots of D are found once (den_roots): the constructors' check that D
     does not vanish in the disk, the circle poles and integral_means all
     read them.  The roots of N are found once too (num_roots), for
-    from_rational's shared-zero check and integral_means.  Instances are
-    treated as immutable.
+    from_rational's shared-zero check and integral_means, and so are the
+    coefficient scales (num_scale, den_scale) that the pole tests read.
+    Instances are treated as immutable.
     """
 
     def __init__(self, num, den, b1=None, b2=None):
@@ -195,6 +201,8 @@ class RealSmirnov:
         self.den = den
         self.b1 = b1
         self.b2 = b2
+        self._num_scale = None
+        self._den_scale = None
         self._w = None
         self._den_roots = None
         self._num_roots = None
@@ -208,25 +216,38 @@ class RealSmirnov:
 
     def eval(self, z):
         """N(z)/D(z); INFINITY where the denominator vanishes numerically."""
-        dscale = np.abs(self.den.coeffs).max()
         if np.isscalar(z) or np.asarray(z).shape == ():
-            nv = self.num(complex(z))
-            dv = self.den(complex(z))
-            if abs(dv) < POLE_EVAL_TOL * dscale:
+            z = complex(z)
+            nv = _kernels.horner_scalar(self.num.coeffs, z)
+            dv = _kernels.horner_scalar(self.den.coeffs, z)
+            if abs(dv) < POLE_EVAL_TOL * self.den_scale():
                 return INFINITY
             return nv / dv
         z = np.asarray(z, dtype=np.complex128)
         nv = self.num(z)
         dv = self.den(z)
-        pole = np.abs(dv) < POLE_EVAL_TOL * dscale
+        pole = np.abs(dv) < POLE_EVAL_TOL * self.den_scale()
         out = np.where(pole, INFINITY, nv / np.where(pole, 1.0, dv))
         return out
+
+    def num_scale(self):
+        """The largest coefficient modulus of N, found on the first call."""
+        if self._num_scale is None:
+            self._num_scale = np.abs(self.num.coeffs).max()
+        return self._num_scale
+
+    def den_scale(self):
+        """The largest coefficient modulus of D, found on the first call."""
+        if self._den_scale is None:
+            self._den_scale = np.abs(self.den.coeffs).max()
+        return self._den_scale
 
     def w_poly(self):
         """Numerator W = N'D - ND' of the derivative (phi' = W/D^2)."""
         if self._w is None:
-            self._w = (self.num.derivative() * self.den
-                       - self.num * self.den.derivative())
+            n, d = self.num.coeffs, self.den.coeffs
+            self._w = Poly(_add(_mul(_derivative(n), d),
+                                -_mul(n, _derivative(d))))
         return self._w
 
     def den_roots(self):
@@ -286,10 +307,9 @@ class RealSmirnov:
     def _boundary_eval(self, t):
         """(Re, Im, at_pole) of phi(e^{it}) with automatic escalation."""
         z = cmath.exp(1j * t)
-        nv = self.num(z)
-        dv = self.den(z)
-        dscale = np.abs(self.den.coeffs).max()
-        nscale = np.abs(self.num.coeffs).max()
+        nv = _kernels.horner_scalar(self.num.coeffs, z)
+        dv = _kernels.horner_scalar(self.den.coeffs, z)
+        dscale = self.den_scale()
         if abs(dv) > 1e-7 * dscale:
             w = nv / dv
             # double precision leaves |Im| ~ |w| * 1e-16 of cancellation
@@ -301,7 +321,8 @@ class RealSmirnov:
             zmp = mpmath.expjpi(mpmath.mpf(t) / mpmath.pi)
             nmp = _mp_horner(_poly_to_mp(self.num.coeffs), zmp)
             dmp = _mp_horner(_poly_to_mp(self.den.coeffs), zmp)
-            if abs(dmp) < 1e-25 * max(dscale, 1.0) * max(nscale, 1.0):
+            if abs(dmp) < (1e-25 * max(dscale, 1.0)
+                           * max(self.num_scale(), 1.0)):
                 return math.inf, 0.0, True
             wmp = nmp / dmp
             return float(wmp.real), float(wmp.imag), False
@@ -320,7 +341,7 @@ class RealSmirnov:
         # once; the samples it does not trust go to _boundary_eval itself
         z = np.exp(1j * tk)
         dv = self.den(z)
-        far = np.abs(dv) > 1e-7 * np.abs(self.den.coeffs).max()
+        far = np.abs(dv) > 1e-7 * self.den_scale()
         ims = np.abs((self.num(z) / np.where(far, dv, 1.0)).imag)
         for k in np.flatnonzero(~far | (ims >= 1e-9)):
             ims[k] = abs(self._boundary_eval(float(tk[k]))[1])
@@ -357,9 +378,9 @@ def _helson_quotient(b1, b2):
     """(N, D) = (i(P1 Q2 + P2 Q1), P1 Q2 - P2 Q1) for B1 = P1/Q1, B2 = P2/Q2."""
     p1, q1 = b1.as_rational()
     p2, q2 = b2.as_rational()
-    a = p1 * q2
-    b = p2 * q1
-    return (a + b).scale(1j), a - b
+    a = _mul(p1, q2)
+    b = _mul(p2, q1)
+    return Poly(_add(a, b) * 1j), Poly(_add(a, -b))
 
 
 def from_blaschke(b1, b2):
@@ -569,9 +590,13 @@ class BoundaryPieces:
         if self.ranges is None:
             return None
         tol = EVENT_VALUE_TOL * max(1.0, abs(x))
-        if any(v is not None and abs(x - v) <= tol for _, v in self.critical):
-            return None
-        c = sum(1 for lo, hi in self.ranges if lo < x < hi)
+        for _, v in self.critical:
+            if v is not None and abs(x - v) <= tol:
+                return None
+        c = 0
+        for lo, hi in self.ranges:
+            if lo < x < hi:
+                c += 1
         if c > self.n or (self.n - c) % 2:
             return None
         return (self.n - c) // 2
@@ -583,16 +608,22 @@ def _monotone_pieces(phi, events):
 
     The direction is the sign of d/dt phi(e^{it}) = Re(i z W(z)/D(z)^2),
     taken as the sign of Re(i z W(z) conj(D(z))^2) at the middle of the
-    piece; a pole end takes the infinity the piece runs into.
+    piece; a pole end takes the infinity the piece runs into.  W and D are
+    evaluated on Python numbers: their sums and products round as numpy's
+    scalar ones do, and no division follows.  The square is a product, which
+    differs from numpy's power only when conj(D(z)) is zero or not finite,
+    and such a slope rejects the pieces either way.
     """
-    w = phi.w_poly()
+    w, d = phi.w_poly().coeffs.tolist(), phi.den.coeffs.tolist()
+    horner = _kernels.horner_scalar
     pieces = []
     for k, (t0, v0) in enumerate(events):
         t1, v1 = events[(k + 1) % len(events)]
         if k + 1 == len(events):
             t1 += 2.0 * math.pi
         z = cmath.exp(0.5j * (t0 + t1))
-        slope = (1j * z * w(z) * phi.den(z).conjugate() ** 2).real
+        dz = horner(d, z).conjugate()
+        slope = (1j * z * horner(w, z) * (dz * dz)).real
         if not math.isfinite(slope) or slope == 0.0:
             return None
         s = 1.0 if slope > 0.0 else -1.0
@@ -830,7 +861,7 @@ def precompose_inner(phi, c):
     deg c)."""
     if c.degree < 1:
         raise ValueError("precomposition requires deg C >= 1")
-    pc, qc = c.as_rational()
+    pc, qc = map(Poly, c.as_rational())
     m = max(phi.num.degree, phi.den.degree)
     num = compose_rational(phi.num, pc, qc, m)
     den = compose_rational(phi.den, pc, qc, m)

@@ -18,8 +18,31 @@ basic primitive behind every valence computation; disk_root_counts counts
 many polynomials at once, so that the fixed cost of a call is paid once
 per stack.  An argument-principle winding count is provided as an
 independent cross-check.
+
+No stage may move its arithmetic between numpy arrays and Python numbers,
+because the two round differently.  Measured with numpy 2.4 on x86-64,
+over random pairs of complex doubles:
+
+- numpy's product of two complex arrays runs a fused SIMD loop and
+  differs in the last bit from the product of Python complex numbers, or
+  of numpy scalars, in about 44% of pairs, at every array length;
+- numpy's complex division, of arrays and of scalars alike, is Smith's
+  method and differs from Python's in about 43% of pairs; Python's
+  complex / float differs from numpy's too, which multiplies by the
+  reciprocal;
+- np.abs of a complex array differs from abs of the same numbers as
+  Python or numpy scalars in about 35% of values.
+
+Sums and differences agree everywhere, and so do products and moduli of
+numpy scalars and Python numbers.  A root one ulp off moves the search's
+loss, and with it every later simplex step.  So the cost of a call is
+cut here by making fewer numpy calls on arrays of the same shapes, with
+the operands in the same order, never by moving a product, a division or
+a modulus to the other side.  Python numbers stand in for numpy scalars
+only where neither a division nor an array follows.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -76,12 +99,7 @@ class Poly:
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128)).ravel()
-        nz = np.nonzero(c)[0]
-        if nz.size == 0:
-            c = c[:1] if c.size else np.zeros(1, dtype=np.complex128)
-        else:
-            c = c[: nz[-1] + 1]
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _strip(c))
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -99,12 +117,7 @@ class Poly:
         return _kernels.horner_many(self.coeffs, z)
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n, dtype=np.complex128)
-        c[: len(self.coeffs)] += self.coeffs
-        c[: len(other.coeffs)] += other.coeffs
-        return Poly(c)
+        return Poly(_add(self.coeffs, _as_poly(other).coeffs))
 
     def __neg__(self):
         return Poly(-self.coeffs)
@@ -115,10 +128,7 @@ class Poly:
     def __mul__(self, other):
         if np.isscalar(other):
             return self.scale(other)
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly([0])
-        return Poly(np.convolve(self.coeffs, other.coeffs))
+        return Poly(_mul(self.coeffs, _as_poly(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -126,10 +136,7 @@ class Poly:
         return Poly(self.coeffs * complex(a))
 
     def derivative(self):
-        if self.degree == 0:
-            return Poly([0])
-        k = np.arange(1, len(self.coeffs))
-        return Poly(self.coeffs[1:] * k)
+        return Poly(_derivative(self.coeffs))
 
     def __pow__(self, n):
         out = Poly([1])
@@ -147,6 +154,50 @@ class Poly:
 
 def _as_poly(p):
     return p if isinstance(p, Poly) else Poly(p)
+
+
+# Poly's arithmetic on coefficient arrays (ascending, without trailing
+# zeros), for callers that build a polynomial from several operations and
+# need only the last result as a Poly
+
+def _strip(c):
+    """c without its trailing zero coefficients; the zero polynomial keeps
+    its first coefficient, and an empty c becomes [0]."""
+    if c.size and c[-1] != 0:
+        return c
+    nz = np.nonzero(c)[0]
+    if nz.size == 0:
+        return c[:1] if c.size else np.zeros(1, dtype=np.complex128)
+    return c[: nz[-1] + 1]
+
+
+def _add(a, b):
+    """Coefficients of a + b."""
+    c = np.zeros(max(len(a), len(b)), dtype=np.complex128)
+    c[: len(a)] += a
+    c[: len(b)] += b
+    return _strip(c)
+
+
+def _mul(a, b):
+    """Coefficients of a * b."""
+    if (len(a) == 1 and a[0] == 0) or (len(b) == 1 and b[0] == 0):
+        return np.zeros(1, dtype=np.complex128)
+    return _strip(np.convolve(a, b))
+
+
+def _derivative(a):
+    """Coefficients of the derivative of a."""
+    if len(a) == 1:
+        return np.zeros(1, dtype=np.complex128)
+    return _strip(a[1:] * _ramp(len(a)))
+
+
+def _ramp(m):
+    """The factors 1, ..., m - 1 that differentiate a polynomial with m
+    coefficients.  They are complex, so a product with them runs no cast,
+    and are exact, so it equals the product with the integer factors."""
+    return np.arange(1, m, dtype=np.complex128)
 
 
 def poly_from_roots(roots, lead=1.0):
@@ -195,13 +246,14 @@ class RootReport:
         self.multiplicities = multiplicities
 
     def clusters(self):
-        """Distinct roots as a list of (value, multiplicity) pairs."""
+        """Distinct roots as a list of (value, multiplicity) pairs, in
+        Python numbers."""
+        roots, mult = self.roots.tolist(), self.multiplicities.tolist()
         out = []
         k = 0
-        while k < len(self.roots):
-            m = int(self.multiplicities[k])
-            out.append((self.roots[k], m))
-            k += m
+        while k < len(roots):
+            out.append((roots[k], mult[k]))
+            k += mult[k]
         return out
 
 
@@ -222,26 +274,42 @@ def _eigenvalue_start(rows):
     EIG_START_SEPARATION * (1 + max |e|) apart."""
     k, n = rows.shape[0], rows.shape[1] - 1
     last = -rows[:, :-1] / rows[:, -1:]
-    finite = np.isfinite(last).all(axis=1)
-    if not finite.all():
+    finite = np.isfinite(last)
+    if np.count_nonzero(finite) == finite.size:
+        finite = None
+    else:
+        finite = finite.all(axis=1)
         last[~finite] = 0.0
     comp = np.zeros((k, n, n), dtype=np.complex128)
     comp.reshape(k, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
     comp[:, :, -1] = last
     eigs = np.linalg.eigvals(comp)
     # written so that a nan eigenvalue fails the test
-    ok = finite & (_min_gaps(eigs)
-                   >= EIG_START_SEPARATION * (1.0 + np.abs(eigs).max(axis=1)))
+    ok = _min_gaps(eigs) >= EIG_START_SEPARATION * (
+        1.0 + np.maximum.reduce(np.abs(eigs), axis=1))
+    if finite is not None:
+        ok &= finite
     return eigs, ok
+
+
+@functools.cache
+def _pairs(n):
+    """The index arrays (i, j) of the pairs i < j among n entries."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def _min_gaps(roots):
     """Smallest distance between two entries of each row of roots (k, n);
     inf for n = 1."""
     k, n = roots.shape
-    gaps = np.abs(roots[:, :, None] - roots[:, None, :]).reshape(k, n * n)
-    gaps[:, ::n + 1] = np.inf
-    return gaps.min(axis=1)
+    if n == 1:
+        return np.full(k, np.inf)
+    i, j = _pairs(n)
+    return np.minimum.reduce(
+        np.abs(roots.take(i, axis=1) - roots.take(j, axis=1)), axis=1)
 
 
 def _aberth_rows(rows):
@@ -256,43 +324,61 @@ def _aberth_rows(rows):
     whole stack.  A row's roots do not depend on the other rows.
     """
     roots, ok = _eigenvalue_start(rows)
-    for i in np.flatnonzero(ok):
-        roots[i], _, ok[i] = _kernels.aberth_iterate(rows[i], roots[i])
-    for i in np.flatnonzero(~ok):
-        rng = None
-        for attempt in range(4):
-            roots[i], _, done = _kernels.aberth_iterate(
-                rows[i], _initial_guesses(rows[i], rng))
-            if done:
-                break
-            rng = np.random.default_rng(0xC0FFEE + attempt)
-        else:
-            raise NonConvergence(
-                "Aberth iteration failed after restarts (degree %d)"
-                % (rows.shape[1] - 1))
+    for i, done in enumerate(ok.tolist()):
+        if done:
+            roots[i], _, done = _kernels.aberth_iterate(rows[i], roots[i])
+        if not done:
+            roots[i] = _circle_start(rows[i])
     return _newton_polish(rows, roots)
+
+
+def _circle_start(row):
+    """Aberth roots of one coefficient row started from the circle of
+    _initial_guesses, with up to three random perturbation restarts;
+    NonConvergence when every start exhausts the budget."""
+    rng = None
+    for attempt in range(4):
+        roots, _, done = _kernels.aberth_iterate(
+            row, _initial_guesses(row, rng))
+        if done:
+            return roots
+        rng = np.random.default_rng(0xC0FFEE + attempt)
+    raise NonConvergence("Aberth iteration failed after restarts (degree %d)"
+                         % (len(row) - 1))
 
 
 def _newton_polish(rows, roots):
     """POLISH_STEPS Newton steps on the roots (k, n) of the coefficient rows
     (k, n + 1).
 
-    p and p' are evaluated as one stack of 2k rows.  The rows of p' are
-    padded with a zero leading coefficient, so Horner's first step gives
-    exactly their own leading coefficient at any finite root.
+    p and p' run through one Horner recurrence (_horner_many) as a stack
+    (2, k, n).  Their coefficients are laid out once as (n + 1, 2, k, n),
+    each repeated over the row's points, and every step writes the points
+    into one buffer, so the recurrence multiplies and adds arrays of one
+    shape.  The rows of p' are padded with a zero leading coefficient, so
+    Horner's first step gives exactly their own leading coefficient at any
+    finite root.  A step in which every |p'| exceeds 1e-280 and no update
+    is flung beyond 0.1 (1 + |root|) skips the masks that guard those
+    cases.
     """
-    k, m = rows.shape
-    both = np.zeros((2 * k, m), dtype=np.complex128)
-    both[:k] = rows
-    both[k:, :-1] = rows[:, 1:] * np.arange(1, m)
+    m = rows.shape[1]
+    cols = np.zeros((m, 2) + roots.shape, dtype=np.complex128)
+    cols[:, 0] = rows.T[:, :, None]
+    cols[:-1, 1] = (rows[:, 1:] * _ramp(m)).T[:, :, None]
+    z = np.empty(cols.shape[1:], dtype=np.complex128)
     for _ in range(POLISH_STEPS):
-        pv = _kernels.horner_many(both, np.concatenate([roots, roots]))
-        p, dp = pv[:k], pv[k:]
+        z[:] = roots
+        pv = _kernels._horner_many(cols, z)
+        p, dp = pv[0], pv[1]
         mask = np.abs(dp) > 1e-280
-        upd = np.where(mask, p / np.where(mask, dp, 1.0), 0.0)
+        if np.count_nonzero(mask) == mask.size:
+            upd = p / dp
+        else:
+            upd = np.where(mask, p / np.where(mask, dp, 1.0), 0.0)
         # do not let a polish step fling a root far away (multiple roots)
         big = np.abs(upd) > 0.1 * (1.0 + np.abs(roots))
-        upd[big] = 0.0
+        if np.count_nonzero(big):
+            upd[big] = 0.0
         roots = roots - upd
     return roots
 
@@ -382,7 +468,7 @@ def _cluster(roots, coeffs):
 def _trimmed(coeffs):
     """(c, n_zero): coeffs without vanishing leading coefficients (relative
     to the largest) and without its n_zero exact zero roots."""
-    scale = np.abs(coeffs).max()
+    scale = np.maximum.reduce(np.abs(coeffs))
     if scale == 0:
         raise ValueError("cannot take roots of the zero polynomial")
     c = coeffs
@@ -415,9 +501,13 @@ def _merge_clusters(roots, rows):
     others every root is its own cluster.  A centre below 1e-300 in modulus is
     set to exactly zero.
     """
-    out = np.where(np.abs(roots) < 1e-300, 0.0, roots)
+    tiny = np.abs(roots) < 1e-300
+    out = (np.where(tiny, 0.0, roots) if np.count_nonzero(tiny)
+           else roots.copy())
     mult = np.ones(roots.shape, dtype=np.int64)
-    for i in (~_unclustered(roots)).nonzero()[0]:
+    for i, alone in enumerate(_unclustered(roots).tolist()):
+        if alone:
+            continue
         j = 0
         for g in _cluster(roots[i], rows[i]):
             center = np.mean(roots[i][g])
@@ -441,10 +531,16 @@ def find_roots(p):
     """
     p = _as_poly(p)
     c, n_zero = _trimmed(p.coeffs)
-    arr = np.zeros(n_zero, dtype=np.complex128)
-    if len(c) > 1:
-        arr = np.concatenate([arr, _aberth_rows(c[None])[0]])
-    (out,), (mult,) = _merge_clusters(arr[None], p.coeffs[None])
+    if len(c) == 1:
+        arr = np.zeros((1, n_zero), dtype=np.complex128)
+    elif n_zero:
+        arr = np.concatenate(
+            [np.zeros((1, n_zero), dtype=np.complex128), _aberth_rows(c[None])],
+            axis=1)
+    else:
+        arr = _aberth_rows(c[None])
+    out, mult = _merge_clusters(arr, p.coeffs[None])
+    out, mult = out[0], mult[0]
     order = np.lexsort((out.imag, out.real))
     return RootReport(out[order], mult[order])
 

@@ -396,6 +396,8 @@ def _squash(px: float, py: float) -> complex:
 
 
 def _params_to_blaschke(x, deg1: int, deg2: int):
+    # Python floats: _squash rounds them as it rounds numpy's, and faster
+    x = np.asarray(x, dtype=np.float64).tolist()
     z1 = [_squash(x[2 * k], x[2 * k + 1]) for k in range(deg1)]
     off = 2 * deg1
     z2 = [_squash(x[off + 2 * k], x[off + 2 * k + 1]) for k in range(deg2)]
@@ -446,6 +448,27 @@ def _surrogate_loss(phi: RealSmirnov, tprof, tarcs) -> float:
     return loss
 
 
+def _search_loss(x, deg1: int, deg2: int, tprof, tarcs) -> float:
+    """synthesize_search's objective at the parameters x: a penalty when
+    the denominator is identically zero or vanishes inside the disk (every
+    root of D within 1e-6 of the circle or beyond counts as outside), the
+    surrogate loss otherwise.  tprof is the target's profile and tarcs the
+    arctangents of its finite breakpoints."""
+    num, den = _helson_quotient(*_params_to_blaschke(x, deg1, deg2))
+    if den.is_zero():
+        return 1e7
+    phi = RealSmirnov(num, den)
+    penalty = 0.0
+    if den.degree >= 1:
+        for r0 in phi.den_roots().roots:
+            rr = abs(r0)
+            if rr < 1.0 - 1e-6:
+                penalty += 1.0 + (1.0 - rr)
+    if penalty > 0.0:
+        return CONSTRAINT_WEIGHT * penalty
+    return _surrogate_loss(phi, tprof, tarcs)
+
+
 def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
     """Simplex descent with restarts over Blaschke zeros and phases.
 
@@ -474,19 +497,7 @@ def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
     def objective(x):
         nonlocal evals
         evals += 1
-        num, den = _helson_quotient(*_params_to_blaschke(x, deg1, deg2))
-        if den.is_zero():
-            return 1e7
-        phi = RealSmirnov(num, den)
-        penalty = 0.0
-        if den.degree >= 1:
-            for r0 in phi.den_roots().roots:
-                rr = abs(r0)
-                if rr < 1.0 - 1e-6:
-                    penalty += 1.0 + (1.0 - rr)
-        if penalty > 0.0:
-            return CONSTRAINT_WEIGHT * penalty
-        return _surrogate_loss(phi, tprof, tarcs)
+        return _search_loss(x, deg1, deg2, tprof, tarcs)
 
     for restart in range(max(1, int(problem.restarts))):
         if evals >= budget:

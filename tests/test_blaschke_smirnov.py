@@ -103,7 +103,7 @@ class TestBlaschke:
 
     def test_rational_form_matches_product(self):
         b = Blaschke([0.4, -0.2 + 0.3j, 0.0], cmath.exp(0.3j))
-        p, q = b.as_rational()
+        p, q = map(Poly, b.as_rational())
         for z in [0.1 + 0.2j, -0.7j, 0.55]:
             assert p(z) / q(z) == pytest.approx(b(z), abs=1e-13)
 
@@ -465,3 +465,114 @@ def test_real_affine_keeps_the_denominator_roots(monkeypatch):
     assert psi.den_roots() is report
     extract_full(psi, resolution=256)
     assert not any(np.array_equal(c, psi.den.coeffs) for c in inputs)
+
+
+# -- N, D and W against Poly arithmetic ----------------------------------------
+#
+# The reference below is the Poly arithmetic that _helson_quotient and
+# w_poly used to run, written out on coefficient arrays: trailing zeros
+# trimmed after every operation, sums accumulated into zeros, products by
+# np.convolve, derivatives by the integer factors.  The bytes must agree,
+# signed zeros included.
+
+
+def ref_trim(c):
+    c = np.atleast_1d(np.asarray(c, dtype=np.complex128)).ravel()
+    nz = np.nonzero(c)[0]
+    if nz.size == 0:
+        return c[:1] if c.size else np.zeros(1, dtype=np.complex128)
+    return c[: nz[-1] + 1]
+
+
+def ref_add(a, b):
+    c = np.zeros(max(len(a), len(b)), dtype=np.complex128)
+    c[: len(a)] += a
+    c[: len(b)] += b
+    return ref_trim(c)
+
+
+def ref_mul(a, b):
+    if (len(a) == 1 and a[0] == 0) or (len(b) == 1 and b[0] == 0):
+        return ref_trim([0])
+    return ref_trim(np.convolve(a, b))
+
+
+def ref_derivative(a):
+    if len(a) == 1:
+        return ref_trim([0])
+    return ref_trim(a[1:] * np.arange(1, len(a)))
+
+
+def ref_rational(b):
+    p = np.array([b.constant], dtype=np.complex128)
+    q = np.array([1.0], dtype=np.complex128)
+    n_origin = 0
+    for a in b.zeros:
+        if a == 0:
+            n_origin += 1
+        else:
+            p = np.convolve(p, np.array([a, -1.0], dtype=np.complex128))
+            q = np.convolve(q, np.array([1.0, -np.conj(a)],
+                                        dtype=np.complex128))
+    if n_origin:
+        p = np.concatenate([np.zeros(n_origin, dtype=np.complex128), p])
+    return ref_trim(p), ref_trim(q)
+
+
+def ref_helson_quotient(b1, b2):
+    """(N, D) = ((P1 Q2 + P2 Q1).scale(1j), P1 Q2 - P2 Q1)."""
+    p1, q1 = ref_rational(b1)
+    p2, q2 = ref_rational(b2)
+    a, b = ref_mul(p1, q2), ref_mul(p2, q1)
+    return ref_trim(ref_add(a, b) * complex(1j)), ref_add(a, ref_trim(-b))
+
+
+def ref_w(num, den):
+    """N'D - ND'."""
+    return ref_add(ref_mul(ref_derivative(num), den),
+                   ref_trim(-ref_mul(num, ref_derivative(den))))
+
+
+def helson_pairs():
+    """Random pairs of every degree 0-4 against every degree 0-4, the
+    same with a zero of B1, of B2 or of both moved to the origin, pairs
+    with real zeros and constants +-1 or +-i (whose coefficients carry
+    signed zeros), and the fixtures' pairs."""
+    rng = np.random.default_rng(16)
+    pairs = []
+    for d1 in range(5):
+        for d2 in range(5):
+            for origin in range(4):
+                b1 = blaschke_smirnov.random_blaschke(rng, d1, 0.95)
+                b2 = blaschke_smirnov.random_blaschke(rng, d2, 0.95)
+                z1, z2 = list(b1.zeros), list(b2.zeros)
+                if origin & 1 and z1:
+                    z1[0] = 0.0
+                if origin & 2 and z2:
+                    z2[-1] = 0.0
+                pairs.append((Blaschke(z1, b1.constant),
+                              Blaschke(z2, b2.constant)))
+            for c1, c2 in ((1.0, -1.0), (-1.0, 1j), (1j, -1j)):
+                pairs.append((Blaschke(rng.uniform(-0.9, 0.9, d1), c1),
+                              Blaschke(rng.uniform(-0.9, 0.9, d2), c2)))
+    pairs += [(phi.b1, phi.b2) for phi in fixtures.all_fixtures().values()
+              if phi.b1 is not None]
+    return pairs
+
+
+def test_helson_quotient_and_w_match_poly_arithmetic():
+    for b1, b2 in helson_pairs():
+        num, den = blaschke_smirnov._helson_quotient(b1, b2)
+        ref_num, ref_den = ref_helson_quotient(b1, b2)
+        assert num.coeffs.tobytes() == ref_num.tobytes()
+        assert den.coeffs.tobytes() == ref_den.tobytes()
+        w = RealSmirnov(num, den).w_poly()
+        assert w.coeffs.tobytes() == ref_w(ref_num, ref_den).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
+def test_fixture_w_matches_poly_arithmetic(name):
+    phi = fixtures.all_fixtures()[name]
+    w = RealSmirnov(phi.num, phi.den).w_poly()
+    assert w.coeffs.tobytes() == ref_w(phi.num.coeffs,
+                                       phi.den.coeffs).tobytes()

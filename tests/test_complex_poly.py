@@ -401,3 +401,125 @@ def test_row_driver_roots_do_not_depend_on_the_stack():
         assert np.array_equal(r, complex_poly._aberth_rows(row[None])[0])
     assert np.array_equal(np.sort_complex(roots[1]),
                           find_roots(Poly(simple)).roots)
+
+
+# -- the one-row root find against its stages ---------------------------------
+
+
+def reference_polish(rows, roots):
+    """The Newton polish as it ran before _newton_polish laid out its
+    coefficients once: p and p' as one stack of 2k rows through
+    horner_many, the points concatenated at every step, and both guards
+    applied through masks at every step."""
+    k, m = rows.shape
+    both = np.zeros((2 * k, m), dtype=np.complex128)
+    both[:k] = rows
+    both[k:, :-1] = rows[:, 1:] * np.arange(1, m)
+    for _ in range(complex_poly.POLISH_STEPS):
+        pv = _kernels.horner_many(both, np.concatenate([roots, roots]))
+        p, dp = pv[:k], pv[k:]
+        mask = np.abs(dp) > 1e-280
+        upd = np.where(mask, p / np.where(mask, dp, 1.0), 0.0)
+        big = np.abs(upd) > 0.1 * (1.0 + np.abs(roots))
+        upd[big] = 0.0
+        roots = roots - upd
+    return roots
+
+
+def reference_min_gaps(roots):
+    """Smallest distance between two entries of each row, over the whole
+    distance matrix with its diagonal set to inf."""
+    k, n = roots.shape
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :]).reshape(k, n * n)
+    gaps[:, ::n + 1] = np.inf
+    return gaps.min(axis=1)
+
+
+def staged_find_roots(p):
+    """find_roots of p one stage at a time, as (roots, multiplicities):
+    _trimmed; the companion eigenvalues of _eigenvalue_start; Aberth from
+    them, or from the circle with up to three perturbation restarts; the
+    reference polish; and _cluster over every root when two of them lie
+    within AMPLIFIED_TOL."""
+    c, n_zero = complex_poly._trimmed(p.coeffs)
+    roots = np.zeros(0, dtype=np.complex128)
+    if len(c) > 1:
+        eigs, ok = complex_poly._eigenvalue_start(c[None])
+        assert complex_poly._min_gaps(eigs).tobytes() == (
+            reference_min_gaps(eigs).tobytes())
+        start, done = eigs[0], False
+        if ok[0]:
+            start, _, done = _kernels.aberth_iterate(c, start)
+        rng = None
+        for attempt in range(0 if done else 4):
+            start, _, done = _kernels.aberth_iterate(
+                c, complex_poly._initial_guesses(c, rng))
+            if done:
+                break
+            rng = np.random.default_rng(0xC0FFEE + attempt)
+        assert done
+        roots = reference_polish(c[None], start[None])[0]
+    arr = np.concatenate([np.zeros(n_zero, dtype=np.complex128), roots])
+    out = np.where(np.abs(arr) < 1e-300, 0.0, arr)
+    mult = np.ones(len(arr), dtype=np.int64)
+    gap = reference_min_gaps(arr[None])
+    assert complex_poly._min_gaps(arr[None]).tobytes() == gap.tobytes()
+    if not gap[0] >= complex_poly.AMPLIFIED_TOL:
+        j = 0
+        for g in complex_poly._cluster(arr, p.coeffs):
+            center = np.mean(arr[g])
+            if abs(center) < 1e-300:
+                center = 0.0 + 0.0j
+            out[j:j + len(g)] = center
+            mult[j:j + len(g)] = len(g)
+            j += len(g)
+    order = np.lexsort((out.imag, out.real))
+    return out[order], mult[order]
+
+
+def objective_polynomials():
+    """D and W of 300 parameter vectors of the (2, 1) edge, drawn as
+    synthesize_search draws its starts, then rows with a leading
+    coefficient that _trimmed drops, with exact zero roots, and with
+    clustered roots."""
+    from rsmirnov.blaschke_smirnov import RealSmirnov, _helson_quotient
+    from rsmirnov.synthesis import _params_to_blaschke
+
+    polys = []
+    for seed in range(300):
+        rng = np.random.default_rng((seed, 0))
+        x = np.concatenate([rng.normal(0.0, 0.8, 6),
+                            rng.uniform(0.0, 2.0 * np.pi, 2)])
+        num, den = _helson_quotient(*_params_to_blaschke(x, 1, 2))
+        polys += [den, RealSmirnov(num, den).w_poly()]
+    polys += [
+        Poly([1.0, -0.5, 0.25, 1e-17]),
+        Poly([0.5 - 1j, 2.0, 0.3j, 1.0, 3e-16]),
+        Poly([0.0, 0.0, 2.0, -1.0, 1j]),
+        Poly([0.0, 1.0, 1.0]),
+        Poly([0.0, 0.0, 3.0]),
+        poly_from_roots([0.3 + 0.1j] * 3 + [-1.5]),
+        poly_from_roots([0.5, 0.5, 0.5 + 1e-9, -0.2j], lead=2.0 - 1j),
+        Poly([1, -1]) ** 4,
+        # the polish flings exactly one root of the four-fold cluster
+        poly_from_roots([0.6636506051269776 - 0.961985826145586j,
+                         -0.032428864394952926 - 0.4919140789794038j]
+                        + [-1.337260325066792 - 0.8053650220211703j] * 4,
+                        lead=-0.4444107616426947 - 0.8400406772234785j),
+    ]
+    return [p for p in polys if p.degree >= 1]
+
+
+def test_find_roots_matches_its_stages():
+    polys = objective_polynomials()
+    by_length = {}
+    for p in polys:
+        rep = find_roots(p)
+        roots, mult = staged_find_roots(p)
+        assert rep.roots.tobytes() == roots.tobytes()
+        assert rep.multiplicities.tobytes() == mult.tobytes()
+        by_length.setdefault(len(p.coeffs), []).append(
+            (p.coeffs, complex_poly.count_inside(rep.roots)))
+    for rows in by_length.values():
+        counts = disk_root_counts(np.array([c for c, _ in rows]))
+        assert counts.tolist() == [n for _, n in rows]

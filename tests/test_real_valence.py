@@ -15,6 +15,7 @@ not.  The root driver it shares with find_roots must give every row
 find_roots' roots bit for bit, whatever else is in the stack.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -116,6 +117,42 @@ def test_events_are_the_circle_critical_points_and_poles_in_order():
         [math.inf, -0.5, math.inf, 0.5], abs=1e-12)
     assert [t0 for t0, _, _ in pieces.spans] == [t for t, _ in pieces.events]
     assert pieces.interior_real == []
+
+
+def numpy_scalar_pieces(phi, events):
+    """_monotone_pieces with W and D evaluated on numpy scalars and the
+    square taken as numpy's power: the reference for its Python-number
+    evaluation."""
+    w, d = phi.w_poly(), phi.den
+    pieces = []
+    for k, (t0, v0) in enumerate(events):
+        t1, v1 = events[(k + 1) % len(events)]
+        if k + 1 == len(events):
+            t1 += 2.0 * math.pi
+        z = cmath.exp(0.5j * (t0 + t1))
+        slope = (1j * z * w(z) * d(z).conjugate() ** 2).real
+        if not math.isfinite(slope) or slope == 0.0:
+            return None
+        s = 1.0 if slope > 0.0 else -1.0
+        a = -s * math.inf if math.isinf(v0) else v0
+        b = s * math.inf if math.isinf(v1) else v1
+        if s * (b - a) < 0.0:
+            return None
+        pieces.append((t0, t1, s, min(a, b), max(a, b)))
+    return pieces
+
+
+def test_monotone_pieces_match_numpy_scalar_arithmetic():
+    rng = np.random.default_rng(12)
+    phis = list(all_fixtures().values())
+    phis += [random_helson(rng, d1, d2, 0.95)
+             for d1 in range(1, 4) for d2 in range(1, 4) for _ in range(6)]
+    for phi in phis:
+        events = BoundaryPieces(phi).events
+        if not events or any(v is None for _, v in events):
+            continue
+        got = blaschke_smirnov._monotone_pieces(phi, events)
+        assert got == numpy_scalar_pieces(phi, events)
 
 
 def test_pieces_right_where_clustering_misleads_the_oracle():
