@@ -39,11 +39,11 @@ finding roots (of D for the disk constraint, of W for the boundary
 pieces, of N - xD where the pieces fall back) and building N and D from
 the Blaschke pair.
 
-The partition, trace_segments and region_valence rows time the grid,
-the tracing and the valence stages of extraction on the five fixtures at
-resolution 512: partition from the function alone (its classify_grid
-call included), the other two from partitions, branch points, boundary
-pieces and (for region_valence) traced segments prepared beforehand.
+The partition, trace_segments, faces and region_valence rows time the
+stages of extraction on the five fixtures at resolution 512: partition
+(the sign grid, its classify_grid call included) from the function
+alone, the others from grids, branch points, boundary pieces, traced
+arcs and (for region_valence) faces prepared beforehand.
 
 The integral_means row makes the four integral means analyze probes on
 each of the five fixtures (cli._means_rows: two exponents, each at radii
@@ -77,6 +77,7 @@ from rsmirnov.cli import _means_rows
 from rsmirnov.fixtures import all_fixtures, double_slit, fourth_power_map
 from rsmirnov.region_extraction import (
     extract_full,
+    faces,
     find_branch_points,
     partition,
     region_valence,
@@ -322,15 +323,20 @@ def run_benchmarks():
     for phi in all_fixtures().values():
         gp = partition(phi, res)
         bps = find_branch_points(phi)
-        prepared.append((phi, gp, bps, trace_segments(phi, gp, bps)))
+        arcs = trace_segments(phi, gp, bps)
+        prepared.append((phi, gp, bps, arcs, *faces(phi, arcs, bps)))
 
     def bench_trace_segments():
-        for phi, gp, bps, _ in prepared:
+        for phi, gp, bps, *_ in prepared:
             trace_segments(phi, gp, bps)
 
+    def bench_faces():
+        for phi, _, bps, arcs, *_ in prepared:
+            faces(phi, arcs, bps)
+
     def bench_region_valence():
-        for phi, gp, _, segments in prepared:
-            region_valence(phi, gp, segments)
+        for phi, *_, regions, segments in prepared:
+            region_valence(phi, regions, segments)
 
     # each fixture with the m of its tree, as analyze passes it
     means_inputs = [(phi, profile(extract_full(phi, resolution=res).tree)
@@ -354,6 +360,7 @@ def run_benchmarks():
         OBJECTIVE_ROW: _time(lambda: objective_pass(*objective)),
         "partition (5 fixtures, res 512)": _time(bench_partition),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
+        "faces (5 fixtures, res 512)": _time(bench_faces),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
         "integral_means (5 fixtures, 4 rows)": _time(bench_integral_means),
     }

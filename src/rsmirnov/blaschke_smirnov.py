@@ -99,10 +99,11 @@ class Blaschke:
     def __init__(self, zeros=(), constant=1.0):
         z = np.asarray(zeros, dtype=np.complex128) if len(zeros) \
             else np.empty(0, dtype=np.complex128)
-        if z.size and np.maximum.reduce(np.abs(z)) >= 1.0 - ZERO_MARGIN:
+        # written so that a NaN fails the test: every comparison with it is False
+        if z.size and not np.maximum.reduce(np.abs(z)) < 1.0 - ZERO_MARGIN:
             raise ValueError("Blaschke zeros must satisfy |a| < 1 - 1e-12")
         c = complex(constant)
-        if abs(abs(c) - 1.0) > 1e-12:
+        if not abs(abs(c) - 1.0) <= 1e-12:
             raise ValueError("|constant| must be 1 within 1e-12")
         self.zeros = z
         self.constant = c

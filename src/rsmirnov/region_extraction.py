@@ -9,15 +9,17 @@ edges carry the open real intervals those curves map onto.
 
 The pipeline here:
 
-1. ``partition``    -- classify a grid of the disk by the sign of Im phi and
-                       label the connected sign regions.
+1. ``partition``    -- classify a grid of the disk by the sign of Im phi;
+                       its near-zero cells seed the traces.
 2. ``find_branch_points`` -- interior critical points with real critical
                        value (the only places level arcs can cross).
 3. ``trace_segments`` -- follow every level arc with a predictor/corrector
-                       walk, identify the two flanking regions, and record
-                       the (monotone) image interval: an arc ends at a
-                       branch point or at an event of the boundary pieces
-                       of phi, and takes its exact value.
+                       walk and record the (monotone) image interval: an
+                       arc ends at a branch point or at an event of the
+                       boundary pieces of phi, and takes its exact value.
+   ``faces``        -- the regions are the faces of the planar graph of the
+                       circle, the traced arcs and the branch points, found
+                       by walking round each with the face on the left.
 4. ``region_valence`` -- the valence of each region as the degree of phi on
                        its boundary: the traced arcs and the monotone
                        circle pieces of phi run over the real line once per
@@ -37,11 +39,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from ._kernels import (
     BP_RADIUS,
@@ -54,14 +56,13 @@ from ._kernels import (
     horner_scalar,
     trace_arc,
 )
-from .blaschke_smirnov import BoundaryPieces, is_infinite, valence_counts
+from .blaschke_smirnov import BoundaryPieces, valence_counts
 from .valence_tree import Interval, Node, Tree, profile, validate
 
 __all__ = [
     "DEFAULT_RESOLUTION",
     "MAX_RESOLUTION",
     "ExtractionError",
-    "ResolutionTooCoarse",
     "TraceStalled",
     "NonMonotone",
     "ExtractionMismatch",
@@ -77,6 +78,7 @@ __all__ = [
     "region_valence",
     "find_branch_points",
     "trace_segments",
+    "faces",
     "extract_tree",
     "extract_full",
     "crosscheck",
@@ -92,18 +94,21 @@ SVG_SIZE = 640
 RIM = 3.0
 #: how far a region's boundary turn may sit from a multiple of pi
 TURN_TOL = 1e-3
-#: distance from its circle end at which an arc's direction is read
+#: distance from its end at which an arc's direction is read
 ARC_PROBE = 0.02
-
-_STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
+#: largest step, in radians, between the points of a circle piece on a
+#: face's boundary polygon
+CIRCLE_STEP = 2.0 * math.pi / 1024
+#: decimals to which faces' lowest points are compared: mirror-image faces
+#: whose lowest points differ by rounding noise go from left to right
+LOW_DIGITS = 9
+#: faces whose areas differ by less than this are equally large (mirror
+#: images, up to the chords of their traced arcs)
+AREA_TOL = 1e-4
 
 
 class ExtractionError(RuntimeError):
     """Base class for everything that can go wrong during extraction."""
-
-
-class ResolutionTooCoarse(ExtractionError):
-    """The grid cannot separate the sign regions at this resolution."""
 
 
 class TraceStalled(ExtractionError):
@@ -122,39 +127,20 @@ class ExtractionMismatch(ExtractionError):
 # grid partition
 
 
-@dataclass(frozen=True)
-class Region:
-    """One connected component of {Im phi > 0} or {Im phi < 0} on the grid:
-    its n_cells cells (area n_cells * h**2) and the mean of their centres."""
-
-    id: int
-    sign: int
-    n_cells: int
-    centroid: complex
-
-
 @dataclass
 class GridPartition:
-    """Sign classification and region labelling of the disk on a square grid.
+    """Sign classification of the disk on a square grid.
 
     ``cls[iy, ix]`` is +1 / -1 by the sign of Im phi, 2 where the value is
-    too close to zero to call, and 0 outside the disk.  ``labels`` numbers
-    the P positive regions 1..P and the M negative ones P+1..P+M (0 is no
-    region); ``ids(sign)`` lists the regions of one sign.
+    too close to zero to call, and 0 outside the disk.
     """
 
     resolution: int
     cls: np.ndarray
-    labels: np.ndarray
-    regions: dict[int, Region]
 
     @property
     def h(self) -> float:
         return 2.0 / self.resolution
-
-    def cell_center(self, ix: int, iy: int) -> complex:
-        h = self.h
-        return complex(-1.0 + (ix + 0.5) * h, -1.0 + (iy + 0.5) * h)
 
     def cell_of(self, z) -> tuple[int, int] | None:
         h = self.h
@@ -164,33 +150,10 @@ class GridPartition:
             return ix, iy
         return None
 
-    def label_at(self, z) -> int:
-        cell = self.cell_of(z)
-        if cell is None:
-            return 0
-        return int(self.labels[cell[1], cell[0]])
-
-    def class_at(self, z) -> int:
-        cell = self.cell_of(z)
-        if cell is None:
-            return 0
-        return int(self.cls[cell[1], cell[0]])
-
-    def ids(self, sign: int = 0) -> list[int]:
-        return sorted(
-            rid for rid, r in self.regions.items() if sign == 0 or r.sign == sign
-        )
-
 
 def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> GridPartition:
-    """Classify the disk by the sign of Im phi and label the regions.
-
-    Raises ResolutionTooCoarse when a region is only a few cells wide or
-    when a region encloses cells of the opposite sign (a sign pocket the
-    grid cannot be trusted to have resolved correctly).  Its holes are, as
-    for ``ndi.binary_fill_holes``, the 4-connected pieces of its complement
-    that do not reach the grid's edge.
-    """
+    """Classify the disk by the sign of Im phi on a resolution x resolution
+    grid."""
     res = int(resolution)
     if res < 64:
         raise ValueError("resolution must be at least 64")
@@ -199,36 +162,7 @@ def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> GridPartition:
     cls = classify_grid(
         phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs, res, margin, band
     )
-    lab_p, n_plus = ndi.label(cls == 1, structure=_STRUCTURE_4)
-    lab_m, _ = ndi.label(cls == -1, structure=_STRUCTURE_4)
-    labels = np.where(lab_m > 0, lab_m + n_plus, lab_p)
-
-    h = 2.0 / res
-    regions: dict[int, Region] = {}
-    for rid, box in enumerate(ndi.find_objects(labels), start=1):
-        mask = labels[box] == rid
-        n_cells = int(mask.sum())
-        if n_cells < 4:
-            raise ResolutionTooCoarse(
-                f"region {rid} occupies only {n_cells} cells at resolution {res}"
-            )
-        # the ring padding the bounding box stands for the rest of the grid
-        rest, _ = ndi.label(np.pad(~mask, 1, constant_values=True), _STRUCTURE_4)
-        holes = ~mask & (rest[1:-1, 1:-1] != rest[0, 0])
-        if np.any(np.abs(cls[box][holes]) == 1):
-            raise ResolutionTooCoarse(
-                f"region {rid} encloses cells of another sign at resolution {res}"
-            )
-        iy, ix = np.nonzero(mask)
-        xs = -1.0 + (ix + box[1].start + 0.5) * h
-        ys = -1.0 + (iy + box[0].start + 0.5) * h
-        regions[rid] = Region(
-            id=rid,
-            sign=1 if rid <= n_plus else -1,
-            n_cells=n_cells,
-            centroid=complex(xs.mean(), ys.mean()),
-        )
-    return GridPartition(res, cls, labels, regions)
+    return GridPartition(res, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +218,8 @@ class BoundaryArc:
     """A traced piece of the level set with its flanking regions.
 
     Re phi increases strictly along ``points``; ``upper`` / ``lower`` are
-    the region labels on the side where Im phi is positive / negative.
+    the ids of the faces on the side where Im phi is positive / negative
+    (0 until ``faces`` names them).
     """
 
     points: np.ndarray
@@ -361,50 +296,13 @@ def _make_end(pieces: BoundaryPieces, zetas: np.ndarray, bps: list[BranchPoint],
     return End("circle", value, event=k)
 
 
-def _flank_regions(phi, gp: GridPartition, pts: np.ndarray,
-                   bps: list[BranchPoint]) -> tuple[int, int]:
-    """Labels of the regions on the Im phi > 0 and Im phi < 0 sides of an arc."""
-    n = len(pts)
-    dcoef = phi.den.coeffs
-    wcoef = phi.w_poly().coeffs
-    h = gp.h
-    probe_at = []
-    for idx in (n // 2, n // 4, (3 * n) // 4, n // 8, (7 * n) // 8):
-        if 0 <= idx < n and idx not in probe_at:
-            probe_at.append(idx)
-    for idx in probe_at:
-        m = complex(pts[idx])
-        if bps and min(abs(m - bp.z) for bp in bps) < 2 * BP_RADIUS:
-            continue
-        dv = horner_scalar(dcoef, m)
-        if abs(dv) < 1e-150:
-            continue
-        fp = horner_scalar(wcoef, m) / (dv * dv)
-        if abs(fp) < 1e-150:
-            continue
-        tau = fp.conjugate() / abs(fp)  # walking direction of increasing Re phi
-        for mul in (1.0, 2.0, 4.0, 8.0):
-            delta = mul * h
-            z_up = m + 1j * tau * delta  # Im phi grows along i*tau
-            z_dn = m - 1j * tau * delta
-            if gp.class_at(z_up) != 1 or gp.class_at(z_dn) != -1:
-                continue
-            wu = phi.eval(z_up)
-            wd = phi.eval(z_dn)
-            if is_infinite(wu) or is_infinite(wd):
-                continue
-            if wu.imag > 0 and wd.imag < 0:
-                return gp.label_at(z_up), gp.label_at(z_dn)
-    raise TraceStalled("could not identify the regions flanking a traced arc")
-
-
 def trace_segments(phi, gp: GridPartition,
                    branch_points: list[BranchPoint] | None = None) -> list[BoundaryArc]:
     """Trace every arc of the level set Im phi = 0 inside the disk.
 
     Each returned arc is maximal between arc endpoints (circle, pole, or
-    branch point), carries its flanking region labels, and has strictly
-    increasing Re phi along its points.  Every trace starts from a
+    branch point) and has strictly increasing Re phi along its points; its
+    flanks are left for ``faces`` to name.  Every trace starts from a
     near-zero cell of the grid (_seed_candidates); an arc that crosses none
     is missed, and the valence and tree checks of the attempt then fail.
     No seed starts in a cell a traced arc already covers, so each arc is
@@ -464,11 +362,10 @@ def trace_segments(phi, gp: GridPartition,
                 f"arc through {z:.6f} has a degenerate image "
                 f"({lo.value}, {hi.value})"
             )
-        upper, lower = _flank_regions(phi, gp, pts, bps)
         _mark_covered(covered, pts, h, res)
-        segments.append(BoundaryArc(pts, upper, lower, lo, hi))
+        segments.append(BoundaryArc(pts, 0, 0, lo, hi))
 
-    segments.sort(key=lambda s: (s.lo.value, s.hi.value, s.upper, s.lower))
+    segments.sort(key=lambda s: (s.lo.value, s.hi.value))
     return segments
 
 
@@ -495,30 +392,169 @@ def _tile(group: list[BoundaryArc]) -> tuple[list[BoundaryArc], Interval]:
 
 
 # ---------------------------------------------------------------------------
+# faces
+
+
+@dataclass(frozen=True, eq=False)
+class Region:
+    """One region of Im phi != 0: a face of the planar graph made of the
+    circle, the traced arcs and the branch points.
+
+    ``sides`` runs round the face with it on the left: ("arc", i, +1) is
+    segment i run lo -> hi, ("arc", i, -1) the same run hi -> lo, and
+    ("circle", k, +1) circle piece k run counterclockwise.  ``boundary`` is
+    the closed polygon of their points, each circle piece sampled at most
+    CIRCLE_STEP apart, and ``area`` the area the face encloses.
+    """
+
+    id: int
+    sign: int
+    sides: tuple[tuple[str, int, int], ...]
+    boundary: np.ndarray
+    area: float
+
+
+def faces(phi, segments: list[BoundaryArc], branch_points: list[BranchPoint]
+          ) -> tuple[dict[int, Region], list[BoundaryArc]]:
+    """The regions of Im phi != 0 as faces of the traced level-set graph,
+    and the segments with their flanks named by face id.
+
+    Im phi is harmonic in the disk, so its zero set has no closed curve
+    there and every region is simply connected: one face of the planar
+    graph whose vertices are the events of phi's boundary pieces and the
+    branch points, and whose edges are the traced arcs and the circle
+    pieces.  The walk round a face leaves each vertex by the side next
+    clockwise from the one it came in by, which keeps the face on its left.
+    The sides at an event are ordered by their angle from its
+    counterclockwise tangent (the circle piece leaving at 0, the one
+    arriving at pi), those at a branch point by their direction from it.
+    An arc run lo -> hi has its positive face on its left; a circle piece
+    run counterclockwise has the sign of its direction in ``pieces.spans``.
+    A face whose sides disagree on its sign (as when an arc was missed)
+    raises ExtractionMismatch.
+
+    Positive faces are numbered first, from 1; within a sign, faces go by
+    their lowest boundary point (imag, then real).
+    """
+    spans = phi.boundary_pieces().spans
+    n = len(spans)
+    bp_z = {bp.index: bp.z for bp in branch_points}
+    start: dict[tuple, tuple] = {}  # side -> (vertex it leaves, angle there)
+    for k in range(n):
+        start["circle", k, 1] = (("event", k), 0.0)
+    for i, arc in enumerate(segments):
+        for end, pts, d in ((arc.lo, arc.points, 1), (arc.hi, arc.points[::-1], -1)):
+            if end.kind == "branch":
+                vertex, z0, ref = ("branch", end.branch), bp_z[end.branch], 1.0
+            else:
+                z0 = cmath.exp(1j * spans[end.event][0])
+                vertex, ref = ("event", end.event), 1j * z0
+            start["arc", i, d] = (vertex, _angle_from(pts, z0, ref))
+    rotation: dict[tuple, tuple[list[float], list[tuple]]] = {}
+    for side, (vertex, angle) in sorted(start.items(), key=lambda e: e[1][1]):
+        angles, sides = rotation.setdefault(vertex, ([], []))
+        angles.append(angle)
+        sides.append(side)
+
+    def after(side: tuple) -> tuple:
+        kind, i, d = side
+        if kind == "circle":
+            vertex, angle = ("event", (i + 1) % n), math.pi
+        else:
+            vertex, angle = start[kind, i, -d]
+        angles, sides = rotation[vertex]
+        return sides[bisect_left(angles, angle) - 1]
+
+    walked: set[tuple] = set()
+    found = []
+    for first in start:
+        side = first
+        cycle = []
+        while side not in walked:
+            walked.add(side)
+            cycle.append(side)
+            side = after(side)
+        if not cycle:
+            continue
+        if side != first:
+            raise ExtractionMismatch("the traced arcs do not close up into faces")
+        signs = {d if kind == "arc" else int(spans[i][2]) for kind, i, d in cycle}
+        if len(signs) != 1:
+            raise ExtractionMismatch("a face of the traced arcs has sides of both signs")
+        sign = signs.pop()
+        poly, area = _outline(cycle, segments, spans)
+        low = poly[np.lexsort((poly.real, poly.imag))[0]]
+        order = (-sign, round(low.imag, LOW_DIGITS), low.real)
+        found.append((order, sign, tuple(cycle), poly, area))
+
+    found.sort(key=lambda f: f[0])
+    regions = {rid: Region(rid, *f[1:]) for rid, f in enumerate(found, start=1)}
+    rid_of = {side: r.id for r in regions.values() for side in r.sides}
+    named = [replace(arc, upper=rid_of["arc", i, 1], lower=rid_of["arc", i, -1])
+             for i, arc in enumerate(segments)]
+    return regions, named
+
+
+def _outline(sides, segments: list[BoundaryArc], spans) -> tuple[np.ndarray, float]:
+    """The closed polygon of a face's sides and the area of the face: the
+    polygon's, and the circular segments between its circle chords and the
+    circle."""
+    parts = []
+    area = 0.0
+    for kind, i, d in sides:
+        if kind == "arc":
+            parts.append(segments[i].points[::d])
+            continue
+        t0, t1, _ = spans[i]
+        # the angles between the ends are multiples of CIRCLE_STEP, so mirror
+        # images sample alike and the bottom of the circle is a sample
+        k = np.arange(math.ceil(t0 / CIRCLE_STEP), math.floor(t1 / CIRCLE_STEP) + 1)
+        ts = np.concatenate(([t0], k * CIRCLE_STEP, [t1]))
+        parts.append(np.exp(1j * ts))
+        dt = np.diff(ts)
+        area += 0.5 * float(np.sum(dt - np.sin(dt)))
+    poly = np.concatenate(parts)
+    x, y = poly.real, poly.imag
+    return poly, area + 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def _angle_from(pts: np.ndarray, z0: complex, ref: complex) -> float:
+    """Angle from the direction ref at z0 to the traced arc ``pts`` that
+    leaves z0: in (0, pi) for an arc leaving the circle point z0 inside,
+    ref its counterclockwise tangent.
+
+    It is measured at the first point ARC_PROBE away from z0 (the far end
+    of a shorter arc): arcs that do not cross leave a small disk around
+    their common end in the order they leave the end itself.
+    """
+    far = np.nonzero(np.abs(pts - z0) >= ARC_PROBE)[0]
+    p = pts[far[0]] if far.size else pts[-1]
+    return cmath.phase((p - z0) / ref)
+
+
+# ---------------------------------------------------------------------------
 # region valences
 
 
-def region_valence(phi, gp: GridPartition,
+def region_valence(phi, regions: dict[int, Region],
                    segments: list[BoundaryArc]) -> dict[int, int]:
     """Valence of every region: the degree of phi on the region's boundary.
 
     phi maps a region properly onto its half plane, so along the boundary
-    it runs monotonically over the extended real line once per sheet.  The
-    boundary is made of traced arcs and monotone circle pieces of phi: each
-    arc adds |arctan hi - arctan lo| to both its flanks, each circle piece
-    its own to the region it bounds (``_circle_regions``).  A total that is
-    not pi times a positive integer raises ExtractionMismatch.
+    it runs monotonically over the extended real line once per sheet.  Each
+    side of the face turns arctan phi through the arctan of its image: a
+    traced arc (lo, hi), a circle piece the value range of phi on it.  A
+    total that is not pi times a positive integer raises
+    ExtractionMismatch.
     """
-    pieces = phi.boundary_pieces()
-    turn = dict.fromkeys(gp.regions, 0.0)
-    for arc in segments:
-        delta = abs(math.atan(arc.hi.value) - math.atan(arc.lo.value))
-        turn[arc.upper] += delta
-        turn[arc.lower] += delta
-    for rid, (lo, hi) in zip(_circle_regions(gp, segments, pieces), pieces.ranges):
-        turn[rid] += math.atan(hi) - math.atan(lo)
+    ranges = phi.boundary_pieces().ranges
     valences = {}
-    for rid, angle in turn.items():
+    for rid, region in regions.items():
+        angle = 0.0
+        for kind, i, _ in region.sides:
+            lo, hi = ((segments[i].lo.value, segments[i].hi.value)
+                      if kind == "arc" else ranges[i])
+            angle += math.atan(hi) - math.atan(lo)
         v = round(angle / math.pi)
         if v < 1 or abs(angle - v * math.pi) > TURN_TOL:
             raise ExtractionMismatch(
@@ -527,66 +563,6 @@ def region_valence(phi, gp: GridPartition,
             )
         valences[rid] = v
     return valences
-
-
-def _circle_regions(gp: GridPartition, segments: list[BoundaryArc],
-                    pieces: BoundaryPieces) -> list[int]:
-    """The region each circle piece of phi bounds.
-
-    Level arcs meet the circle only at events (circle critical points and
-    multiple poles), so a piece bounds one region: a positive one where phi
-    increases along it, a negative one where it decreases.  That region is
-    the flank, of the piece's sign, of the arc nearest the counterclockwise
-    tangent at the last event before the piece with arc ends; the arc
-    nearest the clockwise tangent at the next such event must agree.
-    """
-    starts = np.exp(1j * np.array([t0 for t0, _, _ in pieces.spans]))
-    n = len(starts)
-    at_event: list[list[tuple[float, BoundaryArc]]] = [[] for _ in range(n)]
-    for arc in segments:
-        for end, pts in ((arc.lo, arc.points), (arc.hi, arc.points[::-1])):
-            if end.kind != "branch":
-                k = end.event
-                at_event[k].append((_angle_from_tangent(pts, starts[k]), arc))
-    if not any(at_event):
-        # no level arc reaches the circle: Im phi keeps one sign on the disk
-        signs = {s for _, _, s in pieces.spans}
-        if len(gp.regions) != 1 or len(signs) != 1:
-            raise ExtractionMismatch("sign regions without traced arcs between them")
-        return list(gp.regions) * n
-
-    def ends_from(k: int, step: int) -> list[tuple[float, BoundaryArc]]:
-        # the arc ends at the first event from k on, stepping by step, with any
-        return next(e for j in range(n) if (e := at_event[(k + step * j) % n]))
-
-    def flank(arc: BoundaryArc, sign: float) -> int:
-        return arc.upper if sign > 0 else arc.lower
-
-    regions = []
-    for k, (_, _, sign) in enumerate(pieces.spans):
-        before = ends_from(k, -1)
-        after = ends_from(k + 1, +1)
-        rid = flank(min(before, key=lambda e: e[0])[1], sign)
-        if flank(max(after, key=lambda e: e[0])[1], sign) != rid:
-            raise ExtractionMismatch(
-                f"the circle piece from t = {pieces.spans[k][0]:.6f} bounds "
-                "different regions at its two ends"
-            )
-        regions.append(rid)
-    return regions
-
-
-def _angle_from_tangent(pts: np.ndarray, zeta: complex) -> float:
-    """Angle from the counterclockwise tangent at the circle point zeta to
-    the traced arc ``pts`` that leaves it: in (0, pi) for an arc inside.
-
-    It is measured at the first point ARC_PROBE away from zeta (the far end
-    of a shorter arc): arcs that do not cross leave a small disk around
-    their common end in the order they leave the end itself.
-    """
-    far = np.nonzero(np.abs(pts - zeta) >= ARC_PROBE)[0]
-    p = pts[far[0]] if far.size else pts[-1]
-    return cmath.phase((p - zeta) / (1j * zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +579,7 @@ class Collection:
     valence: int
 
 
-def _assemble(gp: GridPartition, valences: dict[int, int],
+def _assemble(regions: dict[int, Region], valences: dict[int, int],
               segments: list[BoundaryArc]) -> tuple[Tree, list[Collection], dict[int, str]]:
     """Weld regions into collections and connect them into the valence tree.
 
@@ -611,8 +587,10 @@ def _assemble(gp: GridPartition, valences: dict[int, int],
     point consumed by a collection no longer welds the opposite-sign regions
     that meet there (they continue into different complement components), so
     each closure only follows branch points not consumed by an earlier one.
+    The root is the collection of the largest positive region (the largest
+    region when none is positive), the first in face order among those
+    within AREA_TOL of it.
     """
-    regions = gp.regions
     segs_own: dict[int, list[BoundaryArc]] = {rid: [] for rid in regions}
     for seg in segments:
         segs_own[seg.upper].append(seg)
@@ -656,8 +634,8 @@ def _assemble(gp: GridPartition, valences: dict[int, int],
 
     plus_regions = [r for r in regions.values() if r.sign > 0]
     pool = plus_regions or list(regions.values())
-    pool.sort(key=lambda r: (-r.n_cells, r.centroid.imag, r.centroid.real, r.id))
-    root_rid = pool[0].id
+    largest = max(r.area for r in pool)
+    root_rid = min(r.id for r in pool if r.area > largest - AREA_TOL)
     root_sign = regions[root_rid].sign
 
     counters = {1: 0, -1: 0}
@@ -817,6 +795,7 @@ class Extraction:
     tree: Tree
     resolution: int
     partition: GridPartition
+    regions: dict[int, Region]
     region_valences: dict[int, int]
     branch_points: list[BranchPoint]
     segments: list[BoundaryArc]
@@ -827,9 +806,9 @@ class Extraction:
 def _attempt(phi, res: int, seed: int) -> Extraction:
     gp = partition(phi, res)
     bps = find_branch_points(phi)
-    segments = trace_segments(phi, gp, bps)
-    valences = region_valence(phi, gp, segments)
-    tree, collections, node_of_region = _assemble(gp, valences, segments)
+    regions, segments = faces(phi, trace_segments(phi, gp, bps), bps)
+    valences = region_valence(phi, regions, segments)
+    tree, collections, node_of_region = _assemble(regions, valences, segments)
     violations = validate(tree)
     if violations:
         raise ExtractionMismatch(
@@ -844,6 +823,7 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
         tree=tree,
         resolution=res,
         partition=gp,
+        regions=regions,
         region_valences=valences,
         branch_points=bps,
         segments=segments,
@@ -856,10 +836,11 @@ def extract_full(phi, resolution: int = DEFAULT_RESOLUTION,
                  max_resolution: int = MAX_RESOLUTION, seed: int = 0) -> Extraction:
     """Extract the valence tree, doubling the grid resolution on failure.
 
-    An attempt partitions the disk, traces the level arcs, reads the region
-    valences off their boundaries, assembles and validates the tree, and
-    checks it against root counts at 36 fresh points (crosscheck with seed
-    + 1), whose half-plane samples test the region valence sums.  Any
+    An attempt classifies the disk, traces the level arcs, walks the faces
+    they cut the disk into, reads the region valences off their boundaries,
+    assembles and validates the tree, and checks it against root counts at
+    36 fresh points (crosscheck with seed + 1), whose half-plane samples
+    test the region valence sums.  Any
     ExtractionError restarts at twice the resolution; past max_resolution
     the last one is raised.
     """
@@ -885,15 +866,23 @@ def extract_tree(phi, resolution: int = DEFAULT_RESOLUTION) -> Tree:
 _SVG_COLORS = {1: "#aecbfa", -1: "#f6b09a", 2: "#e8e8e8"}
 
 
-def _label_cell(gp: GridPartition, rid: int) -> complex:
-    """Centre of the cell deepest inside region rid, where its label goes."""
-    depth = ndi.distance_transform_cdt(gp.labels == rid)
-    iy, ix = np.unravel_index(int(np.argmax(depth)), depth.shape)
-    return gp.cell_center(int(ix), int(iy))
+def _label_point(boundary: np.ndarray) -> complex:
+    """Where the label of the face inside the polygon ``boundary`` goes:
+    the middle of the widest stretch inside it along the line halfway up."""
+    y = 0.5 * (boundary.imag.min() + boundary.imag.max())
+    a, b = boundary, np.roll(boundary, -1)
+    crossing = (a.imag < y) != (b.imag < y)
+    a, b = a[crossing], b[crossing]
+    xs = np.sort(a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag))
+    lo, hi = xs[0::2], xs[1::2]
+    k = int(np.argmax(hi - lo))
+    return complex(0.5 * (lo[k] + hi[k]), y)
 
 
-def render_svg(gp: GridPartition, segments=(), collections=()) -> str:
-    """Plain SVG picture of the partition, traced arcs, and node labels."""
+def render_svg(ex: Extraction) -> str:
+    """Plain SVG picture of an extraction: the sign grid, the traced arcs,
+    and each collection's label in its largest region."""
+    gp = ex.partition
     res = gp.resolution
     stride = max(1, res // 256)
     scale = SVG_SIZE / 2.0
@@ -934,16 +923,16 @@ def render_svg(gp: GridPartition, segments=(), collections=()) -> str:
         f'<circle cx="{scale:.1f}" cy="{scale:.1f}" r="{scale:.1f}" '
         'fill="none" stroke="#444" stroke-width="1.5"/>'
     )
-    for seg in segments:
+    for seg in ex.segments:
         pts = seg.points[:: max(1, len(seg.points) // 400)]
         coords = " ".join(f"{sx(p.real):.2f},{sy(p.imag):.2f}" for p in pts)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#222" '
             'stroke-width="1.2"/>'
         )
-    for coll in collections:
-        biggest = max(coll.members, key=lambda rid: gp.regions[rid].n_cells)
-        anchor = _label_cell(gp, biggest)
+    for coll in ex.collections:
+        biggest = max((ex.regions[rid] for rid in coll.members), key=lambda r: r.area)
+        anchor = _label_point(biggest.boundary)
         parts.append(
             f'<text x="{sx(anchor.real):.1f}" y="{sy(anchor.imag):.1f}" '
             'font-family="sans-serif" font-size="16" text-anchor="middle">'

@@ -101,6 +101,17 @@ class TestBlaschke:
         with pytest.raises(ValueError):
             Blaschke([0.5], constant=2.0)
 
+    def test_non_finite_zero_is_rejected(self):
+        # a NaN zero used to hide the zero outside the disk beside it
+        for zeros in ([complex("nan")], [complex("nan"), 2.0], [0.3, complex("inf")]):
+            with pytest.raises(ValueError, match="zeros"):
+                Blaschke(zeros)
+
+    def test_non_finite_constant_is_rejected(self):
+        for c in (complex("nan"), complex(0.6, float("nan")), complex("inf")):
+            with pytest.raises(ValueError, match="constant"):
+                Blaschke([0.3], constant=c)
+
     def test_rational_form_matches_product(self):
         b = Blaschke([0.4, -0.2 + 0.3j, 0.0], cmath.exp(0.3j))
         p, q = map(Poly, b.as_rational())

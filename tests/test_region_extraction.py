@@ -4,10 +4,10 @@ import cmath
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-import scipy.ndimage as ndi
 from hypothesis import given, settings, strategies as st
 
 from rsmirnov.blaschke_smirnov import (
@@ -38,6 +38,7 @@ from rsmirnov.region_extraction import (
     crosscheck,
     extract_full,
     extract_tree,
+    faces,
     find_branch_points,
     partition,
     region_valence,
@@ -100,6 +101,18 @@ def ex_slit_squared():
     return extract_full(slit_squared())
 
 
+def traced_faces(phi, res=256):
+    """The faces of phi's traced level set and its segments, flanks named."""
+    bps = find_branch_points(phi)
+    return faces(phi, trace_segments(phi, partition(phi, res), bps), bps)
+
+
+def winding(polygon, z):
+    """Winding number of the closed polygon round z."""
+    turn = np.angle((np.roll(polygon, -1) - z) / (polygon - z)).sum()
+    return round(turn / (2 * math.pi))
+
+
 # ---------------------------------------------------------------------------
 # partition
 
@@ -115,18 +128,23 @@ def ex_slit_squared():
     ],
 )
 def test_partition_component_counts(make, n_plus, n_minus):
-    gp = partition(make(), 256)
-    signs = [region.sign for region in gp.regions.values()]
+    phi = make()
+    regions, _ = traced_faces(phi)
+    signs = [region.sign for region in regions.values()]
     assert signs.count(1) == n_plus
     assert signs.count(-1) == n_minus
-    assert set(gp.regions) == set(range(1, n_plus + n_minus + 1))
-    for rid, region in gp.regions.items():
+    assert set(regions) == set(range(1, n_plus + n_minus + 1))
+    for rid, region in regions.items():
         assert region.sign == (1 if rid <= n_plus else -1)
-        assert region.n_cells * gp.h**2 > 0.01
-        cell = rx._label_cell(gp, rid)
-        assert abs(cell) < 1.0
-        # the cell that carries the region's label really belongs to it
-        assert gp.label_at(cell) == rid
+        assert region.area > 0.01
+        # the point that carries the region's label lies in it and no other
+        z = rx._label_point(region.boundary)
+        assert abs(z) < 1.0
+        assert [r.id for r in regions.values() if winding(r.boundary, z)] == [rid]
+        assert np.sign(phi.eval(z).imag) == region.sign
+    # the faces tile the disk, but for the corners cut where traced arcs
+    # stop short of a multiple circle pole (0.02 short for fourth_power_map)
+    assert sum(r.area for r in regions.values()) == pytest.approx(math.pi, abs=1e-3)
 
 
 def test_partition_rejects_tiny_resolution():
@@ -136,140 +154,68 @@ def test_partition_rejects_tiny_resolution():
 
 def test_partition_classifies_known_points():
     gp = partition(koebe(), 256)
-    assert gp.class_at(0.5j) == 1  # Im koebe > 0 in the upper half disk
-    assert gp.class_at(-0.5j) == -1
-    assert gp.class_at(1.5 + 0j) == 0  # outside the disk
-    assert gp.label_at(0.5j) != gp.label_at(-0.5j)
+
+    def cls_at(z):
+        ix, iy = gp.cell_of(z)
+        return gp.cls[iy, ix]
+
+    assert cls_at(0.5j) == 1  # Im koebe > 0 in the upper half disk
+    assert cls_at(-0.5j) == -1
+    assert cls_at(0.9 + 0.9j) == 0  # outside the disk
 
 
 def test_partition_double_slit_sides():
     # Im(iz/(1-z^2)) > 0 on the right half of the disk
-    gp = partition(double_slit(), 256)
-    plus = [r for r in gp.regions.values() if r.sign > 0]
-    minus = [r for r in gp.regions.values() if r.sign < 0]
+    regions, _ = traced_faces(double_slit())
+    plus = [r for r in regions.values() if r.sign > 0]
+    minus = [r for r in regions.values() if r.sign < 0]
     assert len(plus) == len(minus) == 1
-    assert plus[0].centroid.real > 0.1
-    assert minus[0].centroid.real < -0.1
-    assert abs(plus[0].n_cells - minus[0].n_cells) * gp.h**2 < 0.05
+    assert plus[0].boundary.real.min() > -1e-6
+    assert minus[0].boundary.real.max() < 1e-6
+    assert plus[0].area == pytest.approx(math.pi / 2, abs=1e-6)
+    assert minus[0].area == pytest.approx(math.pi / 2, abs=1e-6)
 
 
-# hand-built class grids, fed to partition in place of classify_grid
+# ---------------------------------------------------------------------------
+# faces
 
 
-def _partition_grid(monkeypatch, cls):
-    monkeypatch.setattr(rx, "classify_grid", lambda *args: cls)
-    return partition(koebe(), cls.shape[0])
+def test_faces_number_positive_first_then_by_lowest_point():
+    # the four sectors of double_slit(z^2) between the diagonals
+    regions, segs = traced_faces(slit_squared())
+    assert [r.sign for r in regions.values()] == [1, 1, -1, -1]
+    # the left and right sectors are positive; their lowest points are at
+    # one height up to rounding, and the left one comes first.  The top
+    # sector's is where its arcs stop, within BP_RADIUS of the branch point
+    lows = [min(r.boundary, key=lambda z: (z.imag, z.real)) for r in regions.values()]
+    r = 0.5 ** 0.5
+    assert np.allclose(lows, [-r - r * 1j, r - r * 1j, -1j, 0.0], atol=rx.BP_RADIUS)
+    # every arc runs between a positive and a negative face
+    for seg in segs:
+        assert (regions[seg.upper].sign, regions[seg.lower].sign) == (1, -1)
 
 
-def _blank(fill=2, res=64):
-    return np.full((res, res), fill, dtype=np.int8)
+def test_mirror_image_faces_tie_and_the_first_is_the_root():
+    # the two positive faces of the 5-path pair are mirror images across
+    # the imaginary axis, equal in area but for the chords of their arcs
+    phi, ex = event_case("5-path", 256)
+    left, right = [r for r in ex.regions.values() if r.sign > 0]
+    assert left.boundary.real.max() < 0 < right.boundary.real.min()
+    assert 0 < abs(left.area - right.area) < rx.AREA_TOL
+    assert ex.node_of_region[left.id] == "p1"
+    assert [(a, b, str(iv)) for a, b, iv in ex.tree.edges] == [
+        ("p1", "m1", "(-5.69714, -0.175527)"), ("p1", "m2", "(0.126207, 7.9235)"),
+        ("m1", "p2", "(0.175527, 5.69714)"), ("p2", "m3", "(-7.9235, -0.126207)")]
 
 
-def test_partition_rejects_a_region_of_three_cells(monkeypatch):
-    cls = _blank()
-    cls[10, 10:13] = 1
-    with pytest.raises(rx.ResolutionTooCoarse,
-                       match="region 1 occupies only 3 cells at resolution 64"):
-        _partition_grid(monkeypatch, cls)
-
-
-def test_partition_rejects_a_ring_around_the_other_sign(monkeypatch):
-    cls = _blank()
-    cls[20:25, 30:35] = 1
-    cls[21:24, 31:34] = -1
-    with pytest.raises(rx.ResolutionTooCoarse,
-                       match="region 1 encloses cells of another sign"):
-        _partition_grid(monkeypatch, cls)
-    # without a corner the centre meets the outside only diagonally, and
-    # holes are 4-connected: still enclosed
-    cls[24, 34] = 2
-    with pytest.raises(rx.ResolutionTooCoarse,
-                       match="region 1 encloses cells of another sign"):
-        _partition_grid(monkeypatch, cls)
-
-
-def test_partition_accepts_a_ring_around_undecided_cells(monkeypatch):
-    cls = _blank(fill=0)
-    cls[20:25, 30:35] = 1
-    cls[21:24, 31:34] = 2
-    gp = _partition_grid(monkeypatch, cls)
-    assert [(r.id, r.sign, r.n_cells) for r in gp.regions.values()] == [(1, 1, 16)]
-    assert gp.regions[1].centroid == gp.cell_center(32, 22)
-
-
-def test_partition_regions_touching_the_grid_edge(monkeypatch):
-    # a U open to the grid's edge holds a pocket of the other sign that
-    # reaches the edge: not enclosed
-    cls = _blank()
-    cls[0:6, 10:15] = 1
-    cls[0:5, 11:14] = -1
-    gp = _partition_grid(monkeypatch, cls)
-    assert [(r.sign, r.n_cells) for r in gp.regions.values()] == [(1, 15), (-1, 15)]
-    # the same U open inside the grid
-    cls = _blank()
-    cls[30:36, 10:15] = 1
-    cls[30:35, 11:14] = -1
-    gp = _partition_grid(monkeypatch, cls)
-    assert [(r.sign, r.n_cells) for r in gp.regions.values()] == [(1, 15), (-1, 15)]
-    # a ring drawn against the edge still encloses its centre, although
-    # the edge is not class 0
-    cls = _blank()
-    cls[0:5, 0:5] = 1
-    cls[1:4, 1:4] = -1
-    with pytest.raises(rx.ResolutionTooCoarse, match="region 1 encloses"):
-        _partition_grid(monkeypatch, cls)
-
-
-def _first_enclosing_region(cls):
-    """Id of the first region partition should reject as enclosing the
-    other sign, by ndi.binary_fill_holes, or None."""
-    four = ndi.generate_binary_structure(2, 1)
-    lab_p, n_plus = ndi.label(cls == 1, structure=four)
-    lab_m, n_minus = ndi.label(cls == -1, structure=four)
-    masks = [lab_p == k for k in range(1, n_plus + 1)]
-    masks += [lab_m == k for k in range(1, n_minus + 1)]
-    for rid, mask in enumerate(masks, start=1):
-        holes = ndi.binary_fill_holes(mask, structure=four) & ~mask
-        if np.any(np.abs(cls[holes]) == 1):
-            return rid
-    return None
-
-
-CLASSES = st.sampled_from([-1, 0, 1, 2])
-
-
-@settings(max_examples=150, deadline=None)
-@given(blocks=st.sampled_from([4, 8, 16]), data=st.data())
-def test_partition_rejects_exactly_the_enclosing_grids(blocks, data):
-    # rectangles with a rim of one class round another, painted on a
-    # coarse grid and blown up to 64 x 64 so that no region is under four
-    # cells: only the enclosure rule can reject the grid
-    n = 64 // blocks
-    coarse = np.full((n, n), data.draw(CLASSES), dtype=np.int8)
-    for _ in range(data.draw(st.integers(1, 4))):
-        y0, x0 = (data.draw(st.integers(0, n - 3)) for _ in range(2))
-        y1 = data.draw(st.integers(y0 + 3, n))
-        x1 = data.draw(st.integers(x0 + 3, n))
-        coarse[y0:y1, x0:x1] = data.draw(CLASSES)
-        coarse[y0 + 1:y1 - 1, x0 + 1:x1 - 1] = data.draw(CLASSES)
-        # a corner of the rim repainted leaves the inside touching the
-        # outside only diagonally: still enclosed, by 4-connectivity
-        cy, cx = data.draw(st.sampled_from([(y0, x0), (y0, x1 - 1),
-                                            (y1 - 1, x0), (y1 - 1, x1 - 1)]))
-        coarse[cy, cx] = data.draw(CLASSES)
-    cls = np.kron(coarse, np.ones((blocks, blocks), dtype=np.int8))
-    expected = _first_enclosing_region(cls)
-    with pytest.MonkeyPatch.context() as mp:
-        if expected is None:
-            gp = _partition_grid(mp, cls)
-            assert sum(r.n_cells for r in gp.regions.values()) == np.sum(
-                np.abs(cls) == 1)
-        else:
-            with pytest.raises(
-                rx.ResolutionTooCoarse,
-                match=f"region {expected} encloses cells of another sign",
-            ):
-                _partition_grid(mp, cls)
+@pytest.mark.parametrize("name", ["fourth_power_map", "slit_squared", "5-path"])
+def test_faces_without_an_arc_have_sides_of_both_signs(name):
+    phi = EVENT_CASES[name]()
+    bps = find_branch_points(phi)
+    segs = trace_segments(phi, partition(phi, 256), bps)
+    for k in range(len(segs)):
+        with pytest.raises(ExtractionMismatch, match="sides of both signs"):
+            faces(phi, segs[:k] + segs[k + 1:], bps)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +228,8 @@ def test_partition_rejects_exactly_the_enclosing_grids(blocks, data):
 )
 def test_region_valence_fixture_regions_are_simple(make):
     phi = make()
-    gp = partition(phi, 256)
-    valences = region_valence(phi, gp, trace_segments(phi, gp))
-    for rid in gp.ids():
-        assert valences[rid] == 1
+    regions, segs = traced_faces(phi)
+    assert region_valence(phi, regions, segs) == dict.fromkeys(regions, 1)
 
 
 @pytest.mark.parametrize(
@@ -294,11 +238,11 @@ def test_region_valence_fixture_regions_are_simple(make):
 )
 def test_region_valences_sum_to_halfplane_counts(make):
     phi = make()
-    gp = partition(phi, 256)
+    regions, segs = traced_faces(phi)
     v_plus, v_minus = halfplane_valences(phi)
-    valences = region_valence(phi, gp, trace_segments(phi, gp))
-    got_plus = sum(valences[rid] for rid in gp.ids(1))
-    got_minus = sum(valences[rid] for rid in gp.ids(-1))
+    valences = region_valence(phi, regions, segs)
+    got_plus = sum(v for rid, v in valences.items() if regions[rid].sign > 0)
+    got_minus = sum(v for rid, v in valences.items() if regions[rid].sign < 0)
     assert (got_plus, got_minus) == (v_plus, v_minus)
 
 
@@ -334,37 +278,34 @@ def test_branch_point_skips_nonreal_critical_values():
 
 def test_trace_segments_koebe():
     phi = koebe()
-    gp = partition(phi, 256)
-    segs = trace_segments(phi, gp)
+    regions, segs = traced_faces(phi)
     assert len(segs) == 1
     (seg,) = segs
     assert seg.lo.kind == "circle"
     assert abs(seg.lo.value - (-0.25)) < 1e-6
     assert seg.hi.kind == "pole"
     assert seg.hi.value == math.inf
-    assert gp.regions[seg.upper].sign == 1
-    assert gp.regions[seg.lower].sign == -1
+    assert regions[seg.upper].sign == 1
+    assert regions[seg.lower].sign == -1
     # the traced arc is the real diameter
     assert np.max(np.abs(seg.points.imag)) < 1e-6
 
 
 def test_trace_segments_double_slit():
     phi = double_slit()
-    gp = partition(phi, 256)
-    segs = trace_segments(phi, gp)
+    regions, segs = traced_faces(phi)
     assert len(segs) == 1
     (seg,) = segs
     assert abs(seg.lo.value - (-0.5)) < 1e-6
     assert abs(seg.hi.value - 0.5) < 1e-6
     # the arc is the imaginary diameter; the upper flank is the right half
     assert np.max(np.abs(seg.points.real)) < 1e-6
-    assert gp.regions[seg.upper].centroid.real > 0
+    assert regions[seg.upper].boundary.real.min() > -1e-6
 
 
 def test_trace_segments_fourth_power():
     phi = fourth_power_map()
-    gp = partition(phi, 256)
-    segs = trace_segments(phi, gp)
+    _, segs = traced_faces(phi)
     assert len(segs) == 3
     intervals = sorted((s.lo.value, s.hi.value) for s in segs)
     assert intervals[0][0] == -math.inf and abs(intervals[0][1]) < 1e-6
@@ -380,8 +321,7 @@ def test_trace_segments_fourth_power():
 @pytest.mark.parametrize("make", [double_slit, koebe, fourth_power_map])
 def test_traced_arcs_are_monotone_and_inside(make):
     phi = make()
-    gp = partition(phi, 256)
-    for seg in trace_segments(phi, gp):
+    for seg in trace_segments(phi, partition(phi, 256)):
         assert np.max(np.abs(seg.points)) <= 1.0 + 1e-6
         w = phi.eval(seg.points)
         re = np.real(w)
@@ -416,14 +356,12 @@ def test_assemble_welds_across_branch_point():
     # The level set of double_slit(z^2) is the two diameters: four sectors
     # welded at the branch point 0, each of valence 1.
     phi = slit_squared()
-    gp = partition(phi, 256)
-    bps = find_branch_points(phi)
-    segs = trace_segments(phi, gp, bps)
+    regions, segs = traced_faces(phi)
     assert len(segs) == 4
     assert all(
         (s.lo.kind == "branch") != (s.hi.kind == "branch") for s in segs
     )
-    tree, colls, node_of = _assemble(gp, {rid: 1 for rid in gp.regions}, segs)
+    tree, colls, node_of = _assemble(regions, dict.fromkeys(regions, 1), segs)
     assert validate(tree) == []
     root = tree.nodes["p1"]
     assert root.valence == 2
@@ -474,7 +412,7 @@ def test_extract_double_slit(ex_slit):
     assert abs(iv.hi - 0.5) < 1e-6
     # the positive node is the right half of the disk
     (coll,) = [c for c in ex_slit.collections if c.sign > 0]
-    assert ex_slit.partition.regions[coll.members[0]].centroid.real > 0
+    assert ex_slit.regions[coll.members[0]].boundary.real.min() > -1e-6
 
 
 def test_extract_composed_slit_welds_plus_regions(ex_slit_squared):
@@ -496,11 +434,11 @@ def test_extract_region_sum_matches_halfplane(ex_phi3, ex_slit_squared):
                     (ex_slit_squared, slit_squared())):
         got_plus = sum(
             v for rid, v in ex.region_valences.items()
-            if ex.partition.regions[rid].sign > 0
+            if ex.regions[rid].sign > 0
         )
         got_minus = sum(
             v for rid, v in ex.region_valences.items()
-            if ex.partition.regions[rid].sign < 0
+            if ex.regions[rid].sign < 0
         )
         prof = profile(ex.tree)
         assert (got_plus, got_minus) == (prof.v_plus, prof.v_minus)
@@ -885,12 +823,16 @@ def test_seeds_come_only_from_band_cells_inside_the_rim():
     res = 64
     cls = np.ones((res, res), dtype=np.int8)
     cls[:, res // 2:] = -1  # +1 cells touch -1 cells with no band between
-    gp = rx.GridPartition(res, cls, np.where(cls > 0, 1, 2), {})
+    gp = rx.GridPartition(res, cls)
     assert list(rx._seed_candidates(gp)) == []
     cls[40, 20] = cls[10, 50] = 2
     cls[0, 0] = 2  # a corner cell, outside the circle
-    assert rx._seed_candidates(gp) == [(gp.cell_center(50, 10), (10, 50)),
-                                       (gp.cell_center(20, 40), (40, 20))]
+
+    def centre(ix, iy):
+        return complex(-1.0 + (ix + 0.5) * gp.h, -1.0 + (iy + 0.5) * gp.h)
+
+    assert rx._seed_candidates(gp) == [(centre(50, 10), (10, 50)),
+                                       (centre(20, 40), (40, 20))]
 
 
 # A (3, 3) Helson pair (zeros up to radius 0.95) on which a traced arc ends
@@ -956,13 +898,27 @@ def test_boundary_value_near_a_circle_pole_extracts(tmp_path):
 
 
 def test_render_svg_smoke(ex_slit_squared):
-    svg = render_svg(
-        ex_slit_squared.partition,
-        ex_slit_squared.segments,
-        ex_slit_squared.collections,
-    )
+    svg = render_svg(ex_slit_squared)
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert "<polyline" in svg
     assert "p1:2" in svg
     assert svg.count("<rect") > 10
+
+
+SVG_LABEL = re.compile(r'<text x="([-\d.]+)" y="([-\d.]+)"[^>]*>(\w+):\d+</text>')
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_CASES))
+def test_render_svg_labels_each_collection_in_its_largest_region(name):
+    phi, ex = event_case(name, 256)
+    scale = rx.SVG_SIZE / 2.0
+    labels = {m[3]: complex(float(m[1]) / scale - 1.0, 1.0 - float(m[2]) / scale)
+              for m in SVG_LABEL.finditer(render_svg(ex))}
+    assert set(labels) == {c.id for c in ex.collections}
+    for coll in ex.collections:
+        z = labels[coll.id]
+        biggest = max(coll.members, key=lambda rid: ex.regions[rid].area)
+        inside = [r.id for r in ex.regions.values() if winding(r.boundary, z)]
+        assert inside == [biggest], (coll.id, z)
+        assert np.sign(phi.eval(z).imag) == coll.sign
