@@ -39,11 +39,12 @@ finding roots (of D for the disk constraint, of W for the boundary
 pieces, of N - xD where the pieces fall back) and building N and D from
 the Blaschke pair.
 
-The partition, trace_segments, faces and region_valence rows time the
-stages of extraction on the five fixtures at resolution 512: partition
-(the sign grid, its classify_grid call included) from the function
-alone, the others from grids, branch points, boundary pieces, traced
-arcs and (for region_valence) faces prepared beforehand.
+The trace_segments, faces and region_valence rows time the stages of
+extraction on the five fixtures at resolution 512, from branch points,
+boundary pieces, traced arcs and (for region_valence) faces prepared
+beforehand; region_valence, tens of microseconds, is printed in us.  The
+partition row times the sign grid (its classify_grid call included) that
+analyze --plot draws, from the function alone; extraction makes none.
 
 The integral_means row makes the four integral means analyze probes on
 each of the five fixtures (cli._means_rows: two exponents, each at radii
@@ -128,6 +129,9 @@ def two_one_candidate():
     """The (2, 1) edge candidate of TWO_ONE_B1 and TWO_ONE_B2."""
     return from_blaschke(Blaschke(*TWO_ONE_B1), Blaschke(*TWO_ONE_B2))
 
+
+# rows too quick for milliseconds, printed in microseconds
+MICRO_ROWS = ("region_valence (5 fixtures, res 512)",)
 
 COUNTS_ROWS = ("valence_at (200 λ, 5 fixtures)",
                "valence_counts (200 λ, 5 fixtures)")
@@ -266,7 +270,8 @@ def run_benchmarks():
     guesses = 0.7 * np.exp(2j * np.pi * (np.arange(8) + 0.25) / 8)
 
     f4_args = (f4.num.coeffs, f4.den.coeffs, f4.w_poly().coeffs)
-    ds_args = (ds.num.coeffs, ds.den.coeffs, ds.w_poly().coeffs)
+    ds_args = (ds.num.coeffs.tolist(), ds.den.coeffs.tolist(),
+               ds.w_poly().coeffs.tolist())
 
     def bench_horner():
         _kernels.horner_many(f4.num.coeffs, pts)
@@ -321,17 +326,16 @@ def run_benchmarks():
 
     prepared = []
     for phi in all_fixtures().values():
-        gp = partition(phi, res)
         bps = find_branch_points(phi)
-        arcs = trace_segments(phi, gp, bps)
-        prepared.append((phi, gp, bps, arcs, *faces(phi, arcs, bps)))
+        arcs = trace_segments(phi, res, bps)
+        prepared.append((phi, bps, arcs, *faces(phi, arcs, bps)))
 
     def bench_trace_segments():
-        for phi, gp, bps, *_ in prepared:
-            trace_segments(phi, gp, bps)
+        for phi, bps, *_ in prepared:
+            trace_segments(phi, res, bps)
 
     def bench_faces():
-        for phi, _, bps, arcs, *_ in prepared:
+        for phi, bps, arcs, *_ in prepared:
             faces(phi, arcs, bps)
 
     def bench_region_valence():
@@ -358,7 +362,7 @@ def run_benchmarks():
         COUNTS_ROWS[1]: _time(bench_valence_counts),
         FIND_ROOTS_ROW: _time(bench_find_roots),
         OBJECTIVE_ROW: _time(lambda: objective_pass(*objective)),
-        "partition (5 fixtures, res 512)": _time(bench_partition),
+        "partition (--plot, 5 fixtures, 512)": _time(bench_partition),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "faces (5 fixtures, res 512)": _time(bench_faces),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
@@ -419,6 +423,9 @@ def main(argv=None):
     timings, peaks = run_benchmarks()
     print("%-36s %11s %11s" % ("kernel", "time", "peak alloc"))
     for name, t in timings.items():
+        if name in MICRO_ROWS:
+            print("%-36s %8.1f us" % (name, 1e6 * t))
+            continue
         print(("%-36s %8.1f ms %s"
                % (name, 1e3 * t, _peak_column(peaks, name))).rstrip())
     print(_valence_summary(timings))

@@ -266,13 +266,13 @@ class RealSmirnov:
         return self._num_roots
 
     def circle_poles(self):
-        """Angles t of the denominator zeros on the unit circle."""
+        """(angle t, multiplicity m) of each denominator zero on the circle."""
         if self._circle_poles is None:
             ts = []
             if self.den.degree >= 1:
                 for r, m in self.den_roots().clusters():
                     if abs(abs(r) - 1.0) <= circle_band(m):
-                        ts.append(math.atan2(r.imag, r.real) % (2 * math.pi))
+                        ts.append((math.atan2(r.imag, r.real) % (2 * math.pi), m))
             self._circle_poles = sorted(ts)
         return self._circle_poles
 
@@ -334,7 +334,7 @@ class RealSmirnov:
         |Im| values)."""
         t = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_SAMPLES, endpoint=False)
         keep = np.ones(BOUNDARY_SAMPLES, dtype=bool)
-        for tp in self.circle_poles():
+        for tp, _ in self.circle_poles():
             d = np.abs((t - tp + math.pi) % (2.0 * math.pi) - math.pi)
             keep &= d > POLE_GAP
         tk = t[keep]
@@ -537,7 +537,10 @@ class BoundaryPieces:
     with the value inf at a circle pole (None at a critical point whose
     boundary value is not real); ``critical`` holds the critical points
     among them, and piece k starts at events[k].  The level set Im phi = 0
-    meets the circle only at events, so a traced level arc ends at one.
+    meets the circle only at events, so a traced level arc ends at one;
+    ``arcs`` holds how many level arcs leave each event into the disk, by
+    the local form of phi: m at an m-fold critical point (a root of W of
+    multiplicity m), m - 1 at an m-fold pole.
     ``ranges`` holds the value range (lo, hi) of each piece, and ``spans``
     its (t0, t1, direction): the events it runs between (t1 passes 2 pi on
     the piece that wraps) and +1 where phi increases along it, -1 where it
@@ -546,15 +549,15 @@ class BoundaryPieces:
     whose end values disagree with its direction); ``count`` then returns
     None, as it does for an odd or negative n - c and for x within
     EVENT_VALUE_TOL of a circle critical value.
-    ``interior_real`` holds (z, Re phi(z)) for the roots z of W strictly
-    inside the disk where phi is real (to LEVEL_IM_TOL): the branch points
-    of the level set.
+    ``interior_real`` holds (z, Re phi(z), m) for the roots z of W, of
+    multiplicity m, strictly inside the disk where phi is real (to
+    LEVEL_IM_TOL): the branch points of the level set.
     """
 
     def __init__(self, phi):
         self.n = max(phi.num.degree, phi.den.degree)
         self.interior_real = []
-        self.critical = []
+        crit = []  # (t, v, multiplicity)
         self.ranges = None
         self.spans = None
         w = phi.w_poly()
@@ -567,7 +570,7 @@ class BoundaryPieces:
                     v = phi.eval(root)
                     if (not is_infinite(v)
                             and abs(v.imag) <= LEVEL_IM_TOL * max(1.0, abs(v))):
-                        self.interior_real.append((complex(root), float(v.real)))
+                        self.interior_real.append((complex(root), float(v.real), mult))
                     continue
                 t = math.atan2(root.imag, root.real)
                 try:
@@ -576,9 +579,10 @@ class BoundaryPieces:
                     v = None
                 # a root of W at a circle pole is the pole's own event
                 if v is None or math.isfinite(v):
-                    self.critical.append((t % (2.0 * math.pi), v))
-        self.events = sorted(
-            self.critical + [(t, math.inf) for t in phi.circle_poles()])
+                    crit.append((t % (2.0 * math.pi), v, mult))
+        self.critical = [e[:2] for e in crit]
+        events = sorted(crit + [(t, math.inf, m - 1) for t, m in phi.circle_poles()])
+        self.events, self.arcs = [e[:2] for e in events], [e[2] for e in events]
         if self.events and all(v is not None for _, v in self.events):
             pieces = _monotone_pieces(phi, self.events)
             if pieces is not None:

@@ -186,7 +186,7 @@ def cmd_analyze(args):
                                "rows": means},
         }, args.json)
     if args.plot:
-        svg = render_svg(ext)
+        svg = render_svg(phi, ext)
         Path(args.plot).write_text(svg, encoding="utf-8")
 
     if not report.ok:

@@ -38,8 +38,9 @@ numpy scalars and Python numbers.  A root one ulp off moves the search's
 loss, and with it every later simplex step.  So the cost of a call is
 cut here by making fewer numpy calls on arrays of the same shapes, with
 the operands in the same order, never by moving a product, a division or
-a modulus to the other side.  Python numbers stand in for numpy scalars
-only where neither a division nor an array follows.
+a modulus between arrays and scalars.  Python numbers stand in for numpy
+scalars only where no array follows and every complex quotient is taken
+by _kernels.cdiv, numpy's division written out on Python floats.
 """
 
 import functools

@@ -9,26 +9,25 @@ edges carry the open real intervals those curves map onto.
 
 The pipeline here:
 
-1. ``partition``    -- classify a grid of the disk by the sign of Im phi;
-                       its near-zero cells seed the traces.
-2. ``find_branch_points`` -- interior critical points with real critical
+1. ``find_branch_points`` -- interior critical points with real critical
                        value (the only places level arcs can cross).
-3. ``trace_segments`` -- follow every level arc with a predictor/corrector
-                       walk and record the (monotone) image interval: an
-                       arc ends at a branch point or at an event of the
-                       boundary pieces of phi, and takes its exact value.
+2. ``trace_segments`` -- follow every level arc with a predictor/corrector
+                       walk from a seed on a small ring round an event of
+                       the boundary pieces of phi or a branch point (where
+                       every arc ends, in numbers the local form of phi
+                       fixes), and record its (monotone) image interval.
    ``faces``        -- the regions are the faces of the planar graph of the
                        circle, the traced arcs and the branch points, found
                        by walking round each with the face on the left.
-4. ``region_valence`` -- the valence of each region as the degree of phi on
+3. ``region_valence`` -- the valence of each region as the degree of phi on
                        its boundary: the traced arcs and the monotone
                        circle pieces of phi run over the real line once per
                        sheet.
-5. ``extract_tree`` / ``extract_full`` -- weld regions into collections,
+4. ``extract_tree`` / ``extract_full`` -- weld regions into collections,
                        tile arc pieces into whole interfaces, and assemble
                        the tree, retrying at doubled resolution whenever a
                        consistency check trips.
-6. ``crosscheck``   -- verify an extracted tree against direct root counts
+5. ``crosscheck``   -- verify an extracted tree against direct root counts
                        at fresh sample points.
 
 Everything is deterministic for a fixed seed; failures surface as typed
@@ -40,8 +39,9 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from ._kernels import (
     TRACE_MAX_STEPS,
     TRACE_NON_MONOTONE,
     TRACE_STALLED,
+    cdiv,
     classify_grid,
     horner_scalar,
     trace_arc,
@@ -67,7 +68,6 @@ __all__ = [
     "NonMonotone",
     "ExtractionMismatch",
     "Region",
-    "GridPartition",
     "BranchPoint",
     "End",
     "BoundaryArc",
@@ -89,9 +89,17 @@ DEFAULT_RESOLUTION = 512
 MAX_RESOLUTION = 4096
 #: width and height of render_svg's picture, in pixels
 SVG_SIZE = 640
-#: width, in grid steps 1/resolution, of the rim along the circle where
-#: Im phi is cancellation noise: no level point found there seeds a trace
+#: width, in steps 1/resolution, of the rim along the circle where Im phi
+#: is cancellation noise: no level point found there seeds a trace
 RIM = 3.0
+#: samples of a seed ring per arc the local form sends across it
+RING_SAMPLES = 16
+#: radius of the seed ring round a branch point, in BP_RADIUS (traces stop
+#: within BP_RADIUS of it, and seeds within 1.5 BP_RADIUS start none)
+BP_RING = 2.0
+#: a seed this close to a traced arc's polyline, in largest trace steps,
+#: lies on the arc: a step turns by at most 0.1 rad, so a chord sags 0.0125
+ON_ARC = 0.05
 #: how far a region's boundary turn may sit from a multiple of pi
 TURN_TOL = 1e-3
 #: distance from its end at which an arc's direction is read
@@ -127,42 +135,15 @@ class ExtractionMismatch(ExtractionError):
 # grid partition
 
 
-@dataclass
-class GridPartition:
-    """Sign classification of the disk on a square grid.
-
-    ``cls[iy, ix]`` is +1 / -1 by the sign of Im phi, 2 where the value is
-    too close to zero to call, and 0 outside the disk.
-    """
-
-    resolution: int
-    cls: np.ndarray
-
-    @property
-    def h(self) -> float:
-        return 2.0 / self.resolution
-
-    def cell_of(self, z) -> tuple[int, int] | None:
-        h = self.h
-        ix = int((z.real + 1.0) / h)
-        iy = int((z.imag + 1.0) / h)
-        if 0 <= ix < self.resolution and 0 <= iy < self.resolution:
-            return ix, iy
-        return None
-
-
-def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> GridPartition:
-    """Classify the disk by the sign of Im phi on a resolution x resolution
-    grid."""
+def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
+    """The picture render_svg draws: cells [iy, ix] of a resolution x
+    resolution grid over [-1, 1]^2, +1 / -1 by the sign of Im phi, 2 where
+    the value is too close to zero to call, and 0 outside the disk."""
     res = int(resolution)
     if res < 64:
         raise ValueError("resolution must be at least 64")
-    band = 2.5 / res
-    margin = 1.0 / res
-    cls = classify_grid(
-        phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs, res, margin, band
-    )
-    return GridPartition(res, cls)
+    return classify_grid(phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs,
+                         res, 1.0 / res, 2.5 / res)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +152,13 @@ def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> GridPartition:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """Interior critical point whose critical value is real."""
+    """Interior critical point whose critical value is real; ``mult`` is
+    its multiplicity as a root of W, and 2 (mult + 1) arc ends meet there."""
 
     index: int
     z: complex
     value: float
+    mult: int
 
 
 def find_branch_points(phi) -> list[BranchPoint]:
@@ -187,7 +170,7 @@ def find_branch_points(phi) -> list[BranchPoint]:
     """
     kept = sorted(phi.boundary_pieces().interior_real,
                   key=lambda zv: (zv[0].real, zv[0].imag))
-    return [BranchPoint(index=i, z=z, value=v) for i, (z, v) in enumerate(kept)]
+    return [BranchPoint(i, z, v, m) for i, (z, v, m) in enumerate(kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,56 +212,69 @@ class BoundaryArc:
     hi: End
 
 
-def _newton_to_level(phi, z0: complex) -> complex | None:
-    """Pull a seed point onto the level set Im phi = 0 (or give up)."""
-    ncoef = phi.num.coeffs
-    dcoef = phi.den.coeffs
-    wcoef = phi.w_poly().coeffs
+def _newton_to_level(coefs, z0: complex) -> complex | None:
+    """Pull z0 onto the level set Im phi = 0, or give up (coefs: N, D, W lists)."""
+    ncoef, dcoef, wcoef = coefs
     z = complex(z0)
     for _ in range(15):
         dv = horner_scalar(dcoef, z)
         if abs(dv) < 1e-150:
             return None
-        w = horner_scalar(ncoef, z) / dv
+        w = cdiv(horner_scalar(ncoef, z), dv)
         if abs(w.imag) <= 1e-11 * max(1.0, abs(w)):
             # points already inside a pole's blow-up zone seed nothing useful:
             # the arc stub between here and the pole is reached from farther out
             return z if abs(w) < 0.01 * POLE_CUTOFF else None
-        fp = horner_scalar(wcoef, z) / (dv * dv)
+        fp = cdiv(horner_scalar(wcoef, z), dv * dv)
         if abs(fp) < 1e-150:
             return None
-        z = z - w.imag * 1j * fp.conjugate() / (abs(fp) ** 2)
+        z = z - cdiv(w.imag * 1j * fp.conjugate(), abs(fp) ** 2)
         if abs(z) > 1.05:
             return None
     return None
 
 
-def _inside_rim(x, y, res: int):
-    """Whether the points x + iy lie inside the rim along the circle."""
-    # np.hypot rounds as abs() of a Python complex does; the modulus np.abs
-    # gives a complex array can differ in the last bit
-    return np.hypot(x, y) <= 1.0 - RIM / res
+def _ring_seeds(phi, center: complex, step: complex, angles: np.ndarray) -> list[complex]:
+    """Where Im phi changes sign on the ring center + step * exp(i angle),
+    sampled at ``angles`` (increasing): between each two consecutive
+    samples of opposite sign, the point where Im(N conj D), which has the
+    sign of Im phi, interpolates linearly to zero."""
+    z = center + step * np.exp(1j * angles)
+    im = (phi.num(z) * phi.den(z).conj()).imag
+    k = np.flatnonzero((im[1:] > 0) != (im[:-1] > 0))
+    at = angles[k] + (angles[k + 1] - angles[k]) * im[k] / (im[k] - im[k + 1])
+    return (center + step * np.exp(1j * at)).tolist()
 
 
-def _seed_candidates(gp: GridPartition) -> list[tuple[complex, tuple[int, int]]]:
-    """Seed points for tracing, in row-major order: the centre and the
-    (iy, ix) index of every near-zero cell, leaving out those in the rim
-    along the circle."""
-    iy, ix = np.nonzero(gp.cls == 2)
-    z = np.empty(len(iy), dtype=np.complex128)
-    z.real = -1.0 + (ix + 0.5) * gp.h
-    z.imag = -1.0 + (iy + 0.5) * gp.h
-    keep = _inside_rim(z.real, z.imag, gp.resolution)
-    return list(zip(z[keep].tolist(), zip(iy[keep].tolist(), ix[keep].tolist())))
+def _seeds(phi, pieces: BoundaryPieces, bps: list[BranchPoint], res: int
+           ) -> list[complex]:
+    """Seeds on a small ring round each event and each branch point.
+
+    An event's local form sends its arcs into the disk at angles
+    j pi / (arcs + 1) from its tangent; the half ring round it meets the
+    first sqrt(2) RIM / res inside the circle (with one arc, where an arc
+    to an event 2 RIM / res away that just leaves the rim is deepest).
+    """
+    seeds = []
+    for (t, _), arcs in zip(pieces.events, pieces.arcs):
+        if arcs:
+            n = RING_SAMPLES * (arcs + 1)
+            zeta = cmath.exp(1j * t)
+            radius = math.sqrt(2.0) * RIM / (res * math.sin(math.pi / (arcs + 1)))
+            seeds += _ring_seeds(phi, zeta, radius * 1j * zeta,
+                                 math.pi * (np.arange(n) + 0.5) / n)
+    for bp in bps:
+        n = 2 * RING_SAMPLES * (bp.mult + 1)  # n + 1 samples close the ring
+        seeds += _ring_seeds(phi, bp.z, BP_RING * BP_RADIUS,
+                             2.0 * math.pi * (np.arange(n + 1) + 0.5) / n)
+    return seeds
 
 
-def _mark_covered(covered: np.ndarray, pts: np.ndarray, h: float, res: int) -> None:
-    ix = np.clip(((pts.real + 1.0) / h).astype(int), 0, res - 1)
-    iy = np.clip(((pts.imag + 1.0) / h).astype(int), 0, res - 1)
-    for dy in range(-2, 3):
-        yy = np.clip(iy + dy, 0, res - 1)
-        for dx in range(-2, 3):
-            covered[yy, np.clip(ix + dx, 0, res - 1)] = True
+def _distance(pts: np.ndarray, z: complex) -> float:
+    """Distance from z to the polyline through pts."""
+    a, d = pts[:-1], np.diff(pts)
+    s = np.clip(((z - a) * d.conj()).real / np.maximum((d * d.conj()).real, 1e-300), 0, 1)
+    return np.abs(a + s * d - z).min(initial=abs(pts[-1] - z))
 
 
 def _make_end(pieces: BoundaryPieces, zetas: np.ndarray, bps: list[BranchPoint],
@@ -296,75 +292,79 @@ def _make_end(pieces: BoundaryPieces, zetas: np.ndarray, bps: list[BranchPoint],
     return End("circle", value, event=k)
 
 
-def trace_segments(phi, gp: GridPartition,
+def _vertex(end: End) -> tuple[str, int]:
+    """The vertex of the traced level-set graph where an arc end lies."""
+    return ("branch", end.branch) if end.kind == "branch" else ("event", end.event)
+
+
+def trace_segments(phi, resolution: int,
                    branch_points: list[BranchPoint] | None = None) -> list[BoundaryArc]:
     """Trace every arc of the level set Im phi = 0 inside the disk.
 
     Each returned arc is maximal between arc endpoints (circle, pole, or
     branch point) and has strictly increasing Re phi along its points; its
-    flanks are left for ``faces`` to name.  Every trace starts from a
-    near-zero cell of the grid (_seed_candidates); an arc that crosses none
-    is missed, and the valence and tree checks of the attempt then fail.
-    No seed starts in a cell a traced arc already covers, so each arc is
-    traced once.  A walk that stalls, turns non-monotone or runs out of
-    steps raises TraceStalled or NonMonotone at once.
-    Circle and pole ends take the values of the events of phi's boundary
-    pieces (see End), so phi without trusted pieces raises
-    ExtractionMismatch.
+    flanks are left for ``faces`` to name.  Every arc ends at an event of
+    phi's boundary pieces or at a branch point, and is traced once, both
+    ways from a seed on a small ring round one (_seeds): no seed in the rim
+    along the circle, before or after _newton_to_level, starts a trace,
+    nor one within 1.5 BP_RADIUS of a branch point or on a traced arc.
+    The resolution sets the trace step, the rim and the rings.  A walk
+    that stalls, turns non-monotone or runs out of steps raises
+    TraceStalled or NonMonotone.  Circle and pole ends take the values of
+    the events of phi's boundary pieces (see End), so phi without trusted
+    pieces raises ExtractionMismatch; so does an arc with both ends at one
+    point or a degenerate image, or a count of arc ends at an event or a
+    branch point other than its local form's (``pieces.arcs``, 2 (mult + 1)).
     """
+    res = int(resolution)
+    rim = 1.0 - RIM / res
     pieces = phi.boundary_pieces()
     if pieces.spans is None:
         raise ExtractionMismatch("phi has no trusted monotone boundary pieces")
     zetas = np.exp(1j * np.array([t for t, _ in pieces.events]))
     bps = find_branch_points(phi) if branch_points is None else list(branch_points)
-    bp_z = np.array([bp.z for bp in bps], dtype=np.complex128)
-    ncoef = phi.num.coeffs
-    dcoef = phi.den.coeffs
-    wcoef = phi.w_poly().coeffs
-    res = gp.resolution
-    h = gp.h
+    bp_z = [bp.z for bp in bps]
+    coefs = (phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
+             phi.w_poly().coeffs.tolist())
     h0 = min(2e-3, 1.0 / res)
     h_max = min(8e-3, 4.0 / res)
-    covered = np.zeros((res, res), dtype=bool)
     segments: list[BoundaryArc] = []
 
     def run(z0: complex, direction: float):
-        pts, status, bp_hit = trace_arc(
-            ncoef, dcoef, wcoef, z0, direction, h0=h0, h_max=h_max,
-            branch_points=bp_z,
-        )
+        pts, status, bp_hit = trace_arc(*coefs, z0, direction, h0=h0, h_max=h_max,
+                                        branch_points=bp_z)
         if status == TRACE_NON_MONOTONE:
             raise NonMonotone(f"Re phi not monotone along the arc through {z0:.6f}")
         if status in (TRACE_STALLED, TRACE_MAX_STEPS):
             raise TraceStalled(f"trace from {z0:.6f} stalled")
         return pts, status, bp_hit
 
-    for seed, cell in _seed_candidates(gp):
-        if covered[cell]:
-            continue
-        z = _newton_to_level(phi, seed)
-        if z is None:
-            continue
-        if not _inside_rim(z.real, z.imag, res):
+    for seed in _seeds(phi, pieces, bps, res):
+        if abs(seed) > rim:
             continue  # cancellation noise along the circle, not an interior arc
-        if bps and min(abs(z - bp.z) for bp in bps) < 1.5 * BP_RADIUS:
+        z = _newton_to_level(coefs, seed)
+        if z is None or abs(z) > rim:
             continue
-        cell = gp.cell_of(z)
-        if cell is None or covered[cell[1], cell[0]]:
+        if any(abs(z - b) < 1.5 * BP_RADIUS for b in bp_z):
+            continue
+        if any(_distance(arc.points, z) < ON_ARC * h_max for arc in segments):
             continue
         fwd, st_f, bp_f = run(z, +1.0)
         bwd, st_b, bp_b = run(z, -1.0)
         pts = np.concatenate([bwd[::-1], fwd[1:]]) if len(fwd) > 1 else bwd[::-1]
         lo = _make_end(pieces, zetas, bps, complex(pts[0]), st_b, bp_b, -1.0)
         hi = _make_end(pieces, zetas, bps, complex(pts[-1]), st_f, bp_f, +1.0)
-        if not lo.value < hi.value:
-            raise NonMonotone(
-                f"arc through {z:.6f} has a degenerate image "
-                f"({lo.value}, {hi.value})"
-            )
-        _mark_covered(covered, pts, h, res)
+        if not lo.value < hi.value or _vertex(lo) == _vertex(hi):
+            raise ExtractionMismatch(f"the arc through {z:.6f} runs from {_vertex(lo)} to "
+                                     f"{_vertex(hi)} over ({lo.value}, {hi.value})")
         segments.append(BoundaryArc(pts, 0, 0, lo, hi))
 
+    ends = Counter(v for arc in segments for v in (_vertex(arc.lo), _vertex(arc.hi)))
+    want = [(("event", k), arcs) for k, arcs in enumerate(pieces.arcs)]
+    for (kind, k), n in want + [(("branch", b.index), 2 * b.mult + 2) for b in bps]:
+        if ends[kind, k] != n:
+            raise ExtractionMismatch(f"{ends[kind, k]} traced arc ends at {kind} {k}, "
+                                     f"where the local form of phi has {n}")
     segments.sort(key=lambda s: (s.lo.value, s.hi.value))
     return segments
 
@@ -439,19 +439,19 @@ def faces(phi, segments: list[BoundaryArc], branch_points: list[BranchPoint]
     spans = phi.boundary_pieces().spans
     n = len(spans)
     bp_z = {bp.index: bp.z for bp in branch_points}
-    start: dict[tuple, tuple] = {}  # side -> (vertex it leaves, angle there)
+    start: dict[tuple, tuple] = {}  # side -> (vertex it leaves, angle there, its point)
     for k in range(n):
-        start["circle", k, 1] = (("event", k), 0.0)
+        start["circle", k, 1] = (("event", k), 0.0, None)
     for i, arc in enumerate(segments):
         for end, pts, d in ((arc.lo, arc.points, 1), (arc.hi, arc.points[::-1], -1)):
             if end.kind == "branch":
-                vertex, z0, ref = ("branch", end.branch), bp_z[end.branch], 1.0
+                z0, ref = bp_z[end.branch], 1.0
             else:
                 z0 = cmath.exp(1j * spans[end.event][0])
-                vertex, ref = ("event", end.event), 1j * z0
-            start["arc", i, d] = (vertex, _angle_from(pts, z0, ref))
+                ref = 1j * z0
+            start["arc", i, d] = (_vertex(end), _angle_from(pts, z0, ref), z0)
     rotation: dict[tuple, tuple[list[float], list[tuple]]] = {}
-    for side, (vertex, angle) in sorted(start.items(), key=lambda e: e[1][1]):
+    for side, (vertex, angle, _) in sorted(start.items(), key=lambda e: e[1][1]):
         angles, sides = rotation.setdefault(vertex, ([], []))
         angles.append(angle)
         sides.append(side)
@@ -461,7 +461,7 @@ def faces(phi, segments: list[BoundaryArc], branch_points: list[BranchPoint]
         if kind == "circle":
             vertex, angle = ("event", (i + 1) % n), math.pi
         else:
-            vertex, angle = start[kind, i, -d]
+            vertex, angle, _ = start[kind, i, -d]
         angles, sides = rotation[vertex]
         return sides[bisect_left(angles, angle) - 1]
 
@@ -482,7 +482,7 @@ def faces(phi, segments: list[BoundaryArc], branch_points: list[BranchPoint]
         if len(signs) != 1:
             raise ExtractionMismatch("a face of the traced arcs has sides of both signs")
         sign = signs.pop()
-        poly, area = _outline(cycle, segments, spans)
+        poly, area = _outline(cycle, segments, spans, start)
         low = poly[np.lexsort((poly.real, poly.imag))[0]]
         order = (-sign, round(low.imag, LOW_DIGITS), low.real)
         found.append((order, sign, tuple(cycle), poly, area))
@@ -495,15 +495,20 @@ def faces(phi, segments: list[BoundaryArc], branch_points: list[BranchPoint]
     return regions, named
 
 
-def _outline(sides, segments: list[BoundaryArc], spans) -> tuple[np.ndarray, float]:
+def _outline(sides, segments: list[BoundaryArc], spans,
+             start: dict[tuple, tuple]) -> tuple[np.ndarray, float]:
     """The closed polygon of a face's sides and the area of the face: the
     polygon's, and the circular segments between its circle chords and the
-    circle."""
+    circle.  Each traced arc's ends are snapped onto the event or branch
+    point they end at (the last item of ``start``), so that the faces meet
+    there without a corner cut off."""
     parts = []
     area = 0.0
     for kind, i, d in sides:
         if kind == "arc":
-            parts.append(segments[i].points[::d])
+            pts = segments[i].points[::d]
+            parts.append(np.concatenate(([start["arc", i, d][2]], pts[1:-1],
+                                         [start["arc", i, -d][2]])))
             continue
         t0, t1, _ = spans[i]
         # the angles between the ends are multiples of CIRCLE_STEP, so mirror
@@ -591,22 +596,13 @@ def _assemble(regions: dict[int, Region], valences: dict[int, int],
     region when none is positive), the first in face order among those
     within AREA_TOL of it.
     """
-    segs_own: dict[int, list[BoundaryArc]] = {rid: [] for rid in regions}
-    for seg in segments:
-        segs_own[seg.upper].append(seg)
-        segs_own[seg.lower].append(seg)
-
     bp_regions: dict[int, set[int]] = {}
     for seg in segments:
         for end in (seg.lo, seg.hi):
             if end.kind == "branch":
-                bp_regions.setdefault(end.branch, set()).update(
-                    (seg.upper, seg.lower)
-                )
-    bps_of_region: dict[int, set[int]] = {rid: set() for rid in regions}
-    for b, rids in bp_regions.items():
-        for rid in rids:
-            bps_of_region[rid].add(b)
+                bp_regions.setdefault(end.branch, set()).update((seg.upper, seg.lower))
+    bps_of_region = {rid: {b for b, rids in bp_regions.items() if rid in rids}
+                     for rid in regions}
 
     consumed: set[int] = set()
     assigned: dict[int, str] = {}
@@ -660,12 +656,9 @@ def _assemble(regions: dict[int, Region], valences: dict[int, int],
     while queue:
         name, members, sign = queue.popleft()
         groups: dict[int, list[BoundaryArc]] = {}
-        for rid in members:
-            for seg in segs_own[rid]:
-                own = seg.upper if sign > 0 else seg.lower
-                if own != rid:
-                    continue
-                opp = seg.lower if sign > 0 else seg.upper
+        for seg in segments:
+            own, opp = (seg.upper, seg.lower) if sign > 0 else (seg.lower, seg.upper)
+            if own in members:
                 groups.setdefault(opp, []).append(seg)
         pending = []
         for opp, group in groups.items():
@@ -794,7 +787,6 @@ class Extraction:
 
     tree: Tree
     resolution: int
-    partition: GridPartition
     regions: dict[int, Region]
     region_valences: dict[int, int]
     branch_points: list[BranchPoint]
@@ -804,9 +796,8 @@ class Extraction:
 
 
 def _attempt(phi, res: int, seed: int) -> Extraction:
-    gp = partition(phi, res)
     bps = find_branch_points(phi)
-    regions, segments = faces(phi, trace_segments(phi, gp, bps), bps)
+    regions, segments = faces(phi, trace_segments(phi, res, bps), bps)
     valences = region_valence(phi, regions, segments)
     tree, collections, node_of_region = _assemble(regions, valences, segments)
     violations = validate(tree)
@@ -822,7 +813,6 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
     return Extraction(
         tree=tree,
         resolution=res,
-        partition=gp,
         regions=regions,
         region_valences=valences,
         branch_points=bps,
@@ -834,15 +824,16 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
 
 def extract_full(phi, resolution: int = DEFAULT_RESOLUTION,
                  max_resolution: int = MAX_RESOLUTION, seed: int = 0) -> Extraction:
-    """Extract the valence tree, doubling the grid resolution on failure.
+    """Extract the valence tree, doubling the resolution on failure.
 
-    An attempt classifies the disk, traces the level arcs, walks the faces
-    they cut the disk into, reads the region valences off their boundaries,
-    assembles and validates the tree, and checks it against root counts at
-    36 fresh points (crosscheck with seed + 1), whose half-plane samples
-    test the region valence sums.  Any
-    ExtractionError restarts at twice the resolution; past max_resolution
-    the last one is raised.
+    An attempt traces the level arcs from the events and branch points
+    (trace_segments: the resolution sets the trace step, the rim along the
+    circle and the seed rings), walks the faces they cut the disk into,
+    reads the region valences off their boundaries, assembles and validates
+    the tree, and checks it against root counts at 36 fresh points
+    (crosscheck with seed + 1), whose half-plane samples test the region
+    valence sums.  Any ExtractionError restarts at twice the resolution;
+    past max_resolution the last one is raised.
     """
     res = int(resolution)
     while True:
@@ -879,14 +870,15 @@ def _label_point(boundary: np.ndarray) -> complex:
     return complex(0.5 * (lo[k] + hi[k]), y)
 
 
-def render_svg(ex: Extraction) -> str:
-    """Plain SVG picture of an extraction: the sign grid, the traced arcs,
-    and each collection's label in its largest region."""
-    gp = ex.partition
-    res = gp.resolution
+def render_svg(phi, ex: Extraction) -> str:
+    """Plain SVG picture of the extraction ex of phi: the sign grid of
+    partition at the extraction's resolution, the traced arcs, and each
+    collection's label in its largest region."""
+    res = ex.resolution
+    cls = partition(phi, res)
     stride = max(1, res // 256)
     scale = SVG_SIZE / 2.0
-    h = gp.h
+    h = 2.0 / res
 
     def sx(x: float) -> float:
         return (x + 1.0) * scale
@@ -900,25 +892,17 @@ def render_svg(ex: Extraction) -> str:
         f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
-    cls = gp.cls
     for iy in range(0, res, stride):
-        row = cls[iy]
         ix = 0
-        while ix < res:
-            c = int(row[ix])
-            if c == 0:
-                ix += stride
-                continue
-            start = ix
-            while ix < res and int(row[ix]) == c:
-                ix += stride
-            x0 = sx(-1.0 + start * h)
-            y0 = sy(-1.0 + (iy + stride) * h)
-            width = (ix - start) * h * scale
-            parts.append(
-                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{width:.2f}" '
-                f'height="{cell:.2f}" fill="{_SVG_COLORS[c]}"/>'
-            )
+        # one rect per run of cells of one class along every stride-th row
+        y0 = sy(-1.0 + (iy + stride) * h)
+        for c, run in groupby(cls[iy, ::stride].tolist()):
+            width = len(list(run)) * stride
+            if c:
+                parts.append(f'<rect x="{sx(-1.0 + ix * h):.2f}" y="{y0:.2f}" '
+                             f'width="{width * h * scale:.2f}" height="{cell:.2f}" '
+                             f'fill="{_SVG_COLORS[c]}"/>')
+            ix += width
     parts.append(
         f'<circle cx="{scale:.1f}" cy="{scale:.1f}" r="{scale:.1f}" '
         'fill="none" stroke="#444" stroke-width="1.5"/>'

@@ -413,7 +413,7 @@ def _real_critical_values(pieces: BoundaryPieces) -> list[float]:
     where level arcs end.  Both come from the roots of W that the pieces
     already sorted.  Values are deduplicated to 1e-8.
     """
-    vals = [v for _, v in pieces.interior_real]
+    vals = [v for _, v, _ in pieces.interior_real]
     vals.extend(v for _, v in pieces.critical if v is not None)
     vals.sort()
     out: list[float] = []

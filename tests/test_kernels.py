@@ -5,23 +5,37 @@ every cell exactly as the per-cell loop below does: the arithmetic is the
 same, so no tolerance is allowed.  aberth_iterate and trace_arc are
 checked on inputs whose roots and level curve are known in closed form.
 horner_many over coefficient rows must match it one row at a time, bit for
-bit.
+bit.  cdiv must divide as numpy divides complex128, bit for bit, and
+trace_arc, which runs on Python numbers, must walk exactly as the same
+walk on numpy scalars (trace_arc_numpy) does.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rsmirnov import region_extraction as rx
 from rsmirnov._kernels import (
     BAND_FLOOR,
+    BP_RADIUS,
+    POLE_CUTOFF,
+    TRACE_H_MIN,
+    TRACE_HIT_BRANCH,
     TRACE_HIT_CIRCLE,
+    TRACE_HIT_POLE,
+    TRACE_MAX_STEPS,
+    TRACE_NON_MONOTONE,
+    TRACE_R_STOP,
+    TRACE_STALLED,
+    TRACE_STEP_LIMIT,
     aberth_iterate,
+    cdiv,
     classify_grid,
     horner_many,
     horner_scalar,
     trace_arc,
 )
-from rsmirnov.blaschke_smirnov import random_helson
+from rsmirnov.blaschke_smirnov import Blaschke, precompose_inner, random_helson
 from rsmirnov.fixtures import all_fixtures, double_slit
 
 
@@ -145,11 +159,226 @@ def test_trace_arc_follows_the_double_slit_axis(direction, end):
     # Im phi = 0 on the imaginary axis, where phi(iy) = -y / (1 + y^2):
     # walking with Re phi increasing runs down to -i, decreasing up to +i
     phi = double_slit()
-    pts, status, bp_hit = trace_arc(phi.num.coeffs, phi.den.coeffs,
-                                     phi.w_poly().coeffs, 0.05j, direction)
+    pts, status, bp_hit = trace_arc(phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
+                                     phi.w_poly().coeffs.tolist(), 0.05j, direction)
     assert status == TRACE_HIT_CIRCLE and bp_hit == -1
     assert pts[0] == 0.05j and abs(pts[-1] - end) < 1e-6
     assert np.abs(pts.real).max() < 1e-9
     values = phi.eval(pts)
     assert np.abs(values.imag).max() < 1e-9
     assert np.all(np.diff(direction * values.real) > 0)
+
+
+# ---------------------------------------------------------------------------
+# cdiv
+
+
+def bits(z):
+    """The bit pattern of a complex double, signed zeros told apart."""
+    return np.complex128(z).tobytes()
+
+
+def assert_divides_as_numpy(a, b):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.complex128(a) / (np.complex128(b) if isinstance(b, complex)
+                                   else np.float64(b))
+    assert bits(cdiv(a, b)) == bits(want), (a, b)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_cdiv_matches_numpy_division(data):
+    parts = st.floats(min_value=-1e30, max_value=1e30, allow_nan=False,
+                      allow_infinity=False)
+    a = complex(data.draw(parts), data.draw(parts))
+    br, bi = data.draw(parts), data.draw(parts)
+    if br == bi == 0.0:
+        br = 1.0
+    assert_divides_as_numpy(a, complex(br, bi))
+    if br != 0.0:
+        assert_divides_as_numpy(a, br)
+
+
+def test_cdiv_takes_both_smith_branches_as_numpy_does():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        a = complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-30, 30, 2))
+        b = complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-30, 30, 2))
+        # |Re b| >= |Im b| and |Re b| < |Im b|
+        assert_divides_as_numpy(a, complex(max(abs(b.real), abs(b.imag)), b.imag))
+        assert_divides_as_numpy(a, complex(b.real, 2.0 * abs(b.real) + abs(b.imag)))
+        assert_divides_as_numpy(a, b.real)
+    # Python's own division differs, so the test can tell the two apart
+    a, b = 0.1 + 0.7j, 0.3 - 0.9j
+    assert any(bits(x / y) != bits(np.complex128(x) / np.complex128(y))
+               for x, y in ((a * k, b + k) for k in range(1, 50)))
+
+
+@pytest.mark.parametrize("a", [0j, -0.0 + 0j, complex(0.0, -0.0),
+                               complex(-0.0, -0.0), 1.5 + 0j, -2.0 - 0.0j])
+@pytest.mark.parametrize("b", [1.0, -1.0, 0.5 - 0.0j, -0.0 + 2.0j,
+                               complex(-0.0, -3.0), complex(4.0, -0.0), -0.25])
+def test_cdiv_signed_zeros_as_numpy(a, b):
+    assert_divides_as_numpy(a, b)
+
+
+def test_cdiv_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        cdiv(1.0 + 1.0j, 0j)
+
+
+# ---------------------------------------------------------------------------
+# trace_arc against the same walk on numpy scalars
+
+
+def trace_arc_numpy(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
+                    branch_points=()):
+    """trace_arc as it ran on numpy scalars, with numpy coefficient arrays
+    and numpy's divisions: the reference the Python-number walk matches."""
+    pole_cutoff, bp_radius, r_stop = POLE_CUTOFF, BP_RADIUS, TRACE_R_STOP
+    h_min, max_steps = TRACE_H_MIN, TRACE_STEP_LIMIT
+    pts = np.empty(max_steps, dtype=np.complex128)
+
+    def phi(z):
+        return horner_scalar(ncoef, z), horner_scalar(dcoef, z)
+
+    def dphi(z, dv):
+        wv = horner_scalar(wcoef, z)
+        d2 = dv * dv
+        if abs(d2) < 1e-150:
+            return 0.0 + 0.0j
+        return wv / d2
+
+    z = complex(z0)
+    nv, dv = phi(z)
+    if abs(dv) < 1e-150:
+        return pts[:0].copy(), TRACE_STALLED, -1
+    fz = nv / dv
+    fp = dphi(z, dv)
+    n = 0
+    pts[n] = z
+    n += 1
+    re_prev = fz.real
+    h = h0
+    status = TRACE_MAX_STEPS
+    bp_hit = -1
+    while n < max_steps:
+        if abs(fp) < 1e-150:
+            status = TRACE_HIT_CIRCLE if 1.0 - abs(z) < 1e-3 else TRACE_STALLED
+            break
+        tau = direction * fp.conjugate() / abs(fp)
+        he = h
+        cap = 0.3 * (1.0 - abs(z))
+        if cap < 2e-4:
+            cap = 2e-4
+        if he > cap:
+            he = cap
+        zp = z + he * tau
+        ok = False
+        zc = zp
+        prev_c = 1e300
+        for _ in range(6):
+            nv2, dv2 = phi(zc)
+            if abs(dv2) < 1e-150:
+                break
+            f2 = nv2 / dv2
+            fp2 = dphi(zc, dv2)
+            if abs(fp2) < 1e-150:
+                break
+            corr = f2.imag * 1j * fp2.conjugate() / (abs(fp2) ** 2)
+            zc = zc - corr
+            c = abs(corr)
+            if c < 1e-13 + 1e-9 * he or (c > 0.25 * prev_c and c < 1e-12 + 1e-3 * he):
+                ok = True
+                break
+            prev_c = c
+        if not ok:
+            h *= 0.5
+            if h < h_min:
+                status = TRACE_HIT_CIRCLE if 1.0 - abs(z) < 1e-3 else TRACE_STALLED
+                break
+            continue
+        nv2, dv2 = phi(zc)
+        if abs(dv2) < 1e-150:
+            status = TRACE_HIT_POLE
+            break
+        f2 = nv2 / dv2
+        fp2 = dphi(zc, dv2)
+        if abs(fp2) > 0:
+            tau2 = direction * fp2.conjugate() / abs(fp2)
+            dot = (tau2 * tau.conjugate()).real
+            if dot < 0.995 and h > h_min:
+                h *= 0.5
+                continue
+            if dot > 0.99995 and h < h_max:
+                h *= 1.3
+                if h > h_max:
+                    h = h_max
+        dre = direction * (f2.real - re_prev)
+        if dre < -1e-9 * (1.0 + abs(f2.real)):
+            status = TRACE_NON_MONOTONE
+            break
+        z = zc
+        fz = f2
+        fp = fp2
+        re_prev = f2.real
+        pts[n] = z
+        n += 1
+        if abs(z) >= r_stop:
+            status = TRACE_HIT_CIRCLE
+            break
+        if abs(fz) >= pole_cutoff:
+            status = TRACE_HIT_POLE
+            break
+        hit = -1
+        for b in range(len(branch_points)):
+            if abs(z - branch_points[b]) < bp_radius:
+                hit = b
+                break
+        if hit >= 0:
+            status = TRACE_HIT_BRANCH
+            bp_hit = hit
+            break
+    return pts[:n].copy(), status, bp_hit
+
+
+def census_pairs(n):
+    rng = np.random.default_rng(101)
+    return [random_helson(rng, 3, 2, rmax=0.999, max_tries=20000)
+            for _ in range(n)]
+
+
+TRACE_CASES = {
+    **all_fixtures(),
+    "slit_squared": precompose_inner(double_slit(), Blaschke([0, 0])),
+    **{"census %d" % k: phi for k, phi in enumerate(census_pairs(4))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_trace_arc_matches_the_numpy_scalar_walk(name, monkeypatch):
+    # every walk an extraction at 256 and 512 makes, run again on numpy
+    # scalars from the same start
+    calls = []
+
+    def recording(*args, **kwargs):
+        out = trace_arc(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(rx, "trace_arc", recording)
+    phi = TRACE_CASES[name]
+    for res in (256, 512):
+        rx.trace_segments(phi, res)
+    coeffs = (phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs)
+    for (_, _, _, z0, direction), kwargs, (pts, status, bp_hit) in calls:
+        bps = np.array(kwargs["branch_points"], dtype=np.complex128)
+        want = trace_arc_numpy(*coeffs, z0, direction, h0=kwargs["h0"],
+                               h_max=kwargs["h_max"], branch_points=bps)
+        assert (status, bp_hit) == want[1:]
+        assert pts.dtype == want[0].dtype
+        assert pts.tobytes() == want[0].tobytes()
+    statuses = {out[1] for *_, out in calls}
+    assert statuses <= {TRACE_HIT_CIRCLE, TRACE_HIT_POLE, TRACE_HIT_BRANCH}
+    if name == "slit_squared":
+        assert TRACE_HIT_BRANCH in statuses

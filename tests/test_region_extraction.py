@@ -1,4 +1,4 @@
-"""Tests for disk partitioning, interface tracing, and tree extraction."""
+"""Tests for interface tracing, faces, tree extraction and the sign grid."""
 
 import cmath
 import functools
@@ -21,7 +21,7 @@ from rsmirnov.blaschke_smirnov import (
     valence_at,
 )
 from rsmirnov.cli import EXIT_NUMERICAL, EXIT_OK, main
-from rsmirnov.complex_poly import Poly
+from rsmirnov.complex_poly import Poly, find_roots
 from rsmirnov.fixtures import (
     double_slit,
     fourth_power_map,
@@ -76,6 +76,12 @@ def slit_squared():
     return precompose_inner(double_slit(), Blaschke([0, 0]))
 
 
+def slit_three():
+    """double_slit composed with a degree-3 Blaschke product: two branch
+    points on the imaginary axis, with a level arc between them."""
+    return precompose_inner(double_slit(), Blaschke([0.4, -0.4, 0.6j]))
+
+
 def helson_pair(z1, angle, z2):
     """phi of the pair B1 = exp(i angle) * (zeros z1), B2 = (zeros z2)."""
     return from_blaschke(Blaschke(z1, cmath.exp(1j * angle)), Blaschke(z2))
@@ -104,7 +110,7 @@ def ex_slit_squared():
 def traced_faces(phi, res=256):
     """The faces of phi's traced level set and its segments, flanks named."""
     bps = find_branch_points(phi)
-    return faces(phi, trace_segments(phi, partition(phi, res), bps), bps)
+    return faces(phi, trace_segments(phi, res, bps), bps)
 
 
 def winding(polygon, z):
@@ -125,6 +131,7 @@ def winding(polygon, z):
         (double_slit, 1, 1),
         (koebe, 1, 1),
         (fourth_power_map, 2, 2),
+        (slit_squared, 2, 2),
     ],
 )
 def test_partition_component_counts(make, n_plus, n_minus):
@@ -142,9 +149,10 @@ def test_partition_component_counts(make, n_plus, n_minus):
         assert abs(z) < 1.0
         assert [r.id for r in regions.values() if winding(r.boundary, z)] == [rid]
         assert np.sign(phi.eval(z).imag) == region.sign
-    # the faces tile the disk, but for the corners cut where traced arcs
-    # stop short of a multiple circle pole (0.02 short for fourth_power_map)
-    assert sum(r.area for r in regions.values()) == pytest.approx(math.pi, abs=1e-3)
+    # the faces tile the disk: the traced arcs are snapped onto the events
+    # and branch points where they end, even where they stop short of them
+    # (0.02 short of fourth_power_map's four-fold pole)
+    assert sum(r.area for r in regions.values()) == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_partition_rejects_tiny_resolution():
@@ -153,11 +161,10 @@ def test_partition_rejects_tiny_resolution():
 
 
 def test_partition_classifies_known_points():
-    gp = partition(koebe(), 256)
+    cls = partition(koebe(), 256)
 
     def cls_at(z):
-        ix, iy = gp.cell_of(z)
-        return gp.cls[iy, ix]
+        return cls[int((z.imag + 1.0) * 128), int((z.real + 1.0) * 128)]
 
     assert cls_at(0.5j) == 1  # Im koebe > 0 in the upper half disk
     assert cls_at(-0.5j) == -1
@@ -212,7 +219,7 @@ def test_mirror_image_faces_tie_and_the_first_is_the_root():
 def test_faces_without_an_arc_have_sides_of_both_signs(name):
     phi = EVENT_CASES[name]()
     bps = find_branch_points(phi)
-    segs = trace_segments(phi, partition(phi, 256), bps)
+    segs = trace_segments(phi, 256, bps)
     for k in range(len(segs)):
         with pytest.raises(ExtractionMismatch, match="sides of both signs"):
             faces(phi, segs[:k] + segs[k + 1:], bps)
@@ -321,7 +328,7 @@ def test_trace_segments_fourth_power():
 @pytest.mark.parametrize("make", [double_slit, koebe, fourth_power_map])
 def test_traced_arcs_are_monotone_and_inside(make):
     phi = make()
-    for seg in trace_segments(phi, partition(phi, 256)):
+    for seg in trace_segments(phi, 256):
         assert np.max(np.abs(seg.points)) <= 1.0 + 1e-6
         w = phi.eval(seg.points)
         re = np.real(w)
@@ -747,7 +754,7 @@ def test_valence_one_two_and_two_two_shapes_realized(v_plus, v_minus):
 EVENT_CASES = {
     **{make.__name__: make for make in (upper_halfplane_map, lower_halfplane_map,
                                         double_slit, koebe, fourth_power_map,
-                                        slit_squared)},
+                                        slit_squared, slit_three)},
     **{name: (lambda z1=z1, angle=angle, z2=z2: helson_pair(z1, angle, z2))
        for name, _, z1, angle, z2
        in TWO_THREE_REALIZERS + ONE_TWO_TWO_TWO_REALIZERS},
@@ -802,37 +809,121 @@ def test_interval_trees_identical_across_resolutions(name):
     assert len(codes) == 1
 
 
-def test_no_seed_starts_in_the_rim(monkeypatch):
-    seeds = []
+def ring_radii(phi, res):
+    """The seed rings: (centre, radius) round each event that sends arcs
+    into the disk and round each branch point."""
+    pieces = phi.boundary_pieces()
+    rings = [(cmath.exp(1j * t), math.sqrt(2.0) * rx.RIM
+              / (res * math.sin(math.pi / (arcs + 1))))
+             for (t, _), arcs in zip(pieces.events, pieces.arcs) if arcs]
+    return rings + [(bp.z, rx.BP_RING * rx.BP_RADIUS)
+                    for bp in find_branch_points(phi)]
+
+
+def test_traces_start_on_the_rings_inside_the_rim(monkeypatch):
+    seeds, starts = [], []
     newton = rx._newton_to_level
+    trace = rx.trace_arc
     monkeypatch.setattr(rx, "_newton_to_level",
-                        lambda phi, z0: seeds.append(z0) or newton(phi, z0))
+                        lambda coefs, z0: seeds.append(z0) or newton(coefs, z0))
+    monkeypatch.setattr(rx, "trace_arc",
+                        lambda *args, **kw: starts.append(args[3]) or trace(*args, **kw))
     n_seeds = 0
-    for make in (upper_halfplane_map, lower_halfplane_map, double_slit, koebe,
-                 fourth_power_map):
+    for make in (double_slit, koebe, fourth_power_map, slit_squared, slit_three):
         phi = make()
         for res in (256, 512):
             seeds.clear()
-            trace_segments(phi, partition(phi, res))
-            assert all(abs(z0) <= 1.0 - 3.0 / res for z0 in seeds)
+            starts.clear()
+            trace_segments(phi, res)
+            rim = 1.0 - rx.RIM / res
+            assert starts and all(abs(z) <= rim for z in seeds + starts)
+            rings = ring_radii(phi, res)
+            for z0 in seeds:
+                assert min(abs(abs(z0 - c) - r) for c, r in rings) < 1e-12
             n_seeds += len(seeds)
     assert n_seeds > 0
 
 
-def test_seeds_come_only_from_band_cells_inside_the_rim():
-    res = 64
-    cls = np.ones((res, res), dtype=np.int8)
-    cls[:, res // 2:] = -1  # +1 cells touch -1 cells with no band between
-    gp = rx.GridPartition(res, cls)
-    assert list(rx._seed_candidates(gp)) == []
-    cls[40, 20] = cls[10, 50] = 2
-    cls[0, 0] = 2  # a corner cell, outside the circle
+def test_ring_seeds_are_where_im_phi_changes_sign():
+    angles = math.pi * (np.arange(32) + 0.5) / 32
+    # double_slit's level set is the imaginary diameter, which leaves the
+    # event i along the normal, half way round the half ring
+    (z,) = rx._ring_seeds(double_slit(), 1j, -0.05, angles)
+    assert abs(z - 0.95j) < 1e-6
+    # Im phi > 0 throughout the disk: no seed
+    assert rx._ring_seeds(upper_halfplane_map(), -1.0, -0.05j, angles) == []
+    # the diagonals cross at slit_squared's branch point 0
+    full = 2.0 * math.pi * (np.arange(65) + 0.5) / 64
+    got = rx._ring_seeds(slit_squared(), 0.0, 0.01, full)
+    want = 0.01 * np.exp(1j * math.pi * (np.arange(4) + 0.5) / 2)
+    assert np.allclose(sorted(got, key=cmath.phase),
+                       sorted(want, key=cmath.phase), atol=1e-8)
 
-    def centre(ix, iy):
-        return complex(-1.0 + (ix + 0.5) * gp.h, -1.0 + (iy + 0.5) * gp.h)
 
-    assert rx._seed_candidates(gp) == [(centre(50, 10), (10, 50)),
-                                       (centre(20, 40), (40, 20))]
+def multiplicity_at(poly, z):
+    """Multiplicity of the root cluster of poly nearest z (0 if none is
+    within 1e-3)."""
+    clusters = find_roots(poly).clusters()
+    root, mult = min(clusters, key=lambda rm: abs(rm[0] - z))
+    return mult if abs(root - z) < 1e-3 else 0
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_CASES))
+def test_arc_ends_match_the_local_form(name):
+    # m arcs leave an m-fold circle critical point, m - 1 an m-fold circle
+    # pole, and 2 (m + 1) arc ends meet at an m-fold branch point, with m
+    # read off the roots of W and D here
+    phi, ex = event_case(name, 256)
+    ends = [v for seg in ex.segments for v in (seg.lo, seg.hi)]
+    w = phi.w_poly()
+    for k, (t, value) in enumerate(phi.boundary_pieces().events):
+        z = cmath.exp(1j * t)
+        want = (multiplicity_at(phi.den, z) - 1 if math.isinf(value)
+                else multiplicity_at(w, z))
+        assert sum(1 for e in ends if e.kind != "branch" and e.event == k) == want
+    for bp in ex.branch_points:
+        want = 2 * (multiplicity_at(w, bp.z) + 1)
+        assert sum(1 for e in ends if e.kind == "branch" and e.branch == bp.index) == want
+
+
+@pytest.mark.parametrize("name", ["koebe", "fourth_power_map", "slit_squared",
+                                  "slit_three", "5-path"])
+def test_a_dropped_seed_raises_a_typed_error(name, monkeypatch):
+    phi = EVENT_CASES[name]()
+    arcs = trace_segments(phi, 256)
+    newton = rx._newton_to_level
+    for arc in arcs:
+        # every seed that lands on this arc is dropped
+        monkeypatch.setattr(
+            rx, "_newton_to_level",
+            lambda coefs, z0, arc=arc: (
+                None if (z := newton(coefs, z0)) is not None
+                and rx._distance(arc.points, z) < 1e-4 else z))
+        with pytest.raises(ExtractionMismatch, match="traced arc ends"):
+            trace_segments(phi, 256)
+        with pytest.raises(ExtractionError):
+            extract_full(phi, resolution=256, max_resolution=512)
+
+
+def test_an_arc_with_both_ends_at_one_event_is_a_mismatch(monkeypatch):
+    monkeypatch.setattr(rx, "_make_end", lambda *args: End("circle", args[-1], event=0))
+    with pytest.raises(ExtractionMismatch, match=r"from \('event', 0\) to \('event', 0\)"):
+        trace_segments(koebe(), 256)
+
+
+def test_branch_points_of_a_degree_three_precomposition():
+    phi = slit_three()
+    codes = set()
+    for res in (256, 512, 1024):
+        _, ex = event_case("slit_three", res)
+        assert ex.resolution == res
+        codes.add(canonical_code(ex.tree, with_intervals=True))
+    assert len(codes) == 1
+    assert len(ex.branch_points) == 2
+    # one arc runs between the two branch points, seeded from their rings
+    assert sum(1 for s in ex.segments
+               if s.lo.kind == s.hi.kind == "branch") == 1
+    assert crosscheck(phi, ex.tree, n_samples=200).ok
 
 
 # A (3, 3) Helson pair (zeros up to radius 0.95) on which a traced arc ends
@@ -898,7 +989,7 @@ def test_boundary_value_near_a_circle_pole_extracts(tmp_path):
 
 
 def test_render_svg_smoke(ex_slit_squared):
-    svg = render_svg(ex_slit_squared)
+    svg = render_svg(slit_squared(), ex_slit_squared)
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert "<polyline" in svg
@@ -914,7 +1005,7 @@ def test_render_svg_labels_each_collection_in_its_largest_region(name):
     phi, ex = event_case(name, 256)
     scale = rx.SVG_SIZE / 2.0
     labels = {m[3]: complex(float(m[1]) / scale - 1.0, 1.0 - float(m[2]) / scale)
-              for m in SVG_LABEL.finditer(render_svg(ex))}
+              for m in SVG_LABEL.finditer(render_svg(phi, ex))}
     assert set(labels) == {c.id for c in ex.collections}
     for coll in ex.collections:
         z = labels[coll.id]
