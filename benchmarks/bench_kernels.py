@@ -44,7 +44,9 @@ extraction on the five fixtures at resolution 512, from branch points,
 boundary pieces, traced arcs and (for region_valence) faces prepared
 beforehand; region_valence, tens of microseconds, is printed in us.  The
 partition row times the sign grid (its classify_grid call included) that
-analyze --plot draws, from the function alone; extraction makes none.
+analyze --plot draws for an extraction at 512, from the function alone:
+render_svg classifies at most SVG_GRID (256) cells a side; extraction
+makes none.
 
 The integral_means row makes the four integral means analyze probes on
 each of the five fixtures (cli._means_rows: two exponents, each at radii
@@ -77,6 +79,7 @@ from rsmirnov.blaschke_smirnov import (
 from rsmirnov.cli import _means_rows
 from rsmirnov.fixtures import all_fixtures, double_slit, fourth_power_map
 from rsmirnov.region_extraction import (
+    SVG_GRID,
     extract_full,
     faces,
     find_branch_points,
@@ -322,7 +325,7 @@ def run_benchmarks():
 
     def bench_partition():
         for phi in fixtures:
-            partition(phi, res)
+            partition(phi, min(res, SVG_GRID))
 
     prepared = []
     for phi in all_fixtures().values():
@@ -362,7 +365,7 @@ def run_benchmarks():
         COUNTS_ROWS[1]: _time(bench_valence_counts),
         FIND_ROOTS_ROW: _time(bench_find_roots),
         OBJECTIVE_ROW: _time(lambda: objective_pass(*objective)),
-        "partition (--plot, 5 fixtures, 512)": _time(bench_partition),
+        "partition (--plot at 512, 5 fixtures)": _time(bench_partition),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "faces (5 fixtures, res 512)": _time(bench_faces),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),

@@ -31,6 +31,7 @@ from .complex_poly import (
     _derivative,
     _mul,
     _strip,
+    circle_band,
     compose_rational,
     count_inside,
     disk_root_counts,
@@ -158,13 +159,6 @@ class Blaschke:
 
     def __repr__(self):
         return "Blaschke(deg=%d)" % self.degree
-
-
-def circle_band(mult):
-    """Half-width of the band around the unit circle inside which a
-    computed root of multiplicity mult counts as lying on it: an m-fold
-    root is only located to about eps^(1/m)."""
-    return max(1e-6, 50.0 * 2.2e-16 ** (1.0 / mult))
 
 
 def _min_pairwise_distance(za, zb):
@@ -407,8 +401,9 @@ def from_rational(num, den, circle_tol=BOUNDARY_TOL):
     circle_tol is the width of the band around the unit circle inside
     which a denominator root counts as a legal boundary pole rather than
     an interior zero.  A caller constructing a denominator with a known
-    m-fold circle root must widen it, since the computed roots of an
-    m-fold root scatter in a ring of radius ~ eps^(1/m) around it.
+    m-fold circle root that find_roots leaves unmerged (power_chain(6))
+    must widen it: its computed roots scatter in a ring of radius
+    ~ eps^(1/m) around it.
     """
     num = num if isinstance(num, Poly) else Poly(num)
     den = den if isinstance(den, Poly) else Poly(den)
@@ -723,36 +718,6 @@ def _gauss_legendre():
     return np.concatenate([x16, x32]), weights
 
 
-def _refined_clusters(poly, report):
-    """The distinct roots of poly as (value, multiplicity), from its
-    find_roots report, each multiple root refined by Newton steps on
-    poly^(m-1), where it is simple.
-
-    find_roots locates an m-fold root only to about eps^(1/m): the 4-fold
-    pole of fourth_power_map comes out 4.8e-5 from z = 1, and |D| from its
-    factors would then be far off within 1e-4 of the circle.  A step
-    that leaves the circle_band(m) of the reported centre is not taken.
-    """
-    out = []
-    for z, m in report.clusters():
-        z = complex(z)
-        if m >= 2:
-            f = poly
-            for _ in range(m - 1):
-                f = f.derivative()
-            df = f.derivative()
-            w = z
-            for _ in range(4):
-                d = complex(df(w))
-                if d == 0:
-                    break
-                w -= complex(f(w)) / d
-            if abs(w - z) <= circle_band(m):
-                z = w
-        out.append((z, m))
-    return out
-
-
 def _graded_breakpoints(centres):
     """Breakpoints of the panels of integral_means, sorted, spanning one
     period [t0, t0 + 2 pi).
@@ -800,9 +765,9 @@ def integral_means(phi, p, r):
     returned.
 
     |phi| is |N| over |D| = |c| prod |z - zeta_k|^m_k, from D's roots
-    (den_roots, multiple ones refined by _refined_clusters): in the
-    monomial basis D is rounding noise near a multiple circle pole, since
-    (1 - r)^4 = 1e-16 at r = 0.9999.
+    (den_roots, where find_roots places a multiple root to full
+    precision): in the monomial basis D is rounding noise near a multiple
+    circle pole, since (1 - r)^4 = 1e-16 at r = 0.9999.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must lie in [0, 1)")
@@ -815,11 +780,11 @@ def integral_means(phi, p, r):
     lead = phi.den.coeffs[0]
     if phi.den.degree >= 1:
         report = phi.den_roots()
-        poles = _refined_clusters(phi.den, report)
+        poles = report.clusters()
         lead = phi.den.coeffs[len(report.roots)]
     zeros = []
     if phi.num.degree >= 1:
-        zeros = _refined_clusters(phi.num, phi.num_roots())
+        zeros = phi.num_roots().clusters()
     centres = [(cmath.phase(z), abs(abs(z) - r)) for z, _ in poles + zeros
                if abs(abs(z) - r) < PEAK_DISTANCE]
     pole_at = np.array([z for z, _ in poles], dtype=np.complex128)

@@ -12,8 +12,9 @@ clustered root, whose computed eigenvalues scatter further than Aberth's
 iterates do, so that row starts instead from points on a circle, with
 random perturbation restarts.  _merge_clusters then merges multiple
 roots, row by row, skipping every row in which no two polished roots are
-close enough to merge.  find_roots takes one polynomial through both as a
-one-row stack.  Root counts inside the unit circle (count_inside) are the
+close enough to merge, and places each merged m-fold root by Newton steps
+on p^(m - 1).  find_roots takes one polynomial through both as a one-row
+stack.  Root counts inside the unit circle (count_inside) are the
 basic primitive behind every valence computation; disk_root_counts counts
 many polynomials at once, so that the fixed cost of a call is paid once
 per stack.  An argument-principle winding count is provided as an
@@ -60,6 +61,13 @@ AMPLIFIED_TOL = max(200.0 * CLUSTER_TOL, 1e-4)
 #: distance from the unit circle within which a root counts as sitting on
 #: the boundary: the default band that disk counts leave out
 BOUNDARY_TOL = 1e-9
+
+
+def circle_band(mult):
+    """Half-width of the band around the unit circle inside which a
+    computed root of multiplicity mult counts as lying on it: an m-fold
+    root is only located to about eps^(1/m)."""
+    return max(1e-6, 50.0 * 2.2e-16 ** (1.0 / mult))
 
 #: companion eigenvalues start the Aberth iteration only when every two of
 #: them are at least this far apart, relative to 1 + max |e|
@@ -496,11 +504,12 @@ def _whole(rows):
 def _merge_clusters(roots, rows):
     """(out, mult), both (k, n): the roots (k, n) of the coefficient rows
     (k, m) with each multiplicity cluster of _cluster replaced by its
-    centre, repeated once per member, and the cluster's size.
+    placed root (_placed), repeated once per member, and the cluster's size.
 
     Only the rows that _unclustered rejects go through _cluster; in the
-    others every root is its own cluster.  A centre below 1e-300 in modulus is
-    set to exactly zero.
+    others every root is its own cluster.  A centre below 1e-300 in modulus
+    is set to exactly zero.  This is the one rule that places a multiple
+    root: root reports, disk counts, circle poles and integral means read it.
     """
     tiny = np.abs(roots) < 1e-300
     out = (np.where(tiny, 0.0, roots) if np.count_nonzero(tiny)
@@ -514,10 +523,29 @@ def _merge_clusters(roots, rows):
             center = np.mean(roots[i][g])
             if abs(center) < 1e-300:
                 center = 0.0 + 0.0j
+            if len(g) >= 2:
+                center = _placed(rows[i], center, len(g))
             out[i, j:j + len(g)] = center
             mult[i, j:j + len(g)] = len(g)
             j += len(g)
     return out, mult
+
+
+def _placed(coeffs, center, m):
+    """The m-fold root near the centre of a cluster, which locates it only to
+    about eps^(1/m): four Newton steps on p^(m - 1), where the root is
+    simple, kept only when they end within circle_band(m) of center."""
+    f = coeffs
+    for _ in range(m - 1):
+        f = _derivative(f)
+    df = _derivative(f)
+    w = center
+    for _ in range(4):
+        d = _kernels.horner_scalar(df, w)
+        if d == 0:
+            break
+        w = w - _kernels.horner_scalar(f, w) / d
+    return w if abs(w - center) <= circle_band(m) else center
 
 
 def find_roots(p):

@@ -73,9 +73,10 @@ def power_chain(n: int) -> RealSmirnov:
     num = Poly([float(math.comb(n, k)) for k in range(n + 1)])
     den = Poly([float(math.comb(n, k)) * (-1.0) ** k for k in range(n + 1)])
     # the denominator is exactly (1 - z)^n, an n-fold root on the circle;
-    # its computed roots scatter in a ring of radius ~ eps^(1/n), so the
-    # circle band must be widened accordingly or the root counter would
-    # misread part of the scatter as interior zeros
+    # find_roots places it on z = 1 when it merges the computed roots, but
+    # for n = 6 they scatter in a ring of radius ~ eps^(1/n) too wide to
+    # merge, so the circle band must be widened accordingly or the root
+    # counter would misread part of the scatter as interior zeros
     tol = max(1e-9, 10.0 * float(np.finfo(float).eps) ** (1.0 / n))
     return from_rational(num, den, circle_tol=tol)
 

@@ -89,6 +89,8 @@ DEFAULT_RESOLUTION = 512
 MAX_RESOLUTION = 4096
 #: width and height of render_svg's picture, in pixels
 SVG_SIZE = 640
+#: render_svg's sign grid has at most this many cells a side
+SVG_GRID = 256
 #: width, in steps 1/resolution, of the rim along the circle where Im phi
 #: is cancellation noise: no level point found there seeds a trace
 RIM = 3.0
@@ -872,11 +874,10 @@ def _label_point(boundary: np.ndarray) -> complex:
 
 def render_svg(phi, ex: Extraction) -> str:
     """Plain SVG picture of the extraction ex of phi: the sign grid of
-    partition at the extraction's resolution, the traced arcs, and each
-    collection's label in its largest region."""
-    res = ex.resolution
+    partition at the extraction's resolution, at most SVG_GRID, the traced
+    arcs, and each collection's label in its largest region."""
+    res = min(ex.resolution, SVG_GRID)
     cls = partition(phi, res)
-    stride = max(1, res // 256)
     scale = SVG_SIZE / 2.0
     h = 2.0 / res
 
@@ -886,21 +887,20 @@ def render_svg(phi, ex: Extraction) -> str:
     def sy(y: float) -> float:
         return (1.0 - y) * scale  # svg y grows downward
 
-    cell = stride * h * scale
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
         f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
-    for iy in range(0, res, stride):
+    for iy in range(res):
         ix = 0
-        # one rect per run of cells of one class along every stride-th row
-        y0 = sy(-1.0 + (iy + stride) * h)
-        for c, run in groupby(cls[iy, ::stride].tolist()):
-            width = len(list(run)) * stride
+        # one rect per run of cells of one class along every row
+        y0 = sy(-1.0 + (iy + 1) * h)
+        for c, run in groupby(cls[iy].tolist()):
+            width = len(list(run))
             if c:
                 parts.append(f'<rect x="{sx(-1.0 + ix * h):.2f}" y="{y0:.2f}" '
-                             f'width="{width * h * scale:.2f}" height="{cell:.2f}" '
+                             f'width="{width * h * scale:.2f}" height="{h * scale:.2f}" '
                              f'fill="{_SVG_COLORS[c]}"/>')
             ix += width
     parts.append(

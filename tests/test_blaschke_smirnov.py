@@ -31,6 +31,7 @@ from rsmirnov.blaschke_smirnov import (
     random_helson,
     real_affine,
     valence_at,
+    valence_counts,
 )
 from rsmirnov.complex_poly import (
     BOUNDARY_TOL,
@@ -255,10 +256,17 @@ class TestValence:
 
     def test_omitted_real_ray(self):
         phi = fixtures.double_slit()
-        assert valence_at(phi, 0.75) == 0
-        # the preimages sit on the circle, and are not counted
-        roots = find_roots(phi.num - phi.den.scale(0.75)).roots
-        assert (np.abs(np.abs(roots) - 1.0) < BOUNDARY_TOL).sum() == 2
+        # at 0.5, the end of the slit, N - 0.5 D = 0.5 (z + i)^2 has one
+        # double root, on the circle
+        for lam in (0.75, 0.5):
+            assert valence_at(phi, lam) == 0
+            assert valence_counts(phi, [lam]).tolist() == [0]
+            # the preimages sit on the circle, and are not counted
+            roots = find_roots(phi.num - phi.den.scale(lam)).roots
+            assert (np.abs(np.abs(roots) - 1.0) < BOUNDARY_TOL).sum() == 2
+
+    def test_four_fold_circle_pole_is_placed_on_the_circle(self):
+        assert fixtures.fourth_power_map().circle_poles() == [(0.0, 4)]
 
     def test_halfplane_valences(self):
         assert halfplane_valences(fixtures.upper_halfplane_map()) == (1, 0)

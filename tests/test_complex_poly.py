@@ -17,6 +17,7 @@ from rsmirnov.complex_poly import (
     NonConvergence,
     Poly,
     RootReport,
+    circle_band,
     compose_rational,
     disk_root_counts,
     find_roots,
@@ -235,12 +236,30 @@ def test_count_invariant_under_scaling(pts, const):
 # -- the eigenvalue start against the circle start ---------------------------
 
 
+def reference_placed(p, center, m):
+    """The m-fold root of p near center as find_roots places a merged
+    cluster, written with Poly's own derivative and evaluation: four Newton
+    steps on p^(m - 1), where the root is simple, kept only when they end
+    within circle_band(m) of center."""
+    f = p
+    for _ in range(m - 1):
+        f = f.derivative()
+    df = f.derivative()
+    w = center
+    for _ in range(4):
+        d = df(w)
+        if d == 0:
+            break
+        w = w - f(w) / d
+    return w if abs(w - center) <= circle_band(m) else center
+
+
 def circle_start_find_roots(p):
     """find_roots with Aberth always started from a circle (with up to three
     random perturbation restarts), and always clustered, with the report
-    built group by group.  It shares the polish and _cluster with
-    find_roots, so a comparison isolates the start and the skipped
-    clustering."""
+    built group by group and each multiple root placed by
+    reference_placed.  It shares the polish and _cluster with find_roots,
+    so a comparison isolates the start and the skipped clustering."""
     c = p.coeffs.copy()
     scale = np.abs(c).max()
     while len(c) > 1 and abs(c[-1]) < 1e-14 * scale:
@@ -271,6 +290,8 @@ def circle_start_find_roots(p):
         center = np.mean(arr[list(g)])
         if abs(center) < 1e-300:
             center = 0.0 + 0.0j
+        if len(g) >= 2:
+            center = reference_placed(p, center, len(g))
         for _ in g:
             out.append(center)
             mult.append(len(g))
@@ -440,7 +461,7 @@ def staged_find_roots(p):
     _trimmed; the companion eigenvalues of _eigenvalue_start; Aberth from
     them, or from the circle with up to three perturbation restarts; the
     reference polish; and _cluster over every root when two of them lie
-    within AMPLIFIED_TOL."""
+    within AMPLIFIED_TOL, each multiple root placed by reference_placed."""
     c, n_zero = complex_poly._trimmed(p.coeffs)
     roots = np.zeros(0, dtype=np.complex128)
     if len(c) > 1:
@@ -470,6 +491,8 @@ def staged_find_roots(p):
             center = np.mean(arr[g])
             if abs(center) < 1e-300:
                 center = 0.0 + 0.0j
+            if len(g) >= 2:
+                center = reference_placed(p, center, len(g))
             out[j:j + len(g)] = center
             mult[j:j + len(g)] = len(g)
             j += len(g)
@@ -510,8 +533,25 @@ def objective_polynomials():
     return [p for p in polys if p.degree >= 1]
 
 
+# an m-fold root on the circle, inside it and outside it, alone or beside a
+# simple root; the four-fold ones are among those that _cluster merges
+# whole (see the xfail test at the end)
+PLANTED = ([(w, m, extra) for m in (2, 3)
+            for w in (1.0, -1j, -0.3 + 0.4j, 1.1 + 0.1j)
+            for extra in ([], [-0.5])]
+           + [(1.0, 4, []), (-1j, 4, [-0.5]), (-0.5j, 4, []),
+              (0.4, 4, [-0.5]), (1.1, 4, []), (1.1 + 0.1j, 4, [])])
+
+
 def test_find_roots_matches_its_stages():
-    polys = objective_polynomials()
+    planted = [poly_from_roots([w] * m + extra) for w, m, extra in PLANTED]
+    for p, (w, m, extra) in zip(planted, PLANTED):
+        rep = find_roots(p)
+        placed = [z for z, k in rep.clusters() if k == m]
+        assert len(placed) == 1 and abs(placed[0] - w) <= 1e-12, (w, m)
+        inside = m * (abs(w) < 1.0 - BOUNDARY_TOL) + sum(abs(e) < 1.0 for e in extra)
+        assert complex_poly.count_inside(rep.roots) == inside, (w, m)
+    polys = objective_polynomials() + planted
     by_length = {}
     for p in polys:
         rep = find_roots(p)
@@ -523,3 +563,12 @@ def test_find_roots_matches_its_stages():
     for rows in by_length.values():
         counts = disk_root_counts(np.array([c for c, _ in rows]))
         assert counts.tolist() == [n for _, n in rows]
+
+
+@pytest.mark.xfail(strict=True, reason="_cluster leaves a 4-fold circle root "
+                   "unmerged when its computed roots scatter further apart "
+                   "than AMPLIFIED_TOL, so the scatter is counted")
+def test_unmerged_four_fold_circle_root_is_not_counted():
+    p = poly_from_roots([-1j] * 4)
+    assert [m for _, m in find_roots(p).clusters()] == [4]
+    assert disk_count(p) == 0

@@ -997,6 +997,23 @@ def test_render_svg_smoke(ex_slit_squared):
     assert svg.count("<rect") > 10
 
 
+def test_render_svg_classifies_at_most_256_squared_cells(monkeypatch):
+    phi = koebe()
+    ex = extract_full(phi, 1024)
+    assert ex.resolution == 1024
+    sides = []
+    original = rx.classify_grid
+
+    def recording(ncoef, dcoef, wcoef, res, *args):
+        sides.append(res)
+        return original(ncoef, dcoef, wcoef, res, *args)
+
+    monkeypatch.setattr(rx, "classify_grid", recording)
+    svg = render_svg(phi, ex)
+    assert sides and max(sides) ** 2 <= 256 ** 2
+    assert svg.count("<rect") > 10
+
+
 SVG_LABEL = re.compile(r'<text x="([-\d.]+)" y="([-\d.]+)"[^>]*>(\w+):\d+</text>')
 
 
