@@ -150,16 +150,17 @@ def crosscheck_points():
 
 def counts_fallback_share(points):
     """Share of the fixtures' N - lambda D that valence_counts does not
-    count from the unmerged roots of its stack: rows that _trimmed does not
+    count from the roots of its stack as they are: rows that _trimmed does not
     keep whole, which go to find_roots (a constant row has a vanishing
     leading coefficient, so it leaves too), and rows whose roots from the
-    row driver lie close enough for _merge_clusters to merge."""
+    row driver fail the closeness test of _separated, where _merge_clusters
+    fits a multiplicity structure."""
     lams = np.asarray(points, dtype=np.complex128)
     left = []
     for phi in all_fixtures().values():
         rows = _lambda_rows(phi, lams)
         fast = complex_poly._whole(rows)
-        fast[fast] = complex_poly._unclustered(
+        fast[fast] = complex_poly._separated(
             complex_poly._aberth_rows(rows[fast]))
         left.append(~fast)
     return np.mean(left)

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import _kernels
 from .complex_poly import (
-    BOUNDARY_TOL,
     Poly,
     _add,
     _derivative,
@@ -394,16 +393,12 @@ def from_blaschke(b1, b2):
     return phi
 
 
-def from_rational(num, den, circle_tol=BOUNDARY_TOL):
+def from_rational(num, den):
     """Reduced rational phi = N/D with outer denominator and real boundary
     values (to BOUNDARY_IM_TOL at boundary_im_samples' angles).
 
-    circle_tol is the width of the band around the unit circle inside
-    which a denominator root counts as a legal boundary pole rather than
-    an interior zero.  A caller constructing a denominator with a known
-    m-fold circle root that find_roots leaves unmerged (power_chain(6))
-    must widen it: its computed roots scatter in a ring of radius
-    ~ eps^(1/m) around it.
+    A denominator root within BOUNDARY_TOL of the unit circle (where
+    find_roots places an m-fold circle root) is a pole, not a zero inside.
     """
     num = num if isinstance(num, Poly) else Poly(num)
     den = den if isinstance(den, Poly) else Poly(den)
@@ -412,7 +407,7 @@ def from_rational(num, den, circle_tol=BOUNDARY_TOL):
     phi = RealSmirnov(num, den)
     if den.degree >= 1:
         rd = phi.den_roots()
-        n_inside = count_inside(rd.roots, circle_tol)
+        n_inside = count_inside(rd.roots)
         if n_inside > 0:
             raise DenominatorVanishesInDisk(
                 "denominator has %d zero(s) in the open disk" % n_inside
@@ -507,10 +502,9 @@ def valence_counts(phi, lams):
 LEVEL_IM_TOL = 1e-6
 
 #: within this distance (relative) of a circle critical value, N - xD has
-#: two circle roots close together; valence_at merges them into one double
-#: root off the circle when rounding could explain their distance, so the
-#: pieces and root counting can disagree there, and the count is left to
-#: valence_at
+#: two circle roots close together; valence_at fits them as one double
+#: root when that explains N - xD to within rounding, so the pieces and
+#: root counting can disagree there, and the count is left to valence_at
 EVENT_VALUE_TOL = 1e-6
 
 

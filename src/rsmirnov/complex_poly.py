@@ -10,10 +10,15 @@ EIG_START_SEPARATION * (1 + max |e|) apart; the iteration then only
 confirms them, usually in one sweep.  A closer pair suggests a multiple or
 clustered root, whose computed eigenvalues scatter further than Aberth's
 iterates do, so that row starts instead from points on a circle, with
-random perturbation restarts.  _merge_clusters then merges multiple
-roots, row by row, skipping every row in which no two polished roots are
-close enough to merge, and places each merged m-fold root by Newton steps
-on p^(m - 1).  find_roots takes one polynomial through both as a one-row
+random perturbation restarts.  _merge_clusters then decides the
+multiplicities, row by row, by one rule: a row whose polished roots fail
+the same separation test is a candidate, and its multiplicity structure
+is the coarsest single-linkage grouping of its roots whose Gauss-Newton
+fit on the pejorative manifold lies within a backward error of
+STRUCTURE_TOL * n of the row (Zeng's MultRoot, Math. Comp. 74 (2005)).
+The fitted roots are the placed roots; in a self-inversive row, such as
+N - xD at real x, those without a reflected partner are fitted on the
+unit circle.  find_roots takes one polynomial through both as a one-row
 stack.  Root counts inside the unit circle (count_inside) are the
 basic primitive behind every valence computation; disk_root_counts counts
 many polynomials at once, so that the fixed cost of a call is paid once
@@ -45,18 +50,10 @@ by _kernels.cdiv, numpy's division written out on Python floats.
 """
 
 import functools
-import math
 
 import numpy as np
 
 from . import _kernels
-
-#: distance below which two computed roots are treated as one multiple
-#: root
-CLUSTER_TOL = 1e-6
-
-#: distance within which _cluster's second pass may merge two groups
-AMPLIFIED_TOL = max(200.0 * CLUSTER_TOL, 1e-4)
 
 #: distance from the unit circle within which a root counts as sitting on
 #: the boundary: the default band that disk counts leave out
@@ -80,9 +77,12 @@ POLISH_STEPS = 3
 #: largest coefficient
 LEAD_TOL = 1e-14
 
-#: _cluster's second pass merges two groups only when they lie within this
-#: multiple of the radius that rounding can scatter the merged root to
-RING_FACTOR = 100.0
+_EPS = np.finfo(np.float64).eps
+
+#: a multiplicity structure of a degree-n row is accepted when its fitted
+#: polynomial lies within STRUCTURE_TOL * n of the monic row, coefficient by
+#: coefficient and relative to its largest coefficient
+STRUCTURE_TOL = 16.0 * _EPS
 
 #: winding_count's first sampling of the contour, doubled as needed
 WINDING_SAMPLES = 4096
@@ -293,12 +293,17 @@ def _eigenvalue_start(rows):
     comp.reshape(k, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
     comp[:, :, -1] = last
     eigs = np.linalg.eigvals(comp)
-    # written so that a nan eigenvalue fails the test
-    ok = _min_gaps(eigs) >= EIG_START_SEPARATION * (
-        1.0 + np.maximum.reduce(np.abs(eigs), axis=1))
+    ok = _separated(eigs)
     if finite is not None:
         ok &= finite
     return eigs, ok
+
+
+def _separated(roots):
+    """(k,) True for the rows of roots (k, n) in which every two roots are
+    at least EIG_START_SEPARATION * (1 + max |r|) apart; a nan root fails."""
+    return _min_gaps(roots) >= EIG_START_SEPARATION * (
+        1.0 + np.maximum.reduce(np.abs(roots), axis=1))
 
 
 @functools.cache
@@ -392,88 +397,6 @@ def _newton_polish(rows, roots):
     return roots
 
 
-def _unclustered(roots):
-    """(k,) True for the rows of roots (k, n) in which no two roots lie
-    close enough for either pass of _cluster to merge them."""
-    return _min_gaps(roots) >= AMPLIFIED_TOL
-
-
-def _rounding_ring(coeffs, center, dm, m):
-    """Radius to which rounding scatters an m-fold root at center: the
-    distance at which |p^(m)(center) / m!| r^m reaches the rounding noise
-    of evaluating p there; dm is |p^(m)(center)|."""
-    noise = np.abs(coeffs) @ (abs(center) ** np.arange(len(coeffs)))
-    lead = max(dm / math.factorial(m), 1e-300)
-    return (np.finfo(np.float64).eps * noise / lead) ** (1.0 / m)
-
-
-def _cluster(roots, coeffs):
-    """Group computed roots into multiplicity clusters.
-
-    A first pass merges everything within CLUSTER_TOL.  A second pass merges
-    groups whose centers are within AMPLIFIED_TOL when the low
-    derivatives of p at the joint centroid all vanish numerically (the ring
-    of iterates around a root of multiplicity m has radius ~ eps^(1/m),
-    which a fixed tolerance misses for m >= 3), unless the two groups lie
-    more than RING_FACTOR times that radius apart: then they are distinct
-    roots, such as the two circle roots of N - xD near a circle critical
-    value, which the derivative test alone passes.
-    """
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < CLUSTER_TOL:
-                union(i, j)
-
-    def groups():
-        g = {}
-        for i in range(n):
-            g.setdefault(find(i), []).append(i)
-        return list(g.values())
-
-    # second pass: derivative-verified merging of suspicious near-groups
-    scale = np.abs(coeffs).max()
-    p = Poly(coeffs)
-    changed = True
-    while changed:
-        changed = False
-        gs = groups()
-        centers = [np.mean([roots[i] for i in g]) for g in gs]
-        for a in range(len(gs)):
-            for b in range(a + 1, len(gs)):
-                if abs(centers[a] - centers[b]) >= AMPLIFIED_TOL:
-                    continue
-                m = len(gs[a]) + len(gs[b])
-                c = (centers[a] * len(gs[a]) + centers[b] * len(gs[b])) / m
-                d = p
-                ok = True
-                for _ in range(m):
-                    if abs(d(c)) > 1e-7 * scale:
-                        ok = False
-                        break
-                    d = d.derivative()
-                if ok and abs(centers[a] - centers[b]) <= RING_FACTOR * (
-                        _rounding_ring(coeffs, c, abs(d(c)), m)):
-                    union(gs[a][0], gs[b][0])
-                    changed = True
-            if changed:
-                break
-    return groups()
-
-
 def _trimmed(coeffs):
     """(c, n_zero): coeffs without vanishing leading coefficients (relative
     to the largest) and without its n_zero exact zero roots."""
@@ -503,49 +426,119 @@ def _whole(rows):
 
 def _merge_clusters(roots, rows):
     """(out, mult), both (k, n): the roots (k, n) of the coefficient rows
-    (k, m) with each multiplicity cluster of _cluster replaced by its
-    placed root (_placed), repeated once per member, and the cluster's size.
-
-    Only the rows that _unclustered rejects go through _cluster; in the
-    others every root is its own cluster.  A centre below 1e-300 in modulus
-    is set to exactly zero.  This is the one rule that places a multiple
-    root: root reports, disk counts, circle poles and integral means read it.
+    (k, n + 1) and their multiplicities.  A row whose roots fail the
+    closeness test of _separated takes the structure that _structure
+    finds, each fitted root repeated once per multiplicity; while its
+    distinct fitted roots still fail the test (a root the polish flung out
+    of a cluster has come back to it), the search runs again from them, as
+    long as the structure gets coarser.  Every other root is simple and
+    keeps its value, except that one below 1e-300 in modulus is set to
+    exactly zero.  This is the one rule that decides and places a multiple
+    root: root reports, disk counts, circle poles and integral means read
+    it.
     """
     tiny = np.abs(roots) < 1e-300
     out = (np.where(tiny, 0.0, roots) if np.count_nonzero(tiny)
            else roots.copy())
     mult = np.ones(roots.shape, dtype=np.int64)
-    for i, alone in enumerate(_unclustered(roots).tolist()):
-        if alone:
-            continue
-        j = 0
-        for g in _cluster(roots[i], rows[i]):
-            center = np.mean(roots[i][g])
-            if abs(center) < 1e-300:
-                center = 0.0 + 0.0j
-            if len(g) >= 2:
-                center = _placed(rows[i], center, len(g))
-            out[i, j:j + len(g)] = center
-            mult[i, j:j + len(g)] = len(g)
-            j += len(g)
+    for i, alone in enumerate(_separated(out).tolist()):
+        distinct = out.shape[1]
+        while not alone and (fit := _structure(out[i], rows[i])) is not None:
+            z, sizes = fit
+            out[i], mult[i] = np.repeat(z, sizes), np.repeat(sizes, sizes)
+            alone = len(z) == distinct or _separated(z[None])[0]
+            distinct = len(z)
     return out, mult
 
 
-def _placed(coeffs, center, m):
-    """The m-fold root near the centre of a cluster, which locates it only to
-    about eps^(1/m): four Newton steps on p^(m - 1), where the root is
-    simple, kept only when they end within circle_band(m) of center."""
-    f = coeffs
-    for _ in range(m - 1):
-        f = _derivative(f)
-    df = _derivative(f)
-    w = center
-    for _ in range(4):
-        d = _kernels.horner_scalar(df, w)
-        if d == 0:
+def _structure(roots, row):
+    """(z, sizes), the distinct fitted roots of one row and their
+    multiplicities, decided by backward error as Zeng's MultRoot does
+    (Math. Comp. 74 (2005)); None when every root stays simple as it is.
+
+    The candidates are the single-linkage groupings of the roots, by the
+    links shorter than _separated's distance on the scale of their ends,
+    coarsest first; the first whose _fit lies within STRUCTURE_TOL * n of
+    the monic row, coefficient by coefficient and relative to its largest
+    coefficient, is kept.  A row self-inversive within that bound
+    (a_k = u conj(a_(n-k)), as N - xD at real x) has each root on the
+    circle or paired with its reflection 1/conj(z): _fit keeps the
+    unpaired roots on the circle, and every root simple is tried last when
+    that moves a root onto the circle from outside BOUNDARY_TOL.
+    """
+    n = len(roots)
+    monic = row / row[-1]
+    tol = STRUCTURE_TOL * n * np.maximum.reduce(np.abs(monic))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a subnormal constant term overflows here and fails the test
+        circle = np.maximum.reduce(np.abs(
+            monic - np.conj(monic[::-1]) / np.conj(monic[0]))) <= tol
+    i, j = _pairs(n)
+    gaps = np.abs(roots[i] - roots[j])
+    size = np.abs(roots)
+    reach = EIG_START_SEPARATION * (1.0 + np.maximum(size[i], size[j]))
+    labels = list(range(n))
+    chain = [labels] if circle and np.count_nonzero(
+        _unpaired(roots) & (np.abs(size - 1.0) >= BOUNDARY_TOL)) else []
+    for k in np.argsort(gaps, kind="stable").tolist():
+        a, b = labels[i[k]], labels[j[k]]
+        if gaps[k] < reach[k] and a != b:
+            labels = [a if g == b else g for g in labels]
+            chain.append(labels)
+    real = not np.count_nonzero(row.imag)
+    for labels in reversed(chain):
+        groups = [roots[[a for a in range(n) if labels[a] == g]]
+                  for g in dict.fromkeys(labels)]
+        z, err = _fit(monic, groups, real, circle)
+        if err <= tol:
+            return z, np.array([len(g) for g in groups])
+    return None
+
+
+def _fit(monic, groups, real, circle):
+    """(z, err): Gauss-Newton on the pejorative manifold of a monic row,
+    the polynomials with roots z_j of multiplicities len(groups[j]), from
+    the groups' centroids, while the largest coefficient error err falls
+    and the step moves z by more than rounding.  Each iterate is put back
+    on the row's structure: in a real row, a multiple root whose centroid
+    lies within the spread of its group is real; in a self-inversive row
+    (circle), an unpaired root is on the unit circle."""
+    mults = np.array([len(g) for g in groups])
+    z = np.array([g.mean() for g in groups])
+    keep = np.array([real and len(g) > 1 and abs(c.imag) <= np.abs(g - c).max()
+                     for g, c in zip(groups, z)])
+    on = _unpaired(z) if circle else np.zeros_like(keep)
+    n = len(monic) - 1
+    best, err = z, np.inf
+    for _ in range(_kernels.ABERTH_MAX_ITER):
+        z[keep] = z[keep].real
+        z[on] = z[on] / np.abs(z[on])
+        f = poly_from_roots(np.repeat(z, mults)).coeffs
+        e = np.maximum.reduce(np.abs(f - monic))
+        if not e < err:
             break
-        w = w - _kernels.horner_scalar(f, w) / d
-    return w if abs(w - center) <= circle_band(m) else center
+        best, err = z, e
+        # dF/dz_j = -m_j F / (x - z_j), by synthetic division
+        q = np.empty((len(z), n), dtype=np.complex128)
+        q[:, -1] = 1.0
+        for k in range(n - 1, 0, -1):
+            q[:, k - 1] = f[k] + z * q[:, k]
+        step = np.linalg.lstsq(-(q * mults[:, None]).T, f[:-1] - monic[:-1],
+                               rcond=None)[0]
+        if not np.abs(step).max() > _EPS * (1.0 + np.abs(z).max()):
+            break
+        z = z - step
+    return best, err
+
+
+def _unpaired(z):
+    """True for the entries of z (n,) whose reflection 1/conj(z) lies
+    nearer to them than to every other entry: in a self-inversive row,
+    the roots on the unit circle."""
+    dist = np.abs(z[None, :] - 1.0 / np.conj(z)[:, None])
+    own = np.diagonal(dist).copy()
+    np.fill_diagonal(dist, np.inf)
+    return own < dist.min(axis=1)
 
 
 def find_roots(p):
@@ -554,36 +547,32 @@ def find_roots(p):
     _aberth_rows on the one row that _trimmed leaves (Aberth-Ehrlich
     simultaneous iteration from the companion eigenvalues when they are
     well separated, else from a circle with up to three random
-    perturbation restarts, then a Newton polish), then multiplicity
-    clustering (_merge_clusters).  Raises NonConvergence when the budget
-    is exhausted.
+    perturbation restarts, then a Newton polish), then the multiplicity
+    structure of that row (_merge_clusters).  The n_zero exact zero roots
+    that _trimmed strips are one root of multiplicity n_zero.  Raises
+    NonConvergence when the budget is exhausted.
     """
     p = _as_poly(p)
     c, n_zero = _trimmed(p.coeffs)
-    if len(c) == 1:
-        arr = np.zeros((1, n_zero), dtype=np.complex128)
-    elif n_zero:
-        arr = np.concatenate(
-            [np.zeros((1, n_zero), dtype=np.complex128), _aberth_rows(c[None])],
-            axis=1)
-    else:
-        arr = _aberth_rows(c[None])
-    out, mult = _merge_clusters(arr, p.coeffs[None])
-    out, mult = out[0], mult[0]
+    out = np.zeros(n_zero, dtype=np.complex128)
+    mult = np.full(n_zero, n_zero, dtype=np.int64)
+    if len(c) > 1:
+        z, m = _merge_clusters(_aberth_rows(c[None]), c[None])
+        out, mult = np.concatenate([out, z[0]]), np.concatenate([mult, m[0]])
     order = np.lexsort((out.imag, out.real))
     return RootReport(out[order], mult[order])
 
 
-def count_inside(roots, tol=BOUNDARY_TOL):
+def count_inside(roots):
     """Number of roots inside the open unit disk, along the last axis of
     roots.
 
-    Roots within tol of the unit circle are *not* counted: a root
+    Roots within BOUNDARY_TOL of the unit circle are *not* counted: a root
     numerically on the circle is outside the open disk for valence
     purposes.
     """
     mod = np.abs(roots)
-    return ((np.abs(mod - 1.0) >= tol) & (mod < 1.0)).sum(axis=-1)
+    return ((np.abs(mod - 1.0) >= BOUNDARY_TOL) & (mod < 1.0)).sum(axis=-1)
 
 
 def disk_root_counts(rows):
@@ -593,8 +582,8 @@ def disk_root_counts(rows):
     Every row that _trimmed keeps whole (_whole) goes through one
     _aberth_rows call over the stack: one companion eigenvalue call, one
     Aberth run per row and one Newton polish.  Its roots are then exactly
-    find_roots' (before the sort), and _merge_clusters merges them as
-    find_roots does, with the row as the coefficients.  A trimmed row
+    find_roots' (before the sort), and _merge_clusters decides their
+    multiplicities as find_roots does, from the row.  A trimmed row
     falls back to find_roots of its polynomial.
     """
     rows = np.asarray(rows, dtype=np.complex128)

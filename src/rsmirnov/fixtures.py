@@ -24,8 +24,6 @@ differ from this rational form by a real factor.
 
 import math
 
-import numpy as np
-
 from .blaschke_smirnov import (
     Blaschke,
     RealSmirnov,
@@ -72,13 +70,9 @@ def power_chain(n: int) -> RealSmirnov:
         raise ValueError("the power map is boundary-real only for even n >= 2")
     num = Poly([float(math.comb(n, k)) for k in range(n + 1)])
     den = Poly([float(math.comb(n, k)) * (-1.0) ** k for k in range(n + 1)])
-    # the denominator is exactly (1 - z)^n, an n-fold root on the circle;
-    # find_roots places it on z = 1 when it merges the computed roots, but
-    # for n = 6 they scatter in a ring of radius ~ eps^(1/n) too wide to
-    # merge, so the circle band must be widened accordingly or the root
-    # counter would misread part of the scatter as interior zeros
-    tol = max(1e-9, 10.0 * float(np.finfo(float).eps) ** (1.0 / n))
-    return from_rational(num, den, circle_tol=tol)
+    # the denominator is exactly (1 - z)^n, an n-fold root on the circle,
+    # which find_roots places on z = 1
+    return from_rational(num, den)
 
 
 def fourth_power_map():

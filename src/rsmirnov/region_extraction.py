@@ -49,6 +49,7 @@ from ._kernels import (
     BP_RADIUS,
     POLE_CUTOFF,
     TRACE_HIT_BRANCH,
+    TRACE_HIT_CIRCLE,
     TRACE_MAX_STEPS,
     TRACE_NON_MONOTONE,
     TRACE_STALLED,
@@ -248,6 +249,20 @@ def _ring_seeds(phi, center: complex, step: complex, angles: np.ndarray) -> list
     return (center + step * np.exp(1j * at)).tolist()
 
 
+def _noise_radius(phi, t: float, value: float, m: int) -> float:
+    """Radius round the event at zeta = e^{it} within which Horner's
+    rounding of p = N - value D (D at a pole), about n eps |p|_1, swamps p,
+    which has a root of multiplicity m there (arcs + 1): p ~ q (z - zeta)^m
+    with q = p^(m)(zeta) / m!.  It is 4e-16 round double_slit's simple
+    poles and 7e-3 round power_chain(6)'s 6-fold zero."""
+    p = phi.den if math.isinf(value) else phi.num - phi.den.scale(value)
+    noise = max(phi.num.degree, phi.den.degree) * math.ulp(1.0) * np.abs(p.coeffs).sum()
+    for _ in range(m):
+        p = p.derivative()
+    q = abs(p(cmath.exp(1j * t))) / math.factorial(m)
+    return float(noise / q) ** (1.0 / m) if q > 0 else 0.0
+
+
 def _seeds(phi, pieces: BoundaryPieces, bps: list[BranchPoint], res: int
            ) -> list[complex]:
     """Seeds on a small ring round each event and each branch point.
@@ -311,12 +326,13 @@ def trace_segments(phi, resolution: int,
     along the circle, before or after _newton_to_level, starts a trace,
     nor one within 1.5 BP_RADIUS of a branch point or on a traced arc.
     The resolution sets the trace step, the rim and the rings.  A walk
-    that stalls, turns non-monotone or runs out of steps raises
-    TraceStalled or NonMonotone.  Circle and pole ends take the values of
-    the events of phi's boundary pieces (see End), so phi without trusted
-    pieces raises ExtractionMismatch; so does an arc with both ends at one
-    point or a degenerate image, or a count of arc ends at an event or a
-    branch point other than its local form's (``pieces.arcs``, 2 (mult + 1)).
+    that stalls, turns non-monotone or runs out of steps ends at an event
+    within its _noise_radius, or else raises TraceStalled or NonMonotone.
+    Circle and pole ends take the values of the events of phi's boundary
+    pieces (see End), so phi without trusted pieces raises
+    ExtractionMismatch; so does an arc with both ends at one point or a
+    degenerate image, or a count of arc ends at an event or a branch point
+    other than its local form's (``pieces.arcs``, 2 (mult + 1)).
     """
     res = int(resolution)
     rim = 1.0 - RIM / res
@@ -324,6 +340,8 @@ def trace_segments(phi, resolution: int,
     if pieces.spans is None:
         raise ExtractionMismatch("phi has no trusted monotone boundary pieces")
     zetas = np.exp(1j * np.array([t for t, _ in pieces.events]))
+    noise = np.array([_noise_radius(phi, t, v, arcs + 1)
+                      for (t, v), arcs in zip(pieces.events, pieces.arcs)])
     bps = find_branch_points(phi) if branch_points is None else list(branch_points)
     bp_z = [bp.z for bp in bps]
     coefs = (phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
@@ -335,9 +353,13 @@ def trace_segments(phi, resolution: int,
     def run(z0: complex, direction: float):
         pts, status, bp_hit = trace_arc(*coefs, z0, direction, h0=h0, h_max=h_max,
                                         branch_points=bp_z)
-        if status == TRACE_NON_MONOTONE:
-            raise NonMonotone(f"Re phi not monotone along the arc through {z0:.6f}")
-        if status in (TRACE_STALLED, TRACE_MAX_STEPS):
+        if status in (TRACE_NON_MONOTONE, TRACE_STALLED, TRACE_MAX_STEPS):
+            # a walk that fails in the rounding noise round a multiple zero
+            # or pole on the circle has reached it
+            if len(pts) and np.any(np.abs(zetas - pts[-1]) < noise):
+                return pts, TRACE_HIT_CIRCLE, bp_hit
+            if status == TRACE_NON_MONOTONE:
+                raise NonMonotone(f"Re phi not monotone along the arc through {z0:.6f}")
             raise TraceStalled(f"trace from {z0:.6f} stalled")
         return pts, status, bp_hit
 

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from rsmirnov.cli import main
-from rsmirnov.fixtures import double_slit, fourth_power_map, koebe
+from rsmirnov.fixtures import double_slit, fourth_power_map, koebe, power_chain
 from rsmirnov.synthesis import endpoint_error
 from rsmirnov.valence_tree import Interval, Node, Tree
 
@@ -86,20 +86,22 @@ def test_analyze_koebe(tmp_path, capsys):
 
 def test_analyze_fourth_power_map_prints_four_means(tmp_path, capsys):
     """Its 4-fold circle pole used to make the r = 0.9999 means raise, and
-    both rows printed "unstable quadrature"."""
-    inp = write_json(tmp_path / "f4.json", fourth_power_map().to_json())
-    out = tmp_path / "report.json"
-    assert main(["analyze", inp, "--json", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "unstable quadrature" not in text
-    assert text.count(", ratio = ") == 2
-    rows = json.loads(out.read_text())["integral_means"]["rows"]
-    assert [row["p"] for row in rows] == [0.125, 0.375]
-    for row in rows:
-        assert all(isinstance(row[k], float) and math.isfinite(row[k])
-                   for k in ("inner", "outer", "ratio"))
-    assert rows[0]["ratio"] < 3.0
-    assert rows[1]["ratio"] > 10.0
+    both rows printed "unstable quadrature".  power_chain(6) read from its
+    JSON used to exit 1: its 6-fold pole was counted as interior zeros."""
+    for n, phi in ((4, fourth_power_map()), (6, power_chain(6))):
+        inp = write_json(tmp_path / ("chain%d.json" % n), phi.to_json())
+        out = tmp_path / ("report%d.json" % n)
+        assert main(["analyze", inp, "--json", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "unstable quadrature" not in text
+        assert text.count(", ratio = ") == 2
+        rows = json.loads(out.read_text())["integral_means"]["rows"]
+        assert [row["p"] for row in rows] == pytest.approx([0.5 / n, 1.5 / n])
+        for row in rows:
+            assert all(isinstance(row[k], float) and math.isfinite(row[k])
+                       for k in ("inner", "outer", "ratio"))
+        assert rows[0]["ratio"] < 3.0
+        assert rows[1]["ratio"] > 10.0
 
 
 def test_analyze_double_slit_interval(tmp_path, capsys):
@@ -243,7 +245,7 @@ def test_synthesize_search_roundtrip(tmp_path, capsys):
     assert "catalog" not in result
     assert any("NotInCatalog" in note for note in result["notes"])
     # the uncapped seed-1 solve, pinned as test_synthesis pins seed 0's
-    assert result["evaluations"] == 2648
+    assert result["evaluations"] == 3927
 
     report = tmp_path / "report.json"
     assert main(["analyze", str(out), "--json", str(report)]) == 0

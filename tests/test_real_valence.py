@@ -298,10 +298,10 @@ def is_trimmed(row):
 
 
 def is_clustered(row):
-    """True when two of the row's driver roots lie close enough for
-    _cluster to merge, so that disk_root_counts counts the row from its
-    merged roots."""
-    return not complex_poly._unclustered(complex_poly._aberth_rows(row[None]))[0]
+    """True when the row's driver roots fail the closeness test of
+    _separated, so that disk_root_counts counts the row from the roots of
+    the multiplicity structure that _merge_clusters fits."""
+    return not complex_poly._separated(complex_poly._aberth_rows(row[None]))[0]
 
 
 @given(
@@ -318,13 +318,12 @@ def test_valence_counts_equal_valence_at_random_helson(seed, deg1, deg2, rmax):
     assert valence_counts(phi, lams).tolist() == [valence_at(phi, lam)
                                                   for lam in lams]
     # the driver's roots of a whole row are find_roots' roots, bit for bit,
-    # wherever find_roots finds no multiple root
+    # wherever find_roots fits no multiplicity structure to them
     rows = lambda_rows(phi, lams)
     whole = rows[np.array([not is_trimmed(row) for row in rows])]
     for row, r in zip(whole, complex_poly._aberth_rows(whole)):
-        rep = find_roots(Poly(row))
-        if (rep.multiplicities == 1).all():
-            assert np.array_equal(np.sort_complex(r), rep.roots)
+        if not is_clustered(row) or complex_poly._structure(r, row) is None:
+            assert np.array_equal(np.sort_complex(r), find_roots(Poly(row)).roots)
 
 
 def test_valence_counts_builds_the_polynomials_of_valence_at(monkeypatch):

@@ -35,6 +35,8 @@ from rsmirnov.region_extraction import (
     End,
     ExtractionError,
     ExtractionMismatch,
+    NonMonotone,
+    TraceStalled,
     crosscheck,
     extract_full,
     extract_tree,
@@ -909,6 +911,24 @@ def test_an_arc_with_both_ends_at_one_event_is_a_mismatch(monkeypatch):
     monkeypatch.setattr(rx, "_make_end", lambda *args: End("circle", args[-1], event=0))
     with pytest.raises(ExtractionMismatch, match=r"from \('event', 0\) to \('event', 0\)"):
         trace_segments(koebe(), 256)
+
+
+@pytest.mark.parametrize("status, error", [(rx.TRACE_STALLED, TraceStalled),
+                                           (rx.TRACE_MAX_STEPS, TraceStalled),
+                                           (rx.TRACE_NON_MONOTONE, NonMonotone)])
+def test_a_walk_that_fails_short_of_a_simple_event_raises(status, error, monkeypatch):
+    # double_slit's arc runs from its critical point -i to i between simple
+    # poles at 1 and -1; a walk that fails 0.01 short of i is not in any
+    # event's rounding noise
+    trace = rx.trace_arc
+
+    def failing(*args, **kw):
+        pts, _, bp_hit = trace(*args, **kw)
+        return pts[np.abs(pts) < 0.99], status, bp_hit
+
+    monkeypatch.setattr(rx, "trace_arc", failing)
+    with pytest.raises(error):
+        trace_segments(double_slit(), 256)
 
 
 def test_branch_points_of_a_degree_three_precomposition():
