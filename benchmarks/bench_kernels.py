@@ -36,8 +36,9 @@ fixed parameter vectors of the (2, 1) edge on (-1, 1), scattered around a
 found optimum from simplex-step to restart distances (objective_inputs).
 A closing line gives the time per evaluation and the shares of it spent
 finding roots (of D for the disk constraint, of W for the boundary
-pieces, of N - xD where the pieces fall back) and building N and D from
-the Blaschke pair.
+pieces, of N - xD where the pieces are untrusted or fail the parity
+check, at none of the 2,465 real counts of these vectors) and building N
+and D from the Blaschke pair.
 
 The trace_segments, faces and region_valence rows time the stages of
 extraction on the five fixtures at resolution 512, from branch points,

@@ -501,12 +501,6 @@ def valence_counts(phi, lams):
 #: |Im phi| there is at most this, relative to max(1, |phi|)
 LEVEL_IM_TOL = 1e-6
 
-#: within this distance (relative) of a circle critical value, N - xD has
-#: two circle roots close together; valence_at fits them as one double
-#: root when that explains N - xD to within rounding, so the pieces and
-#: root counting can disagree there, and the count is left to valence_at
-EVENT_VALUE_TOL = 1e-6
-
 
 class BoundaryPieces:
     """The monotone pieces of t -> phi(e^{it}), for counting real valences.
@@ -514,13 +508,16 @@ class BoundaryPieces:
     For real x, N - xD is self-inversive (phi is real on the circle), so
     its zeros pair across the circle and
 
-        valence(x) = (n - #{t : phi(e^{it}) = x}) / 2,  n = max(deg N, deg D).
+        valence(x) = (n - c) / 2,  n = max(deg N, deg D),
+
+    where c counts the solutions t of phi(e^{it}) = x with multiplicity.
 
     The boundary function is monotone between consecutive events: circle
     critical points (circle roots of W, at their boundary values) and
     circle poles (at -+inf, by the direction of the piece).  Each piece
-    meets x once when x lies strictly inside its value range, so one root
-    find of W replaces one root find per real point.
+    meets x once when x lies strictly inside its value range, and an
+    m-fold critical point whose value is x meets it m + 1 times, so one
+    root find of W replaces one root find per real point.
 
     ``events`` lists the events in order as (t, value), t in [0, 2 pi),
     with the value inf at a circle pole (None at a critical point whose
@@ -536,8 +533,7 @@ class BoundaryPieces:
     decreases.  Both are None when the pieces cannot be trusted (no
     events, a critical point whose boundary value is not real, a piece
     whose end values disagree with its direction); ``count`` then returns
-    None, as it does for an odd or negative n - c and for x within
-    EVENT_VALUE_TOL of a circle critical value.
+    None, as it does for an odd or negative n - c.
     ``interior_real`` holds (z, Re phi(z), m) for the roots z of W, of
     multiplicity m, strictly inside the disk where phi is real (to
     LEVEL_IM_TOL): the branch points of the level set.
@@ -580,17 +576,17 @@ class BoundaryPieces:
 
     def count(self, x):
         """Valence at real x from the pieces, or None when it must come
-        from the oracle."""
+        from the oracle.  x equal to a critical value is counted at the
+        critical point, whose exact value the float may miss by a few ulps."""
         if self.ranges is None:
             return None
-        tol = EVENT_VALUE_TOL * max(1.0, abs(x))
-        for _, v in self.critical:
-            if v is not None and abs(x - v) <= tol:
-                return None
         c = 0
         for lo, hi in self.ranges:
             if lo < x < hi:
                 c += 1
+        for (_, v), m in zip(self.events, self.arcs):
+            if v == x:
+                c += m + 1
         if c > self.n or (self.n - c) % 2:
             return None
         return (self.n - c) // 2
@@ -632,9 +628,11 @@ def _monotone_pieces(phi, events):
 def real_valence(phi, x, pieces):
     """Number of solutions of phi(w) = x in the open disk, for real x.
 
-    Fast path: the circle crossings of x counted on the monotone boundary
-    pieces of phi, built once per function by the caller.  Fallback: root
-    counting by valence_at wherever the pieces return None.
+    Fast path: the circle solutions of phi(e^{it}) = x counted on the
+    monotone boundary pieces of phi, built once per function by the
+    caller, with m + 1 at an m-fold critical point of value x.  Fallback:
+    root counting by valence_at where the pieces are untrusted or their
+    count fails the parity check (count returns None).
     """
     v = pieces.count(x)
     if v is None:

@@ -263,21 +263,23 @@ def _noise_radius(phi, t: float, value: float, m: int) -> float:
     return float(noise / q) ** (1.0 / m) if q > 0 else 0.0
 
 
-def _seeds(phi, pieces: BoundaryPieces, bps: list[BranchPoint], res: int
-           ) -> list[complex]:
+def _seeds(phi, pieces: BoundaryPieces, bps: list[BranchPoint], res: int,
+           noise: np.ndarray) -> list[complex]:
     """Seeds on a small ring round each event and each branch point.
 
     An event's local form sends its arcs into the disk at angles
     j pi / (arcs + 1) from its tangent; the half ring round it meets the
     first sqrt(2) RIM / res inside the circle (with one arc, where an arc
-    to an event 2 RIM / res away that just leaves the rim is deepest).
+    to an event 2 RIM / res away that just leaves the rim is deepest),
+    and lies at least twice the event's noise radius from it.
     """
     seeds = []
-    for (t, _), arcs in zip(pieces.events, pieces.arcs):
+    for (t, _), arcs, r_noise in zip(pieces.events, pieces.arcs, noise):
         if arcs:
             n = RING_SAMPLES * (arcs + 1)
             zeta = cmath.exp(1j * t)
-            radius = math.sqrt(2.0) * RIM / (res * math.sin(math.pi / (arcs + 1)))
+            radius = max(math.sqrt(2.0) * RIM / (res * math.sin(math.pi / (arcs + 1))),
+                         2.0 * r_noise)
             seeds += _ring_seeds(phi, zeta, radius * 1j * zeta,
                                  math.pi * (np.arange(n) + 0.5) / n)
     for bp in bps:
@@ -363,7 +365,7 @@ def trace_segments(phi, resolution: int,
             raise TraceStalled(f"trace from {z0:.6f} stalled")
         return pts, status, bp_hit
 
-    for seed in _seeds(phi, pieces, bps, res):
+    for seed in _seeds(phi, pieces, bps, res, noise):
         if abs(seed) > rim:
             continue  # cancellation noise along the circle, not an interior arc
         z = _newton_to_level(coefs, seed)

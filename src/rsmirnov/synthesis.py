@@ -125,16 +125,11 @@ class SeedCatalogEntry:
 
 
 def _match_chain(target: Tree):
-    """(n, c, s) when the target is the four-node chain s*M^4 + c.
-
-    Longer chains do have the closed form s*M^n + c, but confirming one
-    means tracing through the n-fold zero and pole that the power map
-    piles onto the two circle points -+1, where the evaluation noise of
-    the expanded coefficients swamps the signal for n >= 6; those targets
-    are left to the search.
-    """
+    """(n, c, s) when the target is the chain s*M^n + c of n = 4 or 6
+    nodes; power_chain rejects n >= 8, so longer chains are left to the
+    search."""
     n = len(target.nodes)
-    if n != 4 or len(target.edges) != n - 1:
+    if n not in (4, 6) or len(target.edges) != n - 1:
         return None
     if any(node.valence != 1 for node in target.nodes.values()):
         return None

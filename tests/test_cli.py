@@ -245,7 +245,7 @@ def test_synthesize_search_roundtrip(tmp_path, capsys):
     assert "catalog" not in result
     assert any("NotInCatalog" in note for note in result["notes"])
     # the uncapped seed-1 solve, pinned as test_synthesis pins seed 0's
-    assert result["evaluations"] == 3927
+    assert result["evaluations"] == 3929
 
     report = tmp_path / "report.json"
     assert main(["analyze", str(out), "--json", str(report)]) == 0

@@ -1,13 +1,16 @@
 """Real valences from the boundary pieces against direct root counting.
 
 BoundaryPieces counts the valence at a real x from how often the boundary
-function t -> phi(e^{it}) takes the value x; valence_at counts the roots
-of N - xD inside the disk.  The two are independent, so every count the
-fast path gives is compared with the oracle.  Where they disagree, the
-count of N - xD at 50 digits decides, and it must side with the fast
-path: near a circle critical point N - xD has two circle roots close
-together, and the oracle's multiplicity clustering may merge them into
-one double root just off the circle.
+function t -> phi(e^{it}) takes the value x: once on every piece whose
+range holds x strictly inside, m + 1 times at an m-fold critical point
+whose value is x.  valence_at counts the roots of N - xD inside the disk.
+The two are independent, so every count the fast path gives is compared
+with the oracle, at the circle critical values themselves too.  Where they
+disagree, the count of N - xD at 50 digits, built from phi's Blaschke
+zeros, decides, and it must side with the fast path: within about 1e-12
+of a circle critical value N - xD has two roots just off the circle, one
+on either side, which the oracle's multiplicity fit may place as one
+double root on the circle.
 
 valence_counts counts the roots of N - lambda D at many points at once, as
 coefficient rows; it must give valence_at's count at every point, real or
@@ -47,32 +50,113 @@ from rsmirnov.fixtures import (
 from rsmirnov.region_extraction import crosscheck, extract_full
 
 
+def mp_mul(a, b):
+    """Product of two ascending coefficient lists, in mpmath."""
+    out = [mpmath.mpc(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def mp_helson_quotient(b1, b2):
+    """(N, D) of the pair (B1, B2), as blaschke_smirnov._helson_quotient
+    builds them, in mpmath from the zeros and from the constants scaled to
+    modulus 1 (Blaschke takes them to within 1e-12), so that N - xD is
+    self-inversive at every real x."""
+    def rational(b):
+        c = mpmath.mpc(b.constant)
+        p, q = [c / abs(c)], [mpmath.mpc(1)]
+        for a in b.zeros.tolist():
+            if a == 0:
+                p = mp_mul(p, [mpmath.mpc(0), mpmath.mpc(1)])
+            else:
+                p = mp_mul(p, [mpmath.mpc(a), mpmath.mpc(-1)])
+                q = mp_mul(q, [mpmath.mpc(1), -mpmath.mpc(a.conjugate())])
+        return p, q
+
+    (p1, q1), (p2, q2) = rational(b1), rational(b2)
+    a, b = mp_mul(p1, q2), mp_mul(p2, q1)
+    return [1j * (u + v) for u, v in zip(a, b)], [u - v for u, v in zip(a, b)]
+
+
+def test_mp_helson_quotient_rounds_to_the_coefficients():
+    rng = np.random.default_rng(5)
+    for d1, d2 in ((1, 1), (1, 2), (3, 2), (4, 3)):
+        phi = random_helson(rng, d1, d2, rmax=0.999)
+        with mpmath.workdps(50):
+            for got, want in zip(mp_helson_quotient(phi.b1, phi.b2),
+                                 (phi.num, phi.den)):
+                got = np.array([complex(c) for c in got])
+                assert got[:len(want.coeffs)] == pytest.approx(
+                    want.coeffs, abs=1e-13)
+                assert np.abs(got[len(want.coeffs):]).max(initial=0.0) < 1e-13
+
+
 def exact_valence(phi, x):
-    """Roots of N - xD inside the disk, found at 50 digits."""
-    p = phi.num - phi.den.scale(x)
-    coeffs = [mpmath.mpc(c.real, c.imag) for c in p.coeffs[::-1]]
+    """Roots of N - xD inside the disk, found at 50 digits, with N and D
+    built at that precision from phi's Blaschke pair when it carries one
+    (from its rounded coefficients otherwise)."""
     with mpmath.workdps(50):
-        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=500)
+        if phi.b1 is not None and phi.b2 is not None:
+            num, den = mp_helson_quotient(phi.b1, phi.b2)
+        else:
+            num, den = ([mpmath.mpc(c) for c in p.coeffs.tolist()]
+                        for p in (phi.num, phi.den))
+        width = max(len(num), len(den))
+        num += [0] * (width - len(num))
+        den += [0] * (width - len(den))
+        row = [u - mpmath.mpf(x) * v for u, v in zip(num, den)]
+        while row and row[-1] == 0:
+            row.pop()
+        roots = mpmath.polyroots(row[::-1], maxsteps=500, extraprec=500)
         return sum(1 for r in roots if abs(r) < 1 - BOUNDARY_TOL)
 
 
+def mp_derivative(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def exact_critical_value(phi, t):
+    """phi's value at the root of W = N'D - ND' next to e^{it}, at 50
+    digits from phi's Blaschke pair: the circle critical value that the
+    float one at t approximates (to a few units in the last place)."""
+    with mpmath.workdps(50):
+        num, den = mp_helson_quotient(phi.b1, phi.b2)
+        w = [u - v for u, v in zip(mp_mul(mp_derivative(num), den),
+                                   mp_mul(num, mp_derivative(den)))]
+        z = mpmath.findroot(lambda z: mpmath.polyval(w[::-1], z), mpmath.expj(t))
+        return mpmath.re(mpmath.polyval(num[::-1], z) / mpmath.polyval(den[::-1], z))
+
+
+def critical_values(pieces):
+    """The real values of the circle critical points, sorted, once each."""
+    return sorted({v for _, v in pieces.critical if v is not None})
+
+
 def probe_points(pieces):
-    """Midpoints between consecutive circle critical values, and points
-    beyond both ends; fixed points when there are no critical values."""
-    vals = sorted({v for _, v in pieces.critical if v is not None})
+    """The circle critical values, the midpoints between consecutive
+    ones, and points beyond both ends; fixed points when there are no
+    critical values."""
+    vals = critical_values(pieces)
     if not vals:
         return [-2.0, 0.3, 1.7]
     xs = [vals[0] - max(1.0, abs(vals[0])), vals[-1] + max(1.0, abs(vals[-1]))]
     xs += [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
-    return xs
+    return xs + vals
 
 
 def assert_agrees(phi, pieces, x):
+    """real_valence at x is the count of the pieces, or valence_at's where
+    they give none; where the two differ, the 50-digit count decides, at
+    the exact critical value when x is the float of one."""
     fast = pieces.count(x)
     want = valence_at(phi, x)
     assert real_valence(phi, x, pieces) == (want if fast is None else fast)
     if fast is not None and fast != want:
-        assert fast == exact_valence(phi, x), (x, fast, want)
+        ts = [t for t, v in pieces.critical if v == x]
+        exact_x = exact_critical_value(phi, ts[0]) if ts else x
+        assert fast == exact_valence(phi, exact_x), (x, fast, want)
 
 
 @given(
@@ -88,6 +172,9 @@ def test_pieces_agree_with_root_counts_random_helson(seed, deg1, deg2, rmax):
     pieces = BoundaryPieces(phi)
     for x in probe_points(pieces):
         assert_agrees(phi, pieces, x)
+    # an exact critical value is counted from the pieces
+    if pieces.ranges is not None:
+        assert all(pieces.count(v) is not None for v in critical_values(pieces))
 
 
 @pytest.mark.parametrize("name", sorted(all_fixtures()))
@@ -104,8 +191,10 @@ def test_pieces_take_the_fast_path_on_fixtures(name):
 def test_double_slit_counts():
     # univalent onto the plane minus (-inf, -1/2] and [1/2, inf)
     pieces = BoundaryPieces(double_slit())
-    assert [pieces.count(x) for x in (-3.0, -0.2, 0.0, 0.4, 9.0)] \
-        == [0, 1, 1, 1, 0]
+    # at the critical values -+1/2, where the slits end, N - xD has a
+    # double circle root and no root inside
+    xs = (-3.0, -0.5, -0.2, 0.0, 0.4, 0.5, 9.0)
+    assert [pieces.count(x) for x in xs] == [0, 0, 1, 1, 1, 0, 0]
 
 
 def test_events_are_the_circle_critical_points_and_poles_in_order():
@@ -178,6 +267,67 @@ def test_pieces_right_where_clustering_misleads_the_oracle():
     assert valence_at(phi, x) == 0
 
 
+# A (1, 2) pair from the uncapped seed-1 solve of the (2, 1) edge on
+# (-1, 1), and a lambda 2.3e-14 below its circle critical value -1.  Built
+# from the Blaschke zeros, N - lambda D has a radial pair of roots 1.0e-7
+# inside and outside the circle there, so the valence is 1.
+RADIAL_PAIR = (
+    [-0.007496226203731074 + 0.6451247722284428j],
+    -0.4504331875983746 + 0.8928101385568868j,
+    [0.10431800355467877 - 0.5454222303624868j,
+     0.6220523484595262 + 0.03761558644417989j],
+    -0.82497214512584 + 0.5651733891174193j,
+    -1.000000000000023,
+)
+
+
+def radial_pair_case():
+    z1, c1, z2, c2, lam = RADIAL_PAIR
+    return from_blaschke(Blaschke(z1, c1), Blaschke(z2, c2)), lam
+
+
+def test_pieces_count_a_radial_pair_by_a_critical_value():
+    phi, lam = radial_pair_case()
+    pieces = BoundaryPieces(phi)
+    assert min(abs(lam - v) for v in critical_values(pieces)) < 1e-13
+    assert real_valence(phi, lam, pieces) == exact_valence(phi, lam) == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3, a radial pair closer than about sqrt(theta): "
+    "valence_at fits the two roots 1e-7 off the circle as one double root "
+    "on it"))
+def test_valence_at_counts_a_radial_pair_by_a_critical_value():
+    phi, lam = radial_pair_case()
+    assert valence_at(phi, lam) == 1
+
+
+# A (1, 1) pair (from random_helson, rmax 0.9) whose circle critical
+# value, a minimum of the boundary function, rounds to a float just below
+# it, where N - xD has a radial pair 1.2e-7 off the circle.
+ROUNDED_BELOW = (
+    [-0.8817364778961199 - 0.029046559706296226j],
+    -0.2317707416198977 - 0.972770437117084j,
+    [-0.7087215929014496 + 0.5493109423382228j],
+    -0.9996271834381204 - 0.02730373841748489j,
+)
+
+
+def test_a_critical_value_is_counted_at_the_critical_point():
+    # the pieces count the float of a critical value as the value itself,
+    # with a double circle root; valence_at resolves the radial pair at
+    # the float, a few units in the last place off it
+    z1, c1, z2, c2 = ROUNDED_BELOW
+    phi = from_blaschke(Blaschke(z1, c1), Blaschke(z2, c2))
+    pieces = BoundaryPieces(phi)
+    (t, v), = [e for e in pieces.critical if e[1] > 0]
+    exact_v = exact_critical_value(phi, t)
+    assert 0 < exact_v - v < 4 * math.ulp(v)
+    assert pieces.count(v) == exact_valence(phi, exact_v) == 0
+    assert valence_at(phi, v) == exact_valence(phi, v) == 1
+    assert_agrees(phi, pieces, v)
+
+
 def pair_with_bounded_piece():
     """A Helson pair whose boundary function has a piece between two
     circle critical points (both ends finite)."""
@@ -225,12 +375,9 @@ def test_non_real_critical_value_falls_back(monkeypatch):
     assert real_valence(phi, 0.0, pieces) == 1
 
 
-def test_critical_value_and_odd_count_fall_back():
+def test_odd_count_falls_back():
     phi = double_slit()
     pieces = BoundaryPieces(phi)
-    # x at a circle critical value is a double circle root of N - xD
-    assert pieces.count(0.5) is None
-    assert real_valence(phi, 0.5, pieces) == valence_at(phi, 0.5)
     # a piece that is not there makes n - c odd
     pieces.ranges = pieces.ranges + [(-1.0, 1.0)]
     assert pieces.count(0.0) is None

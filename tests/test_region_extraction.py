@@ -27,6 +27,7 @@ from rsmirnov.fixtures import (
     fourth_power_map,
     koebe,
     lower_halfplane_map,
+    power_chain,
     upper_halfplane_map,
 )
 from rsmirnov import region_extraction as rx
@@ -815,9 +816,10 @@ def ring_radii(phi, res):
     """The seed rings: (centre, radius) round each event that sends arcs
     into the disk and round each branch point."""
     pieces = phi.boundary_pieces()
-    rings = [(cmath.exp(1j * t), math.sqrt(2.0) * rx.RIM
-              / (res * math.sin(math.pi / (arcs + 1))))
-             for (t, _), arcs in zip(pieces.events, pieces.arcs) if arcs]
+    rings = [(cmath.exp(1j * t), max(math.sqrt(2.0) * rx.RIM
+                                     / (res * math.sin(math.pi / (arcs + 1))),
+                                     2.0 * rx._noise_radius(phi, t, v, arcs + 1)))
+             for (t, v), arcs in zip(pieces.events, pieces.arcs) if arcs]
     return rings + [(bp.z, rx.BP_RING * rx.BP_RADIUS)
                     for bp in find_branch_points(phi)]
 
@@ -905,6 +907,22 @@ def test_a_dropped_seed_raises_a_typed_error(name, monkeypatch):
             trace_segments(phi, 256)
         with pytest.raises(ExtractionError):
             extract_full(phi, resolution=256, max_resolution=512)
+
+
+def test_six_fold_chain_extracts_where_its_ring_would_lie_in_the_noise():
+    # at 4096 the ring radius from the resolution, 2.1e-3, lies inside the
+    # rounding noise round power_chain(6)'s 6-fold zero at -1 (6.6e-3), so
+    # the ring is widened to twice the noise radius
+    phi = power_chain(6)
+    pieces = phi.boundary_pieces()
+    (t, v), arcs = pieces.events[1], pieces.arcs[1]
+    assert (v, arcs) == (pytest.approx(0.0), 5)
+    assert rx._noise_radius(phi, t, v, arcs + 1) > math.sqrt(2.0) * rx.RIM / (
+        4096 * math.sin(math.pi / (arcs + 1)))
+    ex = extract_full(phi, 4096, max_resolution=4096)
+    assert ex.resolution == 4096
+    assert canonical_code(ex.tree) == canonical_code(extract_full(phi, 256).tree)
+    assert len(ex.tree.nodes) == 6
 
 
 def test_an_arc_with_both_ends_at_one_event_is_a_mismatch(monkeypatch):
