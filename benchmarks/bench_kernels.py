@@ -40,6 +40,11 @@ pieces, of N - xD where the pieces are untrusted or fail the parity
 check, at none of the 2,465 real counts of these vectors) and building N
 and D from the Blaschke pair.
 
+The capped search row runs synthesize_search on the same target with
+seed 1, capped at 500 evaluations (capped_search).  A closing line gives
+the shares of one search spent in minimize and in its objective, and the
+difference: the simplex method's own work, outside the objective.
+
 The trace_segments, faces and region_valence rows time the stages of
 extraction on the five fixtures at resolution 512, from branch points,
 boundary pieces, traced arcs and (for region_valence) faces prepared
@@ -194,6 +199,12 @@ OBJECTIVE_POINTS = 500
 OBJECTIVE_ROW = "search objective (%d params, (2, 1))" % OBJECTIVE_POINTS
 
 
+def two_one_target():
+    """The (2, 1) edge on (-1, 1)."""
+    return Tree([Node("p1", 1, 2), Node("m1", -1, 1)],
+                [("p1", "m1", Interval(-1.0, 1.0))])
+
+
 def objective_inputs():
     """(params, tprof, tarcs): OBJECTIVE_POINTS parameter vectors of the
     (2, 1) edge on (-1, 1), with the target's profile and breakpoint
@@ -212,8 +223,7 @@ def objective_inputs():
     rng = np.random.default_rng(34)
     params = [x0 + 10.0 ** rng.uniform(-4.0, 0.0) * rng.normal(size=len(x0))
               for _ in range(OBJECTIVE_POINTS)]
-    tprof = profile(Tree([Node("p1", 1, 2), Node("m1", -1, 1)],
-                         [("p1", "m1", Interval(-1.0, 1.0))]))
+    tprof = profile(two_one_target())
     tarcs = [synthesis._arc(b) for b in tprof.breakpoints if math.isfinite(b)]
     return params, tprof, tarcs
 
@@ -224,35 +234,58 @@ def objective_pass(params, tprof, tarcs):
         synthesis._search_loss(x, 1, 2, tprof, tarcs)
 
 
-def objective_shares():
-    """Shares of one objective_pass spent in find_roots and in
-    _helson_quotient, timed by wrappers around the names the objective
-    looks them up by."""
-    spent = {"find_roots": 0.0, "_helson_quotient": 0.0}
+def timed_shares(targets, run):
+    """Shares of one run() spent in each (module, name) of targets, timed
+    by wrappers around the names the code under run looks them up by."""
+    spent = {name: 0.0 for _, name in targets}
 
     def timed(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 spent[name] += time.perf_counter() - t0
         return wrapper
 
-    targets = [(blaschke_smirnov, "find_roots"),
-               (synthesis, "_helson_quotient")]
     originals = [getattr(mod, name) for mod, name in targets]
-    inputs = objective_inputs()
     try:
         for (mod, name), fn in zip(targets, originals):
             setattr(mod, name, timed(name, fn))
         t0 = time.perf_counter()
-        objective_pass(*inputs)
+        run()
         total = time.perf_counter() - t0
     finally:
         for (mod, name), fn in zip(targets, originals):
             setattr(mod, name, fn)
     return {name: t / total for name, t in spent.items()}
+
+
+def objective_shares():
+    """Shares of one objective_pass spent in find_roots and in
+    _helson_quotient."""
+    inputs = objective_inputs()
+    return timed_shares([(blaschke_smirnov, "find_roots"),
+                         (synthesis, "_helson_quotient")],
+                        lambda: objective_pass(*inputs))
+
+
+SEARCH_ROW = "capped search (budget 500, (2, 1))"
+
+
+def capped_search():
+    """synthesize_search on the (2, 1) edge on (-1, 1), seed 1, capped at
+    500 evaluations: the search ends exact on its 500th evaluation, after
+    one confirming extraction."""
+    synthesis.synthesize_search(synthesis.SynthesisProblem(
+        two_one_target(), budget=500, seed=1))
+
+
+def search_shares():
+    """Shares of one capped_search spent in minimize and in its objective,
+    _search_loss."""
+    return timed_shares([(synthesis, "minimize"),
+                         (synthesis, "_search_loss")], capped_search)
 
 
 def real_fallbacks(phi):
@@ -367,6 +400,7 @@ def run_benchmarks():
         COUNTS_ROWS[1]: _time(bench_valence_counts),
         FIND_ROOTS_ROW: _time(bench_find_roots),
         OBJECTIVE_ROW: _time(lambda: objective_pass(*objective)),
+        SEARCH_ROW: _time(capped_search),
         "partition (--plot at 512, 5 fixtures)": _time(bench_partition),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "faces (5 fixtures, res 512)": _time(bench_faces),
@@ -421,6 +455,14 @@ def _objective_summary(timings):
                100.0 * shares["_helson_quotient"]))
 
 
+def _search_summary():
+    shares = search_shares()
+    return ("capped search: minimize %.1f%% of the time, the objective "
+            "%.1f%%; minimize's own work outside the objective %.2f%%"
+            % (100.0 * shares["minimize"], 100.0 * shares["_search_loss"],
+               100.0 * (shares["minimize"] - shares["_search_loss"])))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
@@ -437,6 +479,7 @@ def main(argv=None):
     print(_counts_summary(timings))
     print(_find_roots_summary(timings))
     print(_objective_summary(timings))
+    print(_search_summary())
     return 0
 
 

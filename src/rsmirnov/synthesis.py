@@ -16,7 +16,8 @@ the two Blaschke products (and one phase each): simplex descent with
 random restarts on a cheap algebraic loss built from root counts, then a
 full tree extraction to confirm any claimed optimum.  Restarts are
 independent searches merged by minimum loss, deterministic given the
-seed and restart count.
+seed and restart count.  The simplex search is the package's own
+adaptive Nelder-Mead (Gao & Han), ported from scipy bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .complex_poly import CircleTooClose, Poly, winding_count
 from .blaschke_smirnov import (
@@ -400,6 +400,98 @@ def _params_to_blaschke(x, deg1: int, deg2: int):
             Blaschke(z2, cmath.exp(1j * x[-1])))
 
 
+class _MaxFev(Exception):
+    """minimize's evaluation cap was reached."""
+
+
+# minimize stops once the simplex lies within SIMPLEX_XATOL of its best
+# vertex in every coordinate and within SIMPLEX_FATOL of its value
+SIMPLEX_XATOL = 1e-8
+SIMPLEX_FATOL = 1e-12
+
+
+def minimize(fun, x0, *, maxfev: int):
+    """Adaptive Nelder-Mead (Gao & Han 2012, Comput. Optim. Appl. 51:259).
+
+    A port of scipy 1.17's minimize(method="Nelder-Mead", adaptive=True)
+    with no bounds, callback or initial simplex, bit for bit: the same
+    points are evaluated in the same order, so a search moves exactly as
+    it did on scipy.  Hence the literal operand orders below and the
+    repeated sorts (argsort's default sort is not stable, so a second pass
+    over sorted values can still swap ties).  fun gets a copy of each
+    point.  The call that would exceed maxfev is not made: the iteration
+    it belongs to ends where it stands, so a cap hit during the first
+    simplex leaves inf and one hit during a shrink leaves the old value
+    of a vertex already moved.  Returns the best vertex and the least
+    value on the final simplex.
+    """
+    x0 = np.asarray(x0, dtype=np.float64).flatten()
+    n = len(x0)
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    diag = np.arange(n)
+    sim[diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    fcalls = 0
+
+    def f(x):
+        nonlocal fcalls
+        if fcalls >= maxfev:
+            raise _MaxFev
+        fcalls += 1
+        return fun(np.copy(x))
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFev:
+        pass
+    sim, fsim = sort(*sort(sim, fsim))
+
+    while fcalls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= SIMPLEX_XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= SIMPLEX_FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _MaxFev:
+            pass
+        sim, fsim = sort(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def _real_critical_values(pieces: BoundaryPieces) -> list[float]:
     """Real values of phi at the critical points in the closed disk.
 
@@ -505,16 +597,12 @@ def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
             remaining = budget - evals
             if remaining <= 0:
                 break
-            res = minimize(
-                objective, x, method="Nelder-Mead",
-                options={"maxfev": min(2500, remaining), "xatol": 1e-8,
-                         "fatol": 1e-12, "adaptive": True},
-            )
-            if not res.fun < fbest - 1e-12:
-                if res.fun < fbest:
-                    x, fbest = res.x, res.fun
+            xr, fr = minimize(objective, x, maxfev=min(2500, remaining))
+            if not fr < fbest - 1e-12:
+                if fr < fbest:
+                    x, fbest = xr, fr
                 break
-            x, fbest = res.x, res.fun
+            x, fbest = xr, fr
         if fbest >= 1.0:
             continue
         b1, b2 = _params_to_blaschke(x, deg1, deg2)

@@ -10,6 +10,10 @@ and a pure sign flip costs exactly the structural penalty.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 from rsmirnov.blaschke_smirnov import Blaschke, RealSmirnov, real_affine
 from rsmirnov.complex_poly import Poly
 from rsmirnov.fixtures import power_chain
-from rsmirnov import region_extraction
+from rsmirnov import region_extraction, synthesis
 from rsmirnov.region_extraction import crosscheck
 from rsmirnov.synthesis import (
     CATALOG_TOL,
@@ -34,11 +38,12 @@ from rsmirnov.synthesis import (
     endpoint_error,
     halfplane_node,
     koebe,
+    minimize,
     synthesize_search,
     tree_loss,
     verify,
 )
-from rsmirnov.valence_tree import Interval, Node, Tree, is_isomorphic
+from rsmirnov.valence_tree import Interval, Node, Tree, is_isomorphic, profile
 
 INF = math.inf
 
@@ -431,6 +436,135 @@ def test_search_budget_exhaustion_reports_best():
 def test_search_degree_cap():
     with pytest.raises(ValueError):
         synthesize_search(SynthesisProblem(node_tree(1, 5)))
+
+
+# ---------------------------------------------------------------------------
+# the simplex search against scipy
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def scipy_minimize():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+
+    def run(fun, x0, *, maxfev):
+        res = scipy_optimize.minimize(
+            fun, x0, method="Nelder-Mead",
+            options={"maxfev": maxfev, "xatol": synthesis.SIMPLEX_XATOL,
+                     "fatol": synthesis.SIMPLEX_FATOL, "adaptive": True})
+        return res.x, res.fun
+
+    return run
+
+
+def evaluated(minimizer, make_fun, x0, maxfev):
+    """The bytes of every point minimizer hands to a fresh make_fun() and
+    of its value, then those of the best vertex and value it returns."""
+    fun, calls = make_fun(), []
+
+    def recorded(x):
+        value = fun(x)
+        calls.append((x.tobytes(), np.float64(value).tobytes()))
+        return value
+
+    x, value = minimizer(recorded, np.array(x0, dtype=np.float64),
+                         maxfev=maxfev)
+    return calls, x.tobytes(), np.float64(value).tobytes()
+
+
+def assert_same_search(scipy_minimize, make_fun, x0, maxfev):
+    ours = evaluated(minimize, make_fun, x0, maxfev)
+    assert ours == evaluated(scipy_minimize, make_fun, x0, maxfev)
+    return ours[0]
+
+
+def rosenbrock():
+    return lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                  + (1.0 - x[:-1]) ** 2))
+
+
+def search_objective():
+    tprof = profile(two_one_edge())
+    tarcs = [synthesis._arc(b) for b in tprof.breakpoints
+             if math.isfinite(b)]
+    return lambda x: synthesis._search_loss(x, 1, 2, tprof, tarcs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_matches_scipy_on_the_search_objective(scipy_minimize, seed):
+    # the first restart's start of synthesize_search on the (2, 1) edge
+    rng = np.random.default_rng((seed, 0))
+    x0 = np.concatenate([rng.normal(0.0, 0.8, 6),
+                         rng.uniform(0.0, 2.0 * math.pi, 2)])
+    calls = assert_same_search(scipy_minimize, search_objective, x0, 400)
+    assert len(calls) == 400
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_minimize_matches_scipy_on_rosenbrock(scipy_minimize, n):
+    x0 = np.random.default_rng(n).normal(0.0, 1.0, n)
+    calls = assert_same_search(scipy_minimize, rosenbrock, x0, 4000)
+    # the simplex test, not the cap, ends the search
+    assert len(calls) < 4000
+
+
+def test_minimize_matches_scipy_from_a_zero_coordinate(scipy_minimize):
+    # a zero coordinate's simplex vertex sits at 0.00025, not 5% off
+    assert_same_search(scipy_minimize, rosenbrock, [0.0, 1.5, -0.5, 0.0],
+                       1000)
+
+
+def test_minimize_matches_scipy_capped_in_the_first_simplex(scipy_minimize):
+    # vertices left unevaluated keep the value inf
+    calls = assert_same_search(scipy_minimize, rosenbrock,
+                               [0.5, -1.0, 2.0, 0.25, 1.0, -0.75], 3)
+    assert len(calls) == 3
+
+
+def cliff():
+    """The sphere at the first four calls, 1000 higher after them: on a
+    3-simplex every iteration then reflects, contracts inside and shrinks,
+    the shrink's three calls being the 7th to the 9th."""
+    count = 0
+
+    def fun(x):
+        nonlocal count
+        count += 1
+        return float(x @ x) + (1000.0 if count > 4 else 0.0)
+
+    return fun
+
+
+def test_minimize_matches_scipy_capped_inside_a_shrink(scipy_minimize):
+    # the cap stops the shrink at its second vertex, which has moved but
+    # keeps its old value
+    calls = assert_same_search(scipy_minimize, cliff, [0.3, -0.2, 0.1], 7)
+    assert len(calls) == 7
+
+
+def test_search_loads_no_scipy():
+    # scipy's import costs most of the package's start-up; the search runs
+    # on the package's own minimize
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "\n".join([
+        "import sys",
+        "import rsmirnov.cli",
+        "from rsmirnov.synthesis import (BudgetExhausted, SynthesisProblem,",
+        "                                synthesize_search)",
+        "from rsmirnov.valence_tree import Interval, Node, Tree",
+        "target = Tree([Node('p1', 1, 2), Node('m1', -1, 1)],",
+        "              [('p1', 'm1', Interval(-1.0, 1.0))])",
+        "try:",
+        "    synthesize_search(SynthesisProblem(target, budget=50))",
+        "except BudgetExhausted:",
+        "    pass",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
