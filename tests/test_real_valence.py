@@ -24,7 +24,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rsmirnov import blaschke_smirnov, complex_poly
 from rsmirnov.blaschke_smirnov import (
@@ -165,6 +165,10 @@ def assert_agrees(phi, pieces, x):
     deg2=st.integers(1, 3),
     rmax=st.sampled_from([0.9, 0.999]),
 )
+# W has simple roots on the circle that find_roots puts 1.1e-9 (3271) and
+# up to 1.6e-8 (2503) off it, beyond BOUNDARY_TOL: events all the same
+@example(seed=3271, deg1=4, deg2=3, rmax=0.999)
+@example(seed=2503, deg1=4, deg2=3, rmax=0.999)
 @settings(max_examples=60, deadline=None)
 def test_pieces_agree_with_root_counts_random_helson(seed, deg1, deg2, rmax):
     phi = random_helson(np.random.default_rng(seed), deg1, deg2, rmax=rmax,

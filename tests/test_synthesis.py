@@ -20,7 +20,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsmirnov.blaschke_smirnov import Blaschke, RealSmirnov, real_affine
+from rsmirnov.blaschke_smirnov import (
+    Blaschke,
+    RealSmirnov,
+    _helson_quotient,
+    real_affine,
+)
 from rsmirnov.complex_poly import Poly
 from rsmirnov.fixtures import power_chain
 from rsmirnov import region_extraction, synthesis
@@ -616,6 +621,17 @@ def test_verify_flags_interior_pole():
     assert not rep.ok
     assert not rep.construction_ok
     assert rep.den_min_radius == pytest.approx(0.5)
+    assert any("denominator" in note for note in rep.notes)
+    # B1 - B2 of this pair vanishes at |z| = 0.993663, inside the disk,
+    # which the constructors' count_inside rule sees
+    bad = RealSmirnov(*_helson_quotient(
+        Blaschke([-0.8399987237592008 + 0.30327273048229453j]),
+        Blaschke([-0.7320290559822277 + 0.42406684165293335j],
+                 -0.5513757870517069 - 0.8342569996428623j)))
+    rep = verify(SynthesisResult(bad, 0.0, None, "approximate"), 256)
+    assert not rep.ok
+    assert not rep.construction_ok
+    assert rep.den_min_radius == pytest.approx(0.993663, abs=1e-6)
     assert any("denominator" in note for note in rep.notes)
 
 
