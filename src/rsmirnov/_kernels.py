@@ -4,7 +4,8 @@ Four kernels live here: Horner evaluation of a polynomial at one point or
 (also for a stack of coefficient rows) over an array of points, the
 Aberth-Ehrlich simultaneous root iteration, grid classification by the
 sign of Im(N/D), and the predictor-corrector stepper used to follow level
-curves of Im(N/D) on Python numbers.  Each has one implementation.
+curves of Im(N/D), on Python numbers with Python's own arithmetic.  Each
+has one implementation.
 """
 
 import numpy as np
@@ -49,20 +50,6 @@ def _horner_many(coeffs, z):
     for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * z + coeffs[k]
     return acc
-
-
-def cdiv(a, b):
-    """a / b as numpy rounds it for complex128 (b may be a float): Smith's
-    method (R. L. Smith, "Algorithm 116: Complex division", CACM 1962) on
-    Python floats.  A zero b raises ZeroDivisionError, not inf or nan."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
 
 
 def horner_scalar(coeffs, z):
@@ -179,13 +166,13 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
     monotonicity of Re(N/D) fails.  Returns (points, status, bp_index): the
     points of the walk as a complex array, a TRACE_* code, and the index of
     the branch point hit (-1 if none).  The coefficients (ascending) and
-    branch points are Python complex numbers; with every quotient taken by
-    cdiv, the walk rounds as it would on numpy scalars.
+    branch points are Python complex numbers, and so is every step of the
+    walk, divisions included.
     """
     # locals, so the step loop looks up no globals
     pole_cutoff, bp_radius, r_stop = POLE_CUTOFF, BP_RADIUS, TRACE_R_STOP
     h_min, max_steps = TRACE_H_MIN, TRACE_STEP_LIMIT
-    horner, div = horner_scalar, cdiv
+    horner = horner_scalar
     pts = []
 
     def dphi(z, dv):
@@ -193,13 +180,13 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
         d2 = dv * dv
         if abs(d2) < 1e-150:
             return 0.0 + 0.0j
-        return div(horner(wcoef, z), d2)
+        return horner(wcoef, z) / d2
 
     z = complex(z0)
     dv = horner(dcoef, z)
     if abs(dv) < 1e-150:
         return np.empty(0, dtype=np.complex128), TRACE_STALLED, -1
-    fz = div(horner(ncoef, z), dv)
+    fz = horner(ncoef, z) / dv
     fp = dphi(z, dv)
     pts.append(z)
     re_prev = fz.real
@@ -210,7 +197,7 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
         if abs(fp) < 1e-150:
             status = TRACE_HIT_CIRCLE if 1.0 - abs(z) < 1e-3 else TRACE_STALLED
             break
-        tau = div(direction * fp.conjugate(), abs(fp))
+        tau = direction * fp.conjugate() / abs(fp)
         # predictor; step throttled near the circle so arc endpoints are not
         # overshot (many arcs terminate there with phi' -> 0 or |phi| -> inf)
         he = h
@@ -229,11 +216,11 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
             dv2 = horner(dcoef, zc)
             if abs(dv2) < 1e-150:
                 break
-            f2 = div(horner(ncoef, zc), dv2)
+            f2 = horner(ncoef, zc) / dv2
             fp2 = dphi(zc, dv2)
             if abs(fp2) < 1e-150:
                 break
-            corr = div(f2.imag * 1j * fp2.conjugate(), abs(fp2) ** 2)
+            corr = f2.imag * 1j * fp2.conjugate() / abs(fp2) ** 2
             zc = zc - corr
             c = abs(corr)
             if c < 1e-13 + 1e-9 * he or (c > 0.25 * prev_c and c < 1e-12 + 1e-3 * he):
@@ -252,11 +239,11 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
         if abs(dv2) < 1e-150:
             status = TRACE_HIT_POLE
             break
-        f2 = div(horner(ncoef, zc), dv2)
+        f2 = horner(ncoef, zc) / dv2
         fp2 = dphi(zc, dv2)
         # curvature control: sharp turns halve the step
         if abs(fp2) > 0:
-            tau2 = div(direction * fp2.conjugate(), abs(fp2))
+            tau2 = direction * fp2.conjugate() / abs(fp2)
             dot = (tau2 * tau.conjugate()).real
             if dot < 0.995 and h > h_min:
                 h *= 0.5

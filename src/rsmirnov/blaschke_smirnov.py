@@ -283,25 +283,20 @@ class RealSmirnov:
         """Re phi(e^{it}), escalating to high precision when doubles cannot
         separate a real boundary value from cancellation noise near a pole.
 
-        Returns +-inf at circle poles (the sign is the one-sided limit when
-        both sides agree, +inf by convention when they disagree).  Raises
+        Returns inf at a circle pole, whatever the signs of its one-sided
+        limits, as the pole events of BoundaryPieces do.  Raises
         BoundaryNotReal if the imaginary residual survives escalation; the
         tolerance BOUNDARY_IM_TOL is relative to |Re| above 1, since the
         rounding noise of N/D grows with |phi| near a circle pole.
         """
-        re, im, is_pole = self._boundary_eval(t)
-        if is_pole:
-            s1 = self._boundary_eval(t + 1e-9)[0]
-            s2 = self._boundary_eval(t - 1e-9)[0]
-            if s1 < 0 and s2 < 0:
-                return -math.inf
-            return math.inf
+        re, im = self._boundary_eval(t)
         if abs(im) > BOUNDARY_IM_TOL * max(1.0, abs(re)):
             raise BoundaryNotReal(abs(im), t)
         return re
 
     def _boundary_eval(self, t):
-        """(Re, Im, at_pole) of phi(e^{it}) with automatic escalation."""
+        """(Re, Im) of phi(e^{it}) with automatic escalation; (inf, 0) at a
+        circle pole."""
         z = cmath.exp(1j * t)
         nv = _kernels.horner_scalar(self.num.coeffs, z)
         dv = _kernels.horner_scalar(self.den.coeffs, z)
@@ -312,16 +307,16 @@ class RealSmirnov:
             # noise; trust the fast path only when the result is already an
             # order under BOUNDARY_IM_TOL
             if abs(w.imag) < 1e-9:
-                return w.real, w.imag, False
+                return w.real, w.imag
         with mpmath.workdps(40):
             zmp = mpmath.expjpi(mpmath.mpf(t) / mpmath.pi)
             nmp = _mp_horner(_poly_to_mp(self.num.coeffs), zmp)
             dmp = _mp_horner(_poly_to_mp(self.den.coeffs), zmp)
             if abs(dmp) < (1e-25 * max(dscale, 1.0)
                            * max(self.num_scale(), 1.0)):
-                return math.inf, 0.0, True
+                return math.inf, 0.0
             wmp = nmp / dmp
-            return float(wmp.real), float(wmp.imag), False
+            return float(wmp.real), float(wmp.imag)
 
     def boundary_im_samples(self):
         """|Im phi| at BOUNDARY_SAMPLES equispaced boundary samples,
@@ -396,14 +391,18 @@ def from_blaschke(b1, b2):
 
 
 def from_rational(num, den):
-    """Reduced rational phi = N/D with outer denominator and real boundary
-    values (to BOUNDARY_IM_TOL at boundary_im_samples' angles).
+    """Reduced rational phi = N/D with finite coefficients, outer
+    denominator and real boundary values (to BOUNDARY_IM_TOL at
+    boundary_im_samples' angles).
 
     A denominator root on the unit circle (on_circle, where find_roots
     places an m-fold circle root) is a pole, not a zero inside.
     """
     num = num if isinstance(num, Poly) else Poly(num)
     den = den if isinstance(den, Poly) else Poly(den)
+    # a NaN would pass every tolerance test below: comparisons with it fail
+    if not (np.isfinite(num.coeffs).all() and np.isfinite(den.coeffs).all()):
+        raise ValueError("coefficients must be finite")
     if den.is_zero():
         raise ValueError("denominator is identically zero")
     phi = RealSmirnov(num, den)

@@ -30,7 +30,13 @@ from .blaschke_smirnov import (
     integral_means,
 )
 from .complex_poly import NonConvergence
-from .region_extraction import ExtractionError, crosscheck, extract_full, render_svg
+from .region_extraction import (
+    MIN_RESOLUTION,
+    ExtractionError,
+    crosscheck,
+    extract_full,
+    render_svg,
+)
 from .synthesis import (
     BudgetExhausted,
     InfeasibleTarget,
@@ -318,6 +324,18 @@ def cmd_synthesize(args):
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low, else exit 2."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return value
+    # argparse names the type in its message for text that is no integer
+    parse.__name__ = "int"
+    return parse
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="rsmirnov",
@@ -327,8 +345,9 @@ def _parser():
 
     p = sub.add_parser("analyze", help="full pipeline on a function file")
     p.add_argument("input", help="function JSON (Blaschke pair or rational)")
-    p.add_argument("--resolution", type=int, default=512)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--resolution", type=_int_at_least(MIN_RESOLUTION),
+                   default=512)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plot", metavar="OUT.SVG", default=None)
     p.add_argument("--json", metavar="OUT.JSON", default=None)

@@ -45,9 +45,9 @@ numpy scalars and Python numbers.  A root one ulp off moves the search's
 loss, and with it every later simplex step.  So the cost of a call is
 cut here by making fewer numpy calls on arrays of the same shapes, with
 the operands in the same order, never by moving a product, a division or
-a modulus between arrays and scalars.  Python numbers stand in for numpy
-scalars only where no array follows and every complex quotient is taken
-by _kernels.cdiv, numpy's division written out on Python floats.
+a modulus between arrays and scalars.  The level-curve walk
+(_kernels.trace_arc) is no stage of the root finder: it runs on Python
+numbers with Python's division, and its low bits reach no root or count.
 """
 
 import functools

@@ -53,7 +53,6 @@ from ._kernels import (
     TRACE_MAX_STEPS,
     TRACE_NON_MONOTONE,
     TRACE_STALLED,
-    cdiv,
     classify_grid,
     horner_scalar,
     trace_arc,
@@ -63,6 +62,7 @@ from .valence_tree import Interval, Node, Tree, profile, validate
 
 __all__ = [
     "DEFAULT_RESOLUTION",
+    "MIN_RESOLUTION",
     "MAX_RESOLUTION",
     "ExtractionError",
     "TraceStalled",
@@ -87,6 +87,8 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTION = 512
+#: the coarsest grid partition and extract_full accept
+MIN_RESOLUTION = 64
 MAX_RESOLUTION = 4096
 #: width and height of render_svg's picture, in pixels
 SVG_SIZE = 640
@@ -138,13 +140,19 @@ class ExtractionMismatch(ExtractionError):
 # grid partition
 
 
+def _valid_resolution(resolution) -> int:
+    """resolution as an int, or ValueError below MIN_RESOLUTION."""
+    res = int(resolution)
+    if res < MIN_RESOLUTION:
+        raise ValueError("resolution must be at least %d" % MIN_RESOLUTION)
+    return res
+
+
 def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """The picture render_svg draws: cells [iy, ix] of a resolution x
     resolution grid over [-1, 1]^2, +1 / -1 by the sign of Im phi, 2 where
     the value is too close to zero to call, and 0 outside the disk."""
-    res = int(resolution)
-    if res < 64:
-        raise ValueError("resolution must be at least 64")
+    res = _valid_resolution(resolution)
     return classify_grid(phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs,
                          res, 1.0 / res, 2.5 / res)
 
@@ -223,15 +231,15 @@ def _newton_to_level(coefs, z0: complex) -> complex | None:
         dv = horner_scalar(dcoef, z)
         if abs(dv) < 1e-150:
             return None
-        w = cdiv(horner_scalar(ncoef, z), dv)
+        w = horner_scalar(ncoef, z) / dv
         if abs(w.imag) <= 1e-11 * max(1.0, abs(w)):
             # points already inside a pole's blow-up zone seed nothing useful:
             # the arc stub between here and the pole is reached from farther out
             return z if abs(w) < 0.01 * POLE_CUTOFF else None
-        fp = cdiv(horner_scalar(wcoef, z), dv * dv)
+        fp = horner_scalar(wcoef, z) / (dv * dv)
         if abs(fp) < 1e-150:
             return None
-        z = z - cdiv(w.imag * 1j * fp.conjugate(), abs(fp) ** 2)
+        z = z - w.imag * 1j * fp.conjugate() / abs(fp) ** 2
         if abs(z) > 1.05:
             return None
     return None
@@ -859,9 +867,10 @@ def extract_full(phi, resolution: int = DEFAULT_RESOLUTION,
     the tree, and checks it against root counts at 36 fresh points
     (crosscheck with seed + 1), whose half-plane samples test the region
     valence sums.  Any ExtractionError restarts at twice the resolution;
-    past max_resolution the last one is raised.
+    past max_resolution the last one is raised.  A resolution below
+    MIN_RESOLUTION raises ValueError.
     """
-    res = int(resolution)
+    res = _valid_resolution(resolution)
     while True:
         try:
             return _attempt(phi, res, seed)

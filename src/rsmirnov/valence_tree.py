@@ -210,7 +210,11 @@ class Tree:
                 sign = -1
             else:
                 raise ValueError(f"bad sign {sign_raw!r}")
-            nodes.append(Node(str(nd["id"]), sign, int(nd["valence"])))
+            valence = nd["valence"]
+            # int() would truncate 2.7 and read true as 1
+            if isinstance(valence, bool) or not float(valence).is_integer():
+                raise ValueError(f"bad valence {valence!r}")
+            nodes.append(Node(str(nd["id"]), sign, int(valence)))
         edges = [
             (str(ed["a"]), str(ed["b"]), Interval.from_json(ed["interval"]))
             for ed in data["edges"]

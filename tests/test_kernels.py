@@ -5,9 +5,10 @@ every cell exactly as the per-cell loop below does: the arithmetic is the
 same, so no tolerance is allowed.  aberth_iterate and trace_arc are
 checked on inputs whose roots and level curve are known in closed form.
 horner_many over coefficient rows must match it one row at a time, bit for
-bit.  cdiv must divide as numpy divides complex128, bit for bit, and
-trace_arc, which runs on Python numbers, must walk exactly as the same
-walk on numpy scalars (trace_arc_numpy) does.
+bit.  trace_arc must walk exactly as the same walk written out again
+below (trace_arc_python) does, on the same Python numbers.  Fed numpy
+arrays, that walk runs on numpy scalars as the kernel once did; trace_arc
+must end each walk as it ends.
 """
 
 import numpy as np
@@ -29,7 +30,6 @@ from rsmirnov._kernels import (
     TRACE_STALLED,
     TRACE_STEP_LIMIT,
     aberth_iterate,
-    cdiv,
     classify_grid,
     horner_many,
     horner_scalar,
@@ -170,71 +170,14 @@ def test_trace_arc_follows_the_double_slit_axis(direction, end):
 
 
 # ---------------------------------------------------------------------------
-# cdiv
+# trace_arc against the same walk written out again
 
 
-def bits(z):
-    """The bit pattern of a complex double, signed zeros told apart."""
-    return np.complex128(z).tobytes()
-
-
-def assert_divides_as_numpy(a, b):
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        want = np.complex128(a) / (np.complex128(b) if isinstance(b, complex)
-                                   else np.float64(b))
-    assert bits(cdiv(a, b)) == bits(want), (a, b)
-
-
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_cdiv_matches_numpy_division(data):
-    parts = st.floats(min_value=-1e30, max_value=1e30, allow_nan=False,
-                      allow_infinity=False)
-    a = complex(data.draw(parts), data.draw(parts))
-    br, bi = data.draw(parts), data.draw(parts)
-    if br == bi == 0.0:
-        br = 1.0
-    assert_divides_as_numpy(a, complex(br, bi))
-    if br != 0.0:
-        assert_divides_as_numpy(a, br)
-
-
-def test_cdiv_takes_both_smith_branches_as_numpy_does():
-    rng = np.random.default_rng(3)
-    for _ in range(2000):
-        a = complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-30, 30, 2))
-        b = complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-30, 30, 2))
-        # |Re b| >= |Im b| and |Re b| < |Im b|
-        assert_divides_as_numpy(a, complex(max(abs(b.real), abs(b.imag)), b.imag))
-        assert_divides_as_numpy(a, complex(b.real, 2.0 * abs(b.real) + abs(b.imag)))
-        assert_divides_as_numpy(a, b.real)
-    # Python's own division differs, so the test can tell the two apart
-    a, b = 0.1 + 0.7j, 0.3 - 0.9j
-    assert any(bits(x / y) != bits(np.complex128(x) / np.complex128(y))
-               for x, y in ((a * k, b + k) for k in range(1, 50)))
-
-
-@pytest.mark.parametrize("a", [0j, -0.0 + 0j, complex(0.0, -0.0),
-                               complex(-0.0, -0.0), 1.5 + 0j, -2.0 - 0.0j])
-@pytest.mark.parametrize("b", [1.0, -1.0, 0.5 - 0.0j, -0.0 + 2.0j,
-                               complex(-0.0, -3.0), complex(4.0, -0.0), -0.25])
-def test_cdiv_signed_zeros_as_numpy(a, b):
-    assert_divides_as_numpy(a, b)
-
-
-def test_cdiv_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        cdiv(1.0 + 1.0j, 0j)
-
-
-# ---------------------------------------------------------------------------
-# trace_arc against the same walk on numpy scalars
-
-
-def trace_arc_numpy(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
-                    branch_points=()):
-    """trace_arc as it ran on numpy scalars, with numpy coefficient arrays
-    and numpy's divisions: the reference the Python-number walk matches."""
+def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
+                     branch_points=()):
+    """trace_arc step for step: on Python numbers, with Python's divisions,
+    the reference the kernel's walk matches bit for bit; on numpy arrays,
+    the numpy-scalar walk the kernel replaced."""
     pole_cutoff, bp_radius, r_stop = POLE_CUTOFF, BP_RADIUS, TRACE_R_STOP
     h_min, max_steps = TRACE_H_MIN, TRACE_STEP_LIMIT
     pts = np.empty(max_steps, dtype=np.complex128)
@@ -355,10 +298,9 @@ TRACE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TRACE_CASES))
-def test_trace_arc_matches_the_numpy_scalar_walk(name, monkeypatch):
-    # every walk an extraction at 256 and 512 makes, run again on numpy
-    # scalars from the same start
+def recorded_walks(name, monkeypatch):
+    """Every walk an extraction of TRACE_CASES[name] at 256 and 512 makes:
+    trace_arc's arguments and its result, call by call."""
     calls = []
 
     def recording(*args, **kwargs):
@@ -370,11 +312,19 @@ def test_trace_arc_matches_the_numpy_scalar_walk(name, monkeypatch):
     phi = TRACE_CASES[name]
     for res in (256, 512):
         rx.trace_segments(phi, res)
-    coeffs = (phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs)
+    return phi, calls
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_trace_arc_matches_the_python_reference_walk(name, monkeypatch):
+    # every walk, run again by the reference from the same start
+    phi, calls = recorded_walks(name, monkeypatch)
+    coeffs = (phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
+              phi.w_poly().coeffs.tolist())
     for (_, _, _, z0, direction), kwargs, (pts, status, bp_hit) in calls:
-        bps = np.array(kwargs["branch_points"], dtype=np.complex128)
-        want = trace_arc_numpy(*coeffs, z0, direction, h0=kwargs["h0"],
-                               h_max=kwargs["h_max"], branch_points=bps)
+        want = trace_arc_python(*coeffs, z0, direction, h0=kwargs["h0"],
+                                h_max=kwargs["h_max"],
+                                branch_points=kwargs["branch_points"])
         assert (status, bp_hit) == want[1:]
         assert pts.dtype == want[0].dtype
         assert pts.tobytes() == want[0].tobytes()
@@ -382,3 +332,20 @@ def test_trace_arc_matches_the_numpy_scalar_walk(name, monkeypatch):
     assert statuses <= {TRACE_HIT_CIRCLE, TRACE_HIT_POLE, TRACE_HIT_BRANCH}
     if name == "slit_squared":
         assert TRACE_HIT_BRANCH in statuses
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_trace_arc_matches_the_numpy_scalar_walk(name, monkeypatch):
+    # the reference fed numpy arrays runs on numpy scalars and divides as
+    # numpy does: the walk trace_arc replaced.  Their low bits differ, so
+    # each walk must end as that one ends: the same way, at the same
+    # branch point, and within BP_RADIUS of its last point.
+    phi, calls = recorded_walks(name, monkeypatch)
+    coeffs = (phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs)
+    for (_, _, _, z0, direction), kwargs, (pts, status, bp_hit) in calls:
+        bps = np.array(kwargs["branch_points"], dtype=np.complex128)
+        want = trace_arc_python(*coeffs, z0, direction, h0=kwargs["h0"],
+                                h_max=kwargs["h_max"], branch_points=bps)
+        assert (status, bp_hit) == want[1:]
+        assert pts[0] == want[0][0]
+        assert abs(pts[-1] - want[0][-1]) < BP_RADIUS

@@ -163,6 +163,13 @@ def test_partition_rejects_tiny_resolution():
         partition(koebe(), 32)
 
 
+@pytest.mark.parametrize("res", [0, -8, 32, rx.MIN_RESOLUTION - 1])
+def test_extract_full_rejects_a_resolution_below_the_floor(res):
+    # 0 used to divide by zero, -8 to double until OverflowError
+    with pytest.raises(ValueError, match="at least %d" % rx.MIN_RESOLUTION):
+        extract_full(koebe(), res)
+
+
 def test_partition_classifies_known_points():
     cls = partition(koebe(), 256)
 

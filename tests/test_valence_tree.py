@@ -507,6 +507,15 @@ def test_tree_json_round_trip():
     assert is_isomorphic(chain, Tree.from_json(data), mode="full")
 
 
+@pytest.mark.parametrize("valence", [2.7, True, float("inf")])
+def test_tree_json_rejects_a_non_integer_valence(valence):
+    # int() would have read 2.7 as 2 and true as 1
+    data = edge_tree().to_json()
+    data["nodes"][0]["valence"] = valence
+    with pytest.raises(ValueError, match="bad valence"):
+        Tree.from_json(data)
+
+
 def test_json_sign_encoding():
     data = edge_tree().to_json()
     assert {n["sign"] for n in data["nodes"]} == {"+", "-"}
