@@ -348,7 +348,7 @@ def _parser():
     p.add_argument("--resolution", type=_int_at_least(MIN_RESOLUTION),
                    default=512)
     p.add_argument("--samples", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--plot", metavar="OUT.SVG", default=None)
     p.add_argument("--json", metavar="OUT.JSON", default=None)
     p.set_defaults(func=cmd_analyze)
@@ -367,9 +367,9 @@ def _parser():
 
     p = sub.add_parser("synthesize", help="realize a target tree")
     p.add_argument("input", help="tree JSON")
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_int_at_least(0), default=100_000)
+    p.add_argument("--restarts", type=_int_at_least(1), default=16)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--tol", type=float, default=1e-2)
     p.add_argument("--out", metavar="OUT.JSON", default=None)
     p.set_defaults(func=cmd_synthesize)

@@ -403,8 +403,9 @@ def trace_segments(phi, resolution: int,
     return segments
 
 
-def _tile(group: list[BoundaryArc]) -> tuple[list[BoundaryArc], Interval]:
-    """Order arc pieces between one pair of regions into a single interface.
+def _tile(group: list[BoundaryArc]) -> Interval:
+    """The image of the arc pieces between one pair of regions, ordered
+    into a single interface.
 
     Consecutive pieces must hand over at a shared branch point and the outer
     ends must be circle or pole ends; the image of the whole interface is
@@ -419,10 +420,9 @@ def _tile(group: list[BoundaryArc]) -> tuple[list[BoundaryArc], Interval]:
     if group[0].lo.kind == "branch" or group[-1].hi.kind == "branch":
         raise ExtractionMismatch("an interface terminates at an interior branch point")
     try:
-        interval = Interval(group[0].lo.value, group[-1].hi.value)
+        return Interval(group[0].lo.value, group[-1].hi.value)
     except ValueError as exc:
         raise ExtractionMismatch(f"interface has a degenerate image: {exc}") from exc
-    return group, interval
 
 
 # ---------------------------------------------------------------------------
@@ -703,14 +703,10 @@ def _assemble(regions: dict[int, Region], valences: dict[int, int],
                 raise ExtractionMismatch(
                     f"interface from {name} reaches already-placed node {holder}"
                 )
-            ordered, interval = _tile(group)
+            interval = _tile(group)
             pending.append((interval.lo, interval.hi, opp, interval))
         pending.sort()
         for _, _, opp, interval in pending:
-            if opp in assigned:
-                raise ExtractionMismatch(
-                    "two traced interfaces lead into one collection"
-                )
             child_members = close(opp)
             for other in pending:
                 if other[2] != opp and other[2] in child_members:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -112,11 +111,10 @@ def double_slit() -> RealSmirnov:
 
 @dataclass
 class SeedCatalogEntry:
-    """One matched closed form: its name, its parameters, and how to build it."""
+    """One matched closed form: its name and its parameters."""
 
     name: str
     params: dict
-    build: Callable[[], RealSmirnov]
 
 
 # ---------------------------------------------------------------------------
@@ -125,92 +123,56 @@ class SeedCatalogEntry:
 
 
 def _match_chain(target: Tree):
-    """(n, c, s) when the target is the chain s*M^n + c of n = 4 or 6
+    """(n, c, s) when the valid target is the chain s*M^n + c of n = 4 or 6
     nodes; power_chain rejects n >= 8, so longer chains are left to the
-    search."""
+    search.  With valence 1 and degree at most 2 everywhere a valid tree is
+    a path, and packing keeps the two intervals at each inner node apart,
+    so its half-lines alternate between (-inf, c) and (c, inf) unchecked:
+    the edge at the first end node fixes c and s."""
     n = len(target.nodes)
-    if n not in (4, 6) or len(target.edges) != n - 1:
+    if n not in (4, 6) or any(node.valence != 1 or target.degree(v) > 2
+                              for v, node in target.nodes.items()):
         return None
-    if any(node.valence != 1 for node in target.nodes.values()):
+    end = min(v for v in target.nodes if target.degree(v) == 1)
+    first = target.incident_intervals(end)[0]
+    below = first.lo == -INF
+    c = first.hi if below else first.lo
+    tol = 1e-9 * max(1.0, abs(c))
+    if any(math.isinf(iv.lo) == math.isinf(iv.hi)
+           or abs((iv.hi if iv.lo == -INF else iv.lo) - c) > tol
+           for _, _, iv in target.edges):
         return None
-    degs = {v: target.degree(v) for v in target.nodes}
-    if any(d > 2 for d in degs.values()):
-        return None
-    ends = sorted(v for v, d in degs.items() if d == 1)
-    if len(ends) != 2:
-        return None
-
-    # walk the path, collecting intervals in order
-    order = [ends[0]]
-    prev = None
-    while len(order) < n:
-        nxt = [u for u in target.neighbors(order[-1]) if u != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    by_pair = {}
-    for a, b, iv in target.edges:
-        by_pair[(a, b)] = iv
-        by_pair[(b, a)] = iv
-    ivs = [by_pair[(order[i], order[i + 1])] for i in range(n - 1)]
-
-    kinds = []
-    breaks = []
-    for iv in ivs:
-        if iv.lo == -INF and math.isfinite(iv.hi):
-            kinds.append("below")
-            breaks.append(iv.hi)
-        elif math.isfinite(iv.lo) and iv.hi == INF:
-            kinds.append("above")
-            breaks.append(iv.lo)
-        else:
-            return None
-    c = breaks[0]
-    if any(abs(b - c) > 1e-9 * max(1.0, abs(c)) for b in breaks):
-        return None
-    if any(kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
-        return None
-    natural_ends = "below" if n % 4 == 0 else "above"
-    s = 1 if kinds[0] == natural_ends else -1
+    # both end edges of M^n lie below 0 when 4 divides n, above it otherwise
+    s = 1 if below == (n % 4 == 0) else -1
     return n, c, s
 
 
-def _match_catalog(target: Tree) -> SeedCatalogEntry:
+def _match_catalog(target: Tree) -> tuple[SeedCatalogEntry, RealSmirnov]:
+    """The catalog entry and closed form that realize the target, which
+    must already pass validate(): one node then has no edge, two have one."""
     nodes = list(target.nodes.values())
-    if len(nodes) == 1 and not target.edges:
-        node = nodes[0]
-        return SeedCatalogEntry(
-            "halfplane-node", {"sign": node.sign, "m": node.valence},
-            lambda s=node.sign, m=node.valence: halfplane_node(s, m),
-        )
-    if (len(nodes) == 2 and len(target.edges) == 1
-            and all(node.valence == 1 for node in nodes)):
+    if len(nodes) == 1:
+        sign, m = nodes[0].sign, nodes[0].valence
+        return (SeedCatalogEntry("halfplane-node", {"sign": sign, "m": m}),
+                halfplane_node(sign, m))
+    if len(nodes) == 2 and all(node.valence == 1 for node in nodes):
         iv = target.edges[0][2]
         lo, hi = iv.lo, iv.hi
         if math.isfinite(lo) and math.isfinite(hi):
-            return SeedCatalogEntry(
-                "double-slit-edge", {"lo": lo, "hi": hi},
-                lambda a=lo, b=hi: real_affine(
-                    double_slit(), b - a, (a + b) / 2.0),
-            )
+            return (SeedCatalogEntry("double-slit-edge", {"lo": lo, "hi": hi}),
+                    real_affine(double_slit(), hi - lo, (lo + hi) / 2.0))
         if math.isfinite(lo) and hi == INF:
-            return SeedCatalogEntry(
-                "koebe-ray", {"lo": lo, "hi": INF},
-                lambda c=lo: real_affine(koebe(), 1.0, c + 0.25),
-            )
+            return (SeedCatalogEntry("koebe-ray", {"lo": lo, "hi": INF}),
+                    real_affine(koebe(), 1.0, lo + 0.25))
         if lo == -INF and math.isfinite(hi):
-            return SeedCatalogEntry(
-                "koebe-ray", {"lo": -INF, "hi": hi},
-                lambda c=hi: real_affine(koebe(), -1.0, c - 0.25),
-            )
+            return (SeedCatalogEntry("koebe-ray", {"lo": -INF, "hi": hi}),
+                    real_affine(koebe(), -1.0, hi - 0.25))
     chain = _match_chain(target)
     if chain is not None:
         n, c, s = chain
-        return SeedCatalogEntry(
-            "power-chain", {"n": n, "shift": c, "sign": s},
-            lambda: real_affine(power_chain(n), float(s), c),
-        )
+        return (SeedCatalogEntry("power-chain",
+                                 {"n": n, "shift": c, "sign": s}),
+                real_affine(power_chain(n), float(s), c))
     raise NotInCatalog("target matches no closed-form family")
 
 
@@ -340,12 +302,12 @@ class SynthesisResult:
 
 
 def catalog_realize(target: Tree) -> SynthesisResult:
-    """Closed-form realization, confirmed by a full extraction."""
+    """Closed-form realization, confirmed by a full extraction.  The
+    catalog matches valid targets only, so the target is validated first."""
     violations = validate(target)
     if violations:
         raise InfeasibleTarget(violations)
-    entry = _match_catalog(target)
-    phi = entry.build()
+    entry, phi = _match_catalog(target)
     ext = extract_full(phi)
     loss = tree_loss(ext.tree, target)
     err = endpoint_error(ext.tree, target)
@@ -362,8 +324,8 @@ def catalog_realize(target: Tree) -> SynthesisResult:
 class SynthesisProblem:
     """A validated target plus the optimizer budget.
 
-    The product degrees are not free: deg B1 and deg B2 must equal the
-    target's lower and upper half-plane valences.
+    The product degrees are not free: synthesize_search takes deg B1 and
+    deg B2 from the target's lower and upper half-plane valences.
     """
 
     target: Tree
@@ -371,14 +333,6 @@ class SynthesisProblem:
     budget: int = 100_000
     seed: int = 0
     tol: float = 1e-2
-
-    @property
-    def deg_b1(self) -> int:
-        return sum(n.valence for n in self.target.nodes.values() if n.sign < 0)
-
-    @property
-    def deg_b2(self) -> int:
-        return sum(n.valence for n in self.target.nodes.values() if n.sign > 0)
 
 
 def _squash(px: float, py: float) -> complex:
@@ -570,10 +524,10 @@ def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
     violations = validate(target)
     if violations:
         raise InfeasibleTarget(violations)
-    deg1, deg2 = problem.deg_b1, problem.deg_b2
+    tprof = profile(target)
+    deg1, deg2 = tprof.v_minus, tprof.v_plus
     if deg1 > 4 or deg2 > 4:
         raise ValueError("search is capped at Blaschke degree 4 per product")
-    tprof = profile(target)
     tcode = canonical_code(target)
     tarcs = [_arc(b) for b in tprof.breakpoints if math.isfinite(b)]
     ncoords = 2 * (deg1 + deg2)

@@ -83,6 +83,9 @@ class Interval:
     @staticmethod
     def from_json(pair) -> "Interval":
         lo, hi = pair
+        # float() would read true as 1.0
+        if isinstance(lo, bool) or isinstance(hi, bool):
+            raise ValueError(f"bad interval endpoints {pair!r}")
         return Interval(NEG_INF if lo is None else float(lo),
                         POS_INF if hi is None else float(hi))
 
@@ -204,6 +207,9 @@ class Tree:
         nodes = []
         for nd in data["nodes"]:
             sign_raw = nd["sign"]
+            # `in` compares by ==, which would read true and 1.0 as 1
+            if type(sign_raw) not in (int, str):
+                raise ValueError(f"bad sign {sign_raw!r}")
             if sign_raw in ("+", "plus", 1, "+1"):
                 sign = 1
             elif sign_raw in ("-", "minus", -1, "-1"):

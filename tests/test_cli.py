@@ -145,8 +145,9 @@ def test_analyze_rejects_a_nan_coefficient(tmp_path, capsys):
     ["--resolution", "32", "--plot", "{tmp}/x.svg"],
     ["--resolution", "x"],
     ["--samples", "0"],
+    ["--seed", "-5"],
 ], ids=["resolution-0", "resolution-negative", "resolution-32-plot",
-        "resolution-text", "samples-0"])
+        "resolution-text", "samples-0", "seed-negative"])
 def test_analyze_rejects_options_below_their_floor(tmp_path, capsys, option):
     # a parse error before any work: no report is printed
     inp = write_json(tmp_path / "koebe.json", koebe().to_json())
@@ -235,6 +236,19 @@ def test_validate_tree_parse_error(tmp_path, capsys):
     assert main(["validate-tree", not_a_tree]) == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sign", True), ("sign", 1.0), ("sign", -1.0), ("interval", [True, 2])])
+def test_validate_tree_rejects_a_boolean_or_float_sign_and_boolean_endpoint(
+        tmp_path, capsys, field, value):
+    data = two_one_edge().to_json()
+    if field == "sign":
+        data["nodes"][0]["sign"] = value
+    else:
+        data["edges"][0]["interval"] = value
+    assert main(["validate-tree", write_json(tmp_path / "t.json", data)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("valence", [2.7, True])
 def test_validate_tree_rejects_a_non_integer_valence(tmp_path, capsys, valence):
     data = two_one_edge().to_json()
@@ -293,6 +307,21 @@ def test_synthesize_infeasible_exit_code(tmp_path, capsys):
     assert main(["synthesize", inp]) == 3
     err = capsys.readouterr().err
     assert "infeasible" in err and "packing" in err
+
+
+@pytest.mark.parametrize("option", [
+    ["--seed", "-3"],
+    ["--budget", "-5"],
+    ["--restarts", "0"],
+    ["--restarts", "-1"],
+], ids=["seed-negative", "budget-negative", "restarts-0", "restarts-negative"])
+def test_synthesize_rejects_options_below_their_floor(tmp_path, capsys, option):
+    # a parse error before any work: no result is printed
+    inp = write_json(tmp_path / "tii.json", two_one_edge().to_json())
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", inp, *option])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_synthesize_budget_zero_records_failure(tmp_path, capsys):

@@ -298,7 +298,7 @@ def test_pieces_count_a_radial_pair_by_a_critical_value():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3, a radial pair closer than about sqrt(theta): "
+    "ROADMAP item 5, a radial pair closer than about sqrt(theta): "
     "valence_at fits the two roots 1e-7 off the circle as one double root "
     "on it"))
 def test_valence_at_counts_a_radial_pair_by_a_critical_value():

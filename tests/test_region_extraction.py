@@ -349,8 +349,7 @@ def test_tile_joins_pieces_at_branch_points():
     pts = np.array([0.0 + 0.0j, 0.1 + 0.0j])
     a = BoundaryArc(pts, 1, 3, End("circle", -1.0), End("branch", 0.0, 0))
     b = BoundaryArc(pts, 2, 3, End("branch", 0.0, 0), End("circle", 1.0))
-    ordered, interval = _tile([b, a])
-    assert ordered[0] is a and ordered[1] is b
+    interval = _tile([b, a])
     assert (interval.lo, interval.hi) == (-1.0, 1.0)
 
 
@@ -386,6 +385,23 @@ def test_assemble_welds_across_branch_point():
     assert len(welded[0].members) == 2
     assert sorted(str(iv) for _, _, iv in tree.edges) == ["(-0.5, 0.5)", "(-0.5, 0.5)"]
     assert set(node_of.values()) == {"p1", "m1", "m2"}
+
+
+def test_assemble_rejects_two_interfaces_into_one_collection():
+    # The root face 1 meets faces 2 and 3 along two separate interfaces,
+    # but 2 and 3 weld at branch point 0, which the root does not touch
+    # (face 4 closes it): one child collection would get two parent edges.
+    pts = np.array([0.0 + 0.0j, 0.1 + 0.0j])
+    regions = {rid: rx.Region(rid, sign, (), pts, area)
+               for rid, sign, area in ((1, 1, 1.0), (2, -1, 0.3),
+                                       (3, -1, 0.3), (4, 1, 0.5))}
+    segs = [BoundaryArc(pts, 1, 2, End("circle", -2.0), End("circle", -1.0)),
+            BoundaryArc(pts, 1, 3, End("circle", 1.0), End("circle", 2.0)),
+            BoundaryArc(pts, 4, 2, End("circle", -0.5), End("branch", 0.0, 0)),
+            BoundaryArc(pts, 4, 3, End("branch", 0.0, 0), End("circle", 0.5))]
+    with pytest.raises(ExtractionMismatch,
+                       match="two traced interfaces lead into one collection"):
+        _assemble(regions, dict.fromkeys(regions, 1), segs)
 
 
 # ---------------------------------------------------------------------------

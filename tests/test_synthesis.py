@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmirnov.blaschke_smirnov import (
@@ -48,7 +48,14 @@ from rsmirnov.synthesis import (
     tree_loss,
     verify,
 )
-from rsmirnov.valence_tree import Interval, Node, Tree, is_isomorphic, profile
+from rsmirnov.valence_tree import (
+    Interval,
+    Node,
+    Tree,
+    is_isomorphic,
+    profile,
+    validate,
+)
 
 INF = math.inf
 
@@ -263,6 +270,82 @@ def test_not_in_catalog():
     for target in targets:
         with pytest.raises(NotInCatalog):
             catalog_realize(target)
+
+
+# both end edges of M^n lie below 0 when 4 divides n and above it otherwise,
+# as test_catalog_chains_exact_in_both_flavors and
+# test_catalog_six_node_chains_verify confirm by extraction
+CHAIN_ENDS_BELOW = {4: True, 6: False, 8: True}
+
+
+@st.composite
+def chains(draw, ns=(4, 6)):
+    """(target, n, c, s): the valid chain of s*M^n + c, its node names,
+    node and edge order and edge directions shuffled."""
+    n = draw(st.sampled_from(ns))
+    c = draw(st.sampled_from([0.0, 2.0, -1.5])
+             | st.floats(-1e3, 1e3, allow_subnormal=False))
+    s = draw(st.sampled_from([1, -1]))
+    names = draw(st.permutations("abcdefgh"))[:n]
+    first_sign = draw(st.sampled_from([1, -1]))
+    end_below = CHAIN_ENDS_BELOW[n] == (s == 1)
+    edges = []
+    for k in range(n - 1):
+        iv = Interval(-INF, c) if end_below == (k % 2 == 0) else Interval(c, INF)
+        a, b = names[k], names[k + 1]
+        edges.append((b, a, iv) if draw(st.booleans()) else (a, b, iv))
+    nodes = [Node(v, first_sign * (-1) ** k, 1) for k, v in enumerate(names)]
+    target = Tree(draw(st.permutations(nodes)), draw(st.permutations(edges)))
+    return target, n, c, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains())
+def test_match_catalog_reads_a_valid_chain_from_its_end_edge(chain):
+    target, n, c, s = chain
+    assert validate(target) == []
+    entry, phi = synthesis._match_catalog(target)
+    assert entry.name == "power-chain"
+    assert entry.params == {"n": n, "shift": c, "sign": s}
+    np.testing.assert_allclose(phi.eval(RING),
+                               s * power_chain(n).eval(RING) + c,
+                               rtol=1e-12, atol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains(), st.sampled_from(["valence-2", "bounded", "apart"]),
+       st.data())
+def test_match_catalog_leaves_other_valid_chains_to_the_search(
+        chain, change, data):
+    # one node of valence 2, one bounded edge, or one breakpoint 1e-8
+    # (relative) away from the others: each keeps the tree valid
+    target, n, c, _ = chain
+    nodes, edges = list(target.nodes.values()), list(target.edges)
+    k = data.draw(st.integers(0, n - 1 if change == "valence-2" else n - 2))
+    if change == "valence-2":
+        nodes[k] = Node(nodes[k].id, nodes[k].sign, 2)
+    else:
+        a, b, iv = edges[k]
+        below = iv.lo == -INF
+        d = 1e-8 * max(1.0, abs(c))
+        if change == "bounded":
+            iv = Interval(c - 1.0, c) if below else Interval(c, c + 1.0)
+        else:
+            iv = Interval(-INF, c - d) if below else Interval(c + d, INF)
+        edges[k] = (a, b, iv)
+    changed = Tree(nodes, edges)
+    assert validate(changed) == []
+    with pytest.raises(NotInCatalog):
+        synthesis._match_catalog(changed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(chains(ns=(8,)))
+def test_match_catalog_leaves_eight_node_chains_to_the_search(chain):
+    target = chain[0]
+    assert validate(target) == []
+    with pytest.raises(NotInCatalog):
+        synthesis._match_catalog(target)
 
 
 def test_infeasible_target_is_rejected_before_matching():

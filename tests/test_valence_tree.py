@@ -112,6 +112,7 @@ def test_interval_json_none_for_infinities():
     assert iv.to_json() == [None, 2.5]
     assert Interval.from_json([None, 2.5]) == iv
     assert Interval.from_json([0, None]) == Interval(0, INF)
+    assert Interval.from_json(["-inf", "inf"]) == Interval(-INF, INF)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +520,31 @@ def test_tree_json_rejects_a_non_integer_valence(valence):
 def test_json_sign_encoding():
     data = edge_tree().to_json()
     assert {n["sign"] for n in data["nodes"]} == {"+", "-"}
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+def test_tree_json_rejects_a_sign_that_is_no_integer_or_string(sign):
+    # `in` would have read true and 1.0 as +1, and -1.0 as -1
+    data = edge_tree().to_json()
+    data["nodes"][0]["sign"] = sign
+    with pytest.raises(ValueError, match="bad sign"):
+        Tree.from_json(data)
+
+
+@pytest.mark.parametrize("sign,expected", [
+    ("+", 1), ("plus", 1), (1, 1), ("+1", 1),
+    ("-", -1), ("minus", -1), (-1, -1), ("-1", -1)])
+def test_tree_json_reads_every_documented_sign(sign, expected):
+    data = edge_tree().to_json()
+    data["nodes"][0]["sign"] = sign
+    assert Tree.from_json(data).nodes[data["nodes"][0]["id"]].sign == expected
+
+
+@pytest.mark.parametrize("pair", [[True, 2.0], [0.0, True], [False, None]])
+def test_interval_json_rejects_a_boolean_endpoint(pair):
+    # float() would have read [true, 2] as (1.0, 2.0)
+    with pytest.raises(ValueError, match="bad interval endpoints"):
+        Interval.from_json(pair)
 
 
 def test_dot_output_mentions_every_node_and_edge():
