@@ -49,10 +49,9 @@ The trace_segments, faces and region_valence rows time the stages of
 extraction on the five fixtures at resolution 512, from branch points,
 boundary pieces, traced arcs and (for region_valence) faces prepared
 beforehand; region_valence, tens of microseconds, is printed in us.  The
-partition row times the sign grid (its classify_grid call included) that
-analyze --plot draws for an extraction at 512, from the function alone:
-render_svg classifies at most SVG_GRID (256) cells a side; extraction
-makes none.
+render_svg row draws the picture analyze --plot writes for each of the
+five fixtures, from their extractions at 512 built beforehand: each face
+filled as its boundary polygon, the traced arcs and the labels.
 
 The integral_means row makes the four integral means analyze probes on
 each of the five fixtures (cli._means_rows: two exponents, each at radii
@@ -85,12 +84,11 @@ from rsmirnov.blaschke_smirnov import (
 from rsmirnov.cli import _means_rows
 from rsmirnov.fixtures import all_fixtures, double_slit, fourth_power_map
 from rsmirnov.region_extraction import (
-    SVG_GRID,
     extract_full,
     faces,
     find_branch_points,
-    partition,
     region_valence,
+    render_svg,
     trace_segments,
 )
 from rsmirnov.valence_tree import Interval, Node, Tree, profile
@@ -358,10 +356,6 @@ def run_benchmarks():
         for p in corpus:
             complex_poly.find_roots(p)
 
-    def bench_partition():
-        for phi in fixtures:
-            partition(phi, min(res, SVG_GRID))
-
     prepared = []
     for phi in all_fixtures().values():
         bps = find_branch_points(phi)
@@ -380,9 +374,15 @@ def run_benchmarks():
         for phi, *_, regions, segments in prepared:
             region_valence(phi, regions, segments)
 
+    extractions = [extract_full(phi, resolution=res) for phi in fixtures]
+
+    def bench_render_svg():
+        for ex in extractions:
+            render_svg(ex)
+
     # each fixture with the m of its tree, as analyze passes it
-    means_inputs = [(phi, profile(extract_full(phi, resolution=res).tree)
-                     .sup_real) for phi in fixtures]
+    means_inputs = [(phi, profile(ex.tree).sup_real)
+                    for phi, ex in zip(fixtures, extractions)]
 
     def bench_integral_means():
         for phi, m in means_inputs:
@@ -401,10 +401,10 @@ def run_benchmarks():
         FIND_ROOTS_ROW: _time(bench_find_roots),
         OBJECTIVE_ROW: _time(lambda: objective_pass(*objective)),
         SEARCH_ROW: _time(capped_search),
-        "partition (--plot at 512, 5 fixtures)": _time(bench_partition),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
         "faces (5 fixtures, res 512)": _time(bench_faces),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
+        "render_svg (5 fixtures, res 512)": _time(bench_render_svg),
         "integral_means (5 fixtures, 4 rows)": _time(bench_integral_means),
     }
     peaks = {

@@ -153,12 +153,20 @@ class Blaschke:
         unknown = sorted(set(obj) - {"zeros", "constant"})
         if unknown:
             raise KeyError("unknown Blaschke key(s) %s" % ", ".join(unknown))
-        zeros = [complex(re, im) for re, im in obj.get("zeros", [])]
-        cre, cim = obj.get("constant", [1.0, 0.0])
-        return cls(zeros, complex(cre, cim))
+        zeros = [_json_complex(w) for w in obj.get("zeros", [])]
+        return cls(zeros, _json_complex(obj.get("constant", 1.0)))
 
     def __repr__(self):
         return "Blaschke(deg=%d)" % self.degree
+
+
+def _json_complex(value) -> complex:
+    """A number of a function file, a real number or [re, im] of two, else
+    TypeError (complex() would parse a string and read true as 1)."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    if not all(type(x) in (int, float) for x in parts):
+        raise TypeError(f"not a real number or [re, im] pair: {value!r}")
+    return complex(*parts)
 
 
 def _min_pairwise_distance(za, zb):
@@ -352,10 +360,7 @@ class RealSmirnov:
             return from_blaschke(
                 Blaschke.from_json(obj["b1"]), Blaschke.from_json(obj["b2"])
             )
-        dec = lambda cs: Poly(
-            [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-             for c in cs]
-        )
+        dec = lambda cs: Poly([_json_complex(c) for c in cs])
         return from_rational(dec(obj["num"]), dec(obj["den"]))
 
     def __repr__(self):

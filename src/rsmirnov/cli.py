@@ -192,7 +192,7 @@ def cmd_analyze(args):
                                "rows": means},
         }, args.json)
     if args.plot:
-        svg = render_svg(phi, ext)
+        svg = render_svg(ext)
         Path(args.plot).write_text(svg, encoding="utf-8")
 
     if not report.ok:
@@ -324,16 +324,21 @@ def cmd_synthesize(args):
 # ---------------------------------------------------------------------------
 
 
+def _checked(convert, ok, message):
+    """argparse type: convert(text) where ok holds of it, else exit 2."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    # argparse names the type in its message for text convert rejects
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _int_at_least(low):
     """argparse type: an integer no smaller than low, else exit 2."""
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError("must be at least %d" % low)
-        return value
-    # argparse names the type in its message for text that is no integer
-    parse.__name__ = "int"
-    return parse
+    return _checked(int, lambda value: value >= low, "must be at least %d" % low)
 
 
 def _parser():
@@ -370,7 +375,8 @@ def _parser():
     p.add_argument("--budget", type=_int_at_least(0), default=100_000)
     p.add_argument("--restarts", type=_int_at_least(1), default=16)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--tol", type=float, default=1e-2)
+    p.add_argument("--tol", default=1e-2, type=_checked(
+        float, lambda tol: 0.0 < tol < math.inf, "must be a finite number above 0"))
     p.add_argument("--out", metavar="OUT.JSON", default=None)
     p.set_defaults(func=cmd_synthesize)
 

@@ -29,6 +29,8 @@ The pipeline here:
                        consistency check trips.
 5. ``crosscheck``   -- verify an extracted tree against direct root counts
                        at fresh sample points.
+6. ``render_svg``   -- draw each face as its boundary polygon filled by
+                       its sign, the traced arcs, and the collection labels.
 
 Everything is deterministic for a fixed seed; failures surface as typed
 exceptions rather than wrong trees.
@@ -41,7 +43,6 @@ import math
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -92,8 +93,6 @@ MIN_RESOLUTION = 64
 MAX_RESOLUTION = 4096
 #: width and height of render_svg's picture, in pixels
 SVG_SIZE = 640
-#: render_svg's sign grid has at most this many cells a side
-SVG_GRID = 256
 #: width, in steps 1/resolution, of the rim along the circle where Im phi
 #: is cancellation noise: no level point found there seeds a trace
 RIM = 3.0
@@ -149,9 +148,12 @@ def _valid_resolution(resolution) -> int:
 
 
 def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
-    """The picture render_svg draws: cells [iy, ix] of a resolution x
-    resolution grid over [-1, 1]^2, +1 / -1 by the sign of Im phi, 2 where
-    the value is too close to zero to call, and 0 outside the disk."""
+    """Cells [iy, ix] of a resolution x resolution grid over [-1, 1]^2,
+    +1 / -1 by the sign of Im phi, 2 where the value is too close to zero
+    to call, and 0 outside the disk.  No code path calls it (render_svg
+    draws the faces): it, classify_grid and BAND_FLOOR stay only for
+    pipebench's tracer and tests/test_tooling.py, until ROADMAP items 1
+    and 6 delete them."""
     res = _valid_resolution(resolution)
     return classify_grid(phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs,
                          res, 1.0 / res, 2.5 / res)
@@ -885,7 +887,7 @@ def extract_tree(phi, resolution: int = DEFAULT_RESOLUTION) -> Tree:
 # rendering
 
 
-_SVG_COLORS = {1: "#aecbfa", -1: "#f6b09a", 2: "#e8e8e8"}
+_SVG_COLORS = {1: "#aecbfa", -1: "#f6b09a"}
 
 
 def _label_point(boundary: np.ndarray) -> complex:
@@ -901,14 +903,11 @@ def _label_point(boundary: np.ndarray) -> complex:
     return complex(0.5 * (lo[k] + hi[k]), y)
 
 
-def render_svg(phi, ex: Extraction) -> str:
-    """Plain SVG picture of the extraction ex of phi: the sign grid of
-    partition at the extraction's resolution, at most SVG_GRID, the traced
-    arcs, and each collection's label in its largest region."""
-    res = min(ex.resolution, SVG_GRID)
-    cls = partition(phi, res)
+def render_svg(ex: Extraction) -> str:
+    """Plain SVG picture of the extraction ex: each region filled in its
+    sign's colour as the polygon of its boundary, then the circle, the
+    traced arcs, and each collection's label in its largest region."""
     scale = SVG_SIZE / 2.0
-    h = 2.0 / res
 
     def sx(x: float) -> float:
         return (x + 1.0) * scale
@@ -916,40 +915,27 @@ def render_svg(phi, ex: Extraction) -> str:
     def sy(y: float) -> float:
         return (1.0 - y) * scale  # svg y grows downward
 
+    def coords(pts: np.ndarray) -> str:
+        return " ".join(f"{sx(p.real):.2f},{sy(p.imag):.2f}" for p in pts)
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
         f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
-    for iy in range(res):
-        ix = 0
-        # one rect per run of cells of one class along every row
-        y0 = sy(-1.0 + (iy + 1) * h)
-        for c, run in groupby(cls[iy].tolist()):
-            width = len(list(run))
-            if c:
-                parts.append(f'<rect x="{sx(-1.0 + ix * h):.2f}" y="{y0:.2f}" '
-                             f'width="{width * h * scale:.2f}" height="{h * scale:.2f}" '
-                             f'fill="{_SVG_COLORS[c]}"/>')
-            ix += width
-    parts.append(
-        f'<circle cx="{scale:.1f}" cy="{scale:.1f}" r="{scale:.1f}" '
-        'fill="none" stroke="#444" stroke-width="1.5"/>'
-    )
+    parts += [f'<polygon points="{coords(r.boundary)}" fill="{_SVG_COLORS[r.sign]}"/>'
+              for _, r in sorted(ex.regions.items())]
+    parts.append(f'<circle cx="{scale:.1f}" cy="{scale:.1f}" r="{scale:.1f}" '
+                 'fill="none" stroke="#444" stroke-width="1.5"/>')
     for seg in ex.segments:
         pts = seg.points[:: max(1, len(seg.points) // 400)]
-        coords = " ".join(f"{sx(p.real):.2f},{sy(p.imag):.2f}" for p in pts)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="#222" '
-            'stroke-width="1.2"/>'
-        )
+        parts.append(f'<polyline points="{coords(pts)}" fill="none" '
+                     'stroke="#222" stroke-width="1.2"/>')
     for coll in ex.collections:
         biggest = max((ex.regions[rid] for rid in coll.members), key=lambda r: r.area)
         anchor = _label_point(biggest.boundary)
-        parts.append(
-            f'<text x="{sx(anchor.real):.1f}" y="{sy(anchor.imag):.1f}" '
-            'font-family="sans-serif" font-size="16" text-anchor="middle">'
-            f"{coll.id}:{coll.valence}</text>"
-        )
+        parts.append(f'<text x="{sx(anchor.real):.1f}" y="{sy(anchor.imag):.1f}" '
+                     'font-family="sans-serif" font-size="16" '
+                     f'text-anchor="middle">{coll.id}:{coll.valence}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

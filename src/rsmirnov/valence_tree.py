@@ -83,8 +83,9 @@ class Interval:
     @staticmethod
     def from_json(pair) -> "Interval":
         lo, hi = pair
-        # float() would read true as 1.0
-        if isinstance(lo, bool) or isinstance(hi, bool):
+        # float() would read true as 1.0 and parse any numeric string
+        if not all(x is None or x in ("inf", "-inf") or type(x) in (int, float)
+                   for x in pair):
             raise ValueError(f"bad interval endpoints {pair!r}")
         return Interval(NEG_INF if lo is None else float(lo),
                         POS_INF if hi is None else float(hi))

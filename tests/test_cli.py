@@ -123,6 +123,44 @@ def test_analyze_parse_errors(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
 
 
+SLIT_DEN = [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize("function", [
+    {"num": ["0", "1j"], "den": ["1", "0", "-1"]},
+    {"num": [0, [0, 1, 5]], "den": SLIT_DEN},
+    {"num": [0, [0, True]], "den": SLIT_DEN},
+    {"num": [0, [0, 1]], "den": [True, 0, -1]},
+    {"num": [0, [0, 1]], "den": [1, 0, [-1]]},
+    {"num": [0, [0, 1]], "den": [1, 0, None]},
+    {"b1": {"zeros": [["0.5", 0]]}, "b2": {"zeros": [[-0.5, 0]]}},
+    {"b1": {"zeros": [[0.5, 0, 0]]}, "b2": {"zeros": [[-0.5, 0]]}},
+    {"b1": {"zeros": [[0.5, 0]], "constant": True},
+     "b2": {"zeros": [[-0.5, 0]]}},
+    {"b1": {"zeros": [[0.5, 0]], "constant": "1"},
+     "b2": {"zeros": [[-0.5, 0]]}},
+], ids=["strings", "three-entries", "boolean-entry", "boolean", "one-entry",
+        "null", "string-zero", "three-entry-zero", "boolean-constant",
+        "string-constant"])
+def test_analyze_rejects_a_number_that_is_no_real_or_pair(tmp_path, capsys,
+                                                          function):
+    # complex() parsed the strings: the first analyzed as the double slit
+    inp = write_json(tmp_path / "f.json", function)
+    assert main(["analyze", inp, "--resolution", "64", "--samples", "5"]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_analyze_reads_real_numbers_and_pairs_alike(tmp_path, capsys):
+    inp = write_json(tmp_path / "ds.json",
+                     {"num": [0, [0, 1]], "den": [1, 0.0, [-1, 0]]})
+    assert main(["analyze", inp]) == 0
+    assert "(-0.5, 0.5)" in capsys.readouterr().out
+    blaschke = write_json(tmp_path / "b.json",
+                          {"b1": {"zeros": [0.5], "constant": 1},
+                           "b2": {"zeros": [[-0.5, 0]], "constant": [1, 0]}})
+    assert main(["analyze", blaschke, "--resolution", "64", "--samples", "5"]) == 0
+
+
 def test_analyze_rejects_inner_pole(tmp_path, capsys):
     bad = write_json(tmp_path / "bad.json",
                      {"num": [[1.0, 0.0]], "den": [[-0.5, 0.0], [1.0, 0.0]]})
@@ -136,6 +174,10 @@ def test_analyze_rejects_a_nan_coefficient(tmp_path, capsys):
     bad.write_text('{"num": [[NaN, 0], [1, 0]], "den": [[1, 0], [0.5, 0]]}',
                    encoding="utf-8")
     assert main(["analyze", str(bad)]) == 1
+    assert "invalid function: coefficients must be finite" in capsys.readouterr().err
+    bare = tmp_path / "bare.json"
+    bare.write_text('{"num": [0, Infinity], "den": [1, 0.5]}', encoding="utf-8")
+    assert main(["analyze", str(bare)]) == 1
     assert "invalid function: coefficients must be finite" in capsys.readouterr().err
 
 
@@ -213,6 +255,23 @@ def test_validate_tree_accepts_reference(tmp_path, capsys):
     inp = write_json(tmp_path / "ref.json", reference_tree().to_json())
     assert main(["validate-tree", inp]) == 0
     assert "valid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("interval", [["0", "1e0"], ["0", "Infinity"]])
+def test_validate_tree_rejects_a_numeric_string_endpoint(tmp_path, capsys,
+                                                          interval):
+    # both used to validate, as (0, 1) and (0, inf)
+    data = edge_tree(0.0, 1.0).to_json()
+    data["edges"][0]["interval"] = interval
+    assert main(["validate-tree", write_json(tmp_path / "t.json", data)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_validate_tree_reads_the_inf_strings(tmp_path, capsys):
+    data = edge_tree(0.0, 1.0).to_json()
+    data["edges"][0]["interval"] = ["-inf", 0]
+    assert main(["validate-tree", write_json(tmp_path / "t.json", data)]) == 0
+    assert capsys.readouterr().out.startswith("valid")
 
 
 def test_validate_tree_rejects_full_line_edge(tmp_path, capsys):
@@ -322,6 +381,19 @@ def test_synthesize_rejects_options_below_their_floor(tmp_path, capsys, option):
         main(["synthesize", inp, *option])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_synthesize_rejects_a_tol_that_is_no_finite_number_above_zero(
+        tmp_path, capsys, tol):
+    # nan and -1 used to end every search "approximate", with exit 0
+    inp = write_json(tmp_path / "tii.json", two_one_edge().to_json())
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", inp, "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite number above 0" in captured.err
 
 
 def test_synthesize_budget_zero_records_failure(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Tests for interface tracing, faces, tree extraction and the sign grid."""
+"""Tests for interface tracing, faces, tree extraction, the sign grid and
+the SVG picture."""
 
 import cmath
 import functools
 import json
 import math
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from rsmirnov.blaschke_smirnov import (
 from rsmirnov.cli import EXIT_NUMERICAL, EXIT_OK, main
 from rsmirnov.complex_poly import Poly, find_roots
 from rsmirnov.fixtures import (
+    all_fixtures,
     double_slit,
     fourth_power_map,
     koebe,
@@ -1050,29 +1053,53 @@ def test_boundary_value_near_a_circle_pole_extracts(tmp_path):
 
 
 def test_render_svg_smoke(ex_slit_squared):
-    svg = render_svg(slit_squared(), ex_slit_squared)
+    svg = render_svg(ex_slit_squared)
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert "<polyline" in svg
     assert "p1:2" in svg
-    assert svg.count("<rect") > 10
+    assert svg.count("<polygon") == len(ex_slit_squared.regions)
 
 
-def test_render_svg_classifies_at_most_256_squared_cells(monkeypatch):
-    phi = koebe()
-    ex = extract_full(phi, 1024)
-    assert ex.resolution == 1024
-    sides = []
-    original = rx.classify_grid
+SVG_NS = "{http://www.w3.org/2000/svg}"
+FIXTURE_NAMES = sorted(all_fixtures())
+# every event case as the realizer tests extract it, and the five fixtures
+# at analyze's default resolution
+RENDER_CASES = ([(name, 256) for name in sorted(EVENT_CASES)]
+                + [(name, 512) for name in FIXTURE_NAMES])
 
-    def recording(ncoef, dcoef, wcoef, res, *args):
-        sides.append(res)
-        return original(ncoef, dcoef, wcoef, res, *args)
 
-    monkeypatch.setattr(rx, "classify_grid", recording)
-    svg = render_svg(phi, ex)
-    assert sides and max(sides) ** 2 <= 256 ** 2
-    assert svg.count("<rect") > 10
+def test_render_svg_builds_no_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("render_svg built a grid")
+
+    extractions = [event_case(name, res)[1] for name, res in RENDER_CASES]
+    monkeypatch.setattr(rx, "partition", no_grid)
+    monkeypatch.setattr(rx, "classify_grid", no_grid)
+    for ex in extractions:
+        render_svg(ex)
+
+
+@pytest.mark.parametrize("name,res", RENDER_CASES,
+                         ids=[f"{name}-{res}" for name, res in RENDER_CASES])
+def test_render_svg_fills_each_region_as_its_boundary_polygon(name, res):
+    _, ex = event_case(name, res)
+    root = ElementTree.fromstring(render_svg(ex))
+    polygons = root.findall(SVG_NS + "polygon")
+    regions = [ex.regions[rid] for rid in sorted(ex.regions)]
+    assert [p.get("fill") for p in polygons] == [rx._SVG_COLORS[r.sign]
+                                                 for r in regions]
+    scale = rx.SVG_SIZE / 2.0
+    for polygon, region in zip(polygons, regions):
+        xy = np.array([pt.split(",") for pt in polygon.get("points").split()],
+                      dtype=float)
+        drawn = xy[:, 0] / scale - 1.0 + 1j * (1.0 - xy[:, 1] / scale)
+        assert len(drawn) == len(region.boundary)
+        assert np.abs(drawn - region.boundary).max() < 0.01 / scale
+    fills = {e.get("fill") for e in root.iter()}
+    assert "#e8e8e8" not in fills
+    (rect,) = root.findall(SVG_NS + "rect")
+    assert rect.get("fill") == "white"
 
 
 SVG_LABEL = re.compile(r'<text x="([-\d.]+)" y="([-\d.]+)"[^>]*>(\w+):\d+</text>')
@@ -1083,7 +1110,7 @@ def test_render_svg_labels_each_collection_in_its_largest_region(name):
     phi, ex = event_case(name, 256)
     scale = rx.SVG_SIZE / 2.0
     labels = {m[3]: complex(float(m[1]) / scale - 1.0, 1.0 - float(m[2]) / scale)
-              for m in SVG_LABEL.finditer(render_svg(phi, ex))}
+              for m in SVG_LABEL.finditer(render_svg(ex))}
     assert set(labels) == {c.id for c in ex.collections}
     for coll in ex.collections:
         z = labels[coll.id]

@@ -547,6 +547,14 @@ def test_interval_json_rejects_a_boolean_endpoint(pair):
         Interval.from_json(pair)
 
 
+@pytest.mark.parametrize("pair", [["0", "1e0"], ["0", "Infinity"],
+                                  ["nan", 1.0], [0.0, "+inf"], [0.0, [1.0]]])
+def test_interval_json_rejects_an_endpoint_that_is_no_number_or_inf_string(pair):
+    # float() would have read ["0", "1e0"] as (0, 1) and "Infinity" as inf
+    with pytest.raises(ValueError, match="bad interval endpoints"):
+        Interval.from_json(pair)
+
+
 def test_dot_output_mentions_every_node_and_edge():
     dot = to_dot(reference_tree())
     assert dot.startswith("graph")
