@@ -46,9 +46,9 @@ the shares of one search spent in minimize and in its objective, and the
 difference: the simplex method's own work, outside the objective.
 
 The trace_segments, faces and region_valence rows time the stages of
-extraction on the five fixtures at resolution 512, from branch points,
-boundary pieces, traced arcs and (for region_valence) faces prepared
-beforehand; region_valence, tens of microseconds, is printed in us.  The
+extraction on the five fixtures at resolution 512, from boundary pieces
+(which hold the branch points), traced arcs and (for region_valence)
+faces prepared beforehand; region_valence, tens of microseconds, is printed in us.  The
 render_svg row draws the picture analyze --plot writes for each of the
 five fixtures, from their extractions at 512 built beforehand: each face
 filled as its boundary polygon, the traced arcs and the labels.
@@ -86,7 +86,6 @@ from rsmirnov.fixtures import all_fixtures, double_slit, fourth_power_map
 from rsmirnov.region_extraction import (
     extract_full,
     faces,
-    find_branch_points,
     region_valence,
     render_svg,
     trace_segments,
@@ -181,7 +180,7 @@ def find_roots_corpus():
     for _ in range(250):
         b1 = random_blaschke(rng, 1, 0.95)
         phi = RealSmirnov(*_helson_quotient(b1, random_blaschke(rng, 2, 0.95)))
-        polys += [phi.den, phi.w_poly()]
+        polys += [phi.den, phi.w_poly]
     return polys
 
 
@@ -305,9 +304,9 @@ def run_benchmarks():
     poly8 = rng.normal(size=9) + 1j * rng.normal(size=9)
     guesses = 0.7 * np.exp(2j * np.pi * (np.arange(8) + 0.25) / 8)
 
-    f4_args = (f4.num.coeffs, f4.den.coeffs, f4.w_poly().coeffs)
+    f4_args = (f4.num.coeffs, f4.den.coeffs, f4.w_poly.coeffs)
     ds_args = (ds.num.coeffs.tolist(), ds.den.coeffs.tolist(),
-               ds.w_poly().coeffs.tolist())
+               ds.w_poly.coeffs.tolist())
 
     def bench_horner():
         _kernels.horner_many(f4.num.coeffs, pts)
@@ -333,9 +332,11 @@ def run_benchmarks():
 
     def bench_real_valence():
         for k in range(0, len(REAL_POINTS), POINTS_PER_BUILD):
-            pieces = BoundaryPieces(cand)
+            # drop the candidate's cached pieces, so that each group of
+            # points builds them again
+            vars(cand).pop("boundary_pieces", None)
             for x in REAL_POINTS[k:k + POINTS_PER_BUILD]:
-                real_valence(cand, x, pieces)
+                real_valence(cand, x)
 
     fixtures = list(all_fixtures().values())
     points = crosscheck_points()
@@ -358,17 +359,16 @@ def run_benchmarks():
 
     prepared = []
     for phi in all_fixtures().values():
-        bps = find_branch_points(phi)
-        arcs = trace_segments(phi, res, bps)
-        prepared.append((phi, bps, arcs, *faces(phi, arcs, bps)))
+        arcs = trace_segments(phi, res)
+        prepared.append((phi, arcs, *faces(phi, arcs)))
 
     def bench_trace_segments():
-        for phi, bps, *_ in prepared:
-            trace_segments(phi, res, bps)
+        for phi, *_ in prepared:
+            trace_segments(phi, res)
 
     def bench_faces():
-        for phi, bps, arcs, *_ in prepared:
-            faces(phi, arcs, bps)
+        for phi, arcs, *_ in prepared:
+            faces(phi, arcs)
 
     def bench_region_valence():
         for phi, *_, regions, segments in prepared:

@@ -162,11 +162,15 @@ class Blaschke:
 
 def _json_complex(value) -> complex:
     """A number of a function file, a real number or [re, im] of two, else
-    TypeError (complex() would parse a string and read true as 1)."""
+    TypeError (complex() would parse a string, read true as 1 and raise
+    OverflowError on an integer too large for a float)."""
     parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
     if not all(type(x) in (int, float) for x in parts):
         raise TypeError(f"not a real number or [re, im] pair: {value!r}")
-    return complex(*parts)
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise TypeError("an integer too large for a float") from None
 
 
 def _min_pairwise_distance(za, zb):
@@ -191,12 +195,12 @@ class RealSmirnov:
     """Rational real Smirnov function in reduced form N/D.
 
     The Blaschke pair is kept when the function was built from one.  The
-    roots of D are found once (den_roots): the constructors' check that D
-    does not vanish in the disk, the circle poles and integral_means all
-    read them.  The roots of N are found once too (num_roots), for
-    from_rational's shared-zero check and integral_means, and so are the
-    coefficient scales (num_scale, den_scale) that the pole tests read.
-    Instances are treated as immutable.
+    data phi determines are cached properties, each computed on its first
+    read: den_scale, the coefficient scale of D that the pole tests read;
+    w_poly; den_roots, which the constructors' check that D does not
+    vanish in the disk, circle_poles and integral_means read; num_roots,
+    for from_rational's shared-zero check and integral_means;
+    circle_poles; and boundary_pieces.  Instances are treated as immutable.
     """
 
     def __init__(self, num, den, b1=None, b2=None):
@@ -204,13 +208,6 @@ class RealSmirnov:
         self.den = den
         self.b1 = b1
         self.b2 = b2
-        self._num_scale = None
-        self._den_scale = None
-        self._w = None
-        self._den_roots = None
-        self._num_roots = None
-        self._circle_poles = None
-        self._pieces = None
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -223,67 +220,54 @@ class RealSmirnov:
             z = complex(z)
             nv = _kernels.horner_scalar(self.num.coeffs, z)
             dv = _kernels.horner_scalar(self.den.coeffs, z)
-            if abs(dv) < POLE_EVAL_TOL * self.den_scale():
+            if abs(dv) < POLE_EVAL_TOL * self.den_scale:
                 return INFINITY
             return nv / dv
         z = np.asarray(z, dtype=np.complex128)
         nv = self.num(z)
         dv = self.den(z)
-        pole = np.abs(dv) < POLE_EVAL_TOL * self.den_scale()
+        pole = np.abs(dv) < POLE_EVAL_TOL * self.den_scale
         out = np.where(pole, INFINITY, nv / np.where(pole, 1.0, dv))
         return out
 
-    def num_scale(self):
-        """The largest coefficient modulus of N, found on the first call."""
-        if self._num_scale is None:
-            self._num_scale = np.abs(self.num.coeffs).max()
-        return self._num_scale
-
+    @functools.cached_property
     def den_scale(self):
-        """The largest coefficient modulus of D, found on the first call."""
-        if self._den_scale is None:
-            self._den_scale = np.abs(self.den.coeffs).max()
-        return self._den_scale
+        """The largest coefficient modulus of D."""
+        return np.abs(self.den.coeffs).max()
 
+    @functools.cached_property
     def w_poly(self):
         """Numerator W = N'D - ND' of the derivative (phi' = W/D^2)."""
-        if self._w is None:
-            n, d = self.num.coeffs, self.den.coeffs
-            self._w = Poly(_add(_mul(_derivative(n), d),
-                                -_mul(n, _derivative(d))))
-        return self._w
+        n, d = self.num.coeffs, self.den.coeffs
+        return Poly(_add(_mul(_derivative(n), d), -_mul(n, _derivative(d))))
 
+    @functools.cached_property
     def den_roots(self):
-        """The find_roots report of the denominator, found on the first
-        call (find_roots raises ValueError for a constant denominator)."""
-        if self._den_roots is None:
-            self._den_roots = find_roots(self.den)
-        return self._den_roots
+        """The find_roots report of the denominator (find_roots raises
+        ValueError for a constant denominator)."""
+        return find_roots(self.den)
 
+    @functools.cached_property
     def num_roots(self):
-        """The find_roots report of the numerator, found on the first call
-        (find_roots raises ValueError for a constant numerator)."""
-        if self._num_roots is None:
-            self._num_roots = find_roots(self.num)
-        return self._num_roots
+        """The find_roots report of the numerator (find_roots raises
+        ValueError for a constant numerator)."""
+        return find_roots(self.num)
 
+    @functools.cached_property
     def circle_poles(self):
         """(angle t, multiplicity m) of each denominator zero on the circle
         (on_circle)."""
-        if self._circle_poles is None:
-            ts = []
-            if self.den.degree >= 1:
-                for r, m in self.den_roots().clusters():
-                    if on_circle(r):
-                        ts.append((math.atan2(r.imag, r.real) % (2 * math.pi), m))
-            self._circle_poles = sorted(ts)
-        return self._circle_poles
+        ts = []
+        if self.den.degree >= 1:
+            for r, m in self.den_roots.clusters():
+                if on_circle(r):
+                    ts.append((math.atan2(r.imag, r.real) % (2 * math.pi), m))
+        return sorted(ts)
 
+    @functools.cached_property
     def boundary_pieces(self):
-        """The BoundaryPieces of phi, built on the first call."""
-        if self._pieces is None:
-            self._pieces = BoundaryPieces(self)
-        return self._pieces
+        """The BoundaryPieces of phi."""
+        return BoundaryPieces(self)
 
     # -- boundary -----------------------------------------------------------
 
@@ -308,7 +292,7 @@ class RealSmirnov:
         z = cmath.exp(1j * t)
         nv = _kernels.horner_scalar(self.num.coeffs, z)
         dv = _kernels.horner_scalar(self.den.coeffs, z)
-        dscale = self.den_scale()
+        dscale = self.den_scale
         if abs(dv) > 1e-7 * dscale:
             w = nv / dv
             # double precision leaves |Im| ~ |w| * 1e-16 of cancellation
@@ -321,7 +305,7 @@ class RealSmirnov:
             nmp = _mp_horner(_poly_to_mp(self.num.coeffs), zmp)
             dmp = _mp_horner(_poly_to_mp(self.den.coeffs), zmp)
             if abs(dmp) < (1e-25 * max(dscale, 1.0)
-                           * max(self.num_scale(), 1.0)):
+                           * max(np.abs(self.num.coeffs).max(), 1.0)):
                 return math.inf, 0.0
             wmp = nmp / dmp
             return float(wmp.real), float(wmp.imag)
@@ -332,7 +316,7 @@ class RealSmirnov:
         |Im| values)."""
         t = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_SAMPLES, endpoint=False)
         keep = np.ones(BOUNDARY_SAMPLES, dtype=bool)
-        for tp, _ in self.circle_poles():
+        for tp, _ in self.circle_poles:
             d = np.abs((t - tp + math.pi) % (2.0 * math.pi) - math.pi)
             keep &= d > POLE_GAP
         tk = t[keep]
@@ -340,7 +324,7 @@ class RealSmirnov:
         # once; the samples it does not trust go to _boundary_eval itself
         z = np.exp(1j * tk)
         dv = self.den(z)
-        far = np.abs(dv) > 1e-7 * self.den_scale()
+        far = np.abs(dv) > 1e-7 * self.den_scale
         ims = np.abs((self.num(z) / np.where(far, dv, 1.0)).imag)
         for k in np.flatnonzero(~far | (ims >= 1e-9)):
             ims[k] = abs(self._boundary_eval(float(tk[k]))[1])
@@ -387,7 +371,7 @@ def from_blaschke(b1, b2):
     if den.is_zero():
         raise NotRelativelyPrime("B1 - B2 is identically zero")
     phi = RealSmirnov(num, den, b1=b1, b2=b2)
-    n_inside = count_inside(phi.den_roots().roots)
+    n_inside = count_inside(phi.den_roots.roots)
     if n_inside > 0:
         raise DenominatorVanishesInDisk(
             "B1 - B2 has %d zero(s) in the open disk" % n_inside
@@ -412,7 +396,7 @@ def from_rational(num, den):
         raise ValueError("denominator is identically zero")
     phi = RealSmirnov(num, den)
     if den.degree >= 1:
-        rd = phi.den_roots()
+        rd = phi.den_roots
         n_inside = count_inside(rd.roots)
         if n_inside > 0:
             raise DenominatorVanishesInDisk(
@@ -420,7 +404,7 @@ def from_rational(num, den):
             )
         # reduced form: no shared zeros
         if num.degree >= 1:
-            rn = phi.num_roots()
+            rn = phi.num_roots
             if _min_pairwise_distance(rn.roots, rd.roots) < 1e-8:
                 raise ValueError("numerator and denominator share a zero; "
                                  "reduce the fraction first")
@@ -553,7 +537,7 @@ class BoundaryPieces:
         crit = []  # (t, v, multiplicity)
         self.ranges = None
         self.spans = None
-        w = phi.w_poly()
+        w = phi.w_poly
         if w.degree >= 1:
             roots = find_roots(w).clusters()
             # W is self-inversive when phi is real on the circle, so a root
@@ -580,7 +564,7 @@ class BoundaryPieces:
                 if v is None or math.isfinite(v):
                     crit.append((t % (2.0 * math.pi), v, mult))
         self.critical = [e[:2] for e in crit]
-        events = sorted(crit + [(t, math.inf, m - 1) for t, m in phi.circle_poles()])
+        events = sorted(crit + [(t, math.inf, m - 1) for t, m in phi.circle_poles])
         self.events, self.arcs = [e[:2] for e in events], [e[2] for e in events]
         if self.events and all(v is not None for _, v in self.events):
             pieces = _monotone_pieces(phi, self.events)
@@ -618,7 +602,7 @@ def _monotone_pieces(phi, events):
     differs from numpy's power only when conj(D(z)) is zero or not finite,
     and such a slope rejects the pieces either way.
     """
-    w, d = phi.w_poly().coeffs.tolist(), phi.den.coeffs.tolist()
+    w, d = phi.w_poly.coeffs.tolist(), phi.den.coeffs.tolist()
     horner = _kernels.horner_scalar
     pieces = []
     for k, (t0, v0) in enumerate(events):
@@ -639,16 +623,16 @@ def _monotone_pieces(phi, events):
     return pieces
 
 
-def real_valence(phi, x, pieces):
+def real_valence(phi, x):
     """Number of solutions of phi(w) = x in the open disk, for real x.
 
     Fast path: the circle solutions of phi(e^{it}) = x counted on the
-    monotone boundary pieces of phi, built once per function by the
-    caller, with m + 1 at an m-fold critical point of value x.  Fallback:
-    root counting by valence_at where the pieces are untrusted or their
-    count fails the parity check (count returns None).
+    monotone boundary pieces of phi (phi.boundary_pieces), with m + 1 at
+    an m-fold critical point of value x.  Fallback: root counting by
+    valence_at where the pieces are untrusted or their count fails the
+    parity check (count returns None).
     """
-    v = pieces.count(x)
+    v = phi.boundary_pieces.count(x)
     if v is None:
         v = valence_at(phi, x)
     return v
@@ -785,12 +769,12 @@ def integral_means(phi, p, r):
     poles = []
     lead = phi.den.coeffs[0]
     if phi.den.degree >= 1:
-        report = phi.den_roots()
+        report = phi.den_roots
         poles = report.clusters()
         lead = phi.den.coeffs[len(report.roots)]
     zeros = []
     if phi.num.degree >= 1:
-        zeros = phi.num_roots().clusters()
+        zeros = phi.num_roots.clusters()
     centres = [(cmath.phase(z), abs(abs(z) - r)) for z, _ in poles + zeros
                if abs(abs(z) - r) < PEAK_DISTANCE]
     pole_at = np.array([z for z, _ in poles], dtype=np.complex128)
@@ -828,7 +812,8 @@ def real_affine(phi, a, b):
     if a == 0:
         raise ValueError("a must be nonzero")
     psi = RealSmirnov(phi.num.scale(a) + phi.den.scale(b), phi.den)
-    psi._den_roots = phi._den_roots  # D is unchanged
+    if phi.den.degree >= 1:
+        psi.den_roots = phi.den_roots  # D is unchanged
     return psi
 
 
@@ -842,7 +827,7 @@ def precompose_inner(phi, c):
     num = compose_rational(phi.num, pc, qc, m)
     den = compose_rational(phi.den, pc, qc, m)
     psi = RealSmirnov(num, den)
-    if count_inside(psi.den_roots().roots) > 0:
+    if count_inside(psi.den_roots.roots) > 0:
         raise DenominatorVanishesInDisk(
             "composed denominator vanishes in the disk (numerical)"
         )

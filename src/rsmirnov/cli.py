@@ -252,7 +252,8 @@ def _load_tree(path):
     data = _load_json(path)
     try:
         return Tree.from_json(data)
-    except (InvalidTree, KeyError, TypeError, ValueError) as exc:
+    # float() raises OverflowError on an integer too large for a float
+    except (InvalidTree, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseFailure("not a tree description: %s" % exc) from exc
 
 
@@ -341,6 +342,12 @@ def _int_at_least(low):
     return _checked(int, lambda value: value >= low, "must be at least %d" % low)
 
 
+#: argparse type of an output file: a path in a directory that exists, so
+#: that a command does its work only when it can write the result
+_output_path = _checked(str, lambda path: Path(path).parent.is_dir(),
+                        "its directory does not exist")
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="rsmirnov",
@@ -354,8 +361,8 @@ def _parser():
                    default=512)
     p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--plot", metavar="OUT.SVG", default=None)
-    p.add_argument("--json", metavar="OUT.JSON", default=None)
+    p.add_argument("--plot", metavar="OUT.SVG", type=_output_path, default=None)
+    p.add_argument("--json", metavar="OUT.JSON", type=_output_path, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("enumerate", help="all tree shapes for given valences")
@@ -363,7 +370,7 @@ def _parser():
     p.add_argument("v_minus", type=int)
     p.add_argument("--dot", metavar="DIR", default=None,
                    help="write one DOT file per shape")
-    p.add_argument("--json", metavar="OUT.JSON", default=None)
+    p.add_argument("--json", metavar="OUT.JSON", type=_output_path, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("validate-tree", help="check a tree file")
@@ -377,7 +384,7 @@ def _parser():
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--tol", default=1e-2, type=_checked(
         float, lambda tol: 0.0 < tol < math.inf, "must be a finite number above 0"))
-    p.add_argument("--out", metavar="OUT.JSON", default=None)
+    p.add_argument("--out", metavar="OUT.JSON", type=_output_path, default=None)
     p.set_defaults(func=cmd_synthesize)
 
     return parser

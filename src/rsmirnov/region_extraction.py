@@ -93,8 +93,10 @@ MIN_RESOLUTION = 64
 MAX_RESOLUTION = 4096
 #: width and height of render_svg's picture, in pixels
 SVG_SIZE = 640
-#: width, in steps 1/resolution, of the rim along the circle where Im phi
-#: is cancellation noise: no level point found there seeds a trace
+#: width, in steps 1/resolution, of the rim along the circle where no level
+#: point seeds a trace: Im phi changes sign across the circle, so a seed
+#: ring reaching past it finds seeds on the circle itself (power_chain(6)'s
+#: at 256, at |z| = 1 - 6.5e-8), which trace from an event back to it
 RIM = 3.0
 #: samples of a seed ring per arc the local form sends across it
 RING_SAMPLES = 16
@@ -152,10 +154,10 @@ def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     +1 / -1 by the sign of Im phi, 2 where the value is too close to zero
     to call, and 0 outside the disk.  No code path calls it (render_svg
     draws the faces): it, classify_grid and BAND_FLOOR stay only for
-    pipebench's tracer and tests/test_tooling.py, until ROADMAP items 1
-    and 6 delete them."""
+    pipebench's tracer and tests/test_tooling.py, until ROADMAP's item
+    "Dead code leaves src/" deletes them."""
     res = _valid_resolution(resolution)
-    return classify_grid(phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs,
+    return classify_grid(phi.num.coeffs, phi.den.coeffs, phi.w_poly.coeffs,
                          res, 1.0 / res, 2.5 / res)
 
 
@@ -181,7 +183,7 @@ def find_branch_points(phi) -> list[BranchPoint]:
     level set is a disjoint union of smooth arcs.  They are the interior
     roots of W with a real value that the boundary pieces of phi keep.
     """
-    kept = sorted(phi.boundary_pieces().interior_real,
+    kept = sorted(phi.boundary_pieces.interior_real,
                   key=lambda zv: (zv[0].real, zv[0].imag))
     return [BranchPoint(i, z, v, m) for i, (z, v, m) in enumerate(kept)]
 
@@ -326,8 +328,7 @@ def _vertex(end: End) -> tuple[str, int]:
     return ("branch", end.branch) if end.kind == "branch" else ("event", end.event)
 
 
-def trace_segments(phi, resolution: int,
-                   branch_points: list[BranchPoint] | None = None) -> list[BoundaryArc]:
+def trace_segments(phi, resolution: int) -> list[BoundaryArc]:
     """Trace every arc of the level set Im phi = 0 inside the disk.
 
     Each returned arc is maximal between arc endpoints (circle, pole, or
@@ -335,29 +336,29 @@ def trace_segments(phi, resolution: int,
     flanks are left for ``faces`` to name.  Every arc ends at an event of
     phi's boundary pieces or at a branch point, and is traced once, both
     ways from a seed on a small ring round one (_seeds): no seed in the rim
-    along the circle, before or after _newton_to_level, starts a trace,
-    nor one within 1.5 BP_RADIUS of a branch point or on a traced arc.
-    The resolution sets the trace step, the rim and the rings.  A walk
-    that stalls, turns non-monotone or runs out of steps ends at an event
-    within its _noise_radius, or else raises TraceStalled or NonMonotone.
-    Circle and pole ends take the values of the events of phi's boundary
-    pieces (see End), so phi without trusted pieces raises
-    ExtractionMismatch; so does an arc with both ends at one point or a
+    along the circle (RIM: a ring reaching past the circle has seeds on
+    it), before or after _newton_to_level, starts a trace, nor one within
+    1.5 BP_RADIUS of a branch point or on a traced arc.  The resolution
+    sets the trace step, the rim and the rings.  A walk that stalls, turns
+    non-monotone or runs out of steps ends at an event within its
+    _noise_radius, or else raises TraceStalled or NonMonotone.  Circle and
+    pole ends take the values of the events of phi's boundary pieces (see
+    End), so phi without trusted pieces raises ExtractionMismatch; so does an arc with both ends at one point or a
     degenerate image, or a count of arc ends at an event or a branch point
     other than its local form's (``pieces.arcs``, 2 (mult + 1)).
     """
     res = int(resolution)
     rim = 1.0 - RIM / res
-    pieces = phi.boundary_pieces()
+    pieces = phi.boundary_pieces
     if pieces.spans is None:
         raise ExtractionMismatch("phi has no trusted monotone boundary pieces")
     zetas = np.exp(1j * np.array([t for t, _ in pieces.events]))
     noise = np.array([_noise_radius(phi, t, v, arcs + 1)
                       for (t, v), arcs in zip(pieces.events, pieces.arcs)])
-    bps = find_branch_points(phi) if branch_points is None else list(branch_points)
+    bps = find_branch_points(phi)
     bp_z = [bp.z for bp in bps]
     coefs = (phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
-             phi.w_poly().coeffs.tolist())
+             phi.w_poly.coeffs.tolist())
     h0 = min(2e-3, 1.0 / res)
     h_max = min(8e-3, 4.0 / res)
     segments: list[BoundaryArc] = []
@@ -450,14 +451,15 @@ class Region:
     area: float
 
 
-def faces(phi, segments: list[BoundaryArc], branch_points: list[BranchPoint]
+def faces(phi, segments: list[BoundaryArc]
           ) -> tuple[dict[int, Region], list[BoundaryArc]]:
     """The regions of Im phi != 0 as faces of the traced level-set graph,
-    and the segments with their flanks named by face id.
+    and the segments (trace_segments of phi) with their flanks named by
+    face id.
 
     Im phi is harmonic in the disk, so its zero set has no closed curve
     there and every region is simply connected: one face of the planar
-    graph whose vertices are the events of phi's boundary pieces and the
+    graph whose vertices are the events of phi's boundary pieces and its
     branch points, and whose edges are the traced arcs and the circle
     pieces.  The walk round a face leaves each vertex by the side next
     clockwise from the one it came in by, which keeps the face on its left.
@@ -472,9 +474,9 @@ def faces(phi, segments: list[BoundaryArc], branch_points: list[BranchPoint]
     Positive faces are numbered first, from 1; within a sign, faces go by
     their lowest boundary point (imag, then real).
     """
-    spans = phi.boundary_pieces().spans
+    spans = phi.boundary_pieces.spans
     n = len(spans)
-    bp_z = {bp.index: bp.z for bp in branch_points}
+    bp_z = {bp.index: bp.z for bp in find_branch_points(phi)}
     start: dict[tuple, tuple] = {}  # side -> (vertex it leaves, angle there, its point)
     for k in range(n):
         start["circle", k, 1] = (("event", k), 0.0, None)
@@ -588,7 +590,7 @@ def region_valence(phi, regions: dict[int, Region],
     total that is not pi times a positive integer raises
     ExtractionMismatch.
     """
-    ranges = phi.boundary_pieces().ranges
+    ranges = phi.boundary_pieces.ranges
     valences = {}
     for rid, region in regions.items():
         angle = 0.0
@@ -828,8 +830,7 @@ class Extraction:
 
 
 def _attempt(phi, res: int, seed: int) -> Extraction:
-    bps = find_branch_points(phi)
-    regions, segments = faces(phi, trace_segments(phi, res, bps), bps)
+    regions, segments = faces(phi, trace_segments(phi, res))
     valences = region_valence(phi, regions, segments)
     tree, collections, node_of_region = _assemble(regions, valences, segments)
     violations = validate(tree)
@@ -847,7 +848,7 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
         resolution=res,
         regions=regions,
         region_valences=valences,
-        branch_points=bps,
+        branch_points=find_branch_points(phi),
         segments=segments,
         collections=collections,
         node_of_region=node_of_region,

@@ -473,13 +473,11 @@ def _surrogate_loss(phi: RealSmirnov, tprof, tarcs) -> float:
     The counts come from the boundary pieces, which read the roots of D
     that the objective's constraint found (phi.den_roots), so outside
     their fallbacks W is the only polynomial whose roots are found here."""
-    pieces = phi.boundary_pieces()
-    bps = _real_critical_values(pieces)
+    bps = _real_critical_values(phi.boundary_pieces)
     try:
         loss = _arctan_integral(
             [*bps, *tprof.breakpoints],
-            lambda x: abs(real_valence(phi, x, pieces)
-                          - tprof.multiplicity_at(x)))
+            lambda x: abs(real_valence(phi, x) - tprof.multiplicity_at(x)))
     except ValueError:
         return 1e6
     barcs = [_arc(b) for b in bps]
@@ -501,7 +499,7 @@ def _search_loss(x, deg1: int, deg2: int, tprof, tarcs) -> float:
     phi = RealSmirnov(num, den)
     penalty = 0.0
     if den.degree >= 1:
-        for r0 in phi.den_roots().roots:
+        for r0 in phi.den_roots.roots:
             rr = abs(r0)
             if rr < 1.0 - 1e-6:
                 penalty += 1.0 + (1.0 - rr)
@@ -650,7 +648,7 @@ def verify(result: SynthesisResult, resolution: int = 512) -> VerifyReport:
 
     den_min_radius = INF
     if phi.den.degree >= 1:
-        roots = phi.den_roots().roots
+        roots = phi.den_roots.roots
         den_min_radius = float(np.abs(roots).min())
         # the constructors' rule: a root on the circle is a pole
         if count_inside(roots) > 0:

@@ -279,7 +279,7 @@ class TestValence:
             assert (np.abs(np.abs(roots) - 1.0) < BOUNDARY_TOL).sum() == 2
 
     def test_four_fold_circle_pole_is_placed_on_the_circle(self):
-        assert fixtures.fourth_power_map().circle_poles() == [(0.0, 4)]
+        assert fixtures.fourth_power_map().circle_poles == [(0.0, 4)]
 
     def test_a_root_is_inside_on_or_outside_the_circle_by_one_rule(self):
         # 1e-7 inside, 1e-12 inside and 1e-7 outside the circle: only the
@@ -287,8 +287,8 @@ class TestValence:
         # inside the disk and is no circle pole
         phi = RealSmirnov(Poly([1.0]), poly_from_roots(
             [1 - 1e-7, -1 + 1e-12, 1j * (1 + 1e-7)]))
-        assert complex_poly.count_inside(phi.den_roots().roots) == 1
-        assert phi.circle_poles() == [(pytest.approx(math.pi), 1)]
+        assert complex_poly.count_inside(phi.den_roots.roots) == 1
+        assert phi.circle_poles == [(pytest.approx(math.pi), 1)]
 
     def test_halfplane_valences(self):
         assert halfplane_valences(fixtures.upper_halfplane_map()) == (1, 0)
@@ -492,7 +492,7 @@ def test_real_affine_keeps_the_denominator_roots(monkeypatch):
     """a*phi + b has phi's denominator, so it takes phi's den_roots report
     and extracting it finds no roots of D again."""
     phi = fixtures.koebe()
-    report = phi.den_roots()
+    report = phi.den_roots
     inputs = []
     original = complex_poly.find_roots
 
@@ -503,7 +503,7 @@ def test_real_affine_keeps_the_denominator_roots(monkeypatch):
     monkeypatch.setattr(complex_poly, "find_roots", recording)
     monkeypatch.setattr(blaschke_smirnov, "find_roots", recording)
     psi = real_affine(phi, -1.0, 0.5)
-    assert psi.den_roots() is report
+    assert psi.den_roots is report
     extract_full(psi, resolution=256)
     assert not any(np.array_equal(c, psi.den.coeffs) for c in inputs)
 
@@ -607,13 +607,13 @@ def test_helson_quotient_and_w_match_poly_arithmetic():
         ref_num, ref_den = ref_helson_quotient(b1, b2)
         assert num.coeffs.tobytes() == ref_num.tobytes()
         assert den.coeffs.tobytes() == ref_den.tobytes()
-        w = RealSmirnov(num, den).w_poly()
+        w = RealSmirnov(num, den).w_poly
         assert w.coeffs.tobytes() == ref_w(ref_num, ref_den).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
 def test_fixture_w_matches_poly_arithmetic(name):
     phi = fixtures.all_fixtures()[name]
-    w = RealSmirnov(phi.num, phi.den).w_poly()
+    w = RealSmirnov(phi.num, phi.den).w_poly
     assert w.coeffs.tobytes() == ref_w(phi.num.coeffs,
                                        phi.den.coeffs).tobytes()

@@ -125,6 +125,13 @@ def test_analyze_parse_errors(tmp_path, capsys):
 
 SLIT_DEN = [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
 
+#: a JSON integer of 401 digits, beyond the largest float (about 1.8e308)
+HUGE = 10 ** 400
+
+
+def assert_one_line_parse_error(err):
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("function", [
     {"num": ["0", "1j"], "den": ["1", "0", "-1"]},
@@ -148,6 +155,13 @@ def test_analyze_rejects_a_number_that_is_no_real_or_pair(tmp_path, capsys,
     inp = write_json(tmp_path / "f.json", function)
     assert main(["analyze", inp, "--resolution", "64", "--samples", "5"]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_analyze_rejects_an_integer_too_large_for_a_float(tmp_path, capsys):
+    # complex() raised OverflowError: a traceback and exit 1
+    inp = write_json(tmp_path / "f.json", {"num": [0, [0, HUGE]], "den": SLIT_DEN})
+    assert main(["analyze", inp]) == 2
+    assert_one_line_parse_error(capsys.readouterr().err)
 
 
 def test_analyze_reads_real_numbers_and_pairs_alike(tmp_path, capsys):
@@ -216,6 +230,27 @@ def test_analyze_rejects_an_unknown_blaschke_key(tmp_path, capsys):
                       "b2": {"zeros": [[-0.5, 0.0]]}})
     assert main(["analyze", bad]) == 2
     assert "unknown Blaschke key(s) c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "{koebe}", "--plot", "{tmp}/nodir/x.svg"],
+    ["analyze", "{koebe}", "--json", "{tmp}/nodir/x.json"],
+    ["enumerate", "1", "1", "--json", "{tmp}/nodir/x.json"],
+    ["synthesize", "{edge}", "--out", "{tmp}/nodir/x.json"],
+], ids=["analyze-plot", "analyze-json", "enumerate-json", "synthesize-out"])
+def test_an_output_file_in_a_missing_directory_is_rejected_before_any_work(
+        tmp_path, capsys, command):
+    # each printed its whole output, then a FileNotFoundError traceback
+    names = {"tmp": tmp_path,
+             "koebe": write_json(tmp_path / "koebe.json", koebe().to_json()),
+             "edge": write_json(tmp_path / "edge.json", edge_tree(0.0, 1.0).to_json())}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**names) for arg in command])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "directory does not exist" in captured.err
+    assert not (tmp_path / "nodir").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +351,19 @@ def test_validate_tree_rejects_a_non_integer_valence(tmp_path, capsys, valence):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["interval", "valence"])
+def test_validate_tree_rejects_an_integer_too_large_for_a_float(
+        tmp_path, capsys, field):
+    # float() raised OverflowError: a traceback and exit 1
+    data = two_one_edge().to_json()
+    if field == "interval":
+        data["edges"][0]["interval"] = [-1, HUGE]
+    else:
+        data["nodes"][0]["valence"] = HUGE
+    assert main(["validate-tree", write_json(tmp_path / "t.json", data)]) == 2
+    assert_one_line_parse_error(capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------------------------
@@ -366,6 +414,15 @@ def test_synthesize_infeasible_exit_code(tmp_path, capsys):
     assert main(["synthesize", inp]) == 3
     err = capsys.readouterr().err
     assert "infeasible" in err and "packing" in err
+
+
+def test_synthesize_rejects_an_integer_too_large_for_a_float(tmp_path, capsys):
+    data = edge_tree(0.0, 1.0).to_json()
+    data["edges"][0]["interval"] = [0, HUGE]
+    assert main(["synthesize", write_json(tmp_path / "t.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_parse_error(captured.err)
 
 
 @pytest.mark.parametrize("option", [

@@ -593,7 +593,7 @@ def objective_polynomials():
         x = np.concatenate([rng.normal(0.0, 0.8, 6),
                             rng.uniform(0.0, 2.0 * np.pi, 2)])
         num, den = _helson_quotient(*_params_to_blaschke(x, 1, 2))
-        polys += [den, RealSmirnov(num, den).w_poly()]
+        polys += [den, RealSmirnov(num, den).w_poly]
     polys += [
         Poly([1.0, -0.5, 0.25, 1e-17]),
         Poly([0.5 - 1j, 2.0, 0.3j, 1.0, 3e-16]),

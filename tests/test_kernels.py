@@ -67,7 +67,7 @@ def classify_grid_loop(ncoef, dcoef, wcoef, res, margin, band):
 
 def assert_same_cells(phi, res):
     # the margin and band partition() uses at this resolution
-    args = (phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs,
+    args = (phi.num.coeffs, phi.den.coeffs, phi.w_poly.coeffs,
             res, 1.0 / res, 2.5 / res)
     got = classify_grid(*args)
     want = classify_grid_loop(*args)
@@ -160,7 +160,7 @@ def test_trace_arc_follows_the_double_slit_axis(direction, end):
     # walking with Re phi increasing runs down to -i, decreasing up to +i
     phi = double_slit()
     pts, status, bp_hit = trace_arc(phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
-                                     phi.w_poly().coeffs.tolist(), 0.05j, direction)
+                                     phi.w_poly.coeffs.tolist(), 0.05j, direction)
     assert status == TRACE_HIT_CIRCLE and bp_hit == -1
     assert pts[0] == 0.05j and abs(pts[-1] - end) < 1e-6
     assert np.abs(pts.real).max() < 1e-9
@@ -320,7 +320,7 @@ def test_trace_arc_matches_the_python_reference_walk(name, monkeypatch):
     # every walk, run again by the reference from the same start
     phi, calls = recorded_walks(name, monkeypatch)
     coeffs = (phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
-              phi.w_poly().coeffs.tolist())
+              phi.w_poly.coeffs.tolist())
     for (_, _, _, z0, direction), kwargs, (pts, status, bp_hit) in calls:
         want = trace_arc_python(*coeffs, z0, direction, h0=kwargs["h0"],
                                 h_max=kwargs["h_max"],
@@ -341,7 +341,7 @@ def test_trace_arc_matches_the_numpy_scalar_walk(name, monkeypatch):
     # each walk must end as that one ends: the same way, at the same
     # branch point, and within BP_RADIUS of its last point.
     phi, calls = recorded_walks(name, monkeypatch)
-    coeffs = (phi.num.coeffs, phi.den.coeffs, phi.w_poly().coeffs)
+    coeffs = (phi.num.coeffs, phi.den.coeffs, phi.w_poly.coeffs)
     for (_, _, _, z0, direction), kwargs, (pts, status, bp_hit) in calls:
         bps = np.array(kwargs["branch_points"], dtype=np.complex128)
         want = trace_arc_python(*coeffs, z0, direction, h0=kwargs["h0"],

@@ -152,7 +152,7 @@ def assert_agrees(phi, pieces, x):
     the exact critical value when x is the float of one."""
     fast = pieces.count(x)
     want = valence_at(phi, x)
-    assert real_valence(phi, x, pieces) == (want if fast is None else fast)
+    assert real_valence(phi, x) == (want if fast is None else fast)
     if fast is not None and fast != want:
         ts = [t for t, v in pieces.critical if v == x]
         exact_x = exact_critical_value(phi, ts[0]) if ts else x
@@ -216,7 +216,7 @@ def numpy_scalar_pieces(phi, events):
     """_monotone_pieces with W and D evaluated on numpy scalars and the
     square taken as numpy's power: the reference for its Python-number
     evaluation."""
-    w, d = phi.w_poly(), phi.den
+    w, d = phi.w_poly, phi.den
     pieces = []
     for k, (t0, v0) in enumerate(events):
         t1, v1 = events[(k + 1) % len(events)]
@@ -294,11 +294,12 @@ def test_pieces_count_a_radial_pair_by_a_critical_value():
     phi, lam = radial_pair_case()
     pieces = BoundaryPieces(phi)
     assert min(abs(lam - v) for v in critical_values(pieces)) < 1e-13
-    assert real_valence(phi, lam, pieces) == exact_valence(phi, lam) == 1
+    assert real_valence(phi, lam) == exact_valence(phi, lam) == 1
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5, a radial pair closer than about sqrt(theta): "
+    "ROADMAP item \"The oracle decides an ill-conditioned row at 50 "
+    "digits\", a radial pair closer than about sqrt(theta): "
     "valence_at fits the two roots 1e-7 off the circle as one double root "
     "on it"))
 def test_valence_at_counts_a_radial_pair_by_a_critical_value():
@@ -349,21 +350,21 @@ def test_inconsistent_piece_falls_back(monkeypatch):
     true_value = type(phi).boundary_value
     monkeypatch.setattr(phi, "boundary_value",
                         lambda t: -true_value(phi, t))
-    pieces = BoundaryPieces(phi)
+    pieces = phi.boundary_pieces
     assert pieces.ranges is None
     for x in (-3.0, 0.0, 0.4):
         assert pieces.count(x) is None
-        assert real_valence(phi, x, pieces) == valence_at(phi, x)
+        assert real_valence(phi, x) == valence_at(phi, x)
 
 
 def test_no_events_falls_back(monkeypatch):
     phi = all_fixtures()["upper_halfplane_map"]
     # W is constant, so the circle pole is the only event
     assert BoundaryPieces(phi).count(0.0) == 0
-    monkeypatch.setattr(phi, "circle_poles", lambda: [])
-    pieces = BoundaryPieces(phi)
+    monkeypatch.setattr(phi, "circle_poles", [])
+    pieces = phi.boundary_pieces
     assert pieces.ranges is None
-    assert real_valence(phi, 0.0, pieces) == 0
+    assert real_valence(phi, 0.0) == 0
 
 
 def test_non_real_critical_value_falls_back(monkeypatch):
@@ -373,19 +374,19 @@ def test_non_real_critical_value_falls_back(monkeypatch):
         raise BoundaryNotReal(1.0, t)
 
     monkeypatch.setattr(phi, "boundary_value", not_real)
-    pieces = BoundaryPieces(phi)
+    pieces = phi.boundary_pieces
     assert pieces.ranges is None
     assert pieces.critical and all(v is None for _, v in pieces.critical)
-    assert real_valence(phi, 0.0, pieces) == 1
+    assert real_valence(phi, 0.0) == 1
 
 
 def test_odd_count_falls_back():
     phi = double_slit()
-    pieces = BoundaryPieces(phi)
+    pieces = phi.boundary_pieces
     # a piece that is not there makes n - c odd
     pieces.ranges = pieces.ranges + [(-1.0, 1.0)]
     assert pieces.count(0.0) is None
-    assert real_valence(phi, 0.0, pieces) == 1
+    assert real_valence(phi, 0.0) == 1
 
 
 def test_crosscheck_counts_every_sample_from_roots(monkeypatch):

@@ -115,8 +115,7 @@ def ex_slit_squared():
 
 def traced_faces(phi, res=256):
     """The faces of phi's traced level set and its segments, flanks named."""
-    bps = find_branch_points(phi)
-    return faces(phi, trace_segments(phi, res, bps), bps)
+    return faces(phi, trace_segments(phi, res))
 
 
 def winding(polygon, z):
@@ -231,11 +230,10 @@ def test_mirror_image_faces_tie_and_the_first_is_the_root():
 @pytest.mark.parametrize("name", ["fourth_power_map", "slit_squared", "5-path"])
 def test_faces_without_an_arc_have_sides_of_both_signs(name):
     phi = EVENT_CASES[name]()
-    bps = find_branch_points(phi)
-    segs = trace_segments(phi, 256, bps)
+    segs = trace_segments(phi, 256)
     for k in range(len(segs)):
         with pytest.raises(ExtractionMismatch, match="sides of both signs"):
-            faces(phi, segs[:k] + segs[k + 1:], bps)
+            faces(phi, segs[:k] + segs[k + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +808,7 @@ def traced_end_value(phi, end, z):
 @pytest.mark.parametrize("name", sorted(EVENT_CASES))
 def test_arc_ends_take_the_values_of_their_events(name):
     phi, ex = event_case(name, 256)
-    events = phi.boundary_pieces().events
+    events = phi.boundary_pieces.events
     zetas = np.exp(1j * np.array([t for t, _ in events]))
     for seg in ex.segments:
         for end, z, side in ((seg.lo, seg.points[0], -1), (seg.hi, seg.points[-1], 1)):
@@ -841,7 +839,7 @@ def test_interval_trees_identical_across_resolutions(name):
 def ring_radii(phi, res):
     """The seed rings: (centre, radius) round each event that sends arcs
     into the disk and round each branch point."""
-    pieces = phi.boundary_pieces()
+    pieces = phi.boundary_pieces
     rings = [(cmath.exp(1j * t), max(math.sqrt(2.0) * rx.RIM
                                      / (res * math.sin(math.pi / (arcs + 1))),
                                      2.0 * rx._noise_radius(phi, t, v, arcs + 1)))
@@ -872,6 +870,20 @@ def test_traces_start_on_the_rings_inside_the_rim(monkeypatch):
                 assert min(abs(abs(z0 - c) - r) for c, r in rings) < 1e-12
             n_seeds += len(seeds)
     assert n_seeds > 0
+
+
+def test_the_rim_keeps_ring_seeds_on_the_circle_from_starting_a_trace():
+    # power_chain(6)'s half rings at 256 reach past the circle, across
+    # which Im phi changes sign, so some of their seeds lie on the circle
+    # itself; traced, such a seed would run from its event back to it
+    phi, res = power_chain(6), 256
+    pieces = phi.boundary_pieces
+    noise = [rx._noise_radius(phi, t, v, arcs + 1)
+             for (t, v), arcs in zip(pieces.events, pieces.arcs)]
+    seeds = rx._seeds(phi, pieces, find_branch_points(phi), res, noise)
+    assert any(abs(z) > 1.0 - rx.RIM / res for z in seeds)
+    assert len(trace_segments(phi, res)) == 5
+    assert extract_full(phi, res, max_resolution=res).resolution == res
 
 
 def test_ring_seeds_are_where_im_phi_changes_sign():
@@ -905,8 +917,8 @@ def test_arc_ends_match_the_local_form(name):
     # read off the roots of W and D here
     phi, ex = event_case(name, 256)
     ends = [v for seg in ex.segments for v in (seg.lo, seg.hi)]
-    w = phi.w_poly()
-    for k, (t, value) in enumerate(phi.boundary_pieces().events):
+    w = phi.w_poly
+    for k, (t, value) in enumerate(phi.boundary_pieces.events):
         z = cmath.exp(1j * t)
         want = (multiplicity_at(phi.den, z) - 1 if math.isinf(value)
                 else multiplicity_at(w, z))
@@ -940,7 +952,7 @@ def test_six_fold_chain_extracts_where_its_ring_would_lie_in_the_noise():
     # rounding noise round power_chain(6)'s 6-fold zero at -1 (6.6e-3), so
     # the ring is widened to twice the noise radius
     phi = power_chain(6)
-    pieces = phi.boundary_pieces()
+    pieces = phi.boundary_pieces
     (t, v), arcs = pieces.events[1], pieces.arcs[1]
     assert (v, arcs) == (pytest.approx(0.0), 5)
     assert rx._noise_radius(phi, t, v, arcs + 1) > math.sqrt(2.0) * rx.RIM / (

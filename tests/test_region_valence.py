@@ -24,7 +24,6 @@ from rsmirnov.region_extraction import (
     crosscheck,
     extract_full,
     faces,
-    find_branch_points,
     region_valence,
     trace_segments,
 )
@@ -86,9 +85,7 @@ def test_boundary_valences_agree_with_root_placement(seed, deg1, deg2, rmax):
     phi = random_helson(np.random.default_rng(seed), deg1, deg2, rmax=rmax,
                         max_tries=20000)
     try:
-        bps = find_branch_points(phi)
-        regions, segments = faces(
-            phi, trace_segments(phi, 256, bps), bps)
+        regions, segments = faces(phi, trace_segments(phi, 256))
         valences = region_valence(phi, regions, segments)
     except ExtractionError:
         valences = None

@@ -1,11 +1,13 @@
 """The benchmark's tracer (pipebench/tracer.py) wraps rsmirnov functions
-by module and attribute name, and benchmarks/bench_kernels.py imports
-private names; a rename under src/ would break either one silently."""
+by module and attribute name, benchmarks/bench_kernels.py imports
+private names, and README.md's library tour calls the API; a rename under
+src/ would break any of them silently."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from rsmirnov import region_extraction
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "pipebench" / "tracer.py"
 BENCH_KERNELS = ROOT / "benchmarks" / "bench_kernels.py"
+README = ROOT / "README.md"
 
 
 def load(path, name):
@@ -62,3 +65,19 @@ def test_bench_kernels_names_resolve():
     assert used
     missing = sorted((m, a) for m, a in used if not hasattr(modules[m], a))
     assert missing == []
+
+
+def test_readme_tour_prints_what_its_comments_say(capsys):
+    # each print of the tour is followed by a comment, on its line or the
+    # next one, holding what it prints
+    (tour,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                         re.DOTALL)
+    lines = tour.splitlines()
+    want = []
+    for k, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line.partition("  # ")[2]
+            want.append(comment or lines[k + 1].removeprefix("# "))
+    exec(compile(tour, str(README), "exec"), {})
+    assert len(want) == 2
+    assert capsys.readouterr().out.splitlines() == want
