@@ -4,12 +4,12 @@ Run from the repository root:
 
     python3 benchmarks/bench_kernels.py
 
-The script times the four kernels of rsmirnov._kernels, best of five
+The script times the three kernels of rsmirnov._kernels that extraction
+and synthesis run (horner_many, aberth_iterate, trace_arc), best of five
 runs after one warmup.  Workload sizes match what one disk extraction at
-resolution 512 actually pushes through the kernels; classify_grid is also
-timed at 1024, with the peak of its temporary allocations (tracemalloc).
-aberth_iterate runs from fixed circle guesses to its one stopping rule,
-ABERTH_TOL, the tolerance every root find uses.
+resolution 512 actually pushes through the kernels.  aberth_iterate runs
+from fixed circle guesses to its one stopping rule, ABERTH_TOL, the
+tolerance every root find uses.
 
 The real valence count rows time the two ways of counting valences at
 real points on a fixed (2, 1) edge candidate: valence_at finds the roots
@@ -64,7 +64,6 @@ import cmath
 import math
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -101,16 +100,6 @@ def _time(fn, repeats=5):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _peak_alloc(fn):
-    """Peak bytes allocated while fn runs, as tracemalloc counts them."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # real points of the valence rows, spread over the line as arctan spreads
@@ -292,7 +281,7 @@ def real_fallbacks(phi):
 
 
 def run_benchmarks():
-    """(seconds by kernel, peak temporary bytes by kernel)."""
+    """Seconds by row, best of five runs."""
     f4 = fourth_power_map()
     ds = double_slit()
     res = 512
@@ -304,7 +293,6 @@ def run_benchmarks():
     poly8 = rng.normal(size=9) + 1j * rng.normal(size=9)
     guesses = 0.7 * np.exp(2j * np.pi * (np.arange(8) + 0.25) / 8)
 
-    f4_args = (f4.num.coeffs, f4.den.coeffs, f4.w_poly.coeffs)
     ds_args = (ds.num.coeffs.tolist(), ds.den.coeffs.tolist(),
                ds.w_poly.coeffs.tolist())
 
@@ -314,10 +302,6 @@ def run_benchmarks():
     def bench_aberth():
         for _ in range(512):
             _kernels.aberth_iterate(poly8, guesses)
-
-    def bench_classify(r):
-        # the margin and band partition() uses at resolution r
-        return lambda: _kernels.classify_grid(*f4_args, r, 1.0 / r, 2.5 / r)
 
     def bench_trace():
         for _ in range(30):
@@ -391,8 +375,6 @@ def run_benchmarks():
     timings = {
         "horner_many (262k pts, deg 4)": _time(bench_horner),
         "aberth_iterate (512 solves, deg 8)": _time(bench_aberth),
-        "classify_grid (res 512)": _time(bench_classify(512)),
-        "classify_grid (res 1024)": _time(bench_classify(1024)),
         "trace_arc (60 arcs)": _time(bench_trace),
         VALENCE_ROWS[0]: _time(bench_valence_at),
         VALENCE_ROWS[1]: _time(bench_real_valence),
@@ -407,17 +389,7 @@ def run_benchmarks():
         "render_svg (5 fixtures, res 512)": _time(bench_render_svg),
         "integral_means (5 fixtures, 4 rows)": _time(bench_integral_means),
     }
-    peaks = {
-        "classify_grid (res 512)": _peak_alloc(bench_classify(512)),
-        "classify_grid (res 1024)": _peak_alloc(bench_classify(1024)),
-    }
-    return timings, peaks
-
-
-def _peak_column(peaks, name):
-    if name not in peaks:
-        return ""
-    return "%8.1f MB" % (peaks[name] / 2**20)
+    return timings
 
 
 def _valence_summary(timings):
@@ -467,14 +439,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
 
-    timings, peaks = run_benchmarks()
-    print("%-36s %11s %11s" % ("kernel", "time", "peak alloc"))
+    timings = run_benchmarks()
+    print("%-36s %11s" % ("kernel", "time"))
     for name, t in timings.items():
         if name in MICRO_ROWS:
             print("%-36s %8.1f us" % (name, 1e6 * t))
             continue
-        print(("%-36s %8.1f ms %s"
-               % (name, 1e3 * t, _peak_column(peaks, name))).rstrip())
+        print("%-36s %8.1f ms" % (name, 1e3 * t))
     print(_valence_summary(timings))
     print(_counts_summary(timings))
     print(_find_roots_summary(timings))

@@ -411,8 +411,9 @@ def from_rational(num, den):
     if num.degree + den.degree > 0:
         ts, ims = phi.boundary_im_samples()
         if ims.size:
+            # argmax picks a NaN (Im overflowed), which no tolerance admits
             worst = int(np.argmax(ims))
-            if ims[worst] > BOUNDARY_IM_TOL:
+            if not ims[worst] <= BOUNDARY_IM_TOL:
                 raise BoundaryNotReal(float(ims[worst]), float(ts[worst]))
     return phi
 

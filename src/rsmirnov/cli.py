@@ -46,7 +46,14 @@ from .synthesis import (
     catalog_realize,
     synthesize_search,
 )
-from .valence_tree import InvalidTree, Interval, Tree, profile, to_dot, validate
+from .valence_tree import (
+    Interval,
+    Tree,
+    enumerate_shapes,
+    profile,
+    to_dot,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -59,10 +66,6 @@ ENUMERATE_CAP = 6
 # integral-means probe: radii from the divergence test, exponents placed
 # below and above the H^p threshold 1/(2m) for real multiplicity m
 MEANS_RADII = (0.99, 0.9999)
-
-
-class CapExceeded(ValueError):
-    """Enumeration request beyond the combinatorial cap."""
 
 
 class ParseFailure(ValueError):
@@ -208,14 +211,13 @@ def cmd_analyze(args):
 
 
 def cmd_enumerate(args):
-    from .valence_tree import enumerate_shapes
-
+    if args.v_plus > ENUMERATE_CAP or args.v_minus > ENUMERATE_CAP:
+        print("invalid request: valences are capped at %d for enumeration"
+              % ENUMERATE_CAP, file=sys.stderr)
+        return EXIT_INVALID
     try:
-        if args.v_plus > ENUMERATE_CAP or args.v_minus > ENUMERATE_CAP:
-            raise CapExceeded(
-                "valences are capped at %d for enumeration" % ENUMERATE_CAP)
         entries = enumerate_shapes(args.v_plus, args.v_minus)
-    except (CapExceeded, ValueError) as exc:
+    except ValueError as exc:
         print("invalid request: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
 
@@ -253,7 +255,7 @@ def _load_tree(path):
     try:
         return Tree.from_json(data)
     # float() raises OverflowError on an integer too large for a float
-    except (InvalidTree, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseFailure("not a tree description: %s" % exc) from exc
 
 
@@ -342,10 +344,21 @@ def _int_at_least(low):
     return _checked(int, lambda value: value >= low, "must be at least %d" % low)
 
 
-#: argparse type of an output file: a path in a directory that exists, so
-#: that a command does its work only when it can write the result
-_output_path = _checked(str, lambda path: Path(path).parent.is_dir(),
-                        "its directory does not exist")
+def _output_path(text):
+    """argparse type of an output file: a path that is no directory, in a
+    directory that exists, so that a command does its work only when it
+    can write the result (an existing file is overwritten)."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError("its directory does not exist")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError("it is a directory")
+    return text
+
+
+#: argparse type of the --dot directory: absent (it is made) or a directory
+_dot_dir = _checked(str, lambda path: Path(path).is_dir() or not Path(path).exists(),
+                    "it exists and is not a directory")
 
 
 def _parser():
@@ -368,7 +381,7 @@ def _parser():
     p = sub.add_parser("enumerate", help="all tree shapes for given valences")
     p.add_argument("v_plus", type=int)
     p.add_argument("v_minus", type=int)
-    p.add_argument("--dot", metavar="DIR", default=None,
+    p.add_argument("--dot", metavar="DIR", type=_dot_dir, default=None,
                    help="write one DOT file per shape")
     p.add_argument("--json", metavar="OUT.JSON", type=_output_path, default=None)
     p.set_defaults(func=cmd_enumerate)

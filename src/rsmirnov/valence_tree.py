@@ -569,9 +569,10 @@ def _grow_colored_shapes(n_plus: int, n_minus: int):
 
     Shapes are grown by leaf addition: every tree on k+1 nodes arises from
     a tree on k nodes by deleting a leaf, so breadth-first growth with
-    canonical deduplication at each size is exhaustive.  Each shape is
-    returned as (colors, edges) with colors[i] in {+1, -1} and edges a
-    tuple of index pairs.
+    deduplication by ``canonical_code`` (of the shape as a tree of
+    valence-1 nodes) at each size is exhaustive.  Each shape is returned as
+    (colors, edges) with colors[i] in {+1, -1} and edges a tuple of index
+    pairs.
     """
     total = n_plus + n_minus
     if total == 0:
@@ -589,27 +590,19 @@ def _grow_colored_shapes(n_plus: int, n_minus: int):
                     continue
                 new_colors = colors + (new_color,)
                 new_edges = edges + ((host, len(colors)),)
-                code = _colored_code(new_colors, new_edges)
-                grown.setdefault(code, (new_colors, new_edges))
+                shape = Tree(
+                    [Node(str(i), c, 1) for i, c in enumerate(new_colors)],
+                    [(str(a), str(b), Interval(0.0, 1.0))
+                     for a, b in new_edges])
+                grown.setdefault(canonical_code(shape),
+                                 (new_colors, new_edges))
+        # a set of int tuples: its order, which picks the representative
+        # each code keeps at the next size, is the same in every process
         level = set(grown.values())
     return [
         (colors, edges) for colors, edges in level
         if sum(1 for c in colors if c > 0) == n_plus
     ]
-
-
-def _colored_code(colors, edges) -> str:
-    adj = {i: [] for i in range(len(colors))}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    def rooted(v, parent):
-        kids = sorted(rooted(u, v) for u in adj[v] if u != parent)
-        mark = "+" if colors[v] > 0 else "-"
-        return "(" + mark + "|" + ",".join(kids) + ")"
-
-    return min(rooted(v, None) for v in range(len(colors)))
 
 
 def _shape_constraints(tree: Tree, edge_names) -> tuple:
@@ -638,11 +631,14 @@ def enumerate_shapes(v_plus: int, v_minus: int) -> list[ShapeEntry]:
 
     Generates, up to shape isomorphism, all alternating signed trees whose
     upper-node valences sum to v_plus and lower-node valences sum to
-    v_minus.  Every such shape admits a valid interval assignment -- the
-    certificate assigns edge j the unit interval (j, j+1), which makes all
-    intervals pairwise disjoint -- so enumeration is purely combinatorial.
-    Each entry carries the interval constraints the shape imposes on a
-    general assignment.
+    v_minus: for each pair of valence partitions, each colored shape from
+    ``_grow_colored_shapes`` with that many upper and lower nodes, and
+    each placement of the parts on its nodes, keeping one tree per
+    ``canonical_code``.  Every such shape admits a valid interval
+    assignment -- the certificate assigns edge j the unit interval
+    (j, j+1), which makes all intervals pairwise disjoint -- so enumeration
+    is purely combinatorial.  Each entry carries the interval constraints
+    the shape imposes on a general assignment.
     """
     if v_plus < 0 or v_minus < 0 or v_plus + v_minus < 1:
         raise ValueError("need nonnegative valences with v_plus + v_minus >= 1")
@@ -650,60 +646,29 @@ def enumerate_shapes(v_plus: int, v_minus: int) -> list[ShapeEntry]:
     seen: dict[str, ShapeEntry] = {}
     for plus_part in _partitions(v_plus):
         for minus_part in _partitions(v_minus):
-            if not plus_part and not minus_part:
-                continue
-            if not plus_part or not minus_part:
-                # Single-node tree: no edges, so the opposite side must be
-                # empty and the populated side must be a single node.
-                part = plus_part or minus_part
-                if len(part) != 1:
-                    continue
-                sign = 1 if plus_part else -1
-                pre = "p" if sign > 0 else "m"
-                tree = Tree([Node(f"{pre}1", sign, part[0])], [])
-                entry = ShapeEntry(tree, (), _shape_constraints(tree, ()))
-                seen.setdefault(entry.code, entry)
-                continue
             for colors, edges in _grow_colored_shapes(len(plus_part),
                                                       len(minus_part)):
-                plus_slots = [i for i, c in enumerate(colors) if c > 0]
-                minus_slots = [i for i, c in enumerate(colors) if c < 0]
+                # the k-th upper node is "pk", the k-th lower node "mk"
+                names = [f"{'p' if c > 0 else 'm'}{colors[:i + 1].count(c)}"
+                         for i, c in enumerate(colors)]
+                edge_names = tuple(f"I{j + 1}" for j in range(len(edges)))
+                tree_edges = [(names[a], names[b],
+                               Interval(float(j), float(j + 1)))
+                              for j, (a, b) in enumerate(edges)]
                 for p_assign in set(itertools.permutations(plus_part)):
                     for m_assign in set(itertools.permutations(minus_part)):
-                        valence = {}
-                        for slot, val in zip(plus_slots, p_assign):
-                            valence[slot] = val
-                        for slot, val in zip(minus_slots, m_assign):
-                            valence[slot] = val
-                        names = {}
-                        p_count = m_count = 0
-                        for i, c in enumerate(colors):
-                            if c > 0:
-                                p_count += 1
-                                names[i] = f"p{p_count}"
-                            else:
-                                m_count += 1
-                                names[i] = f"m{m_count}"
-                        nodes = [Node(names[i], colors[i], valence[i])
-                                 for i in range(len(colors))]
-                        tree_edges = [
-                            (names[a], names[b],
-                             Interval(float(j), float(j + 1)))
-                            for j, (a, b) in enumerate(edges)
-                        ]
-                        tree = Tree(nodes, tree_edges)
+                        # the parts go to the nodes of each sign in order
+                        parts = {1: iter(p_assign), -1: iter(m_assign)}
+                        tree = Tree([Node(name, c, next(parts[c]))
+                                     for name, c in zip(names, colors)],
+                                    tree_edges)
                         code = canonical_code(tree)
-                        if code in seen:
-                            continue
-                        edge_names = tuple(f"I{j + 1}"
-                                           for j in range(len(edges)))
-                        seen[code] = ShapeEntry(
-                            tree, edge_names,
-                            _shape_constraints(tree, edge_names))
+                        if code not in seen:
+                            seen[code] = ShapeEntry(
+                                tree, edge_names,
+                                _shape_constraints(tree, edge_names))
 
-    entries = sorted(seen.values(),
-                     key=lambda e: (len(e.tree.nodes), e.code))
-    return entries
+    return sorted(seen.values(), key=lambda e: (len(e.tree.nodes), e.code))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,13 @@ class TestConstruction:
         with pytest.raises(BoundaryNotReal):
             from_rational(Poly([0, 1]), Poly([1]))
 
+    def test_boundary_that_overflows_is_not_real(self):
+        # (1 + z)/(1 + z/2) is not real on the circle; at t = 0 its Im
+        # overflows to NaN, which failed every comparison and was accepted
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BoundaryNotReal):
+            from_rational([1e308, 1e308], [1, 0.5])
+
     @pytest.mark.parametrize("num, den", [
         ([math.nan, 1], [1, 0.5]),
         ([0, 1], [1, 0, math.inf]),

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation failure, 2 parse error, 3 infeasible
 target, 4 numerical failure.
 """
 
+import hashlib
 import json
 import math
 
@@ -253,6 +254,41 @@ def test_an_output_file_in_a_missing_directory_is_rejected_before_any_work(
     assert not (tmp_path / "nodir").exists()
 
 
+@pytest.mark.parametrize("command,message", [
+    (["analyze", "{koebe}", "--plot", "{tmp}/adir"], "it is a directory"),
+    (["analyze", "{koebe}", "--json", "{tmp}/adir"], "it is a directory"),
+    (["enumerate", "1", "1", "--json", "{tmp}/adir"], "it is a directory"),
+    (["synthesize", "{edge}", "--out", "{tmp}/adir"], "it is a directory"),
+    (["enumerate", "1", "1", "--dot", "{tmp}/afile"],
+     "it exists and is not a directory"),
+], ids=["analyze-plot", "analyze-json", "enumerate-json", "synthesize-out",
+        "enumerate-dot"])
+def test_an_output_path_of_the_wrong_kind_is_rejected_before_any_work(
+        tmp_path, capsys, command, message):
+    # each printed its whole output, then an IsADirectoryError (a file
+    # output) or FileExistsError (--dot) traceback
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    names = {"tmp": tmp_path,
+             "koebe": write_json(tmp_path / "koebe.json", koebe().to_json()),
+             "edge": write_json(tmp_path / "edge.json", edge_tree(0.0, 1.0).to_json())}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**names) for arg in command])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert list((tmp_path / "adir").iterdir()) == []
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
+
+
+def test_an_existing_output_file_is_overwritten(tmp_path, capsys):
+    out = tmp_path / "shapes.json"
+    out.write_text("old", encoding="utf-8")
+    assert main(["enumerate", "1", "1", "--json", str(out)]) == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))) == 1
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
@@ -274,6 +310,22 @@ def test_enumerate_writes_dot_files(tmp_path, capsys):
     files = sorted(dot_dir.glob("shape_*.dot"))
     assert len(files) == 2
     assert "graph valence_tree" in files[0].read_text()
+
+
+@pytest.mark.parametrize("vp,vm,json_sha,out_sha", [
+    (2, 3, "512a35714ea147a7", "b1e728c670e28af4"),
+    (3, 3, "b4a47ff669a5dde9", "ccdae43d42b26435"),
+    (4, 4, "7068cbd8a97c5066", "112612b4899cde8a"),
+])
+def test_enumerate_catalogs_are_pinned(tmp_path, capsys, vp, vm, json_sha,
+                                       out_sha):
+    # sha256 prefixes of the --json file and of stdout: the representatives,
+    # node names, edge names and constraint text all stay as they are
+    out = tmp_path / "shapes.json"
+    assert main(["enumerate", str(vp), str(vm), "--json", str(out)]) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == json_sha
+    assert hashlib.sha256(printed).hexdigest()[:16] == out_sha
 
 
 def test_enumerate_cap(capsys):

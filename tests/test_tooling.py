@@ -1,18 +1,22 @@
 """The benchmark's tracer (pipebench/tracer.py) wraps rsmirnov functions
 by module and attribute name, benchmarks/bench_kernels.py imports
-private names, and README.md's library tour calls the API; a rename under
-src/ would break any of them silently."""
+private names, and README.md's library tour and command-line transcripts
+show what the API and the CLI print; a rename under src/ or a changed
+report would break any of them silently."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from rsmirnov import region_extraction
+from rsmirnov.cli import main
+from rsmirnov.fixtures import koebe
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "pipebench" / "tracer.py"
@@ -81,3 +85,16 @@ def test_readme_tour_prints_what_its_comments_say(capsys):
     exec(compile(tour, str(README), "exec"), {})
     assert len(want) == 2
     assert capsys.readouterr().out.splitlines() == want
+
+
+@pytest.mark.parametrize("command", ["analyze koebe.json", "enumerate 2 1"])
+def test_readme_transcript_prints_what_it_shows(command, tmp_path, monkeypatch,
+                                                 capsys):
+    # the block opens with "$ rsmirnov <command>"; the rest is its stdout
+    (block,) = re.findall(r"```\n\$ rsmirnov " + re.escape(command) + r"\n(.*?)```",
+                          README.read_text(encoding="utf-8"), re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "koebe.json").write_text(json.dumps(koebe().to_json()),
+                                         encoding="utf-8")
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out.splitlines() == block.splitlines()
