@@ -18,6 +18,7 @@ target, 4 numerical failure.
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -353,12 +354,21 @@ def _output_path(text):
         raise argparse.ArgumentTypeError("its directory does not exist")
     if path.is_dir():
         raise argparse.ArgumentTypeError("it is a directory")
+    if text.endswith((os.sep, "/")):
+        # Path drops the separator: "out/" would name the file "out"
+        raise argparse.ArgumentTypeError("it ends in a path separator")
     return text
 
 
-#: argparse type of the --dot directory: absent (it is made) or a directory
-_dot_dir = _checked(str, lambda path: Path(path).is_dir() or not Path(path).exists(),
-                    "it exists and is not a directory")
+def _dot_dir(text):
+    """argparse type of the --dot directory: a directory, or a path mkdir
+    can make, whose nearest existing ancestor is a directory."""
+    path = Path(text)
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise argparse.ArgumentTypeError(
+            "%s exists and is not a directory" % ("it" if nearest == path else nearest))
+    return text
 
 
 def _parser():

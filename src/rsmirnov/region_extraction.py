@@ -93,11 +93,9 @@ MIN_RESOLUTION = 64
 MAX_RESOLUTION = 4096
 #: width and height of render_svg's picture, in pixels
 SVG_SIZE = 640
-#: width, in steps 1/resolution, of the rim along the circle where no level
-#: point seeds a trace: Im phi changes sign across the circle, so a seed
-#: ring reaching past it finds seeds on the circle itself (power_chain(6)'s
-#: at 256, at |z| = 1 - 6.5e-8), which trace from an event back to it
-RIM = 3.0
+#: depth of the seed ring round an event, in steps 1/resolution: the half
+#: ring meets its first arc sqrt(2) RING_DEPTH / res inside the circle
+RING_DEPTH = 3.0
 #: samples of a seed ring per arc the local form sends across it
 RING_SAMPLES = 16
 #: radius of the seed ring round a branch point, in BP_RADIUS (traces stop
@@ -252,11 +250,14 @@ def _newton_to_level(coefs, z0: complex) -> complex | None:
 def _ring_seeds(phi, center: complex, step: complex, angles: np.ndarray) -> list[complex]:
     """Where Im phi changes sign on the ring center + step * exp(i angle),
     sampled at ``angles`` (increasing): between each two consecutive
-    samples of opposite sign, the point where Im(N conj D), which has the
-    sign of Im phi, interpolates linearly to zero."""
+    samples of opposite sign that both lie inside the disk, the point where
+    Im(N conj D), which has the sign of Im phi, interpolates linearly to
+    zero.  Im phi changes sign across the circle, so a pair with a sample
+    outside it would put a seed on the circle itself."""
     z = center + step * np.exp(1j * angles)
+    inside = np.abs(z) < 1.0
     im = (phi.num(z) * phi.den(z).conj()).imag
-    k = np.flatnonzero((im[1:] > 0) != (im[:-1] > 0))
+    k = np.flatnonzero(((im[1:] > 0) != (im[:-1] > 0)) & inside[1:] & inside[:-1])
     at = angles[k] + (angles[k + 1] - angles[k]) * im[k] / (im[k] - im[k + 1])
     return (center + step * np.exp(1j * at)).tolist()
 
@@ -281,16 +282,16 @@ def _seeds(phi, pieces: BoundaryPieces, bps: list[BranchPoint], res: int,
 
     An event's local form sends its arcs into the disk at angles
     j pi / (arcs + 1) from its tangent; the half ring round it meets the
-    first sqrt(2) RIM / res inside the circle (with one arc, where an arc
-    to an event 2 RIM / res away that just leaves the rim is deepest),
-    and lies at least twice the event's noise radius from it.
+    first sqrt(2) RING_DEPTH / res inside the circle, and lies at least
+    twice the event's noise radius from it.  The part of a half ring that
+    reaches past the circle seeds nothing (_ring_seeds).
     """
     seeds = []
     for (t, _), arcs, r_noise in zip(pieces.events, pieces.arcs, noise):
         if arcs:
             n = RING_SAMPLES * (arcs + 1)
             zeta = cmath.exp(1j * t)
-            radius = max(math.sqrt(2.0) * RIM / (res * math.sin(math.pi / (arcs + 1))),
+            radius = max(math.sqrt(2.0) * RING_DEPTH / (res * math.sin(math.pi / (arcs + 1))),
                          2.0 * r_noise)
             seeds += _ring_seeds(phi, zeta, radius * 1j * zeta,
                                  math.pi * (np.arange(n) + 0.5) / n)
@@ -335,20 +336,17 @@ def trace_segments(phi, resolution: int) -> list[BoundaryArc]:
     branch point) and has strictly increasing Re phi along its points; its
     flanks are left for ``faces`` to name.  Every arc ends at an event of
     phi's boundary pieces or at a branch point, and is traced once, both
-    ways from a seed on a small ring round one (_seeds): no seed in the rim
-    along the circle (RIM: a ring reaching past the circle has seeds on
-    it), before or after _newton_to_level, starts a trace, nor one within
-    1.5 BP_RADIUS of a branch point or on a traced arc.  The resolution
-    sets the trace step, the rim and the rings.  A walk that stalls, turns
-    non-monotone or runs out of steps ends at an event within its
-    _noise_radius, or else raises TraceStalled or NonMonotone.  Circle and
+    ways from a seed on a small ring round one (_seeds): no seed within
+    1.5 BP_RADIUS of a branch point or on a traced arc starts a trace.
+    The resolution sets only the trace step and the rings.  A walk that
+    stalls, turns non-monotone or runs out of steps ends at an event within
+    its _noise_radius, or else raises TraceStalled or NonMonotone.  Circle and
     pole ends take the values of the events of phi's boundary pieces (see
     End), so phi without trusted pieces raises ExtractionMismatch; so does an arc with both ends at one point or a
     degenerate image, or a count of arc ends at an event or a branch point
     other than its local form's (``pieces.arcs``, 2 (mult + 1)).
     """
     res = int(resolution)
-    rim = 1.0 - RIM / res
     pieces = phi.boundary_pieces
     if pieces.spans is None:
         raise ExtractionMismatch("phi has no trusted monotone boundary pieces")
@@ -377,10 +375,8 @@ def trace_segments(phi, resolution: int) -> list[BoundaryArc]:
         return pts, status, bp_hit
 
     for seed in _seeds(phi, pieces, bps, res, noise):
-        if abs(seed) > rim:
-            continue  # cancellation noise along the circle, not an interior arc
         z = _newton_to_level(coefs, seed)
-        if z is None or abs(z) > rim:
+        if z is None:
             continue
         if any(abs(z - b) < 1.5 * BP_RADIUS for b in bp_z):
             continue
@@ -860,10 +856,10 @@ def extract_full(phi, resolution: int = DEFAULT_RESOLUTION,
     """Extract the valence tree, doubling the resolution on failure.
 
     An attempt traces the level arcs from the events and branch points
-    (trace_segments: the resolution sets the trace step, the rim along the
-    circle and the seed rings), walks the faces they cut the disk into,
-    reads the region valences off their boundaries, assembles and validates
-    the tree, and checks it against root counts at 36 fresh points
+    (trace_segments: the resolution sets the trace step and the seed
+    rings), walks the faces they cut the disk into, reads the region
+    valences off their boundaries, assembles and validates the tree, and
+    checks it against root counts at 36 fresh points
     (crosscheck with seed + 1), whose half-plane samples test the region
     valence sums.  Any ExtractionError restarts at twice the resolution;
     past max_resolution the last one is raised.  A resolution below

@@ -9,6 +9,7 @@ target, 4 numerical failure.
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -196,6 +197,20 @@ def test_analyze_rejects_a_nan_coefficient(tmp_path, capsys):
     assert "invalid function: coefficients must be finite" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_boundary_that_overflows(tmp_path, capsys):
+    # (1 + z)/(1 + z/2) times 1e400 is not real on the circle; while the
+    # 40-digit pole test scaled with N as well as D, every sample it saw
+    # read as a circle pole, and analyze exited 4 after four warning lines
+    big = write_json(tmp_path / "big.json",
+                     {"num": [1e200, 1e200], "den": [1e-200, 5e-201]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", big]) == 1
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "invalid function: max |Im phi(e^it)| = inf at t = 0.012272\n")
+
+
 @pytest.mark.parametrize("option", [
     ["--resolution", "0"],
     ["--resolution", "-8"],
@@ -261,12 +276,21 @@ def test_an_output_file_in_a_missing_directory_is_rejected_before_any_work(
     (["synthesize", "{edge}", "--out", "{tmp}/adir"], "it is a directory"),
     (["enumerate", "1", "1", "--dot", "{tmp}/afile"],
      "it exists and is not a directory"),
+    (["analyze", "{koebe}", "--plot", "{tmp}/out/"], "it ends in a path separator"),
+    (["analyze", "{koebe}", "--json", "{tmp}/out/"], "it ends in a path separator"),
+    (["enumerate", "1", "1", "--json", "{tmp}/out/"], "it ends in a path separator"),
+    (["synthesize", "{edge}", "--out", "{tmp}/out/"], "it ends in a path separator"),
+    (["enumerate", "1", "1", "--dot", "{tmp}/afile/sub"],
+     "afile exists and is not a directory"),
 ], ids=["analyze-plot", "analyze-json", "enumerate-json", "synthesize-out",
-        "enumerate-dot"])
+        "enumerate-dot", "analyze-plot-separator", "analyze-json-separator",
+        "enumerate-json-separator", "synthesize-out-separator",
+        "enumerate-dot-under-a-file"])
 def test_an_output_path_of_the_wrong_kind_is_rejected_before_any_work(
         tmp_path, capsys, command, message):
     # each printed its whole output, then an IsADirectoryError (a file
-    # output) or FileExistsError (--dot) traceback
+    # output), FileExistsError (--dot) or NotADirectoryError (--dot under
+    # a file) traceback; --plot and --out to "out/" wrote a file "out"
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("kept", encoding="utf-8")
     names = {"tmp": tmp_path,
@@ -280,6 +304,8 @@ def test_an_output_path_of_the_wrong_kind_is_rejected_before_any_work(
     assert message in captured.err
     assert list((tmp_path / "adir").iterdir()) == []
     assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "adir", "afile", "edge.json", "koebe.json"]
 
 
 def test_an_existing_output_file_is_overwritten(tmp_path, capsys):

@@ -840,7 +840,7 @@ def ring_radii(phi, res):
     """The seed rings: (centre, radius) round each event that sends arcs
     into the disk and round each branch point."""
     pieces = phi.boundary_pieces
-    rings = [(cmath.exp(1j * t), max(math.sqrt(2.0) * rx.RIM
+    rings = [(cmath.exp(1j * t), max(math.sqrt(2.0) * rx.RING_DEPTH
                                      / (res * math.sin(math.pi / (arcs + 1))),
                                      2.0 * rx._noise_radius(phi, t, v, arcs + 1)))
              for (t, v), arcs in zip(pieces.events, pieces.arcs) if arcs]
@@ -848,7 +848,7 @@ def ring_radii(phi, res):
                     for bp in find_branch_points(phi)]
 
 
-def test_traces_start_on_the_rings_inside_the_rim(monkeypatch):
+def test_traces_start_on_the_rings_inside_the_disk(monkeypatch):
     seeds, starts = [], []
     newton = rx._newton_to_level
     trace = rx.trace_arc
@@ -857,14 +857,14 @@ def test_traces_start_on_the_rings_inside_the_rim(monkeypatch):
     monkeypatch.setattr(rx, "trace_arc",
                         lambda *args, **kw: starts.append(args[3]) or trace(*args, **kw))
     n_seeds = 0
-    for make in (double_slit, koebe, fourth_power_map, slit_squared, slit_three):
+    for make in (double_slit, koebe, fourth_power_map, slit_squared, slit_three,
+                 lambda: power_chain(6)):
         phi = make()
         for res in (256, 512):
             seeds.clear()
             starts.clear()
             trace_segments(phi, res)
-            rim = 1.0 - rx.RIM / res
-            assert starts and all(abs(z) <= rim for z in seeds + starts)
+            assert starts and all(abs(z) < 1.0 for z in seeds + starts)
             rings = ring_radii(phi, res)
             for z0 in seeds:
                 assert min(abs(abs(z0 - c) - r) for c, r in rings) < 1e-12
@@ -872,16 +872,24 @@ def test_traces_start_on_the_rings_inside_the_rim(monkeypatch):
     assert n_seeds > 0
 
 
-def test_the_rim_keeps_ring_seeds_on_the_circle_from_starting_a_trace():
+def test_ring_samples_outside_the_disk_seed_nothing(monkeypatch):
     # power_chain(6)'s half rings at 256 reach past the circle, across
-    # which Im phi changes sign, so some of their seeds lie on the circle
-    # itself; traced, such a seed would run from its event back to it
+    # which Im phi changes sign: a pair of ring samples across it would
+    # put a seed on the circle itself (at |z| = 1 - 6.5e-8), which traces
+    # from its event back to it
     phi, res = power_chain(6), 256
     pieces = phi.boundary_pieces
     noise = [rx._noise_radius(phi, t, v, arcs + 1)
              for (t, v), arcs in zip(pieces.events, pieces.arcs)]
+    rings = []
+    ring_seeds = rx._ring_seeds
+    monkeypatch.setattr(rx, "_ring_seeds", lambda phi, center, step, angles: (
+        rings.append(center + step * np.exp(1j * angles))
+        or ring_seeds(phi, center, step, angles)))
     seeds = rx._seeds(phi, pieces, find_branch_points(phi), res, noise)
-    assert any(abs(z) > 1.0 - rx.RIM / res for z in seeds)
+    assert any(abs(z) > 1.0 for z in np.concatenate(rings))
+    assert seeds and all(abs(z) < 1.0 - 1e-3 for z in seeds)
+    monkeypatch.undo()
     assert len(trace_segments(phi, res)) == 5
     assert extract_full(phi, res, max_resolution=res).resolution == res
 
@@ -955,7 +963,7 @@ def test_six_fold_chain_extracts_where_its_ring_would_lie_in_the_noise():
     pieces = phi.boundary_pieces
     (t, v), arcs = pieces.events[1], pieces.arcs[1]
     assert (v, arcs) == (pytest.approx(0.0), 5)
-    assert rx._noise_radius(phi, t, v, arcs + 1) > math.sqrt(2.0) * rx.RIM / (
+    assert rx._noise_radius(phi, t, v, arcs + 1) > math.sqrt(2.0) * rx.RING_DEPTH / (
         4096 * math.sin(math.pi / (arcs + 1)))
     ex = extract_full(phi, 4096, max_resolution=4096)
     assert ex.resolution == 4096

@@ -21,6 +21,7 @@ from rsmirnov.blaschke_smirnov import Blaschke, from_blaschke, random_helson
 from rsmirnov.complex_poly import find_roots
 from rsmirnov.region_extraction import (
     ExtractionError,
+    _attempt,
     crosscheck,
     extract_full,
     faces,
@@ -124,8 +125,7 @@ def assert_extracts(phi):
 # - 321: a grid region that no traced arc or circle piece bounds;
 # - 479 (and 44 at 512): a grid region of 3 cells.
 # 1436 also has an arc between two circle critical points 0.026 apart,
-# never 0.013 from the circle: the seed rings round them meet it just
-# inside the rim at 256.
+# never 0.013 from the circle: the seed rings round them meet it at 256.
 CENSUS_CODES = {
     28: "(+1|(-3@-0.22873599262254846,0.2421278987143125|"
         "(+1@-3.9864464652027904,-1.0854259777255824|)))",
@@ -146,6 +146,21 @@ CENSUS_CODES = {
 def test_census_pair_extracts(index):
     ex = assert_extracts(census_pair(index))
     assert canonical_code(ex.tree, with_intervals=True) == CENSUS_CODES[index]
+
+
+def test_arc_near_the_circle_is_seeded_at_the_first_resolution():
+    # the 46th (4, 3) draw of default_rng(11): the arc between its circle
+    # critical points at t = 1.2675 and 1.2872 stays within 0.0098 of the
+    # circle, and both its ring seeds at 256 lie at |z| = 0.9911; it took
+    # a retry at 512 while seeds within 3 / res of the circle started none
+    rng = np.random.default_rng(11)
+    for _ in range(46):
+        phi = random_helson(rng, 4, 3, rmax=0.999, max_tries=20000)
+    assert _attempt(phi, 256, 0).resolution == 256
+    ex = assert_extracts(phi)
+    assert canonical_code(ex.tree, with_intervals=True) == (
+        "(+1|(-4@-1.1513031118990722,-0.45561286426378267|"
+        "(+2@-7.263011235313961,0.546572641158727|)))")
 
 
 def test_five_path_with_zeros_near_the_circle_extracts():

@@ -1,8 +1,9 @@
 """The benchmark's tracer (pipebench/tracer.py) wraps rsmirnov functions
-by module and attribute name, benchmarks/bench_kernels.py imports
-private names, and README.md's library tour and command-line transcripts
-show what the API and the CLI print; a rename under src/ or a changed
-report would break any of them silently."""
+by module and attribute name, benchmarks/bench_kernels.py imports private
+names, benchmarks/identity.py imports names from src/, and README.md's
+library tour and command-line transcripts show what the API and the CLI
+print; a rename under src/ or a changed report would break any of them
+silently."""
 
 import ast
 import importlib
@@ -21,6 +22,7 @@ from rsmirnov.fixtures import koebe
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "pipebench" / "tracer.py"
 BENCH_KERNELS = ROOT / "benchmarks" / "bench_kernels.py"
+IDENTITY = ROOT / "benchmarks" / "identity.py"
 README = ROOT / "README.md"
 
 
@@ -69,6 +71,13 @@ def test_bench_kernels_names_resolve():
     assert used
     missing = sorted((m, a) for m, a in used if not hasattr(modules[m], a))
     assert missing == []
+
+
+def test_identity_names_resolve():
+    # loading resolves its from-imports; running it takes half a minute
+    identity = load(IDENTITY, "identity")
+    assert callable(identity.main)
+    assert identity.digest(0, "a") != identity.digest(0, "a", "")
 
 
 def test_readme_tour_prints_what_its_comments_say(capsys):
