@@ -23,6 +23,13 @@ the real line, drawn as crosscheck draws them): valence_at once per point,
 valence_counts once per fixture for all 200.  A closing line gives both
 per point and the share of points valence_counts leaves to its fallback.
 
+The Aberth stack rows run the Aberth iteration on the rows of those
+stacks that valence_counts sends to _aberth_rows and that start from
+their companion eigenvalues, one stack per fixture: aberth_iterate once
+per row, as _aberth_rows runs a one-row stack, and aberth_batch once per
+stack, as it runs a larger one.  A closing line gives the row count and
+the ratio of the two.
+
 The find_roots row finds the roots of a fixed corpus: the denominators
 and W polynomials of 250 random (2, 1) edge candidates, as the synthesis
 loss finds them once per candidate.  The denominators have degree 3; W
@@ -130,6 +137,8 @@ MICRO_ROWS = ("region_valence (5 fixtures, res 512)",)
 
 COUNTS_ROWS = ("valence_at (200 λ, 5 fixtures)",
                "valence_counts (200 λ, 5 fixtures)")
+ABERTH_STACK_ROWS = ("aberth_iterate per row (5 stacks)",
+                     "aberth_batch (5 stacks)")
 
 
 def crosscheck_points():
@@ -138,6 +147,20 @@ def crosscheck_points():
     half = [complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
             for sign in (1, -1) for _ in range(50)]
     return half + rng.uniform(-3.0, 3.0, 100).tolist()
+
+
+def aberth_stacks(points):
+    """(rows, starts) of each fixture: the rows of N - lambda D at points
+    that _aberth_rows receives from valence_counts and starts from their
+    companion eigenvalues, with those starts."""
+    lams = np.asarray(points, dtype=np.complex128)
+    stacks = []
+    for phi in all_fixtures().values():
+        rows = _lambda_rows(phi, lams)
+        rows = rows[complex_poly._whole(rows)]
+        starts, ok = complex_poly._eigenvalue_start(rows)
+        stacks.append((rows[ok], starts[ok]))
+    return stacks
 
 
 def counts_fallback_share(points):
@@ -334,6 +357,17 @@ def run_benchmarks():
         for phi in fixtures:
             valence_counts(phi, points)
 
+    stacks = aberth_stacks(points)
+
+    def bench_aberth_rows():
+        for rows, starts in stacks:
+            for row, start in zip(rows, starts):
+                _kernels.aberth_iterate(row, start)
+
+    def bench_aberth_batch():
+        for rows, starts in stacks:
+            _kernels.aberth_batch(rows, starts)
+
     corpus = find_roots_corpus()
     objective = objective_inputs()
 
@@ -380,6 +414,8 @@ def run_benchmarks():
         VALENCE_ROWS[1]: _time(bench_real_valence),
         COUNTS_ROWS[0]: _time(bench_counts_valence_at),
         COUNTS_ROWS[1]: _time(bench_valence_counts),
+        ABERTH_STACK_ROWS[0]: _time(bench_aberth_rows),
+        ABERTH_STACK_ROWS[1]: _time(bench_aberth_batch),
         FIND_ROOTS_ROW: _time(bench_find_roots),
         OBJECTIVE_ROW: _time(lambda: objective_pass(*objective)),
         SEARCH_ROW: _time(capped_search),
@@ -408,6 +444,14 @@ def _counts_summary(timings):
             "%.0f us, valence_counts %.0f us; fallback for %.1f%% of points"
             % (len(points), *per_point,
                100.0 * counts_fallback_share(points)))
+
+
+def _aberth_stack_summary(timings):
+    n = sum(len(rows) for rows, _ in aberth_stacks(crosscheck_points()))
+    loop, batch = (timings[name] for name in ABERTH_STACK_ROWS)
+    return ("Aberth on %d stack rows, per row: aberth_iterate %.0f us, "
+            "aberth_batch %.1f us (%.1fx)"
+            % (n, 1e6 * loop / n, 1e6 * batch / n, loop / batch))
 
 
 def _find_roots_summary(timings):
@@ -448,6 +492,7 @@ def main(argv=None):
         print("%-36s %8.1f ms" % (name, 1e3 * t))
     print(_valence_summary(timings))
     print(_counts_summary(timings))
+    print(_aberth_stack_summary(timings))
     print(_find_roots_summary(timings))
     print(_objective_summary(timings))
     print(_search_summary())

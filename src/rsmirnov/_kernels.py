@@ -5,7 +5,9 @@ Four kernels live here: Horner evaluation of a polynomial at one point or
 Aberth-Ehrlich simultaneous root iteration, grid classification by the
 sign of Im(N/D), and the predictor-corrector stepper used to follow level
 curves of Im(N/D), on Python numbers with Python's own arithmetic.  Each
-has one implementation.
+has one implementation, except Aberth: aberth_iterate runs one row, and
+aberth_batch runs the same arithmetic over a stack of rows at once, with
+the same result per row; on one row the batch costs twelve times more.
 """
 
 import numpy as np
@@ -124,6 +126,116 @@ def aberth_iterate(coeffs, initial):
     return roots, ABERTH_MAX_ITER, False
 
 
+def _horner_split(cr, ci, xr, xi):
+    """horner_scalar's recurrence on (real, imaginary) float arrays: the
+    coefficients (m, a) ascending, the points (a,)."""
+    pr, pi = cr[-1], ci[-1]
+    for j in range(len(cr) - 2, -1, -1):
+        pr, pi = pr * xr - pi * xi + cr[j], pr * xi + pi * xr + ci[j]
+    return pr, pi
+
+
+def _div(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) on float arrays, by Smith's rule, as numpy
+    divides two complex scalars; the divisor must not be 0."""
+    big = np.abs(br) >= np.abs(bi)
+    num = np.where(big, bi, br)
+    den = np.where(big, br, bi)
+    rat = num / den
+    scl = 1.0 / (den + num * rat)
+    return (np.where(big, ar + ai * rat, ar * rat + ai) * scl,
+            np.where(big, ai - ar * rat, ai * rat - ar) * scl)
+
+
+def _nonzero(re, im):
+    """(re, im) with each complex 0 replaced by 1e-150, as aberth_iterate
+    guards a divisor."""
+    zero = (re == 0) & (im == 0)
+    if zero.any():
+        return np.where(zero, 1e-150, re), np.where(zero, 0.0, im)
+    return re, im
+
+
+def aberth_batch(coeffs, initial):
+    """aberth_iterate over every row of a stack: coeffs (k, m), initial
+    (k, n).  Returns (roots (k, n), iterations (k,), converged (k,)), row i
+    byte for byte what aberth_iterate(coeffs[i], initial[i]) returns.
+
+    One Gauss-Seidel sweep runs over every row still iterating, root j of
+    each before root j + 1, and a row leaves after the sweep that meets its
+    stopping test.  numpy rounds an array complex product and modulus
+    differently from a scalar one, so every complex number is a pair of
+    float arrays: products are written out, moduli are np.hypot and
+    quotients are _div, each rounding as aberth_iterate's scalars do.
+    """
+    k, n = initial.shape
+    m = coeffs.shape[1]
+    # made as aberth_iterate makes them: numpy gives each row the same bits
+    acoeffs = np.abs(coeffs).T.copy()
+    dcoeffs = (coeffs[:, 1:] * np.arange(1, m, dtype=np.complex128)).T
+    cr, ci = coeffs.real.T.copy(), coeffs.imag.T.copy()
+    dr, di = dcoeffs.real.copy(), dcoeffs.imag.copy()
+    zr, zi = initial.real.T.copy(), initial.imag.T.copy()
+    roots = np.empty((k, n), dtype=np.complex128)
+    iterations = np.full(k, ABERTH_MAX_ITER)
+    converged = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for it in range(ABERTH_MAX_ITER):
+        delta = np.zeros(len(live))
+        worst = np.zeros(len(live))
+        for j in range(n):
+            xr, xi = zr[j], zi[j]
+            pr, pi = _horner_split(cr, ci, xr, xi)
+            dpr, dpi = _horner_split(dr, di, xr, xi)
+            ax = np.hypot(xr, xi)
+            noise = acoeffs[-1]
+            for c in acoeffs[-2::-1]:
+                noise = noise * ax + c
+            rr = np.hypot(pr, pi) / (noise + 1e-150)
+            worst = np.where(rr > worst, rr, worst)
+            wr, wi = _div(pr, pi, *_nonzero(dpr, dpi))
+            sr = np.zeros(len(live))
+            si = np.zeros(len(live))
+            for q in range(n):
+                if q == j:
+                    continue
+                dzr, dzi = xr - zr[q], xi - zi[q]
+                zero = (dzr == 0) & (dzi == 0)
+                guard = zero.any()
+                if guard:
+                    dzr = np.where(zero, 1.0, dzr)
+                tr, ti = _div(1.0, 0.0, dzr, dzi)
+                if guard:
+                    # a real guard: 1.0 / dz is real
+                    tr = np.where(zero, 1.0 / (1e-12 * (1.0 + ax)), tr)
+                    ti = np.where(zero, 0.0, ti)
+                sr = sr + tr
+                si = si + ti
+            er = 1.0 - (wr * sr - wi * si)
+            ei = 0.0 - (wr * si + wi * sr)
+            hr, hi = _div(wr, wi, *_nonzero(er, ei))
+            zr[j] = xr - hr
+            zi[j] = xi - hi
+            rel = np.hypot(hr, hi) / (1.0 + np.hypot(zr[j], zi[j]))
+            delta = np.where(rel > delta, rel, delta)
+        done = (delta < ABERTH_TOL) | (worst < 1e-14)
+        if done.any():
+            out = live[done]
+            roots.real[out] = zr[:, done].T
+            roots.imag[out] = zi[:, done].T
+            iterations[out] = it + 1
+            converged[out] = True
+            keep = ~done
+            live = live[keep]
+            if not len(live):
+                return roots, iterations, converged
+            acoeffs, cr, ci, dr, di, zr, zi = (
+                a[:, keep] for a in (acoeffs, cr, ci, dr, di, zr, zi))
+    roots.real[live] = zr.T
+    roots.imag[live] = zi.T
+    return roots, iterations, converged
+
+
 def classify_grid(ncoef, dcoef, wcoef, res, margin, band):
     """Classify cell centers of a res x res grid over [-1,1]^2.
 
@@ -167,27 +279,42 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
     points of the walk as a complex array, a TRACE_* code, and the index of
     the branch point hit (-1 if none).  The coefficients (ascending) and
     branch points are Python complex numbers, and so is every step of the
-    walk, divisions included.
+    walk, divisions included.  N, D and W are evaluated together at each
+    point, each by horner_scalar's operations in its order.
     """
     # locals, so the step loop looks up no globals
     pole_cutoff, bp_radius, r_stop = POLE_CUTOFF, BP_RADIUS, TRACE_R_STOP
     h_min, max_steps = TRACE_H_MIN, TRACE_STEP_LIMIT
-    horner = horner_scalar
+    n_lead, n_rest = ncoef[-1], ncoef[-2::-1]
+    d_lead, d_rest = dcoef[-1], dcoef[-2::-1]
+    w_lead, w_rest = wcoef[-1], wcoef[-2::-1]
     pts = []
 
-    def dphi(z, dv):
+    def ev(z):
+        nv = n_lead
+        for c in n_rest:
+            nv = nv * z + c
+        dv = d_lead
+        for c in d_rest:
+            dv = dv * z + c
+        wv = w_lead
+        for c in w_rest:
+            wv = wv * z + c
+        return nv, dv, wv
+
+    def dphi(dv, wv):
         # (N/D)' = W / D^2 with W = N'D - ND'
         d2 = dv * dv
         if abs(d2) < 1e-150:
             return 0.0 + 0.0j
-        return horner(wcoef, z) / d2
+        return wv / d2
 
     z = complex(z0)
-    dv = horner(dcoef, z)
+    nv, dv, wv = ev(z)
     if abs(dv) < 1e-150:
         return np.empty(0, dtype=np.complex128), TRACE_STALLED, -1
-    fz = horner(ncoef, z) / dv
-    fp = dphi(z, dv)
+    fz = nv / dv
+    fp = dphi(dv, wv)
     pts.append(z)
     re_prev = fz.real
     h = h0
@@ -213,11 +340,11 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
         zc = zp
         prev_c = 1e300
         for _ in range(6):
-            dv2 = horner(dcoef, zc)
+            nv2, dv2, wv2 = ev(zc)
             if abs(dv2) < 1e-150:
                 break
-            f2 = horner(ncoef, zc) / dv2
-            fp2 = dphi(zc, dv2)
+            f2 = nv2 / dv2
+            fp2 = dphi(dv2, wv2)
             if abs(fp2) < 1e-150:
                 break
             corr = f2.imag * 1j * fp2.conjugate() / abs(fp2) ** 2
@@ -235,12 +362,12 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
                 status = TRACE_HIT_CIRCLE if 1.0 - abs(z) < 1e-3 else TRACE_STALLED
                 break
             continue
-        dv2 = horner(dcoef, zc)
+        nv2, dv2, wv2 = ev(zc)
         if abs(dv2) < 1e-150:
             status = TRACE_HIT_POLE
             break
-        f2 = horner(ncoef, zc) / dv2
-        fp2 = dphi(zc, dv2)
+        f2 = nv2 / dv2
+        fp2 = dphi(dv2, wv2)
         # curvature control: sharp turns halve the step
         if abs(fp2) > 0:
             tau2 = direction * fp2.conjugate() / abs(fp2)

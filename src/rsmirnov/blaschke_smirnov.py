@@ -200,7 +200,8 @@ class RealSmirnov:
     w_poly; den_roots, which the constructors' check that D does not
     vanish in the disk, circle_poles and integral_means read; num_roots,
     for from_rational's shared-zero check and integral_means;
-    circle_poles; and boundary_pieces.  Instances are treated as immutable.
+    circle_poles; mp_coeffs, N and D in mpmath for the 40-digit boundary
+    evaluation; and boundary_pieces.  Instances are treated as immutable.
     """
 
     def __init__(self, num, den, b1=None, b2=None):
@@ -265,6 +266,12 @@ class RealSmirnov:
         return sorted(ts)
 
     @functools.cached_property
+    def mp_coeffs(self):
+        """The coefficients of N and D as mpmath numbers, for
+        _boundary_eval's 40-digit branch (a double converts exactly)."""
+        return _poly_to_mp(self.num.coeffs), _poly_to_mp(self.den.coeffs)
+
+    @functools.cached_property
     def boundary_pieces(self):
         """The BoundaryPieces of phi."""
         return BoundaryPieces(self)
@@ -303,8 +310,9 @@ class RealSmirnov:
                 return w.real, w.imag
         with mpmath.workdps(40):
             zmp = mpmath.expjpi(mpmath.mpf(t) / mpmath.pi)
-            nmp = _mp_horner(_poly_to_mp(self.num.coeffs), zmp)
-            dmp = _mp_horner(_poly_to_mp(self.den.coeffs), zmp)
+            num_mp, den_mp = self.mp_coeffs
+            nmp = _mp_horner(num_mp, zmp)
+            dmp = _mp_horner(den_mp, zmp)
             if abs(dmp) < 1e-25 * dscale:
                 return math.inf, 0.0
             wmp = nmp / dmp

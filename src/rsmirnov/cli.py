@@ -16,6 +16,7 @@ target, 4 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -371,7 +372,10 @@ def _dot_dir(text):
     return text
 
 
+@functools.cache
 def _parser():
+    """The command-line parser, built once per process.  It binds no
+    command function: main looks the command up when it runs."""
     parser = argparse.ArgumentParser(
         prog="rsmirnov",
         description="Valence analysis and synthesis for rational real "
@@ -386,7 +390,6 @@ def _parser():
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--plot", metavar="OUT.SVG", type=_output_path, default=None)
     p.add_argument("--json", metavar="OUT.JSON", type=_output_path, default=None)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("enumerate", help="all tree shapes for given valences")
     p.add_argument("v_plus", type=int)
@@ -394,11 +397,9 @@ def _parser():
     p.add_argument("--dot", metavar="DIR", type=_dot_dir, default=None,
                    help="write one DOT file per shape")
     p.add_argument("--json", metavar="OUT.JSON", type=_output_path, default=None)
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("validate-tree", help="check a tree file")
     p.add_argument("input", help="tree JSON")
-    p.set_defaults(func=cmd_validate_tree)
 
     p = sub.add_parser("synthesize", help="realize a target tree")
     p.add_argument("input", help="tree JSON")
@@ -408,14 +409,14 @@ def _parser():
     p.add_argument("--tol", default=1e-2, type=_checked(
         float, lambda tol: 0.0 < tol < math.inf, "must be a finite number above 0"))
     p.add_argument("--out", metavar="OUT.JSON", type=_output_path, default=None)
-    p.set_defaults(func=cmd_synthesize)
 
     return parser
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    return args.func(args)
+    # looked up at call time, so a wrapped or replaced cmd_* is the one run
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,11 @@ numpy scalars and Python numbers.  A root one ulp off moves the search's
 loss, and with it every later simplex step.  So the cost of a call is
 cut here by making fewer numpy calls on arrays of the same shapes, with
 the operands in the same order, never by moving a product, a division or
-a modulus between arrays and scalars.  The level-curve walk
+a modulus between arrays and scalars.  The one exception,
+_kernels.aberth_batch, runs aberth_iterate's scalar arithmetic over a
+stack of rows on float arrays of real and imaginary parts, with each
+product written out, each modulus np.hypot and each quotient by Smith's
+rule, so that every row rounds as aberth_iterate does.  The level-curve walk
 (_kernels.trace_arc) is no stage of the root finder: it runs on Python
 numbers with Python's division, and its low bits reach no root or count.
 """
@@ -321,12 +325,25 @@ def _aberth_rows(rows):
     three random perturbation restarts, and NonConvergence is raised when
     every start exhausts the budget.  One Newton polish then runs over the
     whole stack.  A row's roots do not depend on the other rows.
+
+    The eigenvalue starts of a stack of two or more rows run in one
+    _kernels.aberth_batch call, which gives each row aberth_iterate's
+    result; a one-row stack, the root find of find_roots, and every circle
+    start run aberth_iterate, which costs a twelfth of the batch on one row.
     """
     roots, ok = _eigenvalue_start(rows)
-    for i, done in enumerate(ok.tolist()):
-        if done:
-            roots[i], _, done = _kernels.aberth_iterate(rows[i], roots[i])
-        if not done:
+    if len(rows) == 1:
+        done = ok.tolist()
+        if done[0]:
+            roots[0], _, done[0] = _kernels.aberth_iterate(rows[0], roots[0])
+    else:
+        start = np.flatnonzero(ok)
+        if len(start):
+            roots[start], _, ok[start] = _kernels.aberth_batch(
+                rows[start], roots[start])
+        done = ok.tolist()
+    for i, converged in enumerate(done):
+        if not converged:
             roots[i] = _circle_start(rows[i])
     return _newton_polish(rows, roots)
 
@@ -566,7 +583,8 @@ def disk_root_counts(rows):
 
     Every row that _trimmed keeps whole (_whole) goes through one
     _aberth_rows call over the stack: one companion eigenvalue call, one
-    Aberth run per row and one Newton polish.  Its roots are then exactly
+    batched Aberth run over the rows whose eigenvalues start it, and one
+    Newton polish.  Its roots are then exactly
     find_roots' (before the sort), and _merge_clusters decides their
     multiplicities as find_roots does, from the row.  A trimmed row
     falls back to find_roots of its polynomial.

@@ -776,23 +776,23 @@ def crosscheck(phi, tree: Tree, n_samples: int = 200, seed: int = 0,
     # (kind, point, expected) per sample, in drawing order
     samples: list[tuple[str, complex, int]] = []
 
+    # each group in one draw: uniform gives every element the value that
+    # one call per element would, in the same order
     for sign, expected in ((1, prof.v_plus), (-1, prof.v_minus)):
         kind = "upper" if sign > 0 else "lower"
-        for _ in range(n_half):
-            lam = complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
-            samples.append((kind, lam, expected))
+        pairs = rng.uniform([-3.0, 0.2] * n_half, [3.0, 3.0] * n_half)
+        for re, im in pairs.reshape(n_half, 2).tolist():
+            samples.append((kind, complex(re, sign * im), expected))
 
+    # the real points: the first n_real of 100 n_real draws that lie at
+    # least delta from every finite breakpoint
     finite = [b for b in prof.breakpoints if math.isfinite(b)]
     lo = (min(finite) - 2.0) if finite else -3.0
     hi = (max(finite) + 2.0) if finite else 3.0
-    drawn = 0
-    attempts = 0
-    while drawn < n_real and attempts < 100 * n_real:
-        attempts += 1
-        x = rng.uniform(lo, hi)
-        if finite and min(abs(x - b) for b in finite) < delta:
-            continue
-        drawn += 1
+    xs = rng.uniform(lo, hi, 100 * n_real)
+    if finite:
+        xs = xs[np.abs(xs[:, None] - np.array(finite)).min(axis=1) >= delta]
+    for x in xs[:n_real].tolist():
         samples.append(("real", x, prof.multiplicity_at(x)))
 
     counts = valence_counts(phi, [lam for _, lam, _ in samples])

@@ -40,6 +40,7 @@ from rsmirnov.complex_poly import (
     poly_from_roots,
 )
 from rsmirnov import blaschke_smirnov, complex_poly, fixtures
+from rsmirnov._kernels import horner_scalar
 from rsmirnov.region_extraction import extract_full
 
 
@@ -474,6 +475,60 @@ def test_boundary_im_samples_match_the_per_sample_loop(name):
     loop = np.array([abs(phi._boundary_eval(float(t))[1]) for t in ts])
     assert len(ts) >= 510
     assert np.all(np.abs(ims - loop) < 1e-9)
+
+
+def converting_boundary_eval(phi, t):
+    """RealSmirnov._boundary_eval as it was when its 40-digit branch
+    converted N and D to mpmath at every call."""
+    z = cmath.exp(1j * t)
+    nv = horner_scalar(phi.num.coeffs, z)
+    dv = horner_scalar(phi.den.coeffs, z)
+    if abs(dv) > 1e-7 * phi.den_scale:
+        with np.errstate(over="ignore"):
+            w = nv / dv
+        if abs(w.imag) < 1e-9:
+            return w.real, w.imag
+    with mpmath.workdps(40):
+        zmp = mpmath.expjpi(mpmath.mpf(t) / mpmath.pi)
+        nmp = blaschke_smirnov._mp_horner(
+            blaschke_smirnov._poly_to_mp(phi.num.coeffs), zmp)
+        dmp = blaschke_smirnov._mp_horner(
+            blaschke_smirnov._poly_to_mp(phi.den.coeffs), zmp)
+        if abs(dmp) < 1e-25 * phi.den_scale:
+            return math.inf, 0.0
+        wmp = nmp / dmp
+        return float(wmp.real), float(wmp.imag)
+
+
+def test_mpmath_coefficients_are_converted_once_per_phi(monkeypatch):
+    """fourth_power_map's construction and boundary samples escalate many
+    samples to 40 digits; N and D are converted to mpmath once for all of
+    them, to the same values."""
+    converted, evals = [], []
+    to_mp, boundary_eval = blaschke_smirnov._poly_to_mp, RealSmirnov._boundary_eval
+    mp_horner = blaschke_smirnov._mp_horner
+
+    def recording_eval(self, t):
+        out = boundary_eval(self, t)
+        evals.append((t, out))
+        return out
+
+    monkeypatch.setattr(blaschke_smirnov, "_poly_to_mp",
+                        lambda coeffs: converted.append(coeffs) or to_mp(coeffs))
+    monkeypatch.setattr(blaschke_smirnov, "_mp_horner",
+                        lambda c, z: converted.append(None) or mp_horner(c, z))
+    monkeypatch.setattr(RealSmirnov, "_boundary_eval", recording_eval)
+    phi = fixtures.fourth_power_map()
+    ts, ims = phi.boundary_im_samples()
+    monkeypatch.undo()
+    # two Horner runs per escalated sample, one conversion per polynomial
+    polys = [c.tolist() for c in converted if c is not None]
+    assert polys == [phi.num.coeffs.tolist(), phi.den.coeffs.tolist()]
+    assert len(converted) - len(polys) >= 2 * 20
+    im_at = dict(zip(ts.tolist(), ims.tolist()))
+    for t, out in evals:
+        assert out == converting_boundary_eval(phi, t)
+        assert im_at[t] == abs(out[1])
 
 
 def test_denominator_roots_are_found_once(monkeypatch):

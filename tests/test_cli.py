@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from rsmirnov import cli
 from rsmirnov.cli import main
 from rsmirnov.fixtures import double_slit, fourth_power_map, koebe, power_chain
 from rsmirnov.synthesis import endpoint_error
@@ -368,6 +369,20 @@ def test_validate_tree_accepts_reference(tmp_path, capsys):
     inp = write_json(tmp_path / "ref.json", reference_tree().to_json())
     assert main(["validate-tree", inp]) == 0
     assert "valid" in capsys.readouterr().out
+
+
+def test_main_builds_one_parser_and_calls_the_current_command(tmp_path,
+                                                             monkeypatch):
+    # the parser is built once, and main looks the command up when it
+    # runs, so a command replaced after the first call is the one called
+    inp = write_json(tmp_path / "t.json", reference_tree().to_json())
+    assert main(["validate-tree", inp]) == 0
+    assert cli._parser() is cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate_tree",
+                        lambda args: seen.append(args.input) or 7)
+    assert main(["validate-tree", inp]) == 7
+    assert seen == [inp]
 
 
 @pytest.mark.parametrize("interval", [["0", "1e0"], ["0", "Infinity"]])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsmirnov import _kernels, complex_poly
+from rsmirnov.blaschke_smirnov import random_helson
 from rsmirnov.complex_poly import (
     BOUNDARY_TOL,
     NonConvergence,
@@ -26,6 +27,8 @@ from rsmirnov.complex_poly import (
     on_circle,
     poly_from_roots,
 )
+from rsmirnov.fixtures import all_fixtures
+from rsmirnov.region_extraction import crosscheck, extract_full
 
 #: winding_count's first sampling of the contour, doubled as needed
 WINDING_SAMPLES = 4096
@@ -505,6 +508,69 @@ def test_row_driver_roots_do_not_depend_on_the_stack():
         assert np.array_equal(r, complex_poly._aberth_rows(row[None])[0])
     assert np.array_equal(np.sort_complex(roots[1]),
                           find_roots(Poly(simple)).roots)
+
+
+def crosscheck_stacks():
+    """Every stack of rows with an eigenvalue start that _aberth_rows sees
+    in the extractions and 200-point crosschecks of the five fixtures and
+    of 30 draws of the (3, 2) census, with those starts."""
+    stacks = []
+    original = complex_poly._aberth_rows
+
+    def recording(rows):
+        stacks.append(rows.copy())
+        return original(rows)
+
+    rng = np.random.default_rng(101)
+    phis = list(all_fixtures().values()) + [
+        random_helson(rng, 3, 2, rmax=0.999, max_tries=20000)
+        for _ in range(30)]
+    complex_poly._aberth_rows = recording
+    try:
+        for phi in phis:
+            ex = extract_full(phi, resolution=256, max_resolution=1024)
+            crosscheck(phi, ex.tree, n_samples=200, seed=1)
+    finally:
+        complex_poly._aberth_rows = original
+    out = []
+    for rows in stacks:
+        eigs, ok = complex_poly._eigenvalue_start(rows)
+        if ok.any():
+            out.append((rows[ok], eigs[ok]))
+    return out
+
+
+def hand_made_stacks():
+    """Stacks whose rows stop in different sweeps or take the guards: a
+    start at the roots, a start off them, coincident starts (dz = 0), a
+    start at a critical point (p' = 0), a nan start, which stops after one
+    sweep because no nan passes a running maximum, and a degree-1 stack."""
+    simple = poly_from_roots([0.5, -0.4 + 0.7j, 1.5 - 0.2j], lead=2.0).coeffs
+    near = np.array([0.5, -0.4 + 0.7j, 1.5 - 0.2j])
+    cubic = np.array([simple] * 6)
+    starts = np.array([near, near + 1e-6, near + 0.05j, [0.3, 0.3, 1.0],
+                       [0.0, 1.0, 2.0j], [np.nan, 1.0, 2.0]])
+    cubic[4] = [0.0, -3.0, 0.0, 1.0]
+    linear = np.array([[1.0, 2.0], [0.5j, -1.0 + 1.0j], [3.0, 1e-3]],
+                      dtype=np.complex128)
+    return [(cubic, starts.astype(np.complex128)),
+            (linear, np.array([[0.0], [1.0], [-5.0 + 2.0j]]))]
+
+
+def test_aberth_batch_matches_aberth_iterate_row_by_row():
+    stacks = crosscheck_stacks()
+    assert sum(len(rows) for rows, _ in stacks) > 5000
+    sweeps = set()
+    for rows, starts in stacks + hand_made_stacks():
+        roots, iterations, converged = _kernels.aberth_batch(rows, starts)
+        with np.errstate(invalid="ignore"):  # the nan start
+            want = [_kernels.aberth_iterate(row, start)
+                    for row, start in zip(rows, starts)]
+        assert roots.tobytes() == np.array([r for r, _, _ in want]).tobytes()
+        assert iterations.tolist() == [it for _, it, _ in want]
+        assert converged.tolist() == [done for _, _, done in want]
+        sweeps.update(iterations.tolist())
+    assert len(sweeps) >= 4
 
 
 # -- the one-row root find against its stages ---------------------------------

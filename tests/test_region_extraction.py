@@ -604,6 +604,65 @@ def test_crosscheck_mismatches_match_per_lambda_reference():
     assert all(type(m["got"]) is int for m in report.mismatches)
 
 
+def sequential_draws(tree, n_samples, seed, delta):
+    """crosscheck's sample points as it drew them one rng call at a time:
+    (kind, point, expected) in drawing order."""
+    prof = profile(tree)
+    rng = np.random.default_rng(seed)
+    n_half = n_samples // 4
+    n_real = n_samples - 2 * n_half
+    samples = []
+    for sign, expected in ((1, prof.v_plus), (-1, prof.v_minus)):
+        kind = "upper" if sign > 0 else "lower"
+        for _ in range(n_half):
+            lam = complex(rng.uniform(-3.0, 3.0), sign * rng.uniform(0.2, 3.0))
+            samples.append((kind, lam, expected))
+    finite = [b for b in prof.breakpoints if math.isfinite(b)]
+    lo = (min(finite) - 2.0) if finite else -3.0
+    hi = (max(finite) + 2.0) if finite else 3.0
+    drawn = 0
+    attempts = 0
+    while drawn < n_real and attempts < 100 * n_real:
+        attempts += 1
+        x = rng.uniform(lo, hi)
+        if finite and min(abs(x - b) for b in finite) < delta:
+            continue
+        drawn += 1
+        samples.append(("real", x, prof.multiplicity_at(x)))
+    return samples
+
+
+def test_crosscheck_draws_what_the_sequential_loop_draws(monkeypatch):
+    rng = np.random.default_rng(101)
+    trees = [extract_tree(phi) for phi in all_fixtures().values()] + [
+        extract_full(random_helson(rng, 3, 2, rmax=0.999, max_tries=20000),
+                     resolution=256, max_resolution=1024).tree
+        for _ in range(5)]
+    assert any(len(profile(tree).breakpoints) > 2 for tree in trees)
+    # valence_counts answers -1 everywhere, so every sample is a mismatch
+    # that reports its kind, point and expected count
+    drawn = []
+
+    def every_count_wrong(phi, lams):
+        drawn.append(list(lams))
+        return np.full(len(lams), -1)
+
+    monkeypatch.setattr(rx, "valence_counts", every_count_wrong)
+    for tree in trees:
+        for n_samples in (1, 7, 36, 200):
+            for delta in (1e-3, 0.5):
+                for seed in range(30):
+                    want = sequential_draws(tree, n_samples, seed, delta)
+                    report = crosscheck(None, tree, n_samples, seed, delta)
+                    assert [type(lam) for lam in drawn[-1]] == [
+                        type(lam) for _, lam, _ in want]
+                    assert report.samples == len(want)
+                    assert report.mismatches == [
+                        {"kind": kind, "expected": expected, "got": -1,
+                         "point": lam if kind == "real" else [lam.real, lam.imag]}
+                        for kind, lam, expected in want]
+
+
 # ---------------------------------------------------------------------------
 # behaviour under transforms
 
