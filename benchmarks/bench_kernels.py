@@ -60,6 +60,11 @@ render_svg row draws the picture analyze --plot writes for each of the
 five fixtures, from their extractions at 512 built beforehand: each face
 filled as its boundary polygon, the traced arcs and the labels.
 
+The census trace_segments row traces the level arcs of the 300-pair
+census, the first 300 random_helson(rng, 3, 2, rmax=0.999) draws of
+default_rng(101), at resolution 256, from boundary pieces built
+beforehand.  A closing line gives its walks, traced points and time.
+
 The integral_means row makes the four integral means analyze probes on
 each of the five fixtures (cli._means_rows: two exponents, each at radii
 0.99 and 0.9999), with the roots of N and D found beforehand, as they
@@ -68,13 +73,15 @@ are in an analysis by the time it probes the means.
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 import time
 
 import numpy as np
 
-from rsmirnov import _kernels, blaschke_smirnov, complex_poly, synthesis
+from rsmirnov import (_kernels, blaschke_smirnov, complex_poly, region_extraction,
+                      synthesis)
 from rsmirnov.blaschke_smirnov import (
     Blaschke,
     BoundaryPieces,
@@ -83,6 +90,7 @@ from rsmirnov.blaschke_smirnov import (
     _lambda_rows,
     from_blaschke,
     random_blaschke,
+    random_helson,
     real_valence,
     valence_at,
     valence_counts,
@@ -297,6 +305,34 @@ def search_shares():
                          (synthesis, "_search_loss")], capped_search)
 
 
+CENSUS_ROW = "trace_segments (300 pairs, res 256)"
+
+
+@functools.cache
+def census_pairs():
+    """The 300-pair census, each with its boundary pieces built."""
+    rng = np.random.default_rng(101)
+    phis = [random_helson(rng, 3, 2, rmax=0.999, max_tries=20000)
+            for _ in range(300)]
+    for phi in phis:
+        phi.boundary_pieces
+    return phis
+
+
+def census_walks():
+    """(walks, traced points) of trace_segments on the census at 256."""
+    walks = []
+    trace = region_extraction.trace_arc
+    region_extraction.trace_arc = lambda *args, **kw: (
+        walks.append(trace(*args, **kw)) or walks[-1])
+    try:
+        for phi in census_pairs():
+            trace_segments(phi, 256)
+    finally:
+        region_extraction.trace_arc = trace
+    return len(walks), sum(len(pts) for pts, _, _ in walks)
+
+
 def real_fallbacks(phi):
     """Points of REAL_POINTS whose count falls back to valence_at."""
     pieces = BoundaryPieces(phi)
@@ -384,6 +420,10 @@ def run_benchmarks():
         for phi, *_ in prepared:
             trace_segments(phi, res)
 
+    def bench_census_trace():
+        for phi in census_pairs():
+            trace_segments(phi, 256)
+
     def bench_faces():
         for phi, arcs, *_ in prepared:
             faces(phi, arcs)
@@ -420,12 +460,18 @@ def run_benchmarks():
         OBJECTIVE_ROW: _time(lambda: objective_pass(*objective)),
         SEARCH_ROW: _time(capped_search),
         "trace_segments (5 fixtures, res 512)": _time(bench_trace_segments),
+        CENSUS_ROW: _time(bench_census_trace),
         "faces (5 fixtures, res 512)": _time(bench_faces),
         "region_valence (5 fixtures, res 512)": _time(bench_region_valence),
         "render_svg (5 fixtures, res 512)": _time(bench_render_svg),
         "integral_means (5 fixtures, 4 rows)": _time(bench_integral_means),
     }
     return timings
+
+
+def _census_summary(timings):
+    return ("trace_segments on the 300-pair census at 256: %d walks, %d "
+            "points, %.0f ms" % (*census_walks(), 1e3 * timings[CENSUS_ROW]))
 
 
 def _valence_summary(timings):
@@ -496,6 +542,7 @@ def main(argv=None):
     print(_find_roots_summary(timings))
     print(_objective_summary(timings))
     print(_search_summary())
+    print(_census_summary(timings))
     return 0
 
 

@@ -28,6 +28,9 @@ BP_RADIUS = 1e-3
 TRACE_R_STOP = 1.0 - 1e-7
 TRACE_H_MIN = 1e-7
 TRACE_STEP_LIMIT = 200000
+#: trace_arc's first and largest step
+TRACE_H_FIRST = 2e-3
+TRACE_H_MAX = 6.4e-2
 
 # trace_arc status codes
 TRACE_HIT_CIRCLE = 1
@@ -268,26 +271,36 @@ def classify_grid(ncoef, dcoef, wcoef, res, margin, band):
     return cls
 
 
-def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
-              branch_points=()):
+def trace_arc(ncoef, dcoef, wcoef, z0, direction, branch_points=(), stops=()):
     """Follow the level curve Im(N/D) = 0 from z0.
 
     direction=+1 walks with Re(N/D) increasing, -1 decreasing.  Stops at the
     circle (|z| >= TRACE_R_STOP), at a pole (|N/D| >= POLE_CUTOFF), near one
-    of branch_points (within BP_RADIUS), when the corrector stalls, or when
-    monotonicity of Re(N/D) fails.  Returns (points, status, bp_index): the
-    points of the walk as a complex array, a TRACE_* code, and the index of
-    the branch point hit (-1 if none).  The coefficients (ascending) and
-    branch points are Python complex numbers, and so is every step of the
-    walk, divisions included.  N, D and W are evaluated together at each
-    point, each by horner_scalar's operations in its order.
+    of branch_points (within BP_RADIUS), inside one of the disks ``stops``
+    ((centre, radius) pairs, ended as at the circle), when the corrector
+    stalls, or when monotonicity of Re(N/D) fails.  Returns (points,
+    status, bp_index): the points of the walk as a complex array, a TRACE_*
+    code, and the index of the branch point hit (-1 if none).
+
+    The step starts at TRACE_H_FIRST and grows by 1.3, up to TRACE_H_MAX,
+    where the curve turns by less than about 2.6 degrees in a step.  A
+    step that turns it by more than about 11 degrees, or whose corrector
+    fails, is tried again at half its length.  No predictor step is longer
+    than half the distance to the nearest branch point or stop centre, so
+    none spans a BP_RADIUS disk or a stop disk, nor longer than 0.3 times
+    the distance to the circle (at least 2e-4).
+    The coefficients (ascending), branch points and stops are Python
+    complex numbers, and so is every step of the walk, divisions included.
+    N, D and W are evaluated together at each point, each by
+    horner_scalar's operations in its order.
     """
     # locals, so the step loop looks up no globals
     pole_cutoff, bp_radius, r_stop = POLE_CUTOFF, BP_RADIUS, TRACE_R_STOP
-    h_min, max_steps = TRACE_H_MIN, TRACE_STEP_LIMIT
+    h_min, h_max, max_steps = TRACE_H_MIN, TRACE_H_MAX, TRACE_STEP_LIMIT
     n_lead, n_rest = ncoef[-1], ncoef[-2::-1]
     d_lead, d_rest = dcoef[-1], dcoef[-2::-1]
     w_lead, w_rest = wcoef[-1], wcoef[-2::-1]
+    centres = list(branch_points) + [c for c, _ in stops]
     pts = []
 
     def ev(z):
@@ -309,6 +322,15 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
             return 0.0 + 0.0j
         return wv / d2
 
+    def reach(z):
+        # half the distance to the nearest branch point or stop centre
+        near = 1e300
+        for c in centres:
+            d = abs(z - c)
+            if d < near:
+                near = d
+        return 0.5 * near
+
     z = complex(z0)
     nv, dv, wv = ev(z)
     if abs(dv) < 1e-150:
@@ -317,7 +339,8 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
     fp = dphi(dv, wv)
     pts.append(z)
     re_prev = fz.real
-    h = h0
+    h = TRACE_H_FIRST
+    he_cap = reach(z)
     status = TRACE_MAX_STEPS
     bp_hit = -1
     while len(pts) < max_steps:
@@ -327,12 +350,15 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
         tau = direction * fp.conjugate() / abs(fp)
         # predictor; step throttled near the circle so arc endpoints are not
         # overshot (many arcs terminate there with phi' -> 0 or |phi| -> inf)
+        # and near the points where walks end, so none is stepped over
         he = h
         cap = 0.3 * (1.0 - abs(z))
         if cap < 2e-4:
             cap = 2e-4
         if he > cap:
             he = cap
+        if he > he_cap:
+            he = he_cap
         zp = z + he * tau
         # corrector: Newton steps orthogonal to the curve; accept either a
         # small correction or one stagnating at the evaluation noise floor
@@ -355,7 +381,7 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
                 break
             prev_c = c
         if not ok:
-            h *= 0.5
+            h = 0.5 * he
             if h < h_min:
                 # so close to the circle that phi' drowns in rounding noise:
                 # the arc has reached its boundary endpoint
@@ -372,10 +398,10 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
         if abs(fp2) > 0:
             tau2 = direction * fp2.conjugate() / abs(fp2)
             dot = (tau2 * tau.conjugate()).real
-            if dot < 0.995 and h > h_min:
-                h *= 0.5
+            if dot < 0.98 and he > h_min:
+                h = 0.5 * he
                 continue
-            if dot > 0.99995 and h < h_max:
+            if dot > 0.999 and h < h_max:
                 h *= 1.3
                 if h > h_max:
                     h = h_max
@@ -404,4 +430,13 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
             status = TRACE_HIT_BRANCH
             bp_hit = hit
             break
+        inside = False
+        for c, r in stops:
+            if abs(z - c) < r:
+                inside = True
+                break
+        if inside:
+            status = TRACE_HIT_CIRCLE
+            break
+        he_cap = reach(z)
     return np.array(pts, dtype=np.complex128), status, bp_hit

@@ -764,17 +764,34 @@ def integral_means(phi, p, r):
     A sum that is not finite raises it at once.  The 32-point estimate is
     returned.
 
+    p may also be a tuple of exponents.  Then |phi| is evaluated once per
+    panel grid for all of them, and the result is a tuple holding, for
+    each exponent, the mean or the QuadratureUnstable or OverflowError
+    that integral_means(phi, p, r) raises for it alone: the same result,
+    bit for bit.
+
     |phi| is |N| over |D| = |c| prod |z - zeta_k|^m_k, from D's roots
     (den_roots, where find_roots places a multiple root to full
     precision): in the monomial basis D is rounding noise near a multiple
     circle pole, since (1 - r)^4 = 1e-16 at r = 0.9999.
     """
+    if isinstance(p, tuple):
+        return tuple(_means(phi, p, r))
+    got = _means(phi, (p,), r)[0]
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _means(phi, ps, r):
+    """integral_means at each exponent of ps: a list of means and the
+    exceptions raised in their place."""
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must lie in [0, 1)")
-    if p <= 0:
+    if any(p <= 0 for p in ps):
         raise ValueError("exponent must be positive")
     if r == 0.0:
-        return abs(phi.eval(0.0))
+        return [abs(phi.eval(0.0))] * len(ps)
 
     poles = []
     lead = phi.den.coeffs[0]
@@ -792,6 +809,8 @@ def integral_means(phi, p, r):
 
     nodes, weights = _gauss_legendre()
     bp = _graded_breakpoints(centres)
+    out = [None] * len(ps)
+    unsettled = list(range(len(ps)))
     for _ in range(MAX_HALVINGS + 1):
         mid = 0.5 * (bp[:-1] + bp[1:])
         half = 0.5 * (bp[1:] - bp[:-1])
@@ -799,18 +818,33 @@ def integral_means(phi, p, r):
         den_mod = abs(lead) * np.prod(
             np.abs(z[..., None] - pole_at) ** pole_mult, axis=-1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = (np.abs(phi.num(z)) / den_mod) ** p
-            sums = half @ (vals @ weights)
-        if not np.isfinite(sums).all():
-            raise QuadratureUnstable(
-                "integral mean sum is not finite (r = %g)" % r)
-        coarse, fine = (float(s / (2.0 * math.pi)) ** (1.0 / p) for s in sums)
-        if abs(coarse - fine) <= MEANS_REL_TOL * abs(fine):
-            return fine
+            modulus = np.abs(phi.num(z)) / den_mod
+        for i in list(unsettled):
+            p = ps[i]
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = half @ ((modulus ** p) @ weights)
+            if not np.isfinite(sums).all():
+                out[i] = QuadratureUnstable(
+                    "integral mean sum is not finite (r = %g)" % r)
+                unsettled.remove(i)
+                continue
+            try:
+                coarse, fine = (float(s / (2.0 * math.pi)) ** (1.0 / p) for s in sums)
+            except OverflowError as exc:
+                out[i] = exc
+                unsettled.remove(i)
+                continue
+            if abs(coarse - fine) <= MEANS_REL_TOL * abs(fine):
+                out[i] = fine
+                unsettled.remove(i)
+        if not unsettled:
+            return out
         bp = np.sort(np.concatenate([bp, mid]))
-    raise QuadratureUnstable(
-        "integral mean did not settle after %d halvings (r = %g)"
-        % (MAX_HALVINGS, r))
+    for i in unsettled:
+        out[i] = QuadratureUnstable(
+            "integral mean did not settle after %d halvings (r = %g)"
+            % (MAX_HALVINGS, r))
+    return out
 
 
 # -- closure operations -------------------------------------------------------

@@ -27,7 +27,6 @@ from .blaschke_smirnov import (
     BoundaryNotReal,
     DenominatorVanishesInDisk,
     NotRelativelyPrime,
-    QuadratureUnstable,
     RealSmirnov,
     integral_means,
 )
@@ -103,16 +102,18 @@ def _means_rows(phi, m):
         ps = (1.0 / (4.0 * m), 3.0 / (4.0 * m))
     else:
         ps = (0.25, 0.75)
-    rows = []
-    for p in ps:
-        row = {"p": p, "inner": None, "outer": None, "ratio": None}
-        try:
-            row["inner"] = integral_means(phi, p, MEANS_RADII[0])
-            row["outer"] = integral_means(phi, p, MEANS_RADII[1])
-            row["ratio"] = row["outer"] / row["inner"]
-        except (QuadratureUnstable, OverflowError, NonConvergence):
-            pass
-        rows.append(row)
+    rows = [{"p": p, "inner": None, "outer": None, "ratio": None} for p in ps]
+    try:
+        # each a tuple of means, or of the exception raised in a mean's place
+        inner, outer = (integral_means(phi, ps, r) for r in MEANS_RADII)
+    except NonConvergence:
+        return rows
+    for row, lo, hi in zip(rows, inner, outer):
+        if not isinstance(lo, Exception):
+            row["inner"] = lo
+            if not isinstance(hi, Exception):
+                row["outer"] = hi
+                row["ratio"] = hi / lo
     return rows
 
 

@@ -50,7 +50,6 @@ from ._kernels import (
     BP_RADIUS,
     POLE_CUTOFF,
     TRACE_HIT_BRANCH,
-    TRACE_HIT_CIRCLE,
     TRACE_MAX_STEPS,
     TRACE_NON_MONOTONE,
     TRACE_STALLED,
@@ -101,9 +100,10 @@ RING_SAMPLES = 16
 #: radius of the seed ring round a branch point, in BP_RADIUS (traces stop
 #: within BP_RADIUS of it, and seeds within 1.5 BP_RADIUS start none)
 BP_RING = 2.0
-#: a seed this close to a traced arc's polyline, in largest trace steps,
-#: lies on the arc: a step turns by at most 0.1 rad, so a chord sags 0.0125
-ON_ARC = 0.05
+#: a seed this close to a traced arc's polyline lies on the arc.  Seeds
+#: lie on the rings, and within a ring a walk's step is at most half its
+#: distance to the ring's centre, so the chords there hug the arc.
+ON_ARC = 4e-4
 #: how far a region's boundary turn may sit from a multiple of pi
 TURN_TOL = 1e-3
 #: distance from its end at which an arc's direction is read
@@ -283,7 +283,8 @@ def _seeds(phi, pieces: BoundaryPieces, bps: list[BranchPoint], res: int,
     An event's local form sends its arcs into the disk at angles
     j pi / (arcs + 1) from its tangent; the half ring round it meets the
     first sqrt(2) RING_DEPTH / res inside the circle, and lies at least
-    twice the event's noise radius from it.  The part of a half ring that
+    twice the event's noise radius from it, so no seed lies in the disk
+    where walks toward the event stop.  The part of a half ring that
     reaches past the circle seeds nothing (_ring_seeds).
     """
     seeds = []
@@ -337,12 +338,16 @@ def trace_segments(phi, resolution: int) -> list[BoundaryArc]:
     flanks are left for ``faces`` to name.  Every arc ends at an event of
     phi's boundary pieces or at a branch point, and is traced once, both
     ways from a seed on a small ring round one (_seeds): no seed within
-    1.5 BP_RADIUS of a branch point or on a traced arc starts a trace.
-    The resolution sets only the trace step and the rings.  A walk that
-    stalls, turns non-monotone or runs out of steps ends at an event within
-    its _noise_radius, or else raises TraceStalled or NonMonotone.  Circle and
-    pole ends take the values of the events of phi's boundary pieces (see
-    End), so phi without trusted pieces raises ExtractionMismatch; so does an arc with both ends at one point or a
+    1.5 BP_RADIUS of a branch point or within ON_ARC of a traced arc
+    starts a trace.  The resolution sets only the rings: trace_arc's steps
+    follow the arc's curvature and shrink toward the branch points and
+    the events with arcs.  A walk ends at the circle, at a pole, at a
+    branch point, or on entering an event's _noise_radius disk, within
+    which N - value D (D at a pole) is rounding noise; a walk that
+    stalls, turns non-monotone or runs out of steps raises TraceStalled
+    or NonMonotone.  Circle and pole ends take the values of the events of
+    phi's boundary pieces (see End), so phi without trusted pieces raises
+    ExtractionMismatch; so does an arc with both ends at one point or a
     degenerate image, or a count of arc ends at an event or a branch point
     other than its local form's (``pieces.arcs``, 2 (mult + 1)).
     """
@@ -357,20 +362,17 @@ def trace_segments(phi, resolution: int) -> list[BoundaryArc]:
     bp_z = [bp.z for bp in bps]
     coefs = (phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
              phi.w_poly.coeffs.tolist())
-    h0 = min(2e-3, 1.0 / res)
-    h_max = min(8e-3, 4.0 / res)
+    # walks end on entering the noise disk of an event with arcs
+    stops = [(complex(zeta), float(r))
+             for zeta, r, arcs in zip(zetas, noise, pieces.arcs) if arcs]
     segments: list[BoundaryArc] = []
 
     def run(z0: complex, direction: float):
-        pts, status, bp_hit = trace_arc(*coefs, z0, direction, h0=h0, h_max=h_max,
-                                        branch_points=bp_z)
-        if status in (TRACE_NON_MONOTONE, TRACE_STALLED, TRACE_MAX_STEPS):
-            # a walk that fails in the rounding noise round a multiple zero
-            # or pole on the circle has reached it
-            if len(pts) and np.any(np.abs(zetas - pts[-1]) < noise):
-                return pts, TRACE_HIT_CIRCLE, bp_hit
-            if status == TRACE_NON_MONOTONE:
-                raise NonMonotone(f"Re phi not monotone along the arc through {z0:.6f}")
+        pts, status, bp_hit = trace_arc(*coefs, z0, direction, branch_points=bp_z,
+                                        stops=stops)
+        if status == TRACE_NON_MONOTONE:
+            raise NonMonotone(f"Re phi not monotone along the arc through {z0:.6f}")
+        if status in (TRACE_STALLED, TRACE_MAX_STEPS):
             raise TraceStalled(f"trace from {z0:.6f} stalled")
         return pts, status, bp_hit
 
@@ -380,7 +382,7 @@ def trace_segments(phi, resolution: int) -> list[BoundaryArc]:
             continue
         if any(abs(z - b) < 1.5 * BP_RADIUS for b in bp_z):
             continue
-        if any(_distance(arc.points, z) < ON_ARC * h_max for arc in segments):
+        if any(_distance(arc.points, z) < ON_ARC for arc in segments):
             continue
         fwd, st_f, bp_f = run(z, +1.0)
         bwd, st_b, bp_b = run(z, -1.0)
@@ -856,9 +858,9 @@ def extract_full(phi, resolution: int = DEFAULT_RESOLUTION,
     """Extract the valence tree, doubling the resolution on failure.
 
     An attempt traces the level arcs from the events and branch points
-    (trace_segments: the resolution sets the trace step and the seed
-    rings), walks the faces they cut the disk into, reads the region
-    valences off their boundaries, assembles and validates the tree, and
+    (trace_segments: the resolution sets only the seed rings), walks the
+    faces they cut the disk into, reads the region valences off their
+    boundaries, assembles and validates the tree, and
     checks it against root counts at 36 fresh points
     (crosscheck with seed + 1), whose half-plane samples test the region
     valence sums.  Any ExtractionError restarts at twice the resolution;

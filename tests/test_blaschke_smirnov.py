@@ -372,6 +372,25 @@ class TestIntegralMeans:
         with pytest.raises(QuadratureUnstable, match="not finite"):
             integral_means(fixtures.koebe(), 400.0, 0.9999)
 
+    @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
+    def test_shared_means_are_the_means_one_exponent_at_a_time(self, name):
+        # bit for bit, at the radii analyze probes and others
+        phi = fixtures.all_fixtures()[name]
+        ps = (0.125, 0.25, 0.375, 0.75)
+        for r in (0.0, 0.9, 0.99, 0.9999):
+            got = integral_means(phi, ps, r)
+            assert isinstance(got, tuple) and len(got) == len(ps)
+            assert [g.hex() for g in got] == [integral_means(phi, p, r).hex()
+                                              for p in ps]
+
+    def test_shared_means_raise_per_exponent(self):
+        # 1e8^400 overflows at r = 0.9999; the other exponents do not
+        got = integral_means(fixtures.koebe(), (0.25, 400.0, 0.75), 0.9999)
+        assert isinstance(got[1], QuadratureUnstable)
+        assert "not finite" in str(got[1])
+        assert got[0] == integral_means(fixtures.koebe(), 0.25, 0.9999)
+        assert got[2] == integral_means(fixtures.koebe(), 0.75, 0.9999)
+
     def test_pole_on_the_radius_does_not_settle(self):
         # a pole at 1/2, on the circle of radius 1/2, makes |phi|^2 not
         # integrable: each halving moves the nodes nearer the pole

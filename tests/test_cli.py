@@ -14,7 +14,9 @@ import warnings
 import pytest
 
 from rsmirnov import cli
+from rsmirnov.blaschke_smirnov import QuadratureUnstable, RealSmirnov, integral_means
 from rsmirnov.cli import main
+from rsmirnov.complex_poly import Poly, poly_from_roots
 from rsmirnov.fixtures import double_slit, fourth_power_map, koebe, power_chain
 from rsmirnov.synthesis import endpoint_error
 from rsmirnov.valence_tree import Interval, Node, Tree
@@ -105,6 +107,25 @@ def test_analyze_fourth_power_map_prints_four_means(tmp_path, capsys):
                        for k in ("inner", "outer", "ratio"))
         assert rows[0]["ratio"] < 3.0
         assert rows[1]["ratio"] > 10.0
+
+
+def test_a_mean_that_does_not_settle_leaves_the_other_row_filled(monkeypatch):
+    # a double pole at 0.99, on the inner circle: |phi|^(3/4) is not
+    # integrable there, |phi|^(1/4) is.  Each radius is one
+    # integral_means call for both exponents.
+    phi = RealSmirnov(Poly([1.0]), poly_from_roots([0.99, 0.99]))
+    calls = []
+    means = cli.integral_means
+    monkeypatch.setattr(cli, "integral_means",
+                        lambda phi, p, r: calls.append((p, r)) or means(phi, p, r))
+    rows = cli._means_rows(phi, 0)
+    assert calls == [((0.25, 0.75), r) for r in cli.MEANS_RADII]
+    monkeypatch.undo()
+    inner, outer = (integral_means(phi, 0.25, r) for r in cli.MEANS_RADII)
+    assert rows == [{"p": 0.25, "inner": inner, "outer": outer, "ratio": outer / inner},
+                    {"p": 0.75, "inner": None, "outer": None, "ratio": None}]
+    with pytest.raises(QuadratureUnstable, match="did not settle"):
+        integral_means(phi, 0.75, cli.MEANS_RADII[0])
 
 
 def test_analyze_double_slit_interval(tmp_path, capsys):

@@ -20,6 +20,8 @@ from rsmirnov._kernels import (
     BAND_FLOOR,
     BP_RADIUS,
     POLE_CUTOFF,
+    TRACE_H_FIRST,
+    TRACE_H_MAX,
     TRACE_H_MIN,
     TRACE_HIT_BRANCH,
     TRACE_HIT_CIRCLE,
@@ -173,13 +175,12 @@ def test_trace_arc_follows_the_double_slit_axis(direction, end):
 # trace_arc against the same walk written out again
 
 
-def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
-                     branch_points=()):
+def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, branch_points=(), stops=()):
     """trace_arc step for step: on Python numbers, with Python's divisions,
     the reference the kernel's walk matches bit for bit; on numpy arrays,
     the numpy-scalar walk the kernel replaced."""
     pole_cutoff, bp_radius, r_stop = POLE_CUTOFF, BP_RADIUS, TRACE_R_STOP
-    h_min, max_steps = TRACE_H_MIN, TRACE_STEP_LIMIT
+    h_min, h_max, max_steps = TRACE_H_MIN, TRACE_H_MAX, TRACE_STEP_LIMIT
     pts = np.empty(max_steps, dtype=np.complex128)
 
     def phi(z):
@@ -192,6 +193,13 @@ def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
             return 0.0 + 0.0j
         return wv / d2
 
+    def reach(z):
+        near = 1e300
+        for c in list(branch_points) + [c for c, _ in stops]:
+            if abs(z - c) < near:
+                near = abs(z - c)
+        return 0.5 * near
+
     z = complex(z0)
     nv, dv = phi(z)
     if abs(dv) < 1e-150:
@@ -202,7 +210,8 @@ def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
     pts[n] = z
     n += 1
     re_prev = fz.real
-    h = h0
+    h = TRACE_H_FIRST
+    he_cap = reach(z)
     status = TRACE_MAX_STEPS
     bp_hit = -1
     while n < max_steps:
@@ -216,6 +225,8 @@ def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
             cap = 2e-4
         if he > cap:
             he = cap
+        if he > he_cap:
+            he = he_cap
         zp = z + he * tau
         ok = False
         zc = zp
@@ -236,7 +247,7 @@ def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
                 break
             prev_c = c
         if not ok:
-            h *= 0.5
+            h = 0.5 * he
             if h < h_min:
                 status = TRACE_HIT_CIRCLE if 1.0 - abs(z) < 1e-3 else TRACE_STALLED
                 break
@@ -250,10 +261,10 @@ def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
         if abs(fp2) > 0:
             tau2 = direction * fp2.conjugate() / abs(fp2)
             dot = (tau2 * tau.conjugate()).real
-            if dot < 0.995 and h > h_min:
-                h *= 0.5
+            if dot < 0.98 and he > h_min:
+                h = 0.5 * he
                 continue
-            if dot > 0.99995 and h < h_max:
+            if dot > 0.999 and h < h_max:
                 h *= 1.3
                 if h > h_max:
                     h = h_max
@@ -282,6 +293,10 @@ def trace_arc_python(ncoef, dcoef, wcoef, z0, direction, h0=2e-3, h_max=8e-3,
             status = TRACE_HIT_BRANCH
             bp_hit = hit
             break
+        if any(abs(z - c) < r for c, r in stops):
+            status = TRACE_HIT_CIRCLE
+            break
+        he_cap = reach(z)
     return pts[:n].copy(), status, bp_hit
 
 
@@ -322,9 +337,9 @@ def test_trace_arc_matches_the_python_reference_walk(name, monkeypatch):
     coeffs = (phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
               phi.w_poly.coeffs.tolist())
     for (_, _, _, z0, direction), kwargs, (pts, status, bp_hit) in calls:
-        want = trace_arc_python(*coeffs, z0, direction, h0=kwargs["h0"],
-                                h_max=kwargs["h_max"],
-                                branch_points=kwargs["branch_points"])
+        want = trace_arc_python(*coeffs, z0, direction,
+                                branch_points=kwargs["branch_points"],
+                                stops=kwargs["stops"])
         assert (status, bp_hit) == want[1:]
         assert pts.dtype == want[0].dtype
         assert pts.tobytes() == want[0].tobytes()
@@ -344,8 +359,9 @@ def test_trace_arc_matches_the_numpy_scalar_walk(name, monkeypatch):
     coeffs = (phi.num.coeffs, phi.den.coeffs, phi.w_poly.coeffs)
     for (_, _, _, z0, direction), kwargs, (pts, status, bp_hit) in calls:
         bps = np.array(kwargs["branch_points"], dtype=np.complex128)
-        want = trace_arc_python(*coeffs, z0, direction, h0=kwargs["h0"],
-                                h_max=kwargs["h_max"], branch_points=bps)
+        stops = [(np.complex128(c), np.float64(r)) for c, r in kwargs["stops"]]
+        want = trace_arc_python(*coeffs, z0, direction, branch_points=bps,
+                                stops=stops)
         assert (status, bp_hit) == want[1:]
         assert pts[0] == want[0][0]
         assert abs(pts[-1] - want[0][-1]) < BP_RADIUS

@@ -34,6 +34,7 @@ from rsmirnov.fixtures import (
     upper_halfplane_map,
 )
 from rsmirnov import region_extraction as rx
+from rsmirnov._kernels import TRACE_HIT_CIRCLE
 from rsmirnov.region_extraction import (
     BoundaryArc,
     End,
@@ -1067,6 +1068,71 @@ def test_branch_points_of_a_degree_three_precomposition():
     assert sum(1 for s in ex.segments
                if s.lo.kind == s.hi.kind == "branch") == 1
     assert crosscheck(phi, ex.tree, n_samples=200).ok
+
+
+def slit_cubed():
+    """double_slit composed with z^3: a 2-fold branch point at 0, where
+    six arc ends meet."""
+    return precompose_inner(double_slit(), Blaschke([0, 0, 0]))
+
+
+def census_draws(n):
+    rng = np.random.default_rng(101)
+    return [random_helson(rng, 3, 2, rmax=0.999, max_tries=20000) for _ in range(n)]
+
+
+# each a list of functions
+BRANCH_DISK_CASES = {
+    **{make.__name__: (lambda make=make: [make()])
+       for make in (upper_halfplane_map, lower_halfplane_map, double_slit, koebe,
+                    fourth_power_map, slit_cubed, slit_three)},
+    "census": lambda: census_draws(30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_DISK_CASES))
+def test_no_traced_arc_passes_through_a_branch_point_disk(name):
+    # a step across a branch point's BP_RADIUS disk would carry its walk on
+    # through the branch point.  Walks from slit_cubed's ring of radius
+    # 2 BP_RADIUS run straight at its branch point 0.
+    for phi in BRANCH_DISK_CASES[name]():
+        bps = find_branch_points(phi)
+        for res in (256, 512):
+            for arc in trace_segments(phi, res):
+                for bp in bps:
+                    pts = arc.points
+                    # the last step of an arc that ends at bp enters its disk
+                    if arc.lo.kind == "branch" and arc.lo.branch == bp.index:
+                        pts = pts[1:]
+                    if arc.hi.kind == "branch" and arc.hi.branch == bp.index:
+                        pts = pts[:-1]
+                    assert rx._distance(pts, bp.z) >= rx.BP_RADIUS
+
+
+@pytest.mark.parametrize("res", [256, 512])
+def test_walks_toward_a_multiple_zero_stop_at_its_noise_disk(res, monkeypatch):
+    # fourth_power_map's 4-fold zero at -1 sends 3 arcs into the disk, and
+    # within _noise_radius of it (3.5e-4) N is rounding noise.  Each walk
+    # toward it ends at its first point inside that disk, not crawling on
+    # through the noise.
+    phi = fourth_power_map()
+    pieces = phi.boundary_pieces
+    (k,) = [k for k, (t, _) in enumerate(pieces.events)
+            if abs(cmath.exp(1j * t) + 1) < 1e-9]
+    (t, v), arcs = pieces.events[k], pieces.arcs[k]
+    radius = rx._noise_radius(phi, t, v, arcs + 1)
+    walks = []
+    trace = rx.trace_arc
+    monkeypatch.setattr(rx, "trace_arc",
+                        lambda *args, **kw: walks.append(trace(*args, **kw)) or walks[-1])
+    trace_segments(phi, res)
+    ends = [(pts, status) for pts, status, _ in walks if abs(pts[-1] + 1) < 0.01]
+    assert len(ends) == arcs == 3
+    for pts, status in ends:
+        assert status == TRACE_HIT_CIRCLE
+        assert abs(pts[-1] + 1) < radius
+        assert np.all(np.abs(pts[:-1] + 1) >= radius)
+        assert len(pts) <= 30
 
 
 # A (3, 3) Helson pair (zeros up to radius 0.95) on which a traced arc ends
