@@ -1,13 +1,18 @@
 """Hot numerical loops shared by the analysis modules.
 
-Four kernels live here: Horner evaluation of a polynomial at one point or
-(also for a stack of coefficient rows) over an array of points, the
+Four kernels live here: Horner evaluation of polynomials, the
 Aberth-Ehrlich simultaneous root iteration, grid classification by the
 sign of Im(N/D), and the predictor-corrector stepper used to follow level
-curves of Im(N/D), on Python numbers with Python's own arithmetic.  Each
-has one implementation, except Aberth: aberth_iterate runs one row, and
-aberth_batch runs the same arithmetic over a stack of rows at once, with
-the same result per row; on one row the batch costs twelve times more.
+curves of Im(N/D), on Python numbers with Python's own arithmetic.
+
+Horner's recurrence is written once per kind of number: horner_scalar for
+any number type (Python, numpy and mpmath numbers, float arrays),
+horner_many for complex arrays of points, _horner_split on pairs of real
+and imaginary float arrays for aberth_batch, and inline in trace_arc's
+step loop, which evaluates N, D and W together.  aberth_iterate runs one
+row, and aberth_batch runs the same arithmetic over a stack of rows at
+once, with the same result per row; on one row the batch costs twelve
+times more.
 """
 
 import numpy as np
@@ -41,8 +46,22 @@ TRACE_NON_MONOTONE = 5
 TRACE_MAX_STEPS = 6
 
 
-def _horner_many(coeffs, z):
-    """Evaluate sum_k coeffs[k] * z**k for every entry of z (ascending order).
+def horner_scalar(coeffs, z):
+    """Evaluate the polynomial (coefficients ascending) at one point.
+
+    Any number type that multiplies and adds will do: Python numbers, numpy
+    scalars, mpmath numbers, or float arrays evaluated entrywise.
+    """
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = acc * z + coeffs[k]
+    return acc
+
+
+def horner_many(coeffs, z):
+    """Evaluate sum_k coeffs[k] * z**k for every entry of the array z
+    (ascending order).  Each coefficient is a number or an array that
+    broadcasts against z.
 
     Every product is one of two arrays of z's shape: the leading
     coefficient is spread over z's shape first, because numpy multiplies a
@@ -55,28 +74,6 @@ def _horner_many(coeffs, z):
     for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * z + coeffs[k]
     return acc
-
-
-def horner_scalar(coeffs, z):
-    """Evaluate the polynomial (coefficients ascending) at one point."""
-    acc = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = acc * z + coeffs[k]
-    return acc
-
-
-def horner_many(coeffs, z):
-    """Evaluate the polynomial (coefficients ascending) at an array of points.
-
-    With coefficient rows of shape (k, m), row i is evaluated at the points
-    z[i], and z has a leading axis of length k.
-    """
-    if coeffs.ndim == 2:
-        # one coefficient column per Horner step, broadcast along each row
-        out = _horner_many(coeffs.T[:, :, None], z.reshape(len(coeffs), -1))
-    else:
-        out = _horner_many(coeffs, z.ravel())
-    return out.reshape(z.shape)
 
 
 def aberth_iterate(coeffs, initial):
@@ -191,9 +188,7 @@ def aberth_batch(coeffs, initial):
             pr, pi = _horner_split(cr, ci, xr, xi)
             dpr, dpi = _horner_split(dr, di, xr, xi)
             ax = np.hypot(xr, xi)
-            noise = acoeffs[-1]
-            for c in acoeffs[-2::-1]:
-                noise = noise * ax + c
+            noise = horner_scalar(acoeffs, ax)
             rr = np.hypot(pr, pi) / (noise + 1e-150)
             worst = np.where(rr > worst, rr, worst)
             wr, wi = _div(pr, pi, *_nonzero(dpr, dpi))
@@ -258,9 +253,9 @@ def classify_grid(ncoef, dcoef, wcoef, res, margin, band):
         y = centers[y0:y0 + rows, None]
         inside = centers * centers + y * y < rlim2
         z = (centers + 1j * y)[inside]
-        nv = _horner_many(ncoef, z)
-        dv = _horner_many(dcoef, z)
-        wv = _horner_many(wcoef, z)
+        nv = horner_many(ncoef, z)
+        dv = horner_many(dcoef, z)
+        wv = horner_many(wcoef, z)
         imnd = (nv * dv.conj()).imag
         d2 = (dv * dv.conj()).real
         cls[y0:y0 + rows][inside] = np.where(

@@ -184,13 +184,6 @@ def _poly_to_mp(coeffs):
     return [mpmath.mpc(c.real, c.imag) for c in coeffs]
 
 
-def _mp_horner(coeffs_mp, z):
-    acc = coeffs_mp[-1]
-    for c in coeffs_mp[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
 class RealSmirnov:
     """Rational real Smirnov function in reduced form N/D.
 
@@ -311,8 +304,8 @@ class RealSmirnov:
         with mpmath.workdps(40):
             zmp = mpmath.expjpi(mpmath.mpf(t) / mpmath.pi)
             num_mp, den_mp = self.mp_coeffs
-            nmp = _mp_horner(num_mp, zmp)
-            dmp = _mp_horner(den_mp, zmp)
+            nmp = _kernels.horner_scalar(num_mp, zmp)
+            dmp = _kernels.horner_scalar(den_mp, zmp)
             if abs(dmp) < 1e-25 * dscale:
                 return math.inf, 0.0
             wmp = nmp / dmp

@@ -122,7 +122,7 @@ class Poly:
     def __call__(self, z):
         if np.isscalar(z) or np.asarray(z).shape == ():
             return _kernels.horner_scalar(self.coeffs, z)
-        return _kernels.horner_many(self.coeffs, z)
+        return _kernels.horner_many(self.coeffs, z.ravel()).reshape(z.shape)
 
     def __add__(self, other):
         return Poly(_add(self.coeffs, _as_poly(other).coeffs))
@@ -367,7 +367,7 @@ def _newton_polish(rows, roots):
     """POLISH_STEPS Newton steps on the roots (k, n) of the coefficient rows
     (k, n + 1).
 
-    p and p' run through one Horner recurrence (_horner_many) as a stack
+    p and p' run through one Horner recurrence (horner_many) as a stack
     (2, k, n).  Their coefficients are laid out once as (n + 1, 2, k, n),
     each repeated over the row's points, and every step writes the points
     into one buffer, so the recurrence multiplies and adds arrays of one
@@ -384,7 +384,7 @@ def _newton_polish(rows, roots):
     z = np.empty(cols.shape[1:], dtype=np.complex128)
     for _ in range(POLISH_STEPS):
         z[:] = roots
-        pv = _kernels._horner_many(cols, z)
+        pv = _kernels.horner_many(cols, z)
         p, dp = pv[0], pv[1]
         mask = np.abs(dp) > 1e-280
         if np.count_nonzero(mask) == mask.size:

@@ -58,7 +58,7 @@ from ._kernels import (
     trace_arc,
 )
 from .blaschke_smirnov import BoundaryPieces, valence_counts
-from .valence_tree import Interval, Node, Tree, profile, validate
+from .valence_tree import Interval, InvalidTree, Node, Tree, profile
 
 __all__ = [
     "DEFAULT_RESOLUTION",
@@ -831,12 +831,11 @@ def _attempt(phi, res: int, seed: int) -> Extraction:
     regions, segments = faces(phi, trace_segments(phi, res))
     valences = region_valence(phi, regions, segments)
     tree, collections, node_of_region = _assemble(regions, valences, segments)
-    violations = validate(tree)
-    if violations:
-        raise ExtractionMismatch(
-            "assembled tree is invalid: " + "; ".join(str(v) for v in violations)
-        )
-    report = crosscheck(phi, tree, n_samples=36, seed=seed + 1)
+    try:
+        # crosscheck's profile validates the tree
+        report = crosscheck(phi, tree, n_samples=36, seed=seed + 1)
+    except InvalidTree as exc:
+        raise ExtractionMismatch("assembled tree is invalid: %s" % exc) from exc
     if not report.ok:
         raise ExtractionMismatch(
             f"extracted tree contradicts direct counts: {report.mismatches[:3]}"

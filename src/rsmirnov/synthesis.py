@@ -41,6 +41,7 @@ from .blaschke_smirnov import (
     real_valence,
 )
 from .valence_tree import (
+    InvalidTree,
     Tree,
     canonical_code,
     is_isomorphic,
@@ -519,10 +520,10 @@ def synthesize_search(problem: SynthesisProblem) -> SynthesisResult:
     was found.
     """
     target = problem.target
-    violations = validate(target)
-    if violations:
-        raise InfeasibleTarget(violations)
-    tprof = profile(target)
+    try:
+        tprof = profile(target)
+    except InvalidTree as exc:
+        raise InfeasibleTarget(exc.violations) from exc
     deg1, deg2 = tprof.v_minus, tprof.v_plus
     if deg1 > 4 or deg2 > 4:
         raise ValueError("search is capped at Blaschke degree 4 per product")

@@ -218,8 +218,9 @@ class Tree:
             else:
                 raise ValueError(f"bad sign {sign_raw!r}")
             valence = nd["valence"]
-            # int() would truncate 2.7 and read true as 1
-            if isinstance(valence, bool) or not float(valence).is_integer():
+            # int() would truncate 2.7 and read true as 1; float() would
+            # parse a numeric string
+            if type(valence) not in (int, float) or not float(valence).is_integer():
                 raise ValueError(f"bad valence {valence!r}")
             nodes.append(Node(str(nd["id"]), sign, int(valence)))
         edges = [

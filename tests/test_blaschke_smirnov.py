@@ -39,7 +39,7 @@ from rsmirnov.complex_poly import (
     find_roots,
     poly_from_roots,
 )
-from rsmirnov import blaschke_smirnov, complex_poly, fixtures
+from rsmirnov import _kernels, blaschke_smirnov, complex_poly, fixtures
 from rsmirnov._kernels import horner_scalar
 from rsmirnov.region_extraction import extract_full
 
@@ -509,10 +509,8 @@ def converting_boundary_eval(phi, t):
             return w.real, w.imag
     with mpmath.workdps(40):
         zmp = mpmath.expjpi(mpmath.mpf(t) / mpmath.pi)
-        nmp = blaschke_smirnov._mp_horner(
-            blaschke_smirnov._poly_to_mp(phi.num.coeffs), zmp)
-        dmp = blaschke_smirnov._mp_horner(
-            blaschke_smirnov._poly_to_mp(phi.den.coeffs), zmp)
+        nmp = horner_scalar(blaschke_smirnov._poly_to_mp(phi.num.coeffs), zmp)
+        dmp = horner_scalar(blaschke_smirnov._poly_to_mp(phi.den.coeffs), zmp)
         if abs(dmp) < 1e-25 * phi.den_scale:
             return math.inf, 0.0
         wmp = nmp / dmp
@@ -525,17 +523,21 @@ def test_mpmath_coefficients_are_converted_once_per_phi(monkeypatch):
     them, to the same values."""
     converted, evals = [], []
     to_mp, boundary_eval = blaschke_smirnov._poly_to_mp, RealSmirnov._boundary_eval
-    mp_horner = blaschke_smirnov._mp_horner
 
     def recording_eval(self, t):
         out = boundary_eval(self, t)
         evals.append((t, out))
         return out
 
+    def recording_horner(coeffs, z):
+        # counted on mpmath coefficients only: the 40-digit branch
+        if isinstance(coeffs[-1], mpmath.mpc):
+            converted.append(None)
+        return horner_scalar(coeffs, z)
+
     monkeypatch.setattr(blaschke_smirnov, "_poly_to_mp",
                         lambda coeffs: converted.append(coeffs) or to_mp(coeffs))
-    monkeypatch.setattr(blaschke_smirnov, "_mp_horner",
-                        lambda c, z: converted.append(None) or mp_horner(c, z))
+    monkeypatch.setattr(_kernels, "horner_scalar", recording_horner)
     monkeypatch.setattr(RealSmirnov, "_boundary_eval", recording_eval)
     phi = fixtures.fourth_power_map()
     ts, ims = phi.boundary_im_samples()

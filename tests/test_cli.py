@@ -457,7 +457,7 @@ def test_validate_tree_rejects_a_boolean_or_float_sign_and_boolean_endpoint(
     assert "parse error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("valence", [2.7, True])
+@pytest.mark.parametrize("valence", [2.7, True, "2", " 2 "])
 def test_validate_tree_rejects_a_non_integer_valence(tmp_path, capsys, valence):
     data = two_one_edge().to_json()
     data["nodes"][0]["valence"] = valence

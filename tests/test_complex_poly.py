@@ -586,7 +586,7 @@ def reference_polish(rows, roots):
     both[:k] = rows
     both[k:, :-1] = rows[:, 1:] * np.arange(1, m)
     for _ in range(complex_poly.POLISH_STEPS):
-        pv = _kernels.horner_many(both, np.concatenate([roots, roots]))
+        pv = _kernels.horner_many(both.T[:, :, None], np.concatenate([roots, roots]))
         p, dp = pv[:k], pv[k:]
         mask = np.abs(dp) > 1e-280
         upd = np.where(mask, p / np.where(mask, dp, 1.0), 0.0)

@@ -4,8 +4,8 @@ classify_grid evaluates whole rows of cells with numpy.  It must classify
 every cell exactly as the per-cell loop below does: the arithmetic is the
 same, so no tolerance is allowed.  aberth_iterate and trace_arc are
 checked on inputs whose roots and level curve are known in closed form.
-horner_many over coefficient rows must match it one row at a time, bit for
-bit.  trace_arc must walk exactly as the same walk written out again
+horner_many over a stack of coefficient rows must match it one row at a
+time, bit for bit.  trace_arc must walk exactly as the same walk written out again
 below (trace_arc_python) does, on the same Python numbers.  Fed numpy
 arrays, that walk runs on numpy scalars as the kernel once did; trace_arc
 must end each walk as it ends.
@@ -121,12 +121,13 @@ def test_horner_many_matches_horner_scalar(seed, deg):
        k=st.integers(1, 6))
 @settings(max_examples=30, deadline=None)
 def test_horner_many_rows_match_one_row_at_a_time(seed, deg, k):
-    # coefficient rows take the same array arithmetic as a single row, so
-    # the root finder's stacked polish matches its one-row polish exactly
+    # coefficient rows, one column per Horner step broadcast along each
+    # row of points, take the same array arithmetic as a single row, so the
+    # root finder's stacked polish matches its one-row polish exactly
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=(k, deg + 1)) + 1j * rng.normal(size=(k, deg + 1))
     z = rng.normal(size=(k, 5)) + 1j * rng.normal(size=(k, 5))
-    got = horner_many(coeffs, z)
+    got = horner_many(coeffs.T[:, :, None], z)
     assert got.shape == z.shape
     for row, zi, g in zip(coeffs, z, got):
         assert np.array_equal(g, horner_many(row, zi))

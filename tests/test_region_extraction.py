@@ -1037,6 +1037,19 @@ def test_an_arc_with_both_ends_at_one_event_is_a_mismatch(monkeypatch):
         trace_segments(koebe(), 256)
 
 
+def test_an_invalid_assembled_tree_is_a_mismatch(monkeypatch):
+    # two upper nodes joined by an edge break sign alternation; the
+    # violation reaches the message as validate words it
+    bad = Tree([Node("a", 1, 1), Node("b", 1, 1)], [("a", "b", Interval(-1.0, 1.0))])
+    violations = validate(bad)
+    assert violations
+    monkeypatch.setattr(rx, "_assemble", lambda *args: (bad, [], {}))
+    with pytest.raises(ExtractionMismatch) as exc:
+        rx._attempt(koebe(), 256, 0)
+    assert str(exc.value) == "assembled tree is invalid: " + "; ".join(
+        str(v) for v in violations)
+
+
 @pytest.mark.parametrize("status, error", [(rx.TRACE_STALLED, TraceStalled),
                                            (rx.TRACE_MAX_STEPS, TraceStalled),
                                            (rx.TRACE_NON_MONOTONE, NonMonotone)])
