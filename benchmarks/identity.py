@@ -6,14 +6,26 @@ Run from the root of a checkout, whose src/ it imports:
     python3 benchmarks/identity.py > benchmarks/identity.txt
 
 It prints two header lines, the Python and numpy versions, then one line
-per item: its name and the first 16 hex digits of the sha256 of what the
-item produced.  benchmarks/identity.txt holds that output for the checked-in
-source.  With --check the script compares a run with that file instead of
-printing it: it names each item whose digest changed, is missing or is
-extra, and exits 1 on any difference or if the versions differ (numpy
-builds may round eigenvalues differently).  A change meant to keep
-behaviour passes --check; a change that moves an output rewrites the file,
-and the file's diff names the items that moved.
+per item: its name, the first 16 hex digits of the sha256 of what the item
+produced, and its outcome as key=value fields, each digest in them the
+first 8 hex digits of one part:
+
+    analyze/NAME/RES DIGEST exit=CODE stdout=D stderr=D json=D svg=D
+    census/.../K DIGEST res=RES tree=D          (it extracted)
+    census/.../K DIGEST raised=CLASS message=D  (it raised)
+    search/SEED DIGEST exit=CODE status=STATUS stdout=D
+
+benchmarks/identity.txt holds that output for the checked-in source.  With
+--check the script compares a run with that file instead of printing it.
+It names each item that changed, with how it moved and its old and new
+outcome (for analyze and search items, the parts that moved), and each
+item that is missing or extra.  It closes with a tally by kind: lost,
+gained, resolution up, resolution down, tree changed and failure changed
+for extractions; SVG only and output changed for analyze and search
+items; missing and extra.  It exits 1 on any difference or if the
+versions differ (numpy builds may round eigenvalues differently).  A
+change meant to keep behaviour passes --check; a change that moves an
+output rewrites the file, and the file's diff names the items that moved.
 
 The items:
 
@@ -40,6 +52,7 @@ The items:
 It takes about 35 s on one core of a shared 2-core x86-64 container.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -82,6 +95,11 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+def short(part) -> str:
+    """The digest of one part of an outcome, cut to 8 hex digits."""
+    return digest(part)[:8]
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of the command line argv."""
     out, err = io.StringIO(), io.StringIO()
@@ -107,13 +125,15 @@ def search_seeds():
 
 
 def extraction(phi, max_resolution):
-    """What extract_full(phi, 256) gives: the resolution and tree JSON, or
-    the exception's class and message."""
+    """(digest, fields) of what extract_full(phi, 256) gives: the resolution
+    and tree JSON, or the exception's class and message."""
     try:
         ex = extract_full(phi, 256, max_resolution=max_resolution)
-        return ex.resolution, json.dumps(ex.tree.to_json(), sort_keys=True)
+        tree = json.dumps(ex.tree.to_json(), sort_keys=True)
+        return digest(ex.resolution, tree), {"res": ex.resolution, "tree": short(tree)}
     except Exception as exc:  # every failure is an outcome to compare
-        return type(exc).__name__, str(exc)
+        name, message = type(exc).__name__, str(exc)
+        return digest(name, message), {"raised": name, "message": short(message)}
 
 
 def analyze_items(tmp: Path):
@@ -126,8 +146,10 @@ def analyze_items(tmp: Path):
                 path.unlink(missing_ok=True)
             code, out, err = run_cli(["analyze", str(source), "--resolution", str(res),
                                       "--json", str(report), "--plot", str(plot)])
-            files = [p.read_bytes() if p.exists() else b"(none)" for p in (report, plot)]
-            yield "analyze/%s/%d" % (name, res), digest(code, out, err, *files)
+            report, plot = [p.read_bytes() if p.exists() else b"(none)" for p in (report, plot)]
+            yield ("analyze/%s/%d" % (name, res), digest(code, out, err, report, plot),
+                   {"exit": code, "stdout": short(out), "stderr": short(err),
+                    "json": short(report), "svg": short(plot)})
 
 
 def census_items():
@@ -135,7 +157,7 @@ def census_items():
         rng = np.random.default_rng(seed)
         for k in range(draws):
             phi = random_helson(rng, deg1, deg2, rmax=0.999, max_tries=20000)
-            yield "census/%d-%d/%d" % (deg1, deg2, k), digest(*extraction(phi, 1024))
+            yield ("census/%d-%d/%d" % (deg1, deg2, k), *extraction(phi, 1024))
 
 
 def clustered_census():
@@ -160,7 +182,7 @@ def clustered_census():
 
 def clustered_items():
     for k, phi in enumerate(clustered_census()):
-        yield "clustered/%d" % k, digest(*extraction(phi, 4096))
+        yield ("clustered/%d" % k, *extraction(phi, 4096))
 
 
 def search_items(tmp: Path):
@@ -170,42 +192,90 @@ def search_items(tmp: Path):
     for seed in search_seeds():
         code, out, _ = run_cli(["synthesize", str(target), "--seed", str(seed),
                                 "--budget", str(SEARCH_BUDGET)])
-        yield "search/%d" % seed, digest(code, out)
+        try:
+            status = json.loads(out)["status"]
+        except (ValueError, KeyError, TypeError):
+            status = "-"
+        yield ("search/%d" % seed, digest(code, out),
+               {"exit": code, "status": status, "stdout": short(out)})
 
 
 def items():
-    """(name, digest) of every item, in order."""
+    """(name, digest, outcome fields) of every item, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for group in (analyze_items(Path(tmp)), census_items(), clustered_items(),
                       search_items(Path(tmp))):
             yield from group
 
 
+def parse(line):
+    """(name, digest, fields) of an item's line."""
+    name, value, *fields = line.split()
+    return name, value, dict(field.split("=", 1) for field in fields)
+
+
+def kind(old, new):
+    """How an item moved between its old and new fields."""
+    if "res" in old or "raised" in old:
+        if "res" in old and "res" in new:
+            res_old, res_new = int(old["res"]), int(new["res"])
+            if res_new != res_old:
+                return "resolution up" if res_new > res_old else "resolution down"
+            return "tree changed"
+        if "res" in old:
+            return "lost"
+        return "gained" if "res" in new else "failure changed"
+    return "SVG only" if moved(old, new) == ["svg"] else "output changed"
+
+
+def moved(old, new):
+    """The parts whose fields differ."""
+    return [key for key in old if old[key] != new.get(key)]
+
+
+def outcome(fields):
+    """The fields as they stand on an item's line."""
+    return " ".join("%s=%s" % kv for kv in fields.items())
+
+
 def check():
-    """Compare a run with DIGESTS; print each difference, return the exit
-    code."""
+    """Compare a run with DIGESTS; print each difference and a tally by
+    kind, return the exit code."""
     lines = DIGESTS.read_text(encoding="utf-8").splitlines()
     made_by = [line for line in lines if line.startswith("#")]
-    want = dict(line.split() for line in lines if not line.startswith("#"))
+    want = {name: (value, fields) for name, value, fields
+            in map(parse, (line for line in lines if not line.startswith("#")))}
     same_versions = made_by == header()
     if not same_versions:
         print("versions differ: the file was made by %s, this run by %s"
               % (", ".join(made_by), ", ".join(header())))
-    differ = 0
+    tally = collections.Counter()
     got = set()
-    for name, value in items():
+    for name, value, fields in items():
+        fields = {key: str(v) for key, v in fields.items()}
         got.add(name)
         if name not in want:
-            print("extra", name)
-        elif want[name] != value:
-            print("changed", name)
-        else:
+            tally["extra"] += 1
+            print("extra %s: %s" % (name, outcome(fields)))
             continue
-        differ += 1
+        old_value, old = want[name]
+        if (old_value, old) == (value, fields):
+            continue
+        how = kind(old, fields)
+        tally[how] += 1
+        if "res" in old or "raised" in old:
+            change = "%s -> %s" % (outcome(old), outcome(fields))
+        else:
+            change = "; ".join("%s %s -> %s" % (key, old[key], fields.get(key))
+                               for key in moved(old, fields))
+        print("changed %s (%s): %s" % (name, how, change))
     for name in want:
         if name not in got:
-            print("missing", name)
-            differ += 1
+            tally["missing"] += 1
+            print("missing %s: %s" % (name, outcome(want[name][1])))
+    differ = sum(tally.values())
+    if differ:
+        print("by kind: " + ", ".join("%s %d" % kv for kv in sorted(tally.items())))
     print("%d of %d items differ" % (differ, len(want)))
     return 0 if same_versions and not differ else 1
 
@@ -219,8 +289,8 @@ def main(argv=None):
         return 2
     for line in header():
         print(line)
-    for name, value in items():
-        print(name, value, flush=True)
+    for name, value, fields in items():
+        print(name, value, outcome(fields), flush=True)
     return 0
 
 

@@ -20,7 +20,6 @@ import cmath
 import functools
 import math
 
-import mpmath
 import numpy as np
 
 from . import _kernels
@@ -181,6 +180,8 @@ def _min_pairwise_distance(za, zb):
 
 
 def _poly_to_mp(coeffs):
+    import mpmath  # loaded on the first 40-digit boundary value
+
     return [mpmath.mpc(c.real, c.imag) for c in coeffs]
 
 
@@ -194,7 +195,9 @@ class RealSmirnov:
     vanish in the disk, circle_poles and integral_means read; num_roots,
     for from_rational's shared-zero check and integral_means;
     circle_poles; mp_coeffs, N and D in mpmath for the 40-digit boundary
-    evaluation; and boundary_pieces.  Instances are treated as immutable.
+    evaluation, read (and mpmath imported) only when a boundary value
+    needs 40 digits; and boundary_pieces.  Instances are treated as
+    immutable.
     """
 
     def __init__(self, num, den, b1=None, b2=None):
@@ -288,7 +291,11 @@ class RealSmirnov:
 
     def _boundary_eval(self, t):
         """(Re, Im) of phi(e^{it}) with automatic escalation; (inf, 0) at a
-        circle pole."""
+        circle pole.
+
+        Doubles decide wherever D is not small and Im is an order under
+        BOUNDARY_IM_TOL; elsewhere N and D are evaluated at 40 digits in
+        mpmath, which this branch imports on its first use."""
         z = cmath.exp(1j * t)
         nv = _kernels.horner_scalar(self.num.coeffs, z)
         dv = _kernels.horner_scalar(self.den.coeffs, z)
@@ -301,6 +308,8 @@ class RealSmirnov:
             # order under BOUNDARY_IM_TOL
             if abs(w.imag) < 1e-9:
                 return w.real, w.imag
+        import mpmath  # loaded here, on the first 40-digit boundary value
+
         with mpmath.workdps(40):
             zmp = mpmath.expjpi(mpmath.mpf(t) / mpmath.pi)
             num_mp, den_mp = self.mp_coeffs

@@ -9,6 +9,10 @@ Integral means are checked against a 30-digit mpmath quadrature
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -550,6 +554,22 @@ def test_mpmath_coefficients_are_converted_once_per_phi(monkeypatch):
     for t, out in evals:
         assert out == converting_boundary_eval(phi, t)
         assert im_at[t] == abs(out[1])
+
+
+def test_mpmath_is_imported_on_the_first_40_digit_value():
+    """Importing the package's modules leaves mpmath unloaded; building
+    fourth_power_map, whose boundary check escalates, loads it."""
+    script = (
+        "import sys\n"
+        "import rsmirnov.cli, rsmirnov.synthesis, rsmirnov.region_extraction\n"
+        "import rsmirnov.fixtures, rsmirnov.valence_tree\n"
+        "print('mpmath' in sys.modules)\n"
+        "rsmirnov.fixtures.fourth_power_map()\n"
+        "print('mpmath' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]
 
 
 def test_denominator_roots_are_found_once(monkeypatch):
