@@ -270,32 +270,35 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, branch_points=(), stops=()):
     """Follow the level curve Im(N/D) = 0 from z0.
 
     direction=+1 walks with Re(N/D) increasing, -1 decreasing.  Stops at the
-    circle (|z| >= TRACE_R_STOP), at a pole (|N/D| >= POLE_CUTOFF), near one
-    of branch_points (within BP_RADIUS), inside one of the disks ``stops``
-    ((centre, radius) pairs, ended as at the circle), when the corrector
-    stalls, or when monotonicity of Re(N/D) fails.  Returns (points,
-    status, bp_index): the points of the walk as a complex array, a TRACE_*
-    code, and the index of the branch point hit (-1 if none).
+    circle (|z| >= TRACE_R_STOP), at a pole (|N/D| >= POLE_CUTOFF), in an
+    end disk, when the corrector stalls, or when monotonicity of Re(N/D)
+    fails.  The end disks are one list, scanned in order at each point
+    after the first: branch_points with radius BP_RADIUS, then the disks
+    ``stops`` ((centre, radius) pairs, ended as at the circle).  Returns
+    (points, status, bp_index): the points of the walk as a complex array,
+    a TRACE_* code, and the index of the branch point hit (-1 if none).
 
     The step starts at TRACE_H_FIRST and grows by 1.3, up to TRACE_H_MAX,
     where the curve turns by less than about 2.6 degrees in a step.  A
     step that turns it by more than about 11 degrees, or whose corrector
     fails, is tried again at half its length.  No predictor step is longer
-    than half the distance to the nearest branch point or stop centre, so
-    none spans a BP_RADIUS disk or a stop disk, nor longer than 0.3 times
-    the distance to the circle (at least 2e-4).
+    than half the distance to the nearest centre of an end disk, so none
+    spans one, nor longer than 0.3 times the distance to the circle (at
+    least 2e-4).
     The coefficients (ascending), branch points and stops are Python
     complex numbers, and so is every step of the walk, divisions included.
     N, D and W are evaluated together at each point, each by
     horner_scalar's operations in its order.
     """
     # locals, so the step loop looks up no globals
-    pole_cutoff, bp_radius, r_stop = POLE_CUTOFF, BP_RADIUS, TRACE_R_STOP
+    pole_cutoff, r_stop = POLE_CUTOFF, TRACE_R_STOP
     h_min, h_max, max_steps = TRACE_H_MIN, TRACE_H_MAX, TRACE_STEP_LIMIT
     n_lead, n_rest = ncoef[-1], ncoef[-2::-1]
     d_lead, d_rest = dcoef[-1], dcoef[-2::-1]
     w_lead, w_rest = wcoef[-1], wcoef[-2::-1]
-    centres = list(branch_points) + [c for c, _ in stops]
+    # the end disks as (centre, radius, branch index, or -1 for a stop)
+    disks = [(c, BP_RADIUS, b) for b, c in enumerate(branch_points)]
+    disks += [(c, r, -1) for c, r in stops]
     pts = []
 
     def ev(z):
@@ -317,25 +320,27 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, branch_points=(), stops=()):
             return 0.0 + 0.0j
         return wv / d2
 
-    def reach(z):
-        # half the distance to the nearest branch point or stop centre
-        near = 1e300
-        for c in centres:
+    def scan(z):
+        # the index of the first end disk z lies in (None if none), and
+        # half the distance to the nearest centre
+        end, near = None, 1e300
+        for c, r, b in disks:
             d = abs(z - c)
+            if d < r and end is None:
+                end = b
             if d < near:
                 near = d
-        return 0.5 * near
+        return end, 0.5 * near
 
     z = complex(z0)
     nv, dv, wv = ev(z)
     if abs(dv) < 1e-150:
         return np.empty(0, dtype=np.complex128), TRACE_STALLED, -1
-    fz = nv / dv
     fp = dphi(dv, wv)
     pts.append(z)
-    re_prev = fz.real
+    re_prev = (nv / dv).real
     h = TRACE_H_FIRST
-    he_cap = reach(z)
+    _, he_cap = scan(z)
     status = TRACE_MAX_STEPS
     bp_hit = -1
     while len(pts) < max_steps:
@@ -406,32 +411,18 @@ def trace_arc(ncoef, dcoef, wcoef, z0, direction, branch_points=(), stops=()):
             status = TRACE_NON_MONOTONE
             break
         z = zc
-        fz = f2
         fp = fp2
         re_prev = f2.real
         pts.append(z)
         if abs(z) >= r_stop:
             status = TRACE_HIT_CIRCLE
             break
-        if abs(fz) >= pole_cutoff:
+        if abs(f2) >= pole_cutoff:
             status = TRACE_HIT_POLE
             break
-        hit = -1
-        for b in range(len(branch_points)):
-            if abs(z - branch_points[b]) < bp_radius:
-                hit = b
-                break
-        if hit >= 0:
-            status = TRACE_HIT_BRANCH
-            bp_hit = hit
+        end, he_cap = scan(z)
+        if end is not None:
+            status = TRACE_HIT_BRANCH if end >= 0 else TRACE_HIT_CIRCLE
+            bp_hit = end
             break
-        inside = False
-        for c, r in stops:
-            if abs(z - c) < r:
-                inside = True
-                break
-        if inside:
-            status = TRACE_HIT_CIRCLE
-            break
-        he_cap = reach(z)
     return np.array(pts, dtype=np.complex128), status, bp_hit

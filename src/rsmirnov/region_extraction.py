@@ -49,7 +49,6 @@ import numpy as np
 from ._kernels import (
     BP_RADIUS,
     POLE_CUTOFF,
-    TRACE_HIT_BRANCH,
     TRACE_MAX_STEPS,
     TRACE_NON_MONOTONE,
     TRACE_STALLED,
@@ -311,11 +310,11 @@ def _distance(pts: np.ndarray, z: complex) -> float:
 
 
 def _make_end(pieces: BoundaryPieces, zetas: np.ndarray, bps: list[BranchPoint],
-              z: complex, status: int, bp_hit: int, side: float) -> End:
-    """The end at z of a traced arc: the branch point it ran into, or else
-    the event nearest z (zetas are the events on the circle); side is -1
-    at the arc's lo end and +1 at its hi end."""
-    if status == TRACE_HIT_BRANCH:
+              z: complex, bp_hit: int, side: float) -> End:
+    """The end at z of a traced arc: branch point bp_hit if it is >= 0, or
+    else the event nearest z (zetas are the events on the circle); side is
+    -1 at the arc's lo end and +1 at its hi end."""
+    if bp_hit >= 0:
         bp = bps[bp_hit]
         return End("branch", bp.value, bp.index)
     k = int(np.argmin(np.abs(zetas - z)))
@@ -374,7 +373,7 @@ def trace_segments(phi, resolution: int) -> list[BoundaryArc]:
             raise NonMonotone(f"Re phi not monotone along the arc through {z0:.6f}")
         if status in (TRACE_STALLED, TRACE_MAX_STEPS):
             raise TraceStalled(f"trace from {z0:.6f} stalled")
-        return pts, status, bp_hit
+        return pts, bp_hit
 
     for seed in _seeds(phi, pieces, bps, res, noise):
         z = _newton_to_level(coefs, seed)
@@ -384,11 +383,11 @@ def trace_segments(phi, resolution: int) -> list[BoundaryArc]:
             continue
         if any(_distance(arc.points, z) < ON_ARC for arc in segments):
             continue
-        fwd, st_f, bp_f = run(z, +1.0)
-        bwd, st_b, bp_b = run(z, -1.0)
+        fwd, bp_f = run(z, +1.0)
+        bwd, bp_b = run(z, -1.0)
         pts = np.concatenate([bwd[::-1], fwd[1:]]) if len(fwd) > 1 else bwd[::-1]
-        lo = _make_end(pieces, zetas, bps, complex(pts[0]), st_b, bp_b, -1.0)
-        hi = _make_end(pieces, zetas, bps, complex(pts[-1]), st_f, bp_f, +1.0)
+        lo = _make_end(pieces, zetas, bps, complex(pts[0]), bp_b, -1.0)
+        hi = _make_end(pieces, zetas, bps, complex(pts[-1]), bp_f, +1.0)
         if not lo.value < hi.value or _vertex(lo) == _vertex(hi):
             raise ExtractionMismatch(f"the arc through {z:.6f} runs from {_vertex(lo)} to "
                                      f"{_vertex(hi)} over ({lo.value}, {hi.value})")

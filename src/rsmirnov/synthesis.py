@@ -65,6 +65,9 @@ CONSTRAINT_WEIGHT = 5000.0
 # heights agree almost everywhere)
 PULL_WEIGHT = 0.5
 CATALOG_TOL = 1e-6
+# the largest single-node valence the catalog builds: confirming one took 4.7 s
+# at 256 (one Intel Xeon core) and over 10 minutes at 384
+CATALOG_MAX_VALENCE = 256
 
 
 class NotInCatalog(LookupError):
@@ -154,6 +157,9 @@ def _match_catalog(target: Tree) -> tuple[SeedCatalogEntry, RealSmirnov]:
     nodes = list(target.nodes.values())
     if len(nodes) == 1:
         sign, m = nodes[0].sign, nodes[0].valence
+        if m > CATALOG_MAX_VALENCE:
+            raise NotInCatalog("valence %g is above the catalog's limit of %d"
+                               % (m, CATALOG_MAX_VALENCE))
         return (SeedCatalogEntry("halfplane-node", {"sign": sign, "m": m}),
                 halfplane_node(sign, m))
     if len(nodes) == 2 and all(node.valence == 1 for node in nodes):

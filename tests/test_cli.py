@@ -578,6 +578,22 @@ def test_synthesize_budget_zero_records_failure(tmp_path, capsys):
     assert any("NotInCatalog" in note for note in result["notes"])
 
 
+def test_synthesize_a_huge_single_valence_fails_cleanly(tmp_path, capsys):
+    # valence 1e300 passes validate-tree; the catalog used to build its
+    # node and die with an OverflowError traceback (exit 1)
+    data = {"nodes": [{"id": "p1", "sign": "+", "valence": 1e300}], "edges": []}
+    inp = write_json(tmp_path / "huge.json", data)
+    assert main(["validate-tree", inp]) == 0
+    capsys.readouterr()
+    assert main(["synthesize", inp]) == 4
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    result = json.loads(captured.out)
+    assert result["status"] == "failed" and result["candidate"] is None
+    assert [note.split(":")[0] for note in result["notes"]] == [
+        "NotInCatalog", "search unavailable"]
+
+
 def test_synthesize_budget_exhaustion_is_recorded(tmp_path, capsys):
     path3 = Tree(
         [Node("p1", 1, 1), Node("m1", -1, 1), Node("p2", 1, 1)],

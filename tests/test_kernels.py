@@ -366,3 +366,29 @@ def test_trace_arc_matches_the_numpy_scalar_walk(name, monkeypatch):
         assert (status, bp_hit) == want[1:]
         assert pts[0] == want[0][0]
         assert abs(pts[-1] - want[0][-1]) < BP_RADIUS
+
+
+# the double slit's axis walk down from 0.05i passes through -0.5i, so a
+# walk with an end disk round -0.5i ends in it; the recorded walks need
+# not reach any of these
+END_DISK_CASES = {
+    # a branch point wins over a stop disk that holds the same points
+    "branch inside a stop": ([-0.5j], [(-0.5j, BP_RADIUS)], TRACE_HIT_BRANCH, 0),
+    # of two branch points at one place, the first is hit
+    "coincident branches": ([-0.5j, -0.5j], [], TRACE_HIT_BRANCH, 0),
+    # the start point is not checked: the walk ends at its next point
+    "start inside a stop": ([], [(0.1j, 0.1)], TRACE_HIT_CIRCLE, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(END_DISK_CASES))
+def test_trace_arc_scans_its_end_disks_in_order(name):
+    branch_points, stops, status, bp_hit = END_DISK_CASES[name]
+    phi = double_slit()
+    args = (phi.num.coeffs.tolist(), phi.den.coeffs.tolist(),
+            phi.w_poly.coeffs.tolist(), 0.05j, 1.0)
+    pts, got_status, got_bp = trace_arc(*args, branch_points=branch_points, stops=stops)
+    want = trace_arc_python(*args, branch_points=branch_points, stops=stops)
+    assert (got_status, got_bp) == (status, bp_hit) == want[1:]
+    assert pts.tobytes() == want[0].tobytes()
+    assert len(pts) >= 2 and pts[0] == 0.05j

@@ -173,6 +173,19 @@ def test_catalog_single_nodes_exact(sign, m):
     assert is_isomorphic(res.tree, target, mode="full")
 
 
+def test_catalog_builds_no_single_node_above_its_valence_limit(monkeypatch):
+    # confirming halfplane_node(1, 384) had not finished after 10 minutes,
+    # and a valence of 1e300 overflowed building its list of zeros
+    monkeypatch.setattr(synthesis, "halfplane_node",
+                        lambda sign, m: pytest.fail("built a node of valence %d" % m))
+    for m in (257, 10 ** 6, 10 ** 300):
+        with pytest.raises(NotInCatalog, match="above the catalog's limit of 256"):
+            catalog_realize(node_tree(1, m))
+    monkeypatch.setattr(synthesis, "halfplane_node", lambda sign, m: (sign, m))
+    entry, built = synthesis._match_catalog(node_tree(-1, 256))
+    assert entry.params == {"sign": -1, "m": 256} and built == (-1, 256)
+
+
 def test_catalog_bounded_edge_scales_double_slit():
     res = catalog_realize(edge_tree(-1.0, 1.0))
     assert res.status == "exact"
