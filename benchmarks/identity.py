@@ -14,15 +14,16 @@ first 8 hex digits of one part:
     census/.../K DIGEST res=RES tree=D          (it extracted)
     census/.../K DIGEST raised=CLASS message=D  (it raised)
     search/SEED DIGEST exit=CODE status=STATUS stdout=D
+    catalog/NAME DIGEST exit=CODE status=STATUS stdout=D
 
 benchmarks/identity.txt holds that output for the checked-in source.  With
 --check the script compares a run with that file instead of printing it.
 It names each item that changed, with how it moved and its old and new
-outcome (for analyze and search items, the parts that moved), and each
-item that is missing or extra.  It closes with a tally by kind: lost,
-gained, resolution up, resolution down, tree changed and failure changed
-for extractions; SVG only and output changed for analyze and search
-items; missing and extra.  It exits 1 on any difference or if the
+outcome (for analyze, search and catalog items, the parts that moved),
+and each item that is missing or extra.  It closes with a tally by kind:
+lost, gained, resolution up, resolution down, tree changed and failure
+changed for extractions; SVG only and output changed for analyze, search
+and catalog items; missing and extra.  It exits 1 on any difference or if the
 versions differ (numpy builds may round eigenvalues differently).  A
 change meant to keep behaviour passes --check; a change that moves an
 output rewrites the file, and the file's diff names the items that moved.
@@ -48,6 +49,12 @@ The items:
   default_rng([1, p, k]).integers(0, 2**31 - 1), p < 5, k < 4 (the
   capped searches of pipebench's synthesis_budget workload): the exit
   code and stdout.
+- catalog/NAME: ``rsmirnov synthesize`` of a target that the closed-form
+  catalog realizes: single nodes of sign + and valence 1 and of sign -
+  and valence 2, the (1, 1) edges on (-1, 1), (2, 5), (0.1, 0.3) and
+  (-100, 7), the rays (0, inf) and (-inf, 0), and the alternating chains
+  of 4 nodes breaking at 0 and of 6 nodes breaking at 2: the exit code
+  and stdout.
 
 It takes about 35 s on one core of a shared 2-core x86-64 container.
 """
@@ -57,6 +64,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -185,26 +193,59 @@ def clustered_items():
         yield ("clustered/%d" % k, *extraction(phi, 4096))
 
 
+def synthesize(name, target: Tree, tmp: Path, *options):
+    """(name, digest, fields) of ``rsmirnov synthesize`` of target: the exit
+    code, the status it prints and its stdout."""
+    path = tmp / "target.json"
+    path.write_text(json.dumps(target.to_json()), encoding="utf-8")
+    code, out, _ = run_cli(["synthesize", str(path), *options])
+    try:
+        status = json.loads(out)["status"]
+    except (ValueError, KeyError, TypeError):
+        status = "-"
+    return name, digest(code, out), {"exit": code, "status": status, "stdout": short(out)}
+
+
 def search_items(tmp: Path):
-    target = tmp / "edge.json"
     edge = Tree([Node("p1", 1, 2), Node("m1", -1, 1)], [("p1", "m1", Interval(-1.0, 1.0))])
-    target.write_text(json.dumps(edge.to_json()), encoding="utf-8")
     for seed in search_seeds():
-        code, out, _ = run_cli(["synthesize", str(target), "--seed", str(seed),
-                                "--budget", str(SEARCH_BUDGET)])
-        try:
-            status = json.loads(out)["status"]
-        except (ValueError, KeyError, TypeError):
-            status = "-"
-        yield ("search/%d" % seed, digest(code, out),
-               {"exit": code, "status": status, "stdout": short(out)})
+        yield synthesize("search/%d" % seed, edge, tmp,
+                         "--seed", str(seed), "--budget", str(SEARCH_BUDGET))
+
+
+def catalog_targets():
+    """The catalog items' targets, by name: each closed form of the catalog."""
+    def edge(lo, hi):
+        return Tree([Node("p1", 1, 1), Node("m1", -1, 1)], [("p1", "m1", Interval(lo, hi))])
+
+    def chain(n, c):
+        # an alternating path whose breakpoints all lie at c
+        names = ["%s%d" % ("pm"[k % 2], k // 2 + 1) for k in range(n)]
+        ivs = [Interval(-math.inf, c), Interval(c, math.inf)] * (n // 2)
+        return Tree([Node(v, 1 if v[0] == "p" else -1, 1) for v in names],
+                    [(a, b, iv) for a, b, iv in zip(names, names[1:], ivs)])
+
+    targets = {"catalog/node/+1": Tree([Node("p1", 1, 1)], []),
+               "catalog/node/-2": Tree([Node("m1", -1, 2)], [])}
+    for lo, hi in [(-1.0, 1.0), (2.0, 5.0), (0.1, 0.3), (-100.0, 7.0)]:
+        targets["catalog/double-slit/%g..%g" % (lo, hi)] = edge(lo, hi)
+    for lo, hi in [(0.0, math.inf), (-math.inf, 0.0)]:
+        targets["catalog/koebe-ray/%g..%g" % (lo, hi)] = edge(lo, hi)
+    targets["catalog/power-chain/4"] = chain(4, 0.0)
+    targets["catalog/power-chain/6"] = chain(6, 2.0)
+    return targets
+
+
+def catalog_items(tmp: Path):
+    for name, target in catalog_targets().items():
+        yield synthesize(name, target, tmp)
 
 
 def items():
     """(name, digest, outcome fields) of every item, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for group in (analyze_items(Path(tmp)), census_items(), clustered_items(),
-                      search_items(Path(tmp))):
+                      search_items(Path(tmp)), catalog_items(Path(tmp))):
             yield from group
 
 
