@@ -32,6 +32,7 @@ from .blaschke_smirnov import (
 )
 from .complex_poly import NonConvergence
 from .region_extraction import (
+    DEFAULT_RESOLUTION,
     MIN_RESOLUTION,
     ExtractionError,
     crosscheck,
@@ -386,7 +387,7 @@ def _parser():
     p = sub.add_parser("analyze", help="full pipeline on a function file")
     p.add_argument("input", help="function JSON (Blaschke pair or rational)")
     p.add_argument("--resolution", type=_int_at_least(MIN_RESOLUTION),
-                   default=512)
+                   default=DEFAULT_RESOLUTION)
     p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--plot", metavar="OUT.SVG", type=_output_path, default=None)

@@ -17,9 +17,8 @@ values, and valence structure:
 - double_slit:          iz/(1-z^2), univalent onto C minus the two slits
   (-inf, -1/2] and [1/2, inf); boundary values -(1/2)csc t.
 
-koebe also seeds synthesis.catalog_realize.  The synthesis module builds
-its own double slit map, from a Blaschke pair, because its coefficients
-differ from this rational form by a real factor.
+koebe and double_slit also seed the synthesis catalog: its rays and its
+bounded-interval edges are real affine images of them.
 """
 
 import math

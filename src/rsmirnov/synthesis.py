@@ -48,8 +48,13 @@ from .valence_tree import (
     profile,
     validate,
 )
-from .fixtures import halfplane_node, koebe, power_chain
-from .region_extraction import ExtractionError, crosscheck, extract_full
+from .fixtures import double_slit, halfplane_node, koebe, power_chain
+from .region_extraction import (
+    DEFAULT_RESOLUTION,
+    ExtractionError,
+    crosscheck,
+    extract_full,
+)
 
 INF = math.inf
 HALF_PI = math.pi / 2.0
@@ -96,21 +101,6 @@ class BudgetExhausted(RuntimeError):
         super().__init__(
             "evaluation budget exhausted; best loss %.6g" % best.loss
         )
-
-
-# ---------------------------------------------------------------------------
-# seed functions
-# ---------------------------------------------------------------------------
-
-
-def double_slit() -> RealSmirnov:
-    """iz/(1 - z^2): two slits, one bounded real interval (-1/2, 1/2).
-
-    The golden-ratio zeros -+a, a = (sqrt(5)-1)/2, are exactly the
-    Blaschke pair whose Helson quotient reduces to iz/(1 - z^2).
-    """
-    a = (math.sqrt(5.0) - 1.0) / 2.0
-    return from_blaschke(Blaschke([-a]), Blaschke([a]))
 
 
 @dataclass
@@ -645,7 +635,8 @@ class VerifyReport:
         }
 
 
-def verify(result: SynthesisResult, resolution: int = 512) -> VerifyReport:
+def verify(result: SynthesisResult,
+           resolution: int = DEFAULT_RESOLUTION) -> VerifyReport:
     """Re-derive everything the result claims, from the candidate alone."""
     if result.status == "failed" or result.candidate is None:
         raise ValueError("nothing to verify: the synthesis failed")

@@ -18,8 +18,9 @@ from rsmirnov.blaschke_smirnov import QuadratureUnstable, RealSmirnov, integral_
 from rsmirnov.cli import main
 from rsmirnov.complex_poly import Poly, poly_from_roots
 from rsmirnov.fixtures import double_slit, fourth_power_map, koebe, power_chain
+from rsmirnov.region_extraction import CrosscheckReport
 from rsmirnov.synthesis import endpoint_error
-from rsmirnov.valence_tree import Interval, Node, Tree
+from rsmirnov.valence_tree import Interval, Node, Tree, canonical_code
 
 INF = math.inf
 
@@ -268,6 +269,41 @@ def test_analyze_rejects_an_unknown_blaschke_key(tmp_path, capsys):
                       "b2": {"zeros": [[-0.5, 0.0]]}})
     assert main(["analyze", bad]) == 2
     assert "unknown Blaschke key(s) c" in capsys.readouterr().err
+
+
+#: the third kept draw of the clustered census of benchmarks/identity.py, in
+#: which every zero lies within 0.1 of the circle and all in one arc
+CLUSTERED_DRAW_2 = {
+    "b1": {"zeros": [[0.9976883704512316, 0.05213984013131383],
+                     [0.9033735155341895, 0.06045637212437808]],
+           "constant": [-0.2726277554124645, 0.9621195907883601]},
+    "b2": {"zeros": [[0.9959373946705894, 0.0011617684817543676],
+                     [0.9984269881787629, 0.017234013826799476],
+                     [0.9977729265985376, 0.0601820173889998]],
+           "constant": [0.5160864452719025, 0.8565365030205143]},
+}
+
+
+def test_analyze_exits_4_when_no_extraction_succeeds(tmp_path, capsys):
+    inp = write_json(tmp_path / "clustered2.json", CLUSTERED_DRAW_2)
+    assert main(["analyze", inp]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: ExtractionMismatch: phi has no "
+                            "trusted monotone boundary pieces\n")
+
+
+def test_analyze_exits_4_on_a_crosscheck_mismatch(tmp_path, capsys, monkeypatch):
+    # the report is printed in full, then each mismatch goes to stderr
+    mismatch = {"kind": "real", "point": 0.0, "expected": 1, "got": 3}
+    monkeypatch.setattr(cli, "crosscheck",
+                        lambda *args, **kwargs: CrosscheckReport(200, [mismatch]))
+    inp = write_json(tmp_path / "koebe.json", koebe().to_json())
+    assert main(["analyze", inp]) == 4
+    captured = capsys.readouterr()
+    assert "crosscheck: MISMATCH (200 samples, 1 mismatches)" in captured.out
+    assert "integral means" in captured.out
+    assert captured.err == "  mismatch: %s\n" % mismatch
 
 
 @pytest.mark.parametrize("command", [
@@ -604,6 +640,22 @@ def test_synthesize_budget_exhaustion_is_recorded(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["status"] == "failed"
     assert any("BudgetExhausted" in note for note in result["notes"])
+
+
+def test_synthesize_a_capped_search_of_the_right_shape_ends_approximate(
+        tmp_path, capsys):
+    # no candidate of seed 1's 500 evaluations meets a tol of 1e-12, but the
+    # best one has the target's shape, which is a success (exit 0)
+    target = two_one_edge()
+    inp = write_json(tmp_path / "tii.json", target.to_json())
+    assert main(["synthesize", inp, "--budget", "500", "--seed", "1",
+                 "--tol", "1e-12"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["status"] == "approximate"
+    assert result["evaluations"] == 500
+    assert result["loss"] > 0.0
+    assert canonical_code(Tree.from_json(result["tree"])) == canonical_code(target)
+    assert [note.split(":")[0] for note in result["notes"]] == ["NotInCatalog"]
 
 
 def test_synthesize_output_is_byte_stable(tmp_path, capsys):

@@ -573,6 +573,38 @@ def test_aberth_batch_matches_aberth_iterate_row_by_row():
     assert len(sweeps) >= 4
 
 
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_aberth_batch_matches_aberth_iterate_when_the_budget_runs_out(
+        monkeypatch, cap):
+    # with a cap of 5 the first row stops in its last sweep and the other
+    # five leave the batch still iterating; with 1 and 2 no row stops
+    monkeypatch.setattr(_kernels, "ABERTH_MAX_ITER", cap)
+    rows = np.array([poly_from_roots(roots).coeffs for roots in (
+        [1.0, -1.0, 1j, -1j], [0.5, -0.4 + 0.7j, 1.5 - 0.2j, 0.1],
+        [2.0, 2.0, -1.0, 0.3j], [1e-3, 1e-3 + 1e-9, 5.0, -3.0j],
+        [0.9j, 0.91j, 0.92j, -0.5], [1.0] * 4)])
+    starts = np.array([complex_poly._initial_guesses(row, None) for row in rows])
+    roots, iterations, converged = _kernels.aberth_batch(rows, starts)
+    want = [_kernels.aberth_iterate(row, start) for row, start in zip(rows, starts)]
+    assert roots.tobytes() == np.array([r for r, _, _ in want]).tobytes()
+    assert iterations.tolist() == [it for _, it, _ in want] == [cap] * 6
+    assert converged.tolist() == [done for _, _, done in want]
+    assert converged.tolist() == [cap == 5] + [False] * 5
+
+
+def test_circle_start_gives_up_after_four_starts(monkeypatch):
+    # a double root fails the eigenvalue start's separation test, so every
+    # Aberth run of the root find is a circle start, and one sweep is too
+    # few for any of them
+    monkeypatch.setattr(_kernels, "ABERTH_MAX_ITER", 1)
+    calls = _recording_aberth(monkeypatch)
+    p = poly_from_roots([1.0, 1.0, -0.5])
+    with pytest.raises(NonConvergence, match="after restarts"):
+        find_roots(p)
+    assert [iterations for _, iterations in calls] == [1] * 4
+    assert np.array_equal(calls[0][0], complex_poly._initial_guesses(p.coeffs, None))
+
+
 # -- the one-row root find against its stages ---------------------------------
 
 
