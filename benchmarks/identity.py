@@ -23,9 +23,9 @@ outcome (for analyze, search and catalog items, the parts that moved),
 and each item that is missing or extra.  It closes with a tally by kind:
 lost, gained, resolution up, resolution down, tree changed and failure
 changed for extractions; SVG only and output changed for analyze, search
-and catalog items; missing and extra.  It exits 1 on any difference or if the
-versions differ (numpy builds may round eigenvalues differently).  A
-change meant to keep behaviour passes --check; a change that moves an
+and catalog items; missing and extra.  It exits 1 on any difference or
+if the versions differ (numpy builds may round eigenvalues differently).
+A change meant to keep behaviour passes --check; a change that moves an
 output rewrites the file, and the file's diff names the items that moved.
 
 The items:
