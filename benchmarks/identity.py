@@ -15,15 +15,16 @@ first 8 hex digits of one part:
     census/.../K DIGEST raised=CLASS message=D  (it raised)
     search/SEED DIGEST exit=CODE status=STATUS stdout=D
     catalog/NAME DIGEST exit=CODE status=STATUS stdout=D
+    enumerate/VP-VM DIGEST exit=CODE stdout=D json=D dot=D
 
 benchmarks/identity.txt holds that output for the checked-in source.  With
 --check the script compares a run with that file instead of printing it.
 It names each item that changed, with how it moved and its old and new
-outcome (for analyze, search and catalog items, the parts that moved),
-and each item that is missing or extra.  It closes with a tally by kind:
-lost, gained, resolution up, resolution down, tree changed and failure
-changed for extractions; SVG only and output changed for analyze, search
-and catalog items; missing and extra.  It exits 1 on any difference or
+outcome (for analyze, search, catalog and enumerate items, the parts
+that moved), and each item that is missing or extra.  It closes with a
+tally by kind: lost, gained, resolution up, resolution down, tree changed
+and failure changed for extractions; SVG only and output changed for
+analyze, search, catalog and enumerate items; missing and extra.  It exits 1 on any difference or
 if the versions differ (numpy builds may round eigenvalues differently).
 A change meant to keep behaviour passes --check; a change that moves an
 output rewrites the file, and the file's diff names the items that moved.
@@ -55,8 +56,11 @@ The items:
   (-100, 7), the rays (0, inf) and (-inf, 0), and the alternating chains
   of 4 nodes breaking at 0 and of 6 nodes breaking at 2: the exit code
   and stdout.
+- enumerate/VP-VM: ``rsmirnov enumerate VP VM`` for 0 <= VP, VM <= 4 with
+  VP + VM >= 1, with ``--json`` and ``--dot`` into a temporary directory:
+  the exit code, stdout, the JSON file and the DOT files in name order.
 
-It takes about 35 s on one core of a shared 2-core x86-64 container.
+It takes about 45 s on one core of a shared 2-core x86-64 container.
 """
 
 import collections
@@ -88,6 +92,8 @@ CENSUSES = [(3, 2, 101, 1500), (2, 2, 7, 200), (4, 3, 11, 400)]
 CLUSTERED_DRAWS = 400
 ANALYZE_RESOLUTIONS = (256, 512)
 SEARCH_BUDGET = 500
+#: the largest half-plane valence of the enumerate items
+ENUMERATE_MAX = 4
 
 
 def header():
@@ -241,11 +247,30 @@ def catalog_items(tmp: Path):
         yield synthesize(name, target, tmp)
 
 
+def enumerate_valences():
+    """The (v_plus, v_minus) of the enumerate items."""
+    return [(vp, vm) for vp in range(ENUMERATE_MAX + 1)
+            for vm in range(ENUMERATE_MAX + 1) if vp + vm >= 1]
+
+
+def enumerate_items(tmp: Path):
+    for vp, vm in enumerate_valences():
+        report, dots = tmp / ("shapes-%d-%d.json" % (vp, vm)), tmp / ("dot-%d-%d" % (vp, vm))
+        code, out, _ = run_cli(["enumerate", str(vp), str(vm),
+                                "--json", str(report), "--dot", str(dots)])
+        report = report.read_bytes() if report.exists() else b"(none)"
+        dot = digest(*(part for path in sorted(dots.glob("*"))
+                       for part in (path.name, path.read_bytes())))
+        yield ("enumerate/%d-%d" % (vp, vm), digest(code, out, report, dot),
+               {"exit": code, "stdout": short(out), "json": short(report), "dot": dot[:8]})
+
+
 def items():
     """(name, digest, outcome fields) of every item, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for group in (analyze_items(Path(tmp)), census_items(), clustered_items(),
-                      search_items(Path(tmp)), catalog_items(Path(tmp))):
+                      search_items(Path(tmp)), catalog_items(Path(tmp)),
+                      enumerate_items(Path(tmp))):
             yield from group
 
 

@@ -90,10 +90,11 @@ def test_identity_digests_list_every_item_in_order():
     names += ["clustered/%d" % k for k in range(identity.CLUSTERED_DRAWS)]
     names += ["search/%d" % seed for seed in identity.search_seeds()]
     names += list(identity.catalog_targets())
+    names += ["enumerate/%d-%d" % valences for valences in identity.enumerate_valences()]
     lines = identity.DIGESTS.read_text(encoding="utf-8").splitlines()
     assert [line.split()[0] for line in lines[:2]] == ["#", "#"]
     assert [line.split()[0] for line in lines[2:]] == names
-    assert len(names) == 2552
+    assert len(names) == 2576
 
 
 def test_readme_tour_prints_what_its_comments_say(capsys):
