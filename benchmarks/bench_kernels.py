@@ -12,16 +12,18 @@ from fixed circle guesses to its one stopping rule, ABERTH_TOL, the
 tolerance every root find uses.
 
 The real valence count rows time the two ways of counting valences at
-real points on a fixed (2, 1) edge candidate: valence_at finds the roots
-of N - xD once per point; real_valence counts on the boundary pieces,
-built once per five points as the synthesis loss builds them once per
-candidate.  A closing line gives both per call and the fallback rate.
+real points on a fixed (2, 1) edge candidate: valence_at, valence_counts
+at one point, finds the roots of N - xD once per point; real_valence
+counts on the boundary pieces, built once per five points as the
+synthesis loss builds them once per candidate.  A closing line gives both
+per call and the fallback rate.
 
 The valence count rows count the disk roots of N - lambda D at the same
 200 points on each of the five fixtures (50 in each half plane and 100 on
 the real line, drawn as crosscheck draws them): valence_at once per point,
-valence_counts once per fixture for all 200.  A closing line gives both
-per point and the share of points valence_counts leaves to its fallback.
+each call a valence_counts call for one point, and valence_counts once per
+fixture for all 200.  A closing line gives both per point and the share of
+points valence_counts leaves to its fallback.
 
 The Aberth stack rows run the Aberth iteration on the rows of those
 stacks that valence_counts sends to _aberth_rows and that start from
@@ -174,10 +176,10 @@ def aberth_stacks(points):
 def counts_fallback_share(points):
     """Share of the fixtures' N - lambda D that valence_counts does not
     count from the roots of its stack as they are: rows that _trimmed does not
-    keep whole, which go to find_roots (a constant row has a vanishing
-    leading coefficient, so it leaves too), and rows whose roots from the
-    row driver fail the closeness test of _separated, where _merge_clusters
-    fits a multiplicity structure."""
+    keep whole, which go to find_roots or, when constant, count 0 with no
+    root find, and rows whose roots from the row driver fail the closeness
+    test of _separated, where _merge_clusters fits a multiplicity
+    structure."""
     lams = np.asarray(points, dtype=np.complex128)
     left = []
     for phi in all_fixtures().values():

@@ -455,25 +455,17 @@ def random_helson(rng, deg1, deg2, rmax=0.85, max_tries=100):
 # -- valence and related counts ----------------------------------------------
 
 def valence_at(phi, lam):
-    """Number of solutions of phi(w) = lambda in the open unit disk.
-
-    Counts roots of N - lambda D inside the disk; roots within
-    BOUNDARY_TOL of the circle are excluded (they occur legitimately when
-    lambda is real and touches the boundary range).
-    """
-    p = phi.num - phi.den.scale(complex(lam))
-    if p.is_zero():
-        raise ValueError("phi is constant and equal to lambda")
-    if p.degree == 0:
-        return 0
-    return int(count_inside(find_roots(p).roots))
+    """Number of solutions of phi(w) = lambda in the open unit disk:
+    valence_counts at the one point lam."""
+    return int(valence_counts(phi, [lam])[0])
 
 
 def _lambda_rows(phi, lams):
     """The coefficients of N - lambda D for every lambda of lams (k,), as
-    rows (k, max(len N, len D)), built with the operations valence_at's
-    Poly arithmetic performs, so every row is bit for bit that polynomial's
-    coefficients (before Poly trims its vanishing leading ones)."""
+    rows (k, max(len N, len D)), built with the operations of the Poly
+    arithmetic phi.num - phi.den.scale(lambda), so every row is bit for
+    bit that polynomial's coefficients (before Poly trims its vanishing
+    leading ones)."""
     num, den = phi.num.coeffs, phi.den.coeffs
     rows = np.zeros((len(lams), max(len(num), len(den))), dtype=np.complex128)
     rows[:, :len(num)] += num
@@ -482,18 +474,21 @@ def _lambda_rows(phi, lams):
 
 
 def valence_counts(phi, lams):
-    """valence_at(phi, lam) for every lam of lams, as an integer array.
+    """Number of solutions of phi(w) = lambda in the open unit disk for
+    every lambda of lams, as an integer array.
 
-    disk_root_counts counts the rows of every N - lambda D (_lambda_rows)
-    in one call.  A lambda at which N - lambda D is constant goes to
-    valence_at.
+    Counts the roots of N - lambda D inside the disk, for all the rows
+    (_lambda_rows) in one disk_root_counts call; roots within
+    BOUNDARY_TOL of the circle are excluded (they occur legitimately when
+    lambda is real and touches the boundary range).  A constant
+    N - lambda D counts 0, and raises ValueError where it is zero.
     """
     lams = np.asarray(lams, dtype=np.complex128).ravel()
     rows = _lambda_rows(phi, lams)
     counts = np.zeros(len(lams), dtype=np.int64)
     moving = (rows[:, 1:] != 0).any(axis=1)
-    for i in np.flatnonzero(~moving):
-        counts[i] = valence_at(phi, lams[i])
+    if (rows[~moving, 0] == 0).any():
+        raise ValueError("phi is constant and equal to lambda")
     if moving.any():
         counts[moving] = disk_root_counts(rows[moving])
     return counts

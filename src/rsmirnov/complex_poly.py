@@ -206,7 +206,7 @@ def poly_from_roots(roots, lead=1.0):
     return Poly(c)
 
 
-def compose_rational(p, rnum, rden, power=None):
+def compose_rational(p, rnum, rden, power):
     """Numerator of p(rnum/rden) * rden**power, with power >= deg p.
 
     Writing p(w) = sum c_k w^k, the returned polynomial is
@@ -215,8 +215,6 @@ def compose_rational(p, rnum, rden, power=None):
     compositions can share one denominator.
     """
     n = p.degree
-    if power is None:
-        power = n
     if power < n:
         raise ValueError("power must be at least deg p")
     out = Poly([0])

@@ -767,8 +767,8 @@ def crosscheck(phi, tree: Tree, n_samples: int = 200, seed: int = 0,
     the profile's local multiplicity).  At real sample points only interior
     roots are counted; the circle preimages that a real value always has are
     not part of the count.  Every point is drawn first, and valence_counts
-    counts the roots of N - lambda D at all of them in one call, with the
-    counts valence_at gives one point at a time.
+    counts the roots of N - lambda D inside the disk at all of them in one
+    call.
     """
     prof = profile(tree)
     rng = np.random.default_rng(seed)

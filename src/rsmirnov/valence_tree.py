@@ -28,7 +28,6 @@ as given, with no numerical fuzz.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -203,8 +202,6 @@ class Tree:
 
     @staticmethod
     def from_json(data) -> "Tree":
-        if isinstance(data, str):
-            data = json.loads(data)
         nodes = []
         for nd in data["nodes"]:
             sign_raw = nd["sign"]

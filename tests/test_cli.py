@@ -417,6 +417,17 @@ def test_enumerate_cap(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vp,vm", [("0", "0"), ("-1", "2")])
+def test_enumerate_an_empty_request_is_invalid(tmp_path, capsys, vp, vm):
+    out, dot_dir = tmp_path / "shapes.json", tmp_path / "dots"
+    assert main(["enumerate", vp, vm, "--json", str(out), "--dot", str(dot_dir)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == ("invalid request: need nonnegative valences "
+                           "with v_plus + v_minus >= 1\n")
+    assert printed.out == ""
+    assert not out.exists() and not dot_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate-tree
 # ---------------------------------------------------------------------------

@@ -605,6 +605,18 @@ def test_circle_start_gives_up_after_four_starts(monkeypatch):
     assert np.array_equal(calls[0][0], complex_poly._initial_guesses(p.coeffs, None))
 
 
+def test_polish_leaves_a_root_where_the_derivative_vanishes():
+    # p' of z^2 is 0 at its double root, so the polish takes the masked
+    # quotient for the whole stack; the other row's points take the same
+    # steps as when that row is polished alone
+    rows = np.array([[0, 0, 1], [2, -3, 1]], dtype=np.complex128)
+    roots = np.array([[0, 0], [1.0000001, 1.9999999]], dtype=np.complex128)
+    polished = complex_poly._newton_polish(rows, roots)
+    assert polished[0].tolist() == [0, 0]
+    alone = complex_poly._newton_polish(rows[1:], roots[1:])
+    assert polished[1:].tobytes() == alone.tobytes()
+
+
 # -- the one-row root find against its stages ---------------------------------
 
 

@@ -13,8 +13,10 @@ on either side, which the oracle's multiplicity fit may place as one
 double root on the circle.
 
 valence_counts counts the roots of N - lambda D at many points at once, as
-coefficient rows; it must give valence_at's count at every point, real or
-not.  The root driver it shares with find_roots must give every row
+coefficient rows, and valence_at is valence_counts at one point; it must
+give the count of reference_valence_at, which builds N - lambda D with
+Poly arithmetic and counts find_roots' roots of it, at every point, real
+or not.  The root driver it shares with find_roots must give every row
 find_roots' roots bit for bit, whatever else is in the stack.
 """
 
@@ -31,13 +33,14 @@ from rsmirnov.blaschke_smirnov import (
     Blaschke,
     BoundaryNotReal,
     BoundaryPieces,
+    RealSmirnov,
     from_blaschke,
     random_helson,
     real_valence,
     valence_at,
     valence_counts,
 )
-from rsmirnov.complex_poly import BOUNDARY_TOL, Poly, find_roots
+from rsmirnov.complex_poly import BOUNDARY_TOL, Poly, count_inside, find_roots
 from rsmirnov.fixtures import (
     all_fixtures,
     double_slit,
@@ -393,28 +396,33 @@ def test_crosscheck_counts_every_sample_from_roots(monkeypatch):
     phi = double_slit()
     tree = extract_full(phi, resolution=128).tree
     rows = []
-    per_lambda = []
     original_rows = blaschke_smirnov.disk_root_counts
-    original_at = blaschke_smirnov.valence_at
 
     def counting_rows(r, *args, **kwargs):
         rows.append(len(r))
         return original_rows(r, *args, **kwargs)
 
-    def counting_at(phi, lam, *args, **kwargs):
-        per_lambda.append(lam)
-        return original_at(phi, lam, *args, **kwargs)
-
     monkeypatch.setattr(blaschke_smirnov, "disk_root_counts", counting_rows)
-    monkeypatch.setattr(blaschke_smirnov, "valence_at", counting_at)
     monkeypatch.setattr(BoundaryPieces, "count",
                         lambda self, x: pytest.fail("fast path in crosscheck"))
     report = crosscheck(phi, tree, n_samples=40)
     assert report.ok
-    assert sum(rows) + len(per_lambda) == report.samples == 40
+    assert sum(rows) == report.samples == 40
 
 
-# -- valence_counts against valence_at ---------------------------------------
+# -- valence_counts against the reference count ------------------------------
+
+
+def reference_valence_at(phi, lam):
+    """The count of N - lambda D's roots inside the disk, with N - lambda D
+    built by Poly arithmetic and its roots from find_roots, one lambda at a
+    time: the independent oracle of valence_counts."""
+    p = phi.num - phi.den.scale(complex(lam))
+    if p.is_zero():
+        raise ValueError("phi is constant and equal to lambda")
+    if p.degree == 0:
+        return 0
+    return int(count_inside(find_roots(p).roots))
 
 
 def lambda_rows(phi, lams):
@@ -467,7 +475,7 @@ def test_valence_counts_equal_valence_at_random_helson(seed, deg1, deg2, rmax):
     phi = random_helson(np.random.default_rng(seed), deg1, deg2, rmax=rmax,
                         max_tries=20000)
     lams = lambda_probes(phi, np.random.default_rng(seed))
-    assert valence_counts(phi, lams).tolist() == [valence_at(phi, lam)
+    assert valence_counts(phi, lams).tolist() == [reference_valence_at(phi, lam)
                                                   for lam in lams]
     # the driver's roots of a whole row are find_roots' roots, bit for bit,
     # wherever find_roots fits no multiplicity structure to them
@@ -513,7 +521,7 @@ def test_rows_the_fast_path_leaves_are_counted_by_the_fallback(
     row = lambda_rows(phi, [lam])[0]
     assert is_trimmed(row) == trimmed
     assert trimmed or is_clustered(row)
-    expected = valence_at(phi, lam)
+    expected = reference_valence_at(phi, lam)
     drives, finds = [], []
     aberth_rows, find = complex_poly._aberth_rows, complex_poly.find_roots
     monkeypatch.setattr(complex_poly, "_aberth_rows",
@@ -535,3 +543,13 @@ def test_constant_polynomial_is_counted_per_lambda(monkeypatch, make):
     monkeypatch.setattr(blaschke_smirnov, "disk_root_counts",
                         lambda rows: pytest.fail("no row to count"))
     assert valence_counts(phi, [lam]).tolist() == [0]
+
+
+def test_a_constant_phi_raises_where_it_equals_lambda():
+    # N - lambda D is the constant 2 - lambda
+    phi = RealSmirnov(Poly([2.0]), Poly([1.0]))
+    for count in (lambda: valence_at(phi, 2.0), lambda: valence_counts(phi, [3.0, 2.0])):
+        with pytest.raises(ValueError, match="^phi is constant and equal to lambda$"):
+            count()
+    assert valence_at(phi, 3.0) == 0
+    assert valence_counts(phi, [3.0]).tolist() == [0]
