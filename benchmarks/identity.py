@@ -16,15 +16,18 @@ first 8 hex digits of one part:
     search/SEED DIGEST exit=CODE status=STATUS stdout=D
     catalog/NAME DIGEST exit=CODE status=STATUS stdout=D
     enumerate/VP-VM DIGEST exit=CODE stdout=D json=D dot=D
+    validate/NAME DIGEST exit=CODE stdout=D stderr=D
+    exit/NAME DIGEST exit=CODE stdout=D stderr=D
+    verify/NAME DIGEST ok=OK json=D
 
 benchmarks/identity.txt holds that output for the checked-in source.  With
 --check the script compares a run with that file instead of printing it.
 It names each item that changed, with how it moved and its old and new
-outcome (for analyze, search, catalog and enumerate items, the parts
-that moved), and each item that is missing or extra.  It closes with a
-tally by kind: lost, gained, resolution up, resolution down, tree changed
-and failure changed for extractions; SVG only and output changed for
-analyze, search, catalog and enumerate items; missing and extra.  It exits 1 on any difference or
+outcome (for the items that run a command or verify, the parts that
+moved), and each item that is missing or extra.  It closes with a tally
+by kind: lost, gained, resolution up, resolution down, tree changed and
+failure changed for extractions; SVG only and output changed for the
+other items; missing and extra.  It exits 1 on any difference or
 if the versions differ (numpy builds may round eigenvalues differently).
 A change meant to keep behaviour passes --check; a change that moves an
 output rewrites the file, and the file's diff names the items that moved.
@@ -59,6 +62,22 @@ The items:
 - enumerate/VP-VM: ``rsmirnov enumerate VP VM`` for 0 <= VP, VM <= 4 with
   VP + VM >= 1, with ``--json`` and ``--dot`` into a temporary directory:
   the exit code, stdout, the JSON file and the DOT files in name order.
+- validate/NAME: ``rsmirnov validate-tree`` of each catalog item's target
+  (NAME is the catalog item's name after ``catalog/``), of the 8 shapes
+  that ``enumerate 2 3`` lists (validate/shape/2-3/K, K from 1), and of
+  one tree for each violation that validate reports: the exit code,
+  stdout and stderr.
+- exit/NAME: a command that ends in an error exit: a parse error of
+  ``analyze``, ``validate-tree`` and ``synthesize`` (exit 2); ``analyze``
+  of a function whose boundary is not real, whose denominator vanishes in
+  the disk, or whose Blaschke products share a zero, and ``enumerate 7
+  0`` and ``enumerate 0 0`` (exit 1); ``synthesize`` of an infeasible
+  target (exit 3); and ``analyze`` of clustered draw 2, which fails to
+  extract at every resolution (exit 4): the exit code, stdout and stderr.
+  Each runs in a temporary directory on relative file names, so no
+  message holds a temporary path.
+- verify/NAME: synthesis.verify of what the catalog realizes for each
+  catalog item's target: its ok flag and JSON.
 
 It takes about 45 s on one core of a shared 2-core x86-64 container.
 """
@@ -67,6 +86,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import platform
@@ -84,7 +104,8 @@ from rsmirnov.blaschke_smirnov import (  # noqa: E402
 from rsmirnov.cli import main as cli_main  # noqa: E402
 from rsmirnov.fixtures import all_fixtures, double_slit, power_chain  # noqa: E402
 from rsmirnov.region_extraction import extract_full  # noqa: E402
-from rsmirnov.valence_tree import Interval, Node, Tree  # noqa: E402
+from rsmirnov.synthesis import catalog_realize, verify  # noqa: E402
+from rsmirnov.valence_tree import Interval, Node, Tree, enumerate_shapes  # noqa: E402
 
 DIGESTS = Path(__file__).resolve().with_name("identity.txt")
 #: (deg1, deg2, rng seed, draws) of each census
@@ -94,6 +115,8 @@ ANALYZE_RESOLUTIONS = (256, 512)
 SEARCH_BUDGET = 500
 #: the largest half-plane valence of the enumerate items
 ENUMERATE_MAX = 4
+#: the half-plane valences of the validate/shape items
+VALIDATE_SHAPES = (2, 3)
 
 
 def header():
@@ -265,12 +288,117 @@ def enumerate_items(tmp: Path):
                {"exit": code, "stdout": short(out), "json": short(report), "dot": dot[:8]})
 
 
+def command(name, argv, tmp: Path, files=()):
+    """(name, digest, fields) of the command line argv, run in tmp after
+    writing each (file name, text) of files there: the exit code, stdout
+    and stderr."""
+    with contextlib.chdir(tmp):
+        for file, text in files:
+            Path(file).write_text(text, encoding="utf-8")
+        code, out, err = run_cli(argv)
+    return name, digest(code, out, err), {"exit": code, "stdout": short(out),
+                                         "stderr": short(err)}
+
+
+def tree_file(tree: Tree):
+    """The (file name, text) of tree's JSON."""
+    return "tree.json", json.dumps(tree.to_json())
+
+
+def violating_trees():
+    """One tree for each kind of violation that validate reports, by name."""
+    def path(*names):
+        # nodes of valence 1, signed by their first letter; edge j on (j, j + 1)
+        nodes = [Node(v, 1 if v[0] == "p" else -1, 1) for v in names]
+        return nodes, [(a, b, Interval(j, j + 1))
+                       for j, (a, b) in enumerate(zip(names, names[1:]))]
+
+    square, square_edges = path("p1", "m1", "p2", "m2")
+    square_edges.append(("m2", "p1", Interval(3, 4)))
+    pair, pair_edges = path("p1", "m1")
+    return {
+        "empty": Tree([], []),
+        "self-loop": Tree([Node("p1", 1, 2)], [("p1", "p1", Interval(0, 1))]),
+        "parallel-edges": Tree(pair, pair_edges + [("p1", "m1", Interval(2, 3))]),
+        "edge-count": Tree(square, square_edges),
+        "disconnected": Tree(square + [Node("p3", 1, 1)], square_edges),
+        "sign-alternation": Tree(*path("p1", "p2")),
+        "packing": Tree([Node("p1", 1, 1), Node("m1", -1, 1), Node("m2", -1, 1)],
+                        [("p1", "m1", Interval(0, 2)), ("p1", "m2", Interval(1, 3))]),
+        "no-free-interval": Tree(pair, [("p1", "m1", Interval(-math.inf, math.inf))]),
+    }
+
+
+def validate_trees():
+    """The validate items' trees, by name."""
+    trees = {name.removeprefix("catalog/"): target
+             for name, target in catalog_targets().items()}
+    for k, entry in enumerate(enumerate_shapes(*VALIDATE_SHAPES), 1):
+        trees["shape/%d-%d/%d" % (*VALIDATE_SHAPES, k)] = entry.tree
+    trees.update(violating_trees())
+    return trees
+
+
+def validate_items(tmp: Path):
+    for name, tree in validate_trees().items():
+        yield command("validate/" + name, ["validate-tree", "tree.json"], tmp,
+                      [tree_file(tree)])
+
+
+def clustered_draw(k):
+    """The K-th kept draw of the clustered census."""
+    return next(itertools.islice(clustered_census(), k, None))
+
+
+def exit_commands():
+    """The exit items' (argv, files), by name."""
+    def function(data):
+        return [("f.json", json.dumps(data))]
+
+    not_json = [("f.json", "{not json")]
+    bad_sign = Tree([Node("p1", 1, 1)], []).to_json()
+    bad_sign["nodes"][0]["sign"] = True
+    parallel = Tree([Node("p1", 1, 1), Node("m1", -1, 2)],
+                    [("p1", "m1", Interval(-math.inf, 0.0))] * 3)
+    return {
+        "exit/analyze/parse": (["analyze", "f.json"], not_json),
+        "exit/validate-tree/parse": (["validate-tree", "f.json"],
+                                     function({"nodes": "x"})),
+        "exit/synthesize/parse": (["synthesize", "f.json"], function(bad_sign)),
+        "exit/analyze/boundary-not-real": (
+            ["analyze", "f.json"], function({"num": [[0, 0.5], [1, 0]], "den": [[1, 0]]})),
+        "exit/analyze/pole-in-disk": (
+            ["analyze", "f.json"], function({"num": [[1, 0]], "den": [[-0.5, 0], [1, 0]]})),
+        "exit/analyze/shared-zero": (
+            ["analyze", "f.json"], function({"b1": {"zeros": [[0.5, 0]]},
+                                             "b2": {"zeros": [[0.5, 0], [-0.5, 0]]}})),
+        "exit/enumerate/7-0": (["enumerate", "7", "0"], []),
+        "exit/enumerate/0-0": (["enumerate", "0", "0"], []),
+        "exit/synthesize/infeasible": (["synthesize", "tree.json"], [tree_file(parallel)]),
+        "exit/analyze/clustered-2": (["analyze", "f.json"],
+                                     function(clustered_draw(2).to_json())),
+    }
+
+
+def exit_items(tmp: Path):
+    for name, (argv, files) in exit_commands().items():
+        yield command(name, argv, tmp, files)
+
+
+def verify_items():
+    for name, target in catalog_targets().items():
+        report = json.dumps(verify(catalog_realize(target)).to_json(), sort_keys=True)
+        yield ("verify/" + name.removeprefix("catalog/"), digest(report),
+               {"ok": json.loads(report)["ok"], "json": short(report)})
+
+
 def items():
     """(name, digest, outcome fields) of every item, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for group in (analyze_items(Path(tmp)), census_items(), clustered_items(),
                       search_items(Path(tmp)), catalog_items(Path(tmp)),
-                      enumerate_items(Path(tmp))):
+                      enumerate_items(Path(tmp)), validate_items(Path(tmp)),
+                      exit_items(Path(tmp)), verify_items()):
             yield from group
 
 

@@ -91,10 +91,13 @@ def test_identity_digests_list_every_item_in_order():
     names += ["search/%d" % seed for seed in identity.search_seeds()]
     names += list(identity.catalog_targets())
     names += ["enumerate/%d-%d" % valences for valences in identity.enumerate_valences()]
+    names += ["validate/" + name for name in identity.validate_trees()]
+    names += list(identity.exit_commands())
+    names += ["verify/" + name.removeprefix("catalog/") for name in identity.catalog_targets()]
     lines = identity.DIGESTS.read_text(encoding="utf-8").splitlines()
     assert [line.split()[0] for line in lines[:2]] == ["#", "#"]
     assert [line.split()[0] for line in lines[2:]] == names
-    assert len(names) == 2576
+    assert len(names) == 2622
 
 
 def test_readme_tour_prints_what_its_comments_say(capsys):
