@@ -112,18 +112,6 @@ class Blaschke:
     def degree(self):
         return len(self.zeros)
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        out = np.full(z.shape, self.constant, dtype=np.complex128)
-        for a in self.zeros:
-            if a == 0:
-                out = out * z
-            else:
-                out = out * (a - z) / (1.0 - np.conj(a) * z)
-        if out.shape == ():
-            return complex(out)
-        return out
-
     def as_rational(self):
         """The coefficients (ascending, without trailing zeros) of the pair
         of polynomials (P, Q) with B = P/Q."""
@@ -207,9 +195,6 @@ class RealSmirnov:
         self.b2 = b2
 
     # -- basic evaluation ---------------------------------------------------
-
-    def __call__(self, z):
-        return self.eval(z)
 
     def eval(self, z):
         """N(z)/D(z); INFINITY where the denominator vanishes numerically."""

@@ -23,9 +23,9 @@ The pipeline here:
                        its boundary: the traced arcs and the monotone
                        circle pieces of phi run over the real line once per
                        sheet.
-4. ``extract_tree`` / ``extract_full`` -- weld regions into collections,
-                       tile arc pieces into whole interfaces, and assemble
-                       the tree, retrying at doubled resolution whenever a
+4. ``extract_full`` -- weld regions into collections, tile arc pieces
+                       into whole interfaces, and assemble the tree,
+                       retrying at doubled resolution whenever a
                        consistency check trips.
 5. ``crosscheck``   -- verify an extracted tree against direct root counts
                        at fresh sample points.
@@ -79,7 +79,6 @@ __all__ = [
     "find_branch_points",
     "trace_segments",
     "faces",
-    "extract_tree",
     "extract_full",
     "crosscheck",
     "render_svg",
@@ -152,7 +151,7 @@ def partition(phi, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     to call, and 0 outside the disk.  No code path calls it (render_svg
     draws the faces): it, classify_grid and BAND_FLOOR stay only for
     pipebench's tracer and tests/test_tooling.py, until ROADMAP's item
-    "Dead code leaves src/" deletes them."""
+    "Dead code that the tracer names leaves src/" deletes them."""
     res = _valid_resolution(resolution)
     return classify_grid(phi.num.coeffs, phi.den.coeffs, phi.w_poly.coeffs,
                          res, 1.0 / res, 2.5 / res)
@@ -873,11 +872,6 @@ def extract_full(phi, resolution: int = DEFAULT_RESOLUTION,
             if 2 * res > max_resolution:
                 raise
             res *= 2
-
-
-def extract_tree(phi, resolution: int = DEFAULT_RESOLUTION) -> Tree:
-    """The plane valence tree of phi (see extract_full for the details)."""
-    return extract_full(phi, resolution).tree
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ The valence of the welded surface over a point x in R equals the number of
 edges whose interval contains x; over the upper (lower) half plane it is the
 sum of the upper (lower) node valences.  This module provides the data
 model, axiom validation with violation witnesses, the real valence profile
-as an exact step function, isomorphism testing, exhaustive enumeration of
-admissible shapes for given half-plane valences, and the affine transform
-mirroring x -> a*x + b on the function side.
+as an exact step function, isomorphism testing, and exhaustive enumeration
+of admissible shapes for given half-plane valences.
 
 Validation here is combinatorial and exact: interval endpoints are compared
 as given, with no numerical fuzz.
@@ -67,13 +66,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
-
-    def transformed(self, a: float, b: float) -> "Interval":
-        """Image under x -> a*x + b (endpoints swap when a < 0)."""
-        if a == 0:
-            raise ValueError("a must be nonzero")
-        u, v = a * self.lo + b, a * self.hi + b
-        return Interval(u, v) if a > 0 else Interval(v, u)
 
     def to_json(self):
         return [None if self.lo == NEG_INF else self.lo,
@@ -397,19 +389,6 @@ class ValenceProfile:
     def sup_real(self) -> int:
         return max(self.piece_mults)
 
-    def transformed(self, a: float, b: float) -> "ValenceProfile":
-        """Profile of the tree transformed by x -> a*x + b."""
-        if a == 0:
-            raise ValueError("a must be nonzero")
-        bps = [a * x + b for x in self.breakpoints]
-        if a > 0:
-            return ValenceProfile(self.v_plus, self.v_minus, tuple(bps),
-                                  self.piece_mults, self.point_mults)
-        return ValenceProfile(
-            self.v_minus, self.v_plus, tuple(reversed(bps)),
-            tuple(reversed(self.piece_mults)),
-            tuple(reversed(self.point_mults)))
-
     def to_json(self) -> dict:
         return {
             "v_plus": self.v_plus,
@@ -667,31 +646,6 @@ def enumerate_shapes(v_plus: int, v_minus: int) -> list[ShapeEntry]:
                                 _shape_constraints(tree, edge_names))
 
     return sorted(seen.values(), key=lambda e: (len(e.tree.nodes), e.code))
-
-
-# ---------------------------------------------------------------------------
-# affine transform
-# ---------------------------------------------------------------------------
-
-def transform_profile(tree: Tree, a: float, b: float) -> Tree:
-    """The tree of a*phi + b given the tree of phi.
-
-    Every edge interval is mapped by x -> a*x + b; when a < 0 the interval
-    endpoints swap and every node's half-plane sign flips (negation
-    exchanges the upper and lower half planes).  Requires a valid tree.
-    """
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    violations = validate(tree)
-    if violations:
-        raise InvalidTree(violations)
-    flip = a < 0
-    nodes = [
-        Node(n.id, -n.sign if flip else n.sign, n.valence)
-        for n in tree.nodes.values()
-    ]
-    edges = [(x, y, iv.transformed(a, b)) for x, y, iv in tree.edges]
-    return Tree(nodes, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,8 @@ from rsmirnov.fixtures import (
     lower_halfplane_map,
     upper_halfplane_map,
 )
-from rsmirnov.region_extraction import crosscheck, extract_full, extract_tree
-from rsmirnov.synthesis import (
-    SynthesisProblem,
-    catalog_realize,
-    endpoint_error,
-    synthesize_search,
-)
+from rsmirnov.region_extraction import crosscheck, extract_full
+from rsmirnov.synthesis import catalog_realize, endpoint_error
 from rsmirnov.valence_tree import (
     Interval,
     Node,
@@ -166,10 +161,10 @@ def test_criterion_04_extraction_matches_direct_root_counts():
     for d1, d2 in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
         funcs.append(random_helson(rng, d1, d2, max_tries=2000))
     for phi in funcs:
-        t512 = extract_tree(phi, 512)
+        t512 = extract_full(phi, 512).tree
         report = crosscheck(phi, t512, n_samples=200, seed=1, delta=1e-3)
         assert report.ok, report.mismatches
-        t1024 = extract_tree(phi, 1024)
+        t1024 = extract_full(phi, 1024).tree
         assert is_isomorphic(t512, t1024, mode="shape")
         assert endpoint_error(t512, t1024) < 1e-3
 
@@ -240,7 +235,7 @@ def test_criterion_09_validator_verdicts(tmp_path):
     assert main(["synthesize", str(target)]) == 3
 
 
-def test_criterion_10_synthesis_round_trip():
+def test_criterion_10_synthesis_round_trip(two_one_search):
     t0 = time.monotonic()
     targets = [node_tree(s, m) for s in (1, -1) for m in (1, 2, 3)]
     targets += [edge_tree(-1.0, 1.0), edge_tree(0.0, INF), edge_tree(-INF, 0.0)]
@@ -251,11 +246,9 @@ def test_criterion_10_synthesis_round_trip():
         recovered = extract_full(res.candidate).tree
         assert endpoint_error(recovered, target) < 1e-6
 
-    search_target = Tree(
-        [Node("p1", 1, 2), Node("m1", -1, 1)],
-        [("p1", "m1", Interval(-1.0, 1.0))],
-    )
-    res = synthesize_search(SynthesisProblem(search_target, budget=100_000, seed=0))
+    # the uncapped search for the (2, 1) edge on (-1, 1), seed 0, solved
+    # once per session; its seconds count toward the bound
+    res, search_seconds = two_one_search
     assert res.loss < 1e-2
     assert res.evaluations <= 100_000
-    assert time.monotonic() - t0 < 600.0
+    assert time.monotonic() - t0 + search_seconds < 600.0

@@ -118,6 +118,14 @@ class TestArithmetic:
         p = Poly([1, 2, 0, 0])
         assert p.degree == 1
 
+    def test_coefficients_cannot_be_replaced(self):
+        p = Poly([1, 2])
+        with pytest.raises(AttributeError, match="immutable"):
+            p.coeffs = np.array([3, 4], dtype=np.complex128)
+        with pytest.raises(AttributeError, match="immutable"):
+            p.roots = ()
+        assert p.coeffs.tolist() == [1, 2]
+
 
 class TestFindRoots:
     def test_quadratic(self):

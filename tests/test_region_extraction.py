@@ -44,7 +44,6 @@ from rsmirnov.region_extraction import (
     TraceStalled,
     crosscheck,
     extract_full,
-    extract_tree,
     faces,
     find_branch_points,
     partition,
@@ -58,11 +57,11 @@ from rsmirnov.valence_tree import (
     Interval,
     Node,
     Tree,
+    ValenceProfile,
     canonical_code,
     enumerate_shapes,
     is_isomorphic,
     profile,
-    transform_profile,
     validate,
 )
 
@@ -407,14 +406,14 @@ def test_assemble_rejects_two_interfaces_into_one_collection():
 
 
 # ---------------------------------------------------------------------------
-# extract_tree on the fixtures
+# extract_full on the fixtures
 
 
 def test_extract_single_region_trees():
-    t1 = extract_tree(upper_halfplane_map())
+    t1 = extract_full(upper_halfplane_map()).tree
     assert [(n.id, n.sign, n.valence) for n in t1.nodes.values()] == [("p1", 1, 1)]
     assert t1.edges == []
-    t2 = extract_tree(lower_halfplane_map())
+    t2 = extract_full(lower_halfplane_map()).tree
     assert [(n.id, n.sign, n.valence) for n in t2.nodes.values()] == [("m1", -1, 1)]
 
 
@@ -481,8 +480,8 @@ def test_extract_region_sum_matches_halfplane(ex_phi3, ex_slit_squared):
 
 
 def test_extraction_is_deterministic():
-    t1 = extract_tree(fourth_power_map())
-    t2 = extract_tree(fourth_power_map())
+    t1 = extract_full(fourth_power_map()).tree
+    t2 = extract_full(fourth_power_map()).tree
     assert is_isomorphic(t1, t2, mode="full")
     assert canonical_code(t1, with_intervals=True) == canonical_code(
         t2, with_intervals=True
@@ -492,8 +491,8 @@ def test_extraction_is_deterministic():
 @pytest.mark.parametrize("make", [koebe, fourth_power_map, double_slit])
 def test_extraction_stable_across_resolutions(make):
     phi = make()
-    t_coarse = extract_tree(phi, resolution=256)
-    t_fine = extract_tree(phi, resolution=512)
+    t_coarse = extract_full(phi, resolution=256).tree
+    t_fine = extract_full(phi, resolution=512).tree
     assert canonical_code(t_coarse) == canonical_code(t_fine)
     p_coarse, p_fine = profile(t_coarse), profile(t_fine)
     assert len(p_coarse.breakpoints) == len(p_fine.breakpoints)
@@ -508,7 +507,7 @@ def test_extraction_stable_across_resolutions(make):
 @pytest.mark.parametrize("make", [fourth_power_map, koebe, double_slit])
 def test_crosscheck_confirms_extracted_trees(make):
     phi = make()
-    tree = extract_tree(phi)
+    tree = extract_full(phi).tree
     report = crosscheck(phi, tree, n_samples=200, seed=0)
     assert report.ok
     assert report.samples == 200
@@ -519,7 +518,7 @@ def test_crosscheck_confirms_extracted_trees(make):
 def corrupted_koebe():
     """koebe with its edge interval (-1/4, inf) cut to (0, inf)."""
     phi = koebe()
-    tree = extract_tree(phi)
+    tree = extract_full(phi).tree
     ((a, b, _),) = tree.edges
     return phi, Tree(list(tree.nodes.values()),
                      [(a, b, Interval(0.0, math.inf))])
@@ -588,7 +587,7 @@ def per_lambda_crosscheck(phi, tree, n_samples=200, seed=0, delta=1e-3):
 @pytest.mark.parametrize("seed", [0, 9])
 def test_crosscheck_matches_per_lambda_reference(make, seed):
     phi = make()
-    tree = extract_tree(phi)
+    tree = extract_full(phi).tree
     report = crosscheck(phi, tree, n_samples=200, seed=seed)
     want = per_lambda_crosscheck(phi, tree, n_samples=200, seed=seed)
     assert (report.samples, report.mismatches) == want
@@ -635,7 +634,7 @@ def sequential_draws(tree, n_samples, seed, delta):
 
 def test_crosscheck_draws_what_the_sequential_loop_draws(monkeypatch):
     rng = np.random.default_rng(101)
-    trees = [extract_tree(phi) for phi in all_fixtures().values()] + [
+    trees = [extract_full(phi).tree for phi in all_fixtures().values()] + [
         extract_full(random_helson(rng, 3, 2, rmax=0.999, max_tries=20000),
                      resolution=256, max_resolution=1024).tree
         for _ in range(5)]
@@ -668,13 +667,44 @@ def test_crosscheck_draws_what_the_sequential_loop_draws(monkeypatch):
 # behaviour under transforms
 
 
+def transformed_profile(prof, a, b):
+    """The profile that the tree of a*phi + b has, given the profile of
+    the tree of phi: the breakpoints map by x -> a*x + b, and for a < 0
+    the half planes swap and the step function runs in reverse."""
+    bps = tuple(a * x + b for x in prof.breakpoints)
+    if a > 0:
+        return ValenceProfile(prof.v_plus, prof.v_minus, bps,
+                              prof.piece_mults, prof.point_mults)
+    return ValenceProfile(prof.v_minus, prof.v_plus, bps[::-1],
+                          prof.piece_mults[::-1], prof.point_mults[::-1])
+
+
+@pytest.mark.parametrize("prof,a,b,want", [
+    # one edge on (0, 1) between an upper node of valence 2 and a lower
+    # node of valence 1: it moves to (5, 6), or to (-1, 0) with v+ and v-
+    # swapped
+    (ValenceProfile(2, 1, (0.0, 1.0), (0, 1, 0), (0, 0)), 1.0, 5.0,
+     ValenceProfile(2, 1, (5.0, 6.0), (0, 1, 0), (0, 0))),
+    (ValenceProfile(2, 1, (0.0, 1.0), (0, 1, 0), (0, 0)), -1.0, 0.0,
+     ValenceProfile(1, 2, (-1.0, 0.0), (0, 1, 0), (0, 0))),
+    # one edge on (-inf, 0) moves to (3, inf)
+    (ValenceProfile(1, 1, (0.0,), (1, 0), (0,)), -2.0, 3.0,
+     ValenceProfile(1, 1, (3.0,), (0, 1), (0,))),
+    # edges on (0, 1) and (0, 2) at one node: the steps run in reverse
+    (ValenceProfile(2, 2, (0.0, 1.0, 2.0), (0, 2, 1, 0), (0, 1, 0)), -1.0, 0.0,
+     ValenceProfile(2, 2, (-2.0, -1.0, 0.0), (0, 1, 2, 0), (0, 1, 0))),
+], ids=["shift", "negate", "ray", "steps"])
+def test_transformed_profile_maps_hand_profiles(prof, a, b, want):
+    assert transformed_profile(prof, a, b) == want
+
+
 def test_affine_transform_matches_transformed_profile():
-    base = extract_tree(double_slit())
-    scaled = extract_tree(real_affine(double_slit(), 2.0, 0.0))
+    base = extract_full(double_slit()).tree
+    scaled = extract_full(real_affine(double_slit(), 2.0, 0.0)).tree
     ((_, _, iv),) = scaled.edges
     assert abs(iv.lo - (-1.0)) < 1e-6
     assert abs(iv.hi - 1.0) < 1e-6
-    want = profile(transform_profile(base, 2.0, 0.0))
+    want = transformed_profile(profile(base), 2.0, 0.0)
     got = profile(scaled)
     assert (got.v_plus, got.v_minus) == (want.v_plus, want.v_minus)
     for a, b in zip(got.breakpoints, want.breakpoints):
@@ -682,12 +712,12 @@ def test_affine_transform_matches_transformed_profile():
 
 
 def test_negative_affine_flips_signs():
-    base = extract_tree(koebe())
-    flipped = extract_tree(real_affine(koebe(), -1.0, 0.0))
+    base = extract_full(koebe()).tree
+    flipped = extract_full(real_affine(koebe(), -1.0, 0.0)).tree
     ((_, _, iv),) = flipped.edges
     assert iv.lo == -math.inf
     assert abs(iv.hi - 0.25) < 1e-6
-    want = profile(transform_profile(base, -1.0, 0.0))
+    want = transformed_profile(profile(base), -1.0, 0.0)
     got = profile(flipped)
     assert (got.v_plus, got.v_minus) == (want.v_plus, want.v_minus)
     for a, b in zip(got.breakpoints, want.breakpoints):
@@ -696,7 +726,7 @@ def test_negative_affine_flips_signs():
 
 def test_precompose_squares_valence():
     phi = precompose_inner(upper_halfplane_map(), Blaschke([0, 0]))
-    tree = extract_tree(phi)
+    tree = extract_full(phi).tree
     assert [(n.sign, n.valence) for n in tree.nodes.values()] == [(1, 2)]
     assert tree.edges == []
 

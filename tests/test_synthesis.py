@@ -425,9 +425,11 @@ def test_endpoint_error_measures_worst_displacement(d):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def two_one_result():
-    return synthesize_search(SynthesisProblem(two_one_edge()))
+@pytest.fixture
+def two_one_result(two_one_search):
+    # the uncapped seed-0 search for two_one_edge(), solved once per session
+    result, _ = two_one_search
+    return result
 
 
 def test_search_recovers_single_node():

@@ -44,6 +44,13 @@ def test_tracer_targets_resolve(layer, module, attr):
     assert callable(getattr(importlib.import_module("rsmirnov." + module), attr))
 
 
+def test_region_extraction_exports_only_names_it_defines():
+    # a stale __all__ entry breaks only "from region_extraction import *"
+    missing = [name for name in region_extraction.__all__
+               if not hasattr(region_extraction, name)]
+    assert missing == []
+
+
 def test_attempt_takes_the_resolution_second():
     # the tracer records a failed attempt's resolution from args[1]
     assert list(inspect.signature(region_extraction._attempt).parameters) == [

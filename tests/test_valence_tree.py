@@ -28,7 +28,6 @@ from rsmirnov.valence_tree import (
     is_isomorphic,
     profile,
     to_dot,
-    transform_profile,
     validate,
 )
 
@@ -99,12 +98,6 @@ def test_interval_contains_is_open():
     assert iv.contains(0.5)
     assert not iv.contains(0.0)
     assert not iv.contains(1.0)
-
-
-def test_interval_transform_swaps_under_negation():
-    assert Interval(0, 1).transformed(1, 5) == Interval(5, 6)
-    assert Interval(0, 1).transformed(-1, 0) == Interval(-1, 0)
-    assert Interval(-INF, 0).transformed(-2, 3) == Interval(3, INF)
 
 
 def test_interval_json_none_for_infinities():
@@ -460,36 +453,6 @@ def test_constraint_annotations():
 def test_enumerate_rejects_empty_request():
     with pytest.raises(ValueError):
         enumerate_shapes(0, 0)
-
-
-# ---------------------------------------------------------------------------
-# affine transform
-# ---------------------------------------------------------------------------
-
-def test_transform_shifts_intervals():
-    t = transform_profile(edge_tree((0, 1)), 1, 5)
-    assert t.edges[0][2] == Interval(5, 6)
-    assert t.nodes["p1"].sign == 1
-
-
-def test_transform_negation_flips_signs_and_endpoints():
-    t = transform_profile(edge_tree((0, 1)), -1, 0)
-    assert t.edges[0][2] == Interval(-1, 0)
-    assert t.nodes["p1"].sign == -1
-    assert t.nodes["m1"].sign == 1
-
-
-def test_transform_profile_commutes_with_profile():
-    tree = reference_tree()
-    for a, b in [(2.0, 0.0), (1.0, -4.5), (-1.0, 0.0), (-0.5, 3.0)]:
-        direct = profile(transform_profile(tree, a, b))
-        mapped = profile(tree).transformed(a, b)
-        assert direct == mapped
-
-
-def test_transform_rejects_degenerate_scale():
-    with pytest.raises(ValueError):
-        transform_profile(edge_tree(), 0, 1)
 
 
 # ---------------------------------------------------------------------------
