@@ -300,9 +300,9 @@ def command(name, argv, tmp: Path, files=()):
                                          "stderr": short(err)}
 
 
-def tree_file(tree: Tree):
-    """The (file name, text) of tree's JSON."""
-    return "tree.json", json.dumps(tree.to_json())
+def json_file(data):
+    """The files of an item that reads one JSON file: [(file name, text)]."""
+    return [("f.json", json.dumps(data))]
 
 
 def violating_trees():
@@ -341,42 +341,34 @@ def validate_trees():
 
 def validate_items(tmp: Path):
     for name, tree in validate_trees().items():
-        yield command("validate/" + name, ["validate-tree", "tree.json"], tmp,
-                      [tree_file(tree)])
-
-
-def clustered_draw(k):
-    """The K-th kept draw of the clustered census."""
-    return next(itertools.islice(clustered_census(), k, None))
+        yield command("validate/" + name, ["validate-tree", "f.json"], tmp,
+                      json_file(tree.to_json()))
 
 
 def exit_commands():
     """The exit items' (argv, files), by name."""
-    def function(data):
-        return [("f.json", json.dumps(data))]
-
-    not_json = [("f.json", "{not json")]
     bad_sign = Tree([Node("p1", 1, 1)], []).to_json()
     bad_sign["nodes"][0]["sign"] = True
     parallel = Tree([Node("p1", 1, 1), Node("m1", -1, 2)],
                     [("p1", "m1", Interval(-math.inf, 0.0))] * 3)
+    clustered_2 = next(itertools.islice(clustered_census(), 2, None))
+    analyze, synthesize = ["analyze", "f.json"], ["synthesize", "f.json"]
     return {
-        "exit/analyze/parse": (["analyze", "f.json"], not_json),
+        "exit/analyze/parse": (analyze, [("f.json", "{not json")]),
         "exit/validate-tree/parse": (["validate-tree", "f.json"],
-                                     function({"nodes": "x"})),
-        "exit/synthesize/parse": (["synthesize", "f.json"], function(bad_sign)),
+                                     json_file({"nodes": "x"})),
+        "exit/synthesize/parse": (synthesize, json_file(bad_sign)),
         "exit/analyze/boundary-not-real": (
-            ["analyze", "f.json"], function({"num": [[0, 0.5], [1, 0]], "den": [[1, 0]]})),
+            analyze, json_file({"num": [[0, 0.5], [1, 0]], "den": [[1, 0]]})),
         "exit/analyze/pole-in-disk": (
-            ["analyze", "f.json"], function({"num": [[1, 0]], "den": [[-0.5, 0], [1, 0]]})),
+            analyze, json_file({"num": [[1, 0]], "den": [[-0.5, 0], [1, 0]]})),
         "exit/analyze/shared-zero": (
-            ["analyze", "f.json"], function({"b1": {"zeros": [[0.5, 0]]},
-                                             "b2": {"zeros": [[0.5, 0], [-0.5, 0]]}})),
+            analyze, json_file({"b1": {"zeros": [[0.5, 0]]},
+                                "b2": {"zeros": [[0.5, 0], [-0.5, 0]]}})),
         "exit/enumerate/7-0": (["enumerate", "7", "0"], []),
         "exit/enumerate/0-0": (["enumerate", "0", "0"], []),
-        "exit/synthesize/infeasible": (["synthesize", "tree.json"], [tree_file(parallel)]),
-        "exit/analyze/clustered-2": (["analyze", "f.json"],
-                                     function(clustered_draw(2).to_json())),
+        "exit/synthesize/infeasible": (synthesize, json_file(parallel.to_json())),
+        "exit/analyze/clustered-2": (analyze, json_file(clustered_2.to_json())),
     }
 
 
