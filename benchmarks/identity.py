@@ -36,7 +36,9 @@ The items:
 
 - analyze/NAME/RES: ``rsmirnov analyze`` of the five fixtures,
   power_chain(6) and slit_squared (double_slit composed with z^2) at
-  resolutions 256 and 512, with ``--json`` and ``--plot`` into a
+  resolutions 256 and 512, and of fourth_power_map-ulp (fourth_power_map
+  with its largest numerator coefficient 1 ulp up, which is not exactly
+  real on the circle) at 256, with ``--json`` and ``--plot`` into a
   temporary directory: the exit code, stdout, stderr and both files.
 - census/DEG1-DEG2/K: extract_full(phi, 256, max_resolution=1024) of
   draw K (from 0) of random_helson(rng, DEG1, DEG2, rmax=0.999,
@@ -69,13 +71,15 @@ The items:
   stdout and stderr.
 - exit/NAME: a command that ends in an error exit: a parse error of
   ``analyze``, ``validate-tree`` and ``synthesize`` (exit 2); ``analyze``
-  of a function whose boundary is not real, whose denominator vanishes in
-  the disk, or whose Blaschke products share a zero, and ``enumerate 7
-  0`` and ``enumerate 0 0`` (exit 1); ``synthesize`` of an infeasible
-  target (exit 3); and ``analyze`` of clustered draw 2, which fails to
-  extract at every resolution (exit 4): the exit code, stdout and stderr.
-  Each runs in a temporary directory on relative file names, so no
-  message holds a temporary path.
+  of a function whose boundary is not real (two: one far from real, and
+  double-slit-1e-9, double_slit with 1e-9 of the modulus of its largest
+  numerator coefficient added to that coefficient's real part), whose
+  denominator vanishes in the disk, or whose Blaschke products share a
+  zero, and ``enumerate 7 0`` and ``enumerate 0 0`` (exit 1);
+  ``synthesize`` of an infeasible target (exit 3); and ``analyze`` of
+  clustered draw 2, which fails to extract at every resolution (exit 4):
+  the exit code, stdout and stderr.  Each runs in a temporary directory
+  on relative file names, so no message holds a temporary path.
 - verify/NAME: synthesis.verify of what the catalog realizes for each
   catalog item's target: its ok flag and JSON.
 
@@ -102,7 +106,8 @@ from rsmirnov.blaschke_smirnov import (  # noqa: E402
     Blaschke, DenominatorVanishesInDisk, NotRelativelyPrime, from_blaschke,
     precompose_inner, random_helson)
 from rsmirnov.cli import main as cli_main  # noqa: E402
-from rsmirnov.fixtures import all_fixtures, double_slit, power_chain  # noqa: E402
+from rsmirnov.fixtures import (  # noqa: E402
+    all_fixtures, double_slit, fourth_power_map, power_chain)
 from rsmirnov.region_extraction import extract_full  # noqa: E402
 from rsmirnov.synthesis import catalog_realize, verify  # noqa: E402
 from rsmirnov.valence_tree import Interval, Node, Tree, enumerate_shapes  # noqa: E402
@@ -148,12 +153,27 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def analyze_functions():
-    """The analyze items' inputs, by name."""
+def nudged(phi, move):
+    """phi's JSON with the real part x of its numerator's coefficient c of
+    largest modulus replaced by move(x, |c|)."""
+    obj = phi.to_json()
+    k = int(np.argmax(np.abs(phi.num.coeffs)))
+    re, im = obj["num"][k]
+    obj["num"][k] = [move(re, abs(complex(re, im))), im]
+    return obj
+
+
+def analyze_inputs():
+    """The analyze items' inputs: (name, function JSON, resolutions)."""
     functions = dict(all_fixtures())
     functions["power_chain6"] = power_chain(6)
     functions["slit_squared"] = precompose_inner(double_slit(), Blaschke([0, 0]))
-    return functions
+    inputs = [(name, phi.to_json(), ANALYZE_RESOLUTIONS) for name, phi in functions.items()]
+    # 1 ulp off an exactly real function: boundary_im_samples decides it
+    inputs.append(("fourth_power_map-ulp",
+                   nudged(fourth_power_map(), lambda x, _: math.nextafter(x, math.inf)),
+                   ANALYZE_RESOLUTIONS[:1]))
+    return inputs
 
 
 def search_seeds():
@@ -174,10 +194,10 @@ def extraction(phi, max_resolution):
 
 
 def analyze_items(tmp: Path):
-    for name, phi in analyze_functions().items():
+    for name, function, resolutions in analyze_inputs():
         source = tmp / ("%s.json" % name)
-        source.write_text(json.dumps(phi.to_json()), encoding="utf-8")
-        for res in ANALYZE_RESOLUTIONS:
+        source.write_text(json.dumps(function), encoding="utf-8")
+        for res in resolutions:
             report, plot = tmp / "report.json", tmp / "plot.svg"
             for path in (report, plot):
                 path.unlink(missing_ok=True)
@@ -360,6 +380,8 @@ def exit_commands():
         "exit/synthesize/parse": (synthesize, json_file(bad_sign)),
         "exit/analyze/boundary-not-real": (
             analyze, json_file({"num": [[0, 0.5], [1, 0]], "den": [[1, 0]]})),
+        "exit/analyze/double-slit-1e-9": (
+            analyze, json_file(nudged(double_slit(), lambda x, size: x + 1e-9 * size))),
         "exit/analyze/pole-in-disk": (
             analyze, json_file({"num": [[1, 0]], "den": [[-0.5, 0], [1, 0]]})),
         "exit/analyze/shared-zero": (

@@ -90,8 +90,8 @@ def test_identity_names_resolve():
 def test_identity_digests_list_every_item_in_order():
     # the names identity.py makes, built from its inputs without running them
     identity = load(IDENTITY, "identity")
-    names = ["analyze/%s/%d" % (name, res) for name in identity.analyze_functions()
-             for res in identity.ANALYZE_RESOLUTIONS]
+    names = ["analyze/%s/%d" % (name, res) for name, _, resolutions in identity.analyze_inputs()
+             for res in resolutions]
     names += ["census/%d-%d/%d" % (deg1, deg2, k)
               for deg1, deg2, _, draws in identity.CENSUSES for k in range(draws)]
     names += ["clustered/%d" % k for k in range(identity.CLUSTERED_DRAWS)]
@@ -104,7 +104,7 @@ def test_identity_digests_list_every_item_in_order():
     lines = identity.DIGESTS.read_text(encoding="utf-8").splitlines()
     assert [line.split()[0] for line in lines[:2]] == ["#", "#"]
     assert [line.split()[0] for line in lines[2:]] == names
-    assert len(names) == 2622
+    assert len(names) == 2624
 
 
 def test_readme_tour_prints_what_its_comments_say(capsys):
