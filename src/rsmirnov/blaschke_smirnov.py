@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .complex_poly import (
+    BOUNDARY_TOL,
     Poly,
     _add,
     _derivative,
@@ -184,7 +185,10 @@ class RealSmirnov:
     for from_rational's shared-zero check and integral_means;
     circle_poles; mp_coeffs, N and D in mpmath for the 40-digit boundary
     evaluation, read (and mpmath imported) only when a boundary value
-    needs 40 digits; and boundary_pieces.  Instances are treated as
+    needs 40 digits: in from_rational's sampled test of a function whose
+    coefficients are not exactly real on the circle, and at a critical
+    point away from the poles whose value doubles cannot decide (as in
+    the searches); and boundary_pieces.  Instances are treated as
     immutable.
     """
 
@@ -280,7 +284,12 @@ class RealSmirnov:
 
         Doubles decide wherever D is not small and Im is an order under
         BOUNDARY_IM_TOL; elsewhere N and D are evaluated at 40 digits in
-        mpmath, which this branch imports on its first use."""
+        mpmath, which this branch imports on its first use.  Building and
+        analyzing a function whose coefficients are exactly real on the
+        circle comes here only at a critical value that doubles cannot
+        decide away from the poles (as in the searches): from_rational
+        decides realness in integer arithmetic, and BoundaryPieces does
+        not evaluate a root of W at a circle pole."""
         z = cmath.exp(1j * t)
         nv = _kernels.horner_scalar(self.num.coeffs, z)
         dv = _kernels.horner_scalar(self.den.coeffs, z)
@@ -375,10 +384,43 @@ def from_blaschke(b1, b2):
     return phi
 
 
+def _exactly_real(num, den):
+    """True when N/D is real on the whole unit circle, decided without
+    rounding: R = N D~ - N~ D is identically zero, where p~(z) =
+    z^n conj(p(1/conj z)) for n = max(deg N, deg D).
+
+    The coefficients of N~ D are those of S = N D~ reflected, so R = 0
+    exactly when S_k = conj(S_{2n-k}) for every k.  Every double is an
+    integer over a power of two; scaled by the largest of those powers,
+    all the real and imaginary parts are Python ints, and so is S.
+    """
+    n = max(num.degree, den.degree)
+    ratios = [[part.as_integer_ratio() for c in p.coeffs.tolist()
+               for part in (c.real, c.imag)] for p in (num, den)]
+    scale = max(q for parts in ratios for _, q in parts)
+    ints = [[a * (scale // q) for a, q in parts] for parts in ratios]
+    nums = list(zip(ints[0][::2], ints[0][1::2]))
+    dens = list(zip(ints[1][::2], ints[1][1::2]))
+    dens += [(0, 0)] * (n + 1 - len(dens))
+    s = [[0, 0] for _ in range(2 * n + 1)]
+    for i, (a, b) in enumerate(nums):
+        # D~_j = conj(D_{n-j})
+        for j, (c, d) in enumerate(reversed(dens)):
+            s[i + j][0] += a * c + b * d
+            s[i + j][1] += b * c - a * d
+    return all(s[k][0] == s[-1 - k][0] and s[k][1] == -s[-1 - k][1]
+               for k in range(n + 1))
+
+
 def from_rational(num, den):
     """Reduced rational phi = N/D with finite coefficients, outer
-    denominator and real boundary values (to BOUNDARY_IM_TOL at
-    boundary_im_samples' angles).
+    denominator and real boundary values.
+
+    Realness is accepted at once when the coefficients make phi exactly
+    real on the circle (_exactly_real, in integer arithmetic); otherwise
+    |Im phi| must be at most BOUNDARY_IM_TOL at boundary_im_samples'
+    angles, which may evaluate some of them at 40 digits.  Only that
+    sampled test rejects.
 
     A denominator root on the unit circle (on_circle, where find_roots
     places an m-fold circle root) is a pole, not a zero inside.
@@ -404,7 +446,7 @@ def from_rational(num, den):
             if _min_pairwise_distance(rn.roots, rd.roots) < 1e-8:
                 raise ValueError("numerator and denominator share a zero; "
                                  "reduce the fraction first")
-    if num.degree + den.degree > 0:
+    if num.degree + den.degree > 0 and not _exactly_real(num, den):
         ts, ims = phi.boundary_im_samples()
         if ims.size:
             # argmax picks a NaN (Im overflowed), which no tolerance admits
@@ -498,6 +540,9 @@ class BoundaryPieces:
     critical points (roots of W on the circle, by on_circle or, since W is
     self-inversive, for want of a reflected partner, at their boundary
     values) and circle poles (at -+inf, by the direction of the piece).
+    At an m-fold pole W has an (m - 1)-fold root, so a root of W within
+    BOUNDARY_TOL in angle of a circle pole is that pole's event and is
+    not evaluated.
     Each piece meets x once when x lies strictly inside its value range,
     and an m-fold critical point whose value is x meets it m + 1 times, so
     one root find of W replaces one root find per real point.
@@ -548,11 +593,14 @@ class BoundaryPieces:
                                 (complex(root), float(v.real), mult))
                     continue
                 t = math.atan2(root.imag, root.real)
+                # a root of W at a circle pole is the pole's own event
+                if any(abs((t - tp + math.pi) % (2.0 * math.pi) - math.pi)
+                       < BOUNDARY_TOL for tp, _ in phi.circle_poles):
+                    continue
                 try:
                     v = float(phi.boundary_value(t))
                 except BoundaryNotReal:
                     v = None
-                # a root of W at a circle pole is the pole's own event
                 if v is None or math.isfinite(v):
                     crit.append((t % (2.0 * math.pi), v, mult))
         self.critical = [e[:2] for e in crit]

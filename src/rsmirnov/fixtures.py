@@ -63,7 +63,9 @@ def power_chain(n: int) -> RealSmirnov:
 
     The expanded coefficients concentrate an n-fold zero at -1 and an
     n-fold pole at +1, so the evaluation noise near those points grows
-    like eps^(1/n); the construction checks reject n >= 8 outright.
+    like eps^(1/n).  The integer coefficients are exactly real on the
+    circle, but from n = 10 on find_roots scatters the pole into the disk
+    and the construction rejects it.
     """
     if n < 2 or n % 2:
         raise ValueError("the power map is boundary-real only for even n >= 2")

@@ -118,8 +118,8 @@ class SeedCatalogEntry:
 
 def _match_chain(target: Tree):
     """(n, c, s) when the valid target is the chain s*M^n + c of n = 4 or 6
-    nodes; power_chain rejects n >= 8, so longer chains are left to the
-    search.  With valence 1 and degree at most 2 everywhere a valid tree is
+    nodes; longer chains are left to the search (power_chain rejects
+    n >= 10).  With valence 1 and degree at most 2 everywhere a valid tree is
     a path, and packing keeps the two intervals at each inner node apart,
     so its half-lines alternate between (-inf, c) and (c, inf) unchecked:
     the edge at the first end node fixes c and s."""

@@ -8,11 +8,13 @@ Integral means are checked against a 30-digit mpmath quadrature
 """
 
 import cmath
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -536,8 +538,8 @@ def converting_boundary_eval(phi, t):
 
 
 def test_mpmath_coefficients_are_converted_once_per_phi(monkeypatch):
-    """fourth_power_map's construction and boundary samples escalate many
-    samples to 40 digits; N and D are converted to mpmath once for all of
+    """fourth_power_map's boundary samples escalate many of them to 40
+    digits; N and D are converted to mpmath once for all of
     them, to the same values."""
     converted, evals = [], []
     to_mp, boundary_eval = blaschke_smirnov._poly_to_mp, RealSmirnov._boundary_eval
@@ -570,20 +572,154 @@ def test_mpmath_coefficients_are_converted_once_per_phi(monkeypatch):
         assert im_at[t] == abs(out[1])
 
 
+def run_fresh(script, *args):
+    """The stdout of script, run by a fresh interpreter on this src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout
+
+
 def test_mpmath_is_imported_on_the_first_40_digit_value():
-    """Importing the package's modules leaves mpmath unloaded; building
-    fourth_power_map, whose boundary check escalates, loads it."""
+    """Importing the package's modules leaves mpmath unloaded, and so does
+    building fourth_power_map, which is exactly real; sampling its
+    boundary, which escalates near the pole, loads it."""
     script = (
         "import sys\n"
         "import rsmirnov.cli, rsmirnov.synthesis, rsmirnov.region_extraction\n"
         "import rsmirnov.fixtures, rsmirnov.valence_tree\n"
         "print('mpmath' in sys.modules)\n"
-        "rsmirnov.fixtures.fourth_power_map()\n"
+        "phi = rsmirnov.fixtures.fourth_power_map()\n"
+        "print('mpmath' in sys.modules)\n"
+        "phi.boundary_im_samples()\n"
         "print('mpmath' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.split() == ["False", "True"]
+    assert run_fresh(script).split() == ["False", "False", "True"]
+
+
+def test_analyze_of_exactly_real_inputs_leaves_mpmath_unloaded(tmp_path):
+    """rsmirnov analyze at 256 and 512 of every fixture and of
+    power_chain(6) never needs a 40-digit value: the construction decides
+    realness in integers, and the boundary pieces skip the roots of W at
+    the poles."""
+    functions = dict(fixtures.all_fixtures(), power_chain6=fixtures.power_chain(6))
+    paths = []
+    for name, phi in functions.items():
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(phi.to_json()), encoding="utf-8")
+        paths.append(str(path))
+    script = (
+        "import contextlib, io, sys\n"
+        "from rsmirnov.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    for res in ('256', '512'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            code = main(['analyze', path, '--resolution', res])\n"
+        "        print(code, 'mpmath' in sys.modules)\n")
+    assert run_fresh(script, *paths).splitlines() == ["0 False"] * (2 * len(paths))
+
+
+# -- the exact realness certificate ---------------------------------------------
+
+
+def construction(num, den, sampled_only=False):
+    """"accepted", or the class and message of what from_rational raises;
+    with sampled_only, as its sampled boundary test alone decides."""
+    with mock.patch.object(blaschke_smirnov, "_exactly_real",
+                           (lambda n, d: False) if sampled_only
+                           else blaschke_smirnov._exactly_real):
+        try:
+            from_rational(num, den)
+        except (BoundaryNotReal, DenominatorVanishesInDisk, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+    return "accepted"
+
+
+def exactly_real_inputs():
+    """The analyze inputs of the benchmarks whose coefficients are exactly
+    real on the circle, by name."""
+    functions = dict(fixtures.all_fixtures(), power_chain6=fixtures.power_chain(6))
+    functions["slit_squared"] = precompose_inner(fixtures.double_slit(),
+                                                 Blaschke([0, 0]))
+    return functions
+
+
+@pytest.mark.parametrize("name", sorted(exactly_real_inputs()))
+def test_exactly_real_inputs_skip_the_sampled_test(name):
+    phi = exactly_real_inputs()[name]
+    assert blaschke_smirnov._exactly_real(phi.num, phi.den)
+    with mock.patch.object(RealSmirnov, "boundary_im_samples",
+                           side_effect=AssertionError("sampled")):
+        from_rational(phi.num, phi.den)
+
+
+def test_exactly_real_is_exact():
+    """A real multiple keeps the identity, and so does any real change of
+    the middle coefficient of koebe's D, which keeps D self-inversive; one
+    ulp of any other part breaks it."""
+    num, den = fixtures.koebe().num.coeffs, fixtures.koebe().den.coeffs
+    up = np.nextafter(1.0, 2.0)
+    assert blaschke_smirnov._exactly_real(Poly(num * up), Poly(den))
+    assert blaschke_smirnov._exactly_real(Poly(num * 2.0 ** -1074), Poly(den))
+    assert not blaschke_smirnov._exactly_real(Poly(num * (1 + 1e-300j)), Poly(den))
+    assert not blaschke_smirnov._exactly_real(Poly([0, 1]), Poly([1]))
+    for k in range(len(den)):
+        for moved in (complex(math.nextafter(den[k].real, math.inf), den[k].imag),
+                      den[k] + 2.0 ** -1074 * 1j):
+            nudged = den.copy()
+            nudged[k] = moved
+            real = k == 1 and moved.imag == 0
+            assert blaschke_smirnov._exactly_real(Poly(num), Poly(nudged)) == real
+
+
+def test_power_chain_8_is_exactly_real():
+    """The one kind of decision the certificate moves: a function that is
+    exactly real, which the sampled test rejected because 40-digit
+    rounding near its 8-fold pole left |Im| above its absolute 1e-8."""
+    phi = fixtures.power_chain(8)
+    assert construction(phi.num, phi.den) == "accepted"
+    assert construction(phi.num, phi.den, sampled_only=True)[0] == "BoundaryNotReal"
+
+
+def nudged_coefficients(coeffs, k, part, size):
+    """coeffs with the real (part 0) or imaginary part of coefficient k
+    moved: by size ulps when size is an int, else by size times the
+    largest coefficient modulus."""
+    out = coeffs.copy()
+    x = (out[k].real, out[k].imag)[part]
+    if isinstance(size, int):
+        for _ in range(size):
+            x = math.nextafter(x, math.inf)
+    else:
+        x += size * float(np.abs(coeffs).max())
+    out[k] = complex(x, out[k].imag) if part == 0 else complex(out[k].real, x)
+    return out
+
+
+@given(name=st.sampled_from(sorted(exactly_real_inputs())),
+       which=st.sampled_from(["num", "den"]), k=st.integers(0, 12),
+       part=st.integers(0, 1),
+       size=st.one_of(st.integers(1, 4), st.floats(1e-16, 1e-6)))
+@example(name="fourth_power_map", which="num", k=2, part=0, size=1)
+@example(name="double_slit", which="num", k=1, part=0, size=1e-9)
+@settings(max_examples=40, deadline=None)
+def test_nudged_fixtures_are_decided_as_the_sampled_test_decides(name, which, k,
+                                                                part, size):
+    phi = exactly_real_inputs()[name]
+    num, den = phi.num.coeffs, phi.den.coeffs
+    coeffs = num if which == "num" else den
+    coeffs = nudged_coefficients(coeffs, k % len(coeffs), part, size)
+    num, den = (coeffs, den) if which == "num" else (num, coeffs)
+    assert construction(num, den) == construction(num, den, sampled_only=True)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_helson_pairs_as_num_den_are_decided_as_the_sampled_test_decides(seed):
+    rng = np.random.default_rng(seed)
+    phi = random_helson(rng, int(rng.integers(0, 4)), int(rng.integers(1, 4)),
+                        rmax=0.999, max_tries=20000)
+    outcome = construction(phi.num, phi.den)
+    assert outcome == construction(phi.num, phi.den, sampled_only=True)
 
 
 def test_denominator_roots_are_found_once(monkeypatch):

@@ -204,6 +204,31 @@ def test_double_slit_counts():
     assert [pieces.count(x) for x in xs] == [0, 0, 1, 1, 1, 0, 0]
 
 
+def pieces_fields(pieces):
+    return (pieces.events, pieces.arcs, pieces.critical, pieces.ranges,
+            pieces.spans, pieces.interior_real)
+
+
+@pytest.mark.parametrize("phi", [koebe(), fourth_power_map(), power_chain(6)],
+                         ids=["koebe", "fourth_power_map", "power_chain6"])
+def test_roots_of_w_at_a_circle_pole_are_not_evaluated(phi, monkeypatch):
+    """At an m-fold pole W has an (m - 1)-fold root, whose boundary value is
+    the pole's inf.  BoundaryPieces takes it as the pole's event without
+    evaluating it, and builds the pieces it built when it evaluated it."""
+    with monkeypatch.context() as m:
+        m.setattr(blaschke_smirnov, "BOUNDARY_TOL", -1.0)  # nothing is at a pole
+        evaluating = BoundaryPieces(phi)
+    asked = []
+    value = RealSmirnov.boundary_value
+    monkeypatch.setattr(RealSmirnov, "boundary_value",
+                        lambda self, t: asked.append(t) or value(self, t))
+    pieces = BoundaryPieces(phi)
+    assert pieces_fields(pieces) == pieces_fields(evaluating)
+    ((pole, mult),) = phi.circle_poles
+    assert mult >= 2 and (pole, math.inf) in pieces.events
+    assert all(abs(cmath.exp(1j * t) - cmath.exp(1j * pole)) > 1e-3 for t in asked)
+
+
 def test_events_are_the_circle_critical_points_and_poles_in_order():
     # double_slit = iz/(1 - z^2): circle poles at +-1, critical points at +-i
     pieces = BoundaryPieces(double_slit())
