@@ -312,7 +312,8 @@ def validate(tree: Tree) -> list[Violation]:
         structural = True
 
     for a, b, _ in tree.edges:
-        if tree.nodes[a].sign == tree.nodes[b].sign:
+        # a self-loop joins no two nodes; it is reported above
+        if a != b and tree.nodes[a].sign == tree.nodes[b].sign:
             out.append(Violation(
                 "sign-alternation",
                 f"edge ({a!r}, {b!r}) joins two "

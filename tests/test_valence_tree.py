@@ -171,6 +171,15 @@ def test_same_sign_edge_is_flagged():
     assert any(v.kind == "sign-alternation" for v in validate(t))
 
 
+def test_self_loop_is_no_sign_alternation():
+    # a self-loop joins no two nodes: it was also reported as an edge
+    # joining two upper nodes
+    t = Tree([Node("p1", 1, 2)], [("p1", "p1", Interval(0, 1))])
+    assert [(v.kind, v.detail) for v in validate(t)] == [
+        ("not-a-tree", "self-loop at 'p1'"),
+        ("not-a-tree", "1 nodes need 0 edges, got 1")]
+
+
 def test_constructor_rejects_malformed_input():
     with pytest.raises(ValueError):
         Tree([Node("a", 1, 1), Node("a", 1, 1)], [])
