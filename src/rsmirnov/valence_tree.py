@@ -194,6 +194,13 @@ class Tree:
 
     @staticmethod
     def from_json(data) -> "Tree":
+        if not isinstance(data, dict):
+            raise ValueError("a tree is a JSON object")
+        # indexing a string or a number would raise Python's own TypeError
+        for field in ("nodes", "edges"):
+            if not (isinstance(data[field], list)
+                    and all(isinstance(x, dict) for x in data[field])):
+                raise ValueError(f'"{field}" is not a list of objects')
         nodes = []
         for nd in data["nodes"]:
             sign_raw = nd["sign"]

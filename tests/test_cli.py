@@ -491,6 +491,13 @@ def test_validate_tree_parse_error(tmp_path, capsys):
     assert main(["validate-tree", not_a_tree]) == 2
 
 
+def test_validate_tree_names_the_field_that_is_no_list(tmp_path, capsys):
+    not_a_tree = write_json(tmp_path / "nt.json", {"nodes": "x"})
+    assert main(["validate-tree", not_a_tree]) == 2
+    assert capsys.readouterr().err == (
+        'parse error: not a tree description: "nodes" is not a list of objects\n')
+
+
 @pytest.mark.parametrize("field,value", [
     ("sign", True), ("sign", 1.0), ("sign", -1.0), ("interval", [True, 2])])
 def test_validate_tree_rejects_a_boolean_or_float_sign_and_boolean_endpoint(

@@ -489,6 +489,21 @@ def test_tree_json_rejects_a_non_integer_valence(valence):
         Tree.from_json(data)
 
 
+@pytest.mark.parametrize("data,field", [
+    ({"nodes": "x"}, "nodes"), ({"nodes": [1], "edges": []}, "nodes"),
+    ({"nodes": [], "edges": 3}, "edges"), ({"nodes": [], "edges": ["a"]}, "edges")])
+def test_tree_json_names_a_field_that_is_no_list_of_objects(data, field):
+    # indexing the string "x" raised Python's TypeError "string indices
+    # must be integers", which names no field
+    with pytest.raises(ValueError, match='^"%s" is not a list of objects$' % field):
+        Tree.from_json(data)
+
+
+def test_tree_json_is_an_object():
+    with pytest.raises(ValueError, match="^a tree is a JSON object$"):
+        Tree.from_json([1, 2])
+
+
 def test_json_sign_encoding():
     data = edge_tree().to_json()
     assert {n["sign"] for n in data["nodes"]} == {"+", "-"}
