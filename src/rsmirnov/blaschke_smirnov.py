@@ -395,12 +395,13 @@ def _exactly_real(num, den):
     all the real and imaginary parts are Python ints, and so is S.
     """
     n = max(num.degree, den.degree)
-    ratios = [[part.as_integer_ratio() for c in p.coeffs.tolist()
-               for part in (c.real, c.imag)] for p in (num, den)]
+    ratios = [[x.as_integer_ratio() for c in p.coeffs.tolist() for x in (c.real, c.imag)]
+              for p in (num, den)]
     scale = max(q for parts in ratios for _, q in parts)
-    ints = [[a * (scale // q) for a, q in parts] for parts in ratios]
-    nums = list(zip(ints[0][::2], ints[0][1::2]))
-    dens = list(zip(ints[1][::2], ints[1][1::2]))
+    # (re, im) of each coefficient times scale, D padded to length n + 1
+    nums, dens = ([(a * (scale // qa), b * (scale // qb))
+                   for (a, qa), (b, qb) in zip(parts[::2], parts[1::2])]
+                  for parts in ratios)
     dens += [(0, 0)] * (n + 1 - len(dens))
     s = [[0, 0] for _ in range(2 * n + 1)]
     for i, (a, b) in enumerate(nums):

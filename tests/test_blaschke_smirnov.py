@@ -621,17 +621,19 @@ def test_analyze_of_exactly_real_inputs_leaves_mpmath_unloaded(tmp_path):
 # -- the exact realness certificate ---------------------------------------------
 
 
-def construction(num, den, sampled_only=False):
-    """"accepted", or the class and message of what from_rational raises;
-    with sampled_only, as its sampled boundary test alone decides."""
-    with mock.patch.object(blaschke_smirnov, "_exactly_real",
-                           (lambda n, d: False) if sampled_only
-                           else blaschke_smirnov._exactly_real):
-        try:
-            from_rational(num, den)
-        except (BoundaryNotReal, DenominatorVanishesInDisk, ValueError) as exc:
-            return type(exc).__name__, str(exc)
+def construction(num, den):
+    """"accepted", or the class and message of what from_rational raises."""
+    try:
+        from_rational(num, den)
+    except (BoundaryNotReal, DenominatorVanishesInDisk, ValueError) as exc:
+        return type(exc).__name__, str(exc)
     return "accepted"
+
+
+def sampled_construction(num, den):
+    """construction(num, den) as the sampled boundary test alone decides it."""
+    with mock.patch.object(blaschke_smirnov, "_exactly_real", lambda n, d: False):
+        return construction(num, den)
 
 
 def exactly_real_inputs():
@@ -640,6 +642,10 @@ def exactly_real_inputs():
     functions = dict(fixtures.all_fixtures(), power_chain6=fixtures.power_chain(6))
     functions["slit_squared"] = precompose_inner(fixtures.double_slit(),
                                                  Blaschke([0, 0]))
+    # fourth_power_map(iz): both N and D have real and imaginary parts
+    phi, turn = fixtures.fourth_power_map(), 1j ** np.arange(5)
+    functions["fourth_power_map_turned"] = from_rational(phi.num.coeffs * turn,
+                                                         phi.den.coeffs * turn)
     return functions
 
 
@@ -653,15 +659,22 @@ def test_exactly_real_inputs_skip_the_sampled_test(name):
 
 
 def test_exactly_real_is_exact():
-    """A real multiple keeps the identity, and so does any real change of
-    the middle coefficient of koebe's D, which keeps D self-inversive; one
-    ulp of any other part breaks it."""
+    """A real multiple keeps the identity, as does a complex factor common
+    to N and D and any real change of the middle coefficient of koebe's D,
+    which keeps D self-inversive; one ulp of any other part breaks it."""
     num, den = fixtures.koebe().num.coeffs, fixtures.koebe().den.coeffs
     up = np.nextafter(1.0, 2.0)
     assert blaschke_smirnov._exactly_real(Poly(num * up), Poly(den))
     assert blaschke_smirnov._exactly_real(Poly(num * 2.0 ** -1074), Poly(den))
     assert not blaschke_smirnov._exactly_real(Poly(num * (1 + 1e-300j)), Poly(den))
     assert not blaschke_smirnov._exactly_real(Poly([0, 1]), Poly([1]))
+    # times G/G for a complex G: N and D have complex parts
+    g = [1 + 2j, 0.5 - 1j, 0.25j]
+    for phi in (fixtures.koebe(), fixtures.double_slit()):
+        num2, den2 = np.convolve(phi.num.coeffs, g), np.convolve(phi.den.coeffs, g)
+        assert blaschke_smirnov._exactly_real(Poly(num2), Poly(den2))
+        den2[2] *= 1j
+        assert not blaschke_smirnov._exactly_real(Poly(num2), Poly(den2))
     for k in range(len(den)):
         for moved in (complex(math.nextafter(den[k].real, math.inf), den[k].imag),
                       den[k] + 2.0 ** -1074 * 1j):
@@ -677,7 +690,7 @@ def test_power_chain_8_is_exactly_real():
     rounding near its 8-fold pole left |Im| above its absolute 1e-8."""
     phi = fixtures.power_chain(8)
     assert construction(phi.num, phi.den) == "accepted"
-    assert construction(phi.num, phi.den, sampled_only=True)[0] == "BoundaryNotReal"
+    assert sampled_construction(phi.num, phi.den)[0] == "BoundaryNotReal"
 
 
 def nudged_coefficients(coeffs, k, part, size):
@@ -709,7 +722,7 @@ def test_nudged_fixtures_are_decided_as_the_sampled_test_decides(name, which, k,
     coeffs = num if which == "num" else den
     coeffs = nudged_coefficients(coeffs, k % len(coeffs), part, size)
     num, den = (coeffs, den) if which == "num" else (num, coeffs)
-    assert construction(num, den) == construction(num, den, sampled_only=True)
+    assert construction(num, den) == sampled_construction(num, den)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -719,7 +732,7 @@ def test_helson_pairs_as_num_den_are_decided_as_the_sampled_test_decides(seed):
     phi = random_helson(rng, int(rng.integers(0, 4)), int(rng.integers(1, 4)),
                         rmax=0.999, max_tries=20000)
     outcome = construction(phi.num, phi.den)
-    assert outcome == construction(phi.num, phi.den, sampled_only=True)
+    assert outcome == sampled_construction(phi.num, phi.den)
 
 
 def test_denominator_roots_are_found_once(monkeypatch):
